@@ -5,15 +5,18 @@ evaluation points, so every r+1 columns form an invertible block (MDS).
 Worker j's coefficients for a queried combination a are column j of
 W = (Q | a) F, where each row of Q is pinned by forcing zeros at the workers
 that do not hold the corresponding sample. Any r+1 workers then suffice to
-recover the combination via a closed-form combining vector, and identified
-workers can be treated as erasures by an exhaustive errors-and-erasures
-decoder on the punctured code.
+recover the combination via a closed-form combining vector. Once few enough
+liars remain, the errors-and-erasures decoder erases the identified workers
+and corrects at most tau = min(u-1, (n'-(r+1))//2) errors among the n'
+available ones with Gao's algorithm, sharing one Lagrange basis across the
+d gradient coordinates, and re-encodes the result to check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Sequence
 
 from .assignment import AssignmentMatrix
@@ -208,17 +211,122 @@ class ResponseMatrix:
     present: tuple[bool, ...]
 
 
+def _trim(poly: list[int]) -> list[int]:
+    """Drop zero leading coefficients in place; the zero polynomial is []."""
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _poly_divmod(num: list[int], den: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num / den (coefficient lists, lowest first)."""
+    rem = list(num)
+    dd = len(den) - 1
+    if len(rem) <= dd:
+        return [], _trim(rem)
+    inv_lead = pow(den[-1], -1, q)
+    quo = [0] * (len(rem) - dd)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + dd] * inv_lead % q
+        quo[i] = c
+        if c:
+            for m in range(dd):
+                rem[i + m] = (rem[i + m] - c * den[m]) % q
+    return _trim(quo), _trim(rem[:dd])
+
+
+def _poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _trim([v % q for v in out])
+
+
+def _poly_sub(a: list[int], b: list[int], q: int) -> list[int]:
+    return _trim([(x - y) % q for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _poly_eval(poly: list[int], x: int, q: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def _lagrange_basis(xs: Sequence[int], q: int) -> tuple[list[int], list[list[int]]]:
+    """g0 = prod (x - x_j) and the Lagrange basis over xs, as coefficient lists.
+
+    Basis polynomial j is w_j * g0 / (x - x_j), with the barycentric weight
+    w_j = 1 / prod_{m != j} (x_j - x_m), so it is 1 at x_j and 0 at the rest.
+    """
+    g0 = [1]
+    for x in xs:
+        g0 = [(lo - x * hi) % q for lo, hi in zip([0] + g0, g0 + [0])]
+    basis = []
+    for xj in xs:
+        # Synthetic division of g0 by (x - x_j), highest coefficient first.
+        quo = [0] * (len(g0) - 1)
+        acc = 0
+        for i in range(len(g0) - 1, 0, -1):
+            acc = (g0[i] + acc * xj) % q
+            quo[i - 1] = acc
+        w = 1
+        for xm in xs:
+            if xm != xj:
+                w = w * (xj - xm) % q
+        w = pow(w, -1, q)
+        basis.append([c * w % q for c in quo])
+    return g0, basis
+
+
+def _gao_errors(
+    q: int, g0: list[int], g1: list[int], xs: Sequence[int], ys: Sequence[int], k: int
+) -> list[int] | None:
+    """Positions where ys departs from the nearest degree-<k polynomial.
+
+    Gao's decoder: run the extended Euclidean algorithm on (g0, g1), where
+    g1 interpolates ys, until the remainder g has degree below (n+k)/2 with
+    cofactor v of g1. Then f = g / v is the message polynomial when at most
+    (n-k)/2 positions are in error. Returns None when the division leaves a
+    remainder or f is too long, i.e. the word is beyond the unique radius.
+    """
+    n = len(xs)
+    r0, r1 = g0, g1
+    v0: list[int] = []
+    v1 = [1]
+    while 2 * (len(r1) - 1) >= n + k:
+        quo, rem = _poly_divmod(r0, r1, q)
+        r0, r1 = r1, rem
+        v0, v1 = v1, _poly_sub(v0, _poly_mul(quo, v1, q), q)
+    f, rem = _poly_divmod(r1, v1, q)
+    if rem or len(f) > k:
+        return None
+    if len(v1) == 1:
+        return []  # g1 itself has degree < k: no errors
+    # f agrees with ys wherever v does not vanish, so this is at most deg v.
+    return [i for i, (x, y) in enumerate(zip(xs, ys)) if _poly_eval(f, x, q) != y]
+
+
 def ecc_decode(
     ctx: CodeContext, received: ResponseMatrix, identified: Iterable[int]
 ) -> list[int]:
     """Recover the full gradient from the all-one responses by errors-and-erasures.
 
-    Identified workers are erased outright. Among the rest, every error
-    pattern of weight at most u-1 is tried: erase it, decode the information
-    word from one r+1 column block, and accept iff the re-encoded codeword
-    matches every remaining column. The punctured code has minimum distance
-    2u-1, so within budget exactly one decoding survives; its last
-    information symbol is the full gradient.
+    Identified and absent workers are erased. Among the n' available ones,
+    k = r+1 columns fix a codeword, so at most tau = min(u-1, (n'-k)//2)
+    errors are corrected: u-1 is the protocol's residual budget and
+    (n'-k)//2 the unique-decoding radius of the punctured code. When tau > 0,
+    the Lagrange basis over the available points is built once and shared by
+    the d coordinates; each coordinate is decoded with Gao's algorithm and
+    the error positions are pooled, since a corrupted worker may leave some
+    coordinates intact. More than tau pooled errors is a decoding failure.
+    The guard then erases the pooled errors, solves for the information
+    word on k kept columns and accepts it only if the re-encoded codeword
+    matches every kept column; its last information symbol is the gradient.
     """
     if any(v != 1 for v in received.query):
         raise InvalidParamsError("errors-and-erasures decoding runs on the all-one query")
@@ -227,21 +335,40 @@ def ecc_decode(
     k = ctx.r + 1
     f = ctx.generator
     z = received.values
-    budget = ctx.u - 1
-    for t_size in range(budget + 1):
-        for trial in combinations(avail, t_size):
-            keep = [j for j in avail if j not in trial]
-            if len(keep) < k:
-                continue
-            info_set = keep[:k]
-            out = solve_linear(
-                f.take_columns(info_set).transpose(), z.take_columns(info_set).transpose()
+    tau = min(ctx.u - 1, (len(avail) - k) // 2)
+    if tau < 0:
+        raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
+    errors: set[int] = set()
+    if tau > 0:
+        q = ctx.field.q
+        xs = [ctx.eval_points[j] for j in avail]
+        g0, basis = _lagrange_basis(xs, q)
+        columns = list(zip(*basis))  # columns[i][j]: coefficient i of basis j
+        for t in range(z.rows):
+            row = z.row_values(t)
+            ys = [row[j] for j in avail]
+            g1 = _trim([sum(map(mul, ys, col)) % q for col in columns])
+            found = _gao_errors(q, g0, g1, xs, ys, k)
+            if found is None:
+                raise DecodeFailureError(
+                    f"coordinate {t + 1} is beyond the unique radius over "
+                    f"{len(avail)} available workers"
+                )
+            errors.update(avail[i] for i in found)
+        if len(errors) > tau:
+            raise DecodeFailureError(
+                f"{len(errors)} workers in error exceed the budget of {tau}"
             )
-            if out.kind != "unique":
-                raise ProtocolInvariantViolation("generator block must be invertible")
-            c = out.solution.transpose()  # d x (r+1)
-            if c * f.take_columns(keep) == z.take_columns(keep):
-                return c.col_values(k - 1)
-    raise DecodeFailureError(
-        f"no codeword within {budget} errors over {len(avail)} available workers"
+    keep = [j for j in avail if j not in errors]
+    info_set = keep[:k]
+    out = solve_linear(
+        f.take_columns(info_set).transpose(), z.take_columns(info_set).transpose()
     )
+    if out.kind != "unique":
+        raise ProtocolInvariantViolation("generator block must be invertible")
+    c = out.solution.transpose()  # d x (r+1)
+    if c * f.take_columns(keep) != z.take_columns(keep):
+        raise DecodeFailureError(
+            f"no codeword within {tau} errors over {len(avail)} available workers"
+        )
+    return c.col_values(k - 1)

@@ -6,6 +6,8 @@ modulus. All operations are exact modular arithmetic, never floating point.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InvalidParamsError
 
 # Mersenne prime; large enough that any desk-scale n, p stay below it.
@@ -14,8 +16,9 @@ DEFAULT_MODULUS = 2**31 - 1
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < 3.3e24; memoised per n."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -65,11 +68,11 @@ class PrimeField:
         return a * b % self.q
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by Fermat's little theorem."""
+        """Multiplicative inverse; pow(a, -1, q) agrees with Fermat's a^(q-2)."""
         a %= self.q
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, self.q - 2, self.q)
+        return pow(a, -1, self.q)
 
     def div(self, a: int, b: int) -> int:
         return a * self.inv(b) % self.q

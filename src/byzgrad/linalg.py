@@ -224,7 +224,7 @@ def solve_linear(coeffs: Matrix, rhs: Matrix) -> LinearSolveOutcome:
         if piv is None:
             continue
         aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][col], q - 2, q)
+        inv = pow(aug[rank][col], -1, q)
         aug[rank] = [v * inv % q for v in aug[rank]]
         prow = aug[rank]
         for rr in range(m):
@@ -275,7 +275,7 @@ def determinant(mat: Matrix) -> int:
             det = -det % q
         pval = rows[col][col]
         det = det * pval % q
-        inv = pow(pval, q - 2, q)
+        inv = pow(pval, -1, q)
         prow = rows[col]
         for rr in range(col + 1, n):
             if rows[rr][col]:
@@ -316,7 +316,7 @@ def vandermonde_inverse_last_column(field: PrimeField, points: Sequence[int]) ->
         for m, xm in enumerate(pts):
             if m != j:
                 prod = prod * (xj - xm) % q
-        out.append(pow(prod, q - 2, q))
+        out.append(pow(prod, -1, q))
     return out
 
 
@@ -336,7 +336,7 @@ def cauchy_like_det(field: PrimeField, zetas: Sequence[int], deltas: Sequence[in
     k = len(zs)
     rows = []
     for d in ds:
-        row = [pow(z - d, q - 2, q) for z in zs]
+        row = [pow(z - d, -1, q) for z in zs]
         row.append(1)
         rows.append(row)
     return determinant(Matrix.from_rows(field, rows))

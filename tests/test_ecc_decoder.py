@@ -1,0 +1,172 @@
+"""Gao errors-and-erasures decoder against the exhaustive oracle."""
+
+import random
+import time
+
+import pytest
+
+from byzgrad.assignment import make_random_regular
+from byzgrad.coding import (
+    ResponseMatrix,
+    build_code_context,
+    build_encoding_matrix,
+    ecc_decode,
+    response_matrix,
+)
+from byzgrad.errors import DecodeFailureError
+from byzgrad.field import DEFAULT_MODULUS
+from byzgrad.harness import SimulationConfig, run_simulation
+from byzgrad.linalg import Matrix
+
+from oracles import exhaustive_ecc_decode
+
+
+def decode_or_failure(decoder, ctx, received, identified):
+    try:
+        return decoder(ctx, received, identified)
+    except DecodeFailureError:
+        return None
+
+
+def corrupt_instance(rng, ctx, p, d, identified_count, corrupt_count):
+    """Random gradients, their all-one responses, and a corrupted copy.
+
+    Returns (received, identified, corrupted workers, true gradient). Each
+    corrupted or identified worker errs on a random non-empty subset of the
+    d coordinates.
+    """
+    n, q = ctx.n, ctx.field.q
+    a_mat = make_random_regular(n, p, ctx.s + ctx.u, rng.randrange(2**31))
+    enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+    g = Matrix(ctx.field, d, p, [rng.randrange(q) for _ in range(d * p)])
+    z = response_matrix(g, enc)
+    truth = [sum(g.row_values(t)) % q for t in range(d)]
+    identified = rng.sample(range(n), identified_count)
+    rest = [j for j in range(n) if j not in identified]
+    corrupted = rng.sample(rest, min(corrupt_count, len(rest)))
+    data = list(z.data)
+    for j in corrupted + identified:
+        coords = [t for t in range(d) if rng.random() < 0.5] or [rng.randrange(d)]
+        for t in coords:
+            data[t * n + j] = (data[t * n + j] + rng.randrange(1, q)) % q
+    received = ResponseMatrix(Matrix(ctx.field, d, n, data), tuple([1] * p), tuple([True] * n))
+    return received, identified, corrupted, truth
+
+
+def test_gao_matches_exhaustive_oracle():
+    rng = random.Random(20031)
+    counts = {"within_with_errors": 0, "diverged": 0, "both_failed": 0}
+    for _ in range(2000):
+        q = rng.choice((11, 13, 101, DEFAULT_MODULUS))
+        n = rng.randint(2, min(12, q - 1))
+        s = rng.randint(1, min(4, n - 1))
+        u = rng.randint(1, min(s + 1, n - s))
+        ctx = build_code_context(n, s, u, q)
+        p = rng.randint(-(-n // (s + u)), 6)
+        d = rng.randint(1, 3)
+        identified_count = rng.randint(0, s)
+        corrupt_count = rng.randint(0, s + 1 - identified_count)
+        received, identified, corrupted, truth = corrupt_instance(
+            rng, ctx, p, d, identified_count, corrupt_count
+        )
+        new = decode_or_failure(ecc_decode, ctx, received, identified)
+        old = decode_or_failure(exhaustive_ecc_decode, ctx, received, identified)
+        errors = len(corrupted)
+        within = errors <= min(u - 1, s - len(identified))
+        tau = min(u - 1, (n - len(identified) - ctx.r - 1) // 2)
+        if new is not None:
+            assert old == new
+        if within:
+            assert new == truth and old == truth
+            counts["within_with_errors"] += errors > 0
+        if new != old:
+            assert tau < u - 1 and not within
+            counts["diverged"] += 1
+        counts["both_failed"] += new is None and old is None
+    # Every regime is exercised, including the over-budget divergence.
+    assert all(counts.values()), counts
+
+
+def test_over_budget_beyond_tau_fails_where_oracle_misdecodes():
+    # n=7, s=3, u=2: r=2, k=3. Three identified workers (> s-u+1 = 2) leave
+    # n'=4 available, so tau = min(1, (4-3)//2) = 0, and one more corrupted
+    # column is over budget. Erasing any one available worker leaves k
+    # columns, which always fit a codeword, so the exhaustive search returns
+    # a wrong gradient; the unique decoder refuses.
+    ctx = build_code_context(7, 3, 2, 11)
+    enc = build_encoding_matrix(ctx, make_random_regular(7, 5, 5, seed=4), [1] * 5)
+    g = Matrix.from_rows(ctx.field, [[1, 2, 3, 4, 5]])
+    z = response_matrix(g, enc)
+    truth = [(1 + 2 + 3 + 4 + 5) % 11]
+    data = list(z.data)
+    data[5] = (data[5] + 3) % 11
+    received = ResponseMatrix(Matrix(ctx.field, 1, 7, data), tuple([1] * 5), tuple([True] * 7))
+    identified = [0, 1, 2]
+    wrong = exhaustive_ecc_decode(ctx, received, identified)
+    assert wrong != truth
+    with pytest.raises(DecodeFailureError):
+        ecc_decode(ctx, received, identified)
+    # Within budget, the same instance without the extra corruption decodes.
+    clean = ResponseMatrix(z, tuple([1] * 5), tuple([True] * 7))
+    assert ecc_decode(ctx, clean, identified) == truth
+
+
+def test_shared_locator_pools_errors_across_coordinates():
+    # Two workers each corrupt a different coordinate only; u-1 = 2 covers both.
+    ctx = build_code_context(9, 3, 3, 101)
+    enc = build_encoding_matrix(ctx, make_random_regular(9, 6, 6, seed=7), [1] * 6)
+    rng = random.Random(5)
+    g = Matrix(ctx.field, 2, 6, [rng.randrange(101) for _ in range(12)])
+    z = response_matrix(g, enc)
+    truth = [sum(g.row_values(t)) % 101 for t in range(2)]
+    data = list(z.data)
+    data[0 * 9 + 2] = (data[0 * 9 + 2] + 1) % 101
+    data[1 * 9 + 6] = (data[1 * 9 + 6] + 1) % 101
+    received = ResponseMatrix(Matrix(ctx.field, 2, 9, data), tuple([1] * 6), tuple([True] * 9))
+    assert ecc_decode(ctx, received, []) == truth
+    # A third worker in error exceeds tau = 2 even though each coordinate
+    # alone is within the unique radius (n'-k)//2 = 3.
+    data[0 * 9 + 4] = (data[0 * 9 + 4] + 1) % 101
+    received = ResponseMatrix(Matrix(ctx.field, 2, 9, data), tuple([1] * 6), tuple([True] * 9))
+    with pytest.raises(DecodeFailureError):
+        ecc_decode(ctx, received, [])
+
+
+def test_pooled_errors_capped_by_unique_radius():
+    # n=7, s=3, u=3: k=2. Three identified workers leave n'=4, so the unique
+    # radius (n'-k)//2 = 1 caps tau below u-1 = 2. Two workers erring on
+    # different coordinates are each within the radius per coordinate, but
+    # together they are beyond it, where a codeword need not be unique.
+    ctx = build_code_context(7, 3, 3, 101)
+    enc = build_encoding_matrix(ctx, make_random_regular(7, 4, 6, seed=2), [1] * 4)
+    g = Matrix.from_rows(ctx.field, [[1, 2, 3, 4], [5, 6, 7, 8]])
+    data = list(response_matrix(g, enc).data)
+    data[0 * 7 + 3] = (data[0 * 7 + 3] + 9) % 101
+    data[1 * 7 + 5] = (data[1 * 7 + 5] + 9) % 101
+    received = ResponseMatrix(Matrix(ctx.field, 2, 7, data), tuple([1] * 4), tuple([True] * 7))
+    with pytest.raises(DecodeFailureError):
+        ecc_decode(ctx, received, [0, 1, 2])
+
+
+def test_too_few_available_workers_fail():
+    ctx = build_code_context(5, 2, 1, 11)  # k = r+1 = 3
+    received = ResponseMatrix(Matrix(ctx.field, 1, 5, [0] * 5), (1,), tuple([True] * 5))
+    with pytest.raises(DecodeFailureError):
+        ecc_decode(ctx, received, [0, 1, 2])
+
+
+def test_scale_probes_decode_exactly():
+    # s = u-1 with the last s workers lying on every query: one decode that
+    # corrects s errors, which the exhaustive search made cost C(n, <= s)
+    # solves (24.8 s at n=20).
+    start = time.perf_counter()
+    for n, s, u in ((20, 6, 7), (32, 10, 11)):
+        cfg = SimulationConfig(
+            n=n, s=s, u=u, p=n, d=4, adversary="random-always", controlled="last", seed=1
+        )
+        out = run_simulation(cfg)
+        assert out.result.gradient == out.truth
+        assert out.metrics.correct
+        assert out.metrics.bound_violations() == []
+        assert out.result.outcome == "ecc"
+    assert time.perf_counter() - start < 5.0

@@ -34,6 +34,18 @@ def test_inverse_involution():
             assert f.inv(f.inv(x)) == x
 
 
+def test_inverse_matches_fermat():
+    # pow(a, -1, q) replaced Fermat's a^(q-2); both must agree for prime q.
+    for q in (7, 11, DEFAULT_MODULUS):
+        f = PrimeField(q)
+        residues = set(range(1, min(q, 200)))
+        residues |= {q - 1, q - 2, q // 2, q // 3}
+        residues |= {pow(3, e, q) for e in range(0, 64, 5)}
+        for x in residues:
+            assert f.inv(x) == pow(x, q - 2, q)
+            assert f.inv(x + 5 * q) == pow(x, q - 2, q)
+
+
 def test_zero_has_no_inverse():
     f = PrimeField(7)
     with pytest.raises(ZeroDivisionError):
@@ -85,3 +97,12 @@ def test_is_prime_small_table():
         assert is_prime(n) == (n in primes)
     assert is_prime(10007)
     assert not is_prime(2**31)
+
+
+def test_is_prime_is_memoised():
+    is_prime.cache_clear()
+    assert is_prime(DEFAULT_MODULUS)
+    assert is_prime(DEFAULT_MODULUS)
+    PrimeField(DEFAULT_MODULUS)
+    info = is_prime.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
