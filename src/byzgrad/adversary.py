@@ -143,11 +143,11 @@ class TournamentLiar(AdversaryStrategy):
     def bind(self, ctx, a_mat, enc):
         super().bind(ctx, a_mat, enc)
         if self.lie_plan == "consistent":
-            tree = MatchTree(a_mat.p)
+            depth = MatchTree(a_mat.p).leaf_depths()
             for j in sorted(self.controlled):
                 if j not in self._targets:
                     samples = a_mat.samples_of(j)
-                    self._targets[j] = max(samples, key=tree.leaf_depth)
+                    self._targets[j] = max(samples, key=depth.__getitem__)
         # Offsets are drawn lazily once the gradient dimension is known.
 
     def _offset(self, j: int, d: int) -> list[int]:

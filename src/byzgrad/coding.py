@@ -3,18 +3,21 @@
 The generator matrix F is a (r+1) x n Vandermonde on distinct nonzero
 evaluation points, so every r+1 columns form an invertible block (MDS).
 Worker j's coefficients for a queried combination a are column j of
-W = (Q | a) F, where each row of Q is pinned by forcing zeros at the workers
-that do not hold the corresponding sample. Any r+1 workers then suffice to
-recover the combination via a closed-form combining vector. Once few enough
-liars remain, the errors-and-erasures decoder erases the identified workers
-and corrects at most tau = min(u-1, (n'-(r+1))//2) errors among the n'
-available ones with Gao's algorithm, sharing one Lagrange basis across the
-d gradient coordinates, and re-encodes the result to check it.
+W = (Q | a) F: row i evaluates a polynomial of degree r with leading
+coefficient a_i that vanishes at the workers not holding sample i, which in
+closed form is W[i][j] = a_i * prod_{m in Z_i} (x_j - x_m). Any r+1 workers
+then suffice to recover the combination via a closed-form combining vector,
+cached per code and group. Once few enough liars remain, the
+errors-and-erasures decoder erases the identified workers and corrects at
+most tau = min(u-1, (n'-(r+1))//2) errors among the n' available ones with
+Gao's algorithm, sharing one Lagrange basis, cached per point set, across
+the d gradient coordinates, and re-encodes the result to check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Sequence
@@ -80,61 +83,51 @@ class EncodingMatrix:
 
 
 def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence[int]) -> EncodingMatrix:
-    """Solve the per-sample zero constraints and assemble W = (Q | a) F.
+    """W[i][j] = a_i * prod_{m in Z_i} (x_j - x_m), in closed form.
 
-    Requires each sample to be missing from exactly r workers, which is what
-    a regular assignment with replication s+u guarantees.
+    Row i of W = (Q | a) F evaluates a polynomial of degree at most r with
+    leading coefficient a_i at every worker's point; vanishing on the r
+    workers Z_i that do not hold sample i pins it to a_i times the monic
+    polynomial with those roots. One base row is built per distinct zero
+    pattern and scaled by a_i. Requires each sample to be missing from
+    exactly r workers, which is what a regular assignment with replication
+    s+u guarantees.
     """
-    field = ctx.field
-    q = field.q
+    q = ctx.field.q
     n, r = ctx.n, ctx.r
     p = a_mat.p
     if a_mat.n != n:
         raise AssignmentMismatchError(f"assignment has {a_mat.n} workers, code has {n}")
     if len(a) != p:
         raise DimensionError(f"query vector length {len(a)} != p = {p}")
-    f_rows = ctx.generator.to_rows()  # r+1 rows of length n
-    unit_cache: dict[tuple[int, ...], list[int]] = {}
-    w_rows: list[list[int]] = []
+    pts = ctx.eval_points
+    zeros = [0] * n
+    bases: dict[tuple[int, ...], list[int]] = {}
+    data: list[int] = []
     for i in range(p):
         zero_set = tuple(a_mat.zero_set(i))
         if len(zero_set) != r:
             raise AssignmentMismatchError(
                 f"sample {i + 1} is missing from {len(zero_set)} workers, expected r={r}"
             )
+        base = bases.get(zero_set)
+        if base is None:
+            roots = [pts[m] for m in zero_set]
+            base = []
+            for xj in pts:
+                acc = 1
+                for xm in roots:
+                    acc = acc * (xj - xm) % q
+                base.append(acc)
+            bases[zero_set] = base
         ai = a[i] % q
-        if ai == 0:
-            # Homogeneous constraints with an invertible block force q_i = 0.
-            w_rows.append([0] * n)
-            continue
-        if r == 0:
-            qi: list[int] = []
+        if ai == 1:
+            data.extend(base)
+        elif ai == 0:
+            data.extend(zeros)
         else:
-            unit = unit_cache.get(zero_set)
-            if unit is None:
-                # Solve the a_i = 1 instance once per zero pattern; the
-                # constraints are linear in a_i, so other values just scale it.
-                top_t = Matrix.from_rows(
-                    field, [[f_rows[k][j] for k in range(r)] for j in zero_set]
-                )
-                rhs = Matrix.column(field, [-f_rows[r][j] for j in zero_set])
-                out = solve_linear(top_t, rhs)
-                if out.kind != "unique":
-                    raise ProtocolInvariantViolation(
-                        "zero-constraint system is not uniquely solvable; "
-                        "Vandermonde block should be invertible"
-                    )
-                unit = [out.solution.at(k, 0) for k in range(r)]
-                unit_cache[zero_set] = unit
-            qi = [ai * v % q for v in unit]
-        row = []
-        for j in range(n):
-            acc = ai * f_rows[r][j]
-            for k in range(r):
-                acc += qi[k] * f_rows[k][j]
-            row.append(acc % q)
-        w_rows.append(row)
-    return EncodingMatrix(tuple(v % q for v in a), Matrix.from_rows(field, w_rows))
+            data.extend(ai * v % q for v in base)
+    return EncodingMatrix(tuple(v % q for v in a), Matrix(ctx.field, p, n, data))
 
 
 def restrict_encoding(enc: EncodingMatrix, mask: Iterable[int]) -> EncodingMatrix:
@@ -157,17 +150,23 @@ def combining_vector(ctx: CodeContext, group: Sequence[int]) -> list[int]:
     """Length-n coefficients fusing a size-(r+1) group's responses into G @ a.
 
     Entry j for a group member is 1 / prod over the other members' evaluation
-    point differences; entries outside the group are zero.
+    point differences; entries outside the group are zero. Each call returns
+    a fresh list built from a per-(code, group) cache.
     """
-    members = list(group)
-    if len(members) != ctx.r + 1 or len(set(members)) != len(members):
-        raise InvalidParamsError(f"group must contain r+1 = {ctx.r + 1} distinct workers")
-    pts = [ctx.eval_points[j] for j in members]
-    coeffs = vandermonde_inverse_last_column(ctx.field, pts)
-    b = [0] * ctx.n
+    return list(_combining_vector(ctx.field.q, ctx.eval_points, ctx.r, tuple(group)))
+
+
+@lru_cache(maxsize=256)
+def _combining_vector(
+    q: int, eval_points: tuple[int, ...], r: int, members: tuple[int, ...]
+) -> tuple[int, ...]:
+    if len(members) != r + 1 or len(set(members)) != len(members):
+        raise InvalidParamsError(f"group must contain r+1 = {r + 1} distinct workers")
+    coeffs = vandermonde_inverse_last_column(PrimeField(q), [eval_points[j] for j in members])
+    b = [0] * len(eval_points)
     for j, c in zip(members, coeffs):
         b[j] = c
-    return b
+    return tuple(b)
 
 
 @dataclass(frozen=True)
@@ -190,11 +189,7 @@ def worker_response(gradients: Matrix, enc: EncodingMatrix, j: int) -> list[int]
     if p != enc.w.rows:
         raise DimensionError("gradient matrix width must equal sample count")
     col = enc.w.col_values(j)
-    out = []
-    for t in range(d):
-        grow = gradients.row_values(t)
-        out.append(sum(g * c for g, c in zip(grow, col)) % q)
-    return out
+    return [sum(map(mul, gradients.row_values(t), col)) % q for t in range(d)]
 
 
 def response_matrix(gradients: Matrix, enc: EncodingMatrix) -> Matrix:
@@ -257,11 +252,16 @@ def _poly_eval(poly: list[int], x: int, q: int) -> int:
     return acc
 
 
-def _lagrange_basis(xs: Sequence[int], q: int) -> tuple[list[int], list[list[int]]]:
-    """g0 = prod (x - x_j) and the Lagrange basis over xs, as coefficient lists.
+@lru_cache(maxsize=16)
+def _lagrange_basis(
+    xs: tuple[int, ...], q: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """g0 = prod (x - x_j) and the Lagrange basis over xs, by coefficient.
 
     Basis polynomial j is w_j * g0 / (x - x_j), with the barycentric weight
     w_j = 1 / prod_{m != j} (x_j - x_m), so it is 1 at x_j and 0 at the rest.
+    The basis comes transposed: entry [i][j] is coefficient i of polynomial
+    j. Both parts are tuples, because the cache hands them to every caller.
     """
     g0 = [1]
     for x in xs:
@@ -280,11 +280,11 @@ def _lagrange_basis(xs: Sequence[int], q: int) -> tuple[list[int], list[list[int
                 w = w * (xj - xm) % q
         w = pow(w, -1, q)
         basis.append([c * w % q for c in quo])
-    return g0, basis
+    return tuple(g0), tuple(zip(*basis))
 
 
 def _gao_errors(
-    q: int, g0: list[int], g1: list[int], xs: Sequence[int], ys: Sequence[int], k: int
+    q: int, g0: Sequence[int], g1: list[int], xs: Sequence[int], ys: Sequence[int], k: int
 ) -> list[int] | None:
     """Positions where ys departs from the nearest degree-<k polynomial.
 
@@ -341,9 +341,8 @@ def ecc_decode(
     errors: set[int] = set()
     if tau > 0:
         q = ctx.field.q
-        xs = [ctx.eval_points[j] for j in avail]
-        g0, basis = _lagrange_basis(xs, q)
-        columns = list(zip(*basis))  # columns[i][j]: coefficient i of basis j
+        xs = tuple(ctx.eval_points[j] for j in avail)
+        g0, columns = _lagrange_basis(xs, q)
         for t in range(z.rows):
             row = z.row_values(t)
             ys = [row[j] for j in avail]

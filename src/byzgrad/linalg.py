@@ -10,7 +10,7 @@ which back the scheme's combining-vector and grouping-soundness arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DegenerateInputError, DimensionError, SingularMatrixError
 from .field import PrimeField
@@ -108,11 +108,6 @@ class Matrix:
             data.extend(self.row_values(i))
             data.extend(other.row_values(i))
         return Matrix(self.field, self.rows, self.cols + other.cols, data)
-
-    def scale(self, c: int) -> "Matrix":
-        q = self.field.q
-        c %= q
-        return Matrix(self.field, self.rows, self.cols, [v * c % q for v in self.data])
 
     def _check_field(self, other: "Matrix") -> None:
         if self.field.q != other.field.q:
@@ -348,8 +343,3 @@ def row_span_contains(mat: Matrix, target_row: Matrix) -> bool:
         raise DimensionError("target must be a single row with matching width")
     out = solve_linear(mat.transpose(), target_row.transpose())
     return out.kind != "inconsistent"
-
-
-def matrix_from_columns(field: PrimeField, columns: Iterable[Sequence[int]]) -> Matrix:
-    cols = [list(c) for c in columns]
-    return Matrix.from_rows(field, cols).transpose()

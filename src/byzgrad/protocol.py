@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .assignment import AssignmentMatrix
@@ -97,6 +98,19 @@ class MatchTree:
                 stack.append(node.right)
                 stack.append(node.left)
         return out
+
+    def leaf_depths(self) -> list[int]:
+        """Depth of every leaf, indexed by sample, from one traversal."""
+        depths = [0] * self.p
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if node.is_leaf:
+                depths[node.lo] = depth
+            else:
+                stack.append((node.left, depth + 1))
+                stack.append((node.right, depth + 1))
+        return depths
 
     def leaf_depth(self, i: int) -> int:
         node = self.root
@@ -195,14 +209,6 @@ class Transcript:
 
     def add(self, event: str, **fields) -> None:
         self.events.append({"event": event, **fields})
-
-    def eliminated_workers(self) -> list[int]:
-        """1-based eliminated workers in elimination order."""
-        out: list[int] = []
-        for ev in self.events:
-            if ev["event"] == "elimination":
-                out.extend(ev["workers"])
-        return out
 
 
 class GradientOracle:
@@ -340,11 +346,13 @@ class ProtocolRun:
         q = ctx.field.q
         query = Query("match", t, level, (node.lo, node.hi), coord)
         self.adversary.record(query)
-        grow = self.gradients.row_values(coord)
-        w = self.enc.w
+        lo, hi = node.lo, node.hi
+        grow = self.gradients.row_values(coord)[lo:hi]
+        n, wdata = ctx.n, self.enc.w.data
         out: dict[int, int] = {}
         for j in workers:
-            honest = sum(grow[i] * w.at(i, j) for i in range(node.lo, node.hi)) % q
+            # Column j of W restricted to rows lo..hi-1, as one strided slice.
+            honest = sum(map(mul, grow, wdata[lo * n + j : hi * n : n])) % q
             if j in self.adversary.controlled:
                 out[j] = self.adversary.match_response(j, query, honest) % q
             else:

@@ -3,11 +3,78 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from byzgrad.coding import CodeContext, ResponseMatrix
-from byzgrad.errors import DecodeFailureError, InvalidParamsError, ProtocolInvariantViolation
-from byzgrad.linalg import solve_linear
+from byzgrad.assignment import AssignmentMatrix
+from byzgrad.coding import CodeContext, EncodingMatrix, ResponseMatrix
+from byzgrad.errors import (
+    AssignmentMismatchError,
+    DecodeFailureError,
+    DimensionError,
+    InvalidParamsError,
+    ProtocolInvariantViolation,
+)
+from byzgrad.linalg import Matrix, solve_linear
+
+
+def solve_encoding_matrix(
+    ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence[int]
+) -> EncodingMatrix:
+    """Solve the per-sample zero constraints and assemble W = (Q | a) F.
+
+    Requires each sample to be missing from exactly r workers, which is what
+    a regular assignment with replication s+u guarantees.
+    """
+    field = ctx.field
+    q = field.q
+    n, r = ctx.n, ctx.r
+    p = a_mat.p
+    if a_mat.n != n:
+        raise AssignmentMismatchError(f"assignment has {a_mat.n} workers, code has {n}")
+    if len(a) != p:
+        raise DimensionError(f"query vector length {len(a)} != p = {p}")
+    f_rows = ctx.generator.to_rows()  # r+1 rows of length n
+    unit_cache: dict[tuple[int, ...], list[int]] = {}
+    w_rows: list[list[int]] = []
+    for i in range(p):
+        zero_set = tuple(a_mat.zero_set(i))
+        if len(zero_set) != r:
+            raise AssignmentMismatchError(
+                f"sample {i + 1} is missing from {len(zero_set)} workers, expected r={r}"
+            )
+        ai = a[i] % q
+        if ai == 0:
+            # Homogeneous constraints with an invertible block force q_i = 0.
+            w_rows.append([0] * n)
+            continue
+        if r == 0:
+            qi: list[int] = []
+        else:
+            unit = unit_cache.get(zero_set)
+            if unit is None:
+                # Solve the a_i = 1 instance once per zero pattern; the
+                # constraints are linear in a_i, so other values just scale it.
+                top_t = Matrix.from_rows(
+                    field, [[f_rows[k][j] for k in range(r)] for j in zero_set]
+                )
+                rhs = Matrix.column(field, [-f_rows[r][j] for j in zero_set])
+                out = solve_linear(top_t, rhs)
+                if out.kind != "unique":
+                    raise ProtocolInvariantViolation(
+                        "zero-constraint system is not uniquely solvable; "
+                        "Vandermonde block should be invertible"
+                    )
+                unit = [out.solution.at(k, 0) for k in range(r)]
+                unit_cache[zero_set] = unit
+            qi = [ai * v % q for v in unit]
+        row = []
+        for j in range(n):
+            acc = ai * f_rows[r][j]
+            for k in range(r):
+                acc += qi[k] * f_rows[k][j]
+            row.append(acc % q)
+        w_rows.append(row)
+    return EncodingMatrix(tuple(v % q for v in a), Matrix.from_rows(field, w_rows))
 
 
 def exhaustive_ecc_decode(

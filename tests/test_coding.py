@@ -3,9 +3,15 @@ from itertools import combinations
 
 import pytest
 
-from byzgrad.assignment import AssignmentMatrix, make_cyclic, make_random_regular
+from byzgrad.assignment import (
+    AssignmentMatrix,
+    make_cyclic,
+    make_fractional,
+    make_random_regular,
+)
 from byzgrad.coding import (
     ResponseMatrix,
+    _lagrange_basis,
     build_code_context,
     build_decoding_matrix,
     build_encoding_matrix,
@@ -18,9 +24,13 @@ from byzgrad.coding import (
 from byzgrad.errors import (
     AssignmentMismatchError,
     DecodeFailureError,
+    DimensionError,
     InvalidParamsError,
 )
+from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.linalg import Matrix, determinant, solve_linear
+
+from oracles import solve_encoding_matrix
 
 
 def small_context():
@@ -125,6 +135,56 @@ def test_encoding_rejects_wrong_replication():
         build_encoding_matrix(ctx, bad, [1, 1])
 
 
+def test_encoding_rejects_shape_mismatches():
+    ctx = build_code_context(4, 1, 1, 11)
+    with pytest.raises(AssignmentMismatchError):
+        build_encoding_matrix(ctx, make_cyclic(5, 5, 2), [1] * 5)
+    with pytest.raises(DimensionError):
+        build_encoding_matrix(ctx, make_cyclic(4, 4, 2), [1] * 3)
+
+
+def test_closed_form_encoder_matches_solve_oracle():
+    """The product formula for W equals the zero-constraint solve, entry by entry."""
+    rng = random.Random(2024)
+    seen = {"cyclic": 0, "fractional": 0, "random": 0, "r0": 0, "points": 0, "zero": 0, "scaled": 0}
+    for q in (7, 11, 101, DEFAULT_MODULUS):
+        cases = 0
+        while cases < 80:
+            n = rng.randrange(2, min(q - 1, 9) + 1)
+            s = rng.randrange(1, n)
+            u = rng.randrange(1, min(s + 1, n - s) + 1)
+            if rng.random() < 0.25 and n - s <= s + 1:
+                u = n - s  # r = 0
+            rho = s + u
+            p = rng.randrange(1, 13)
+            kind = rng.choice(("cyclic", "fractional", "random"))
+            try:
+                if kind == "cyclic":
+                    a_mat = make_cyclic(n, p, rho)
+                elif kind == "fractional":
+                    a_mat = make_fractional(n, p, rho)
+                else:
+                    a_mat = make_random_regular(n, p, rho, rng.randrange(10**6))
+            except InvalidParamsError:
+                continue  # no layout of this kind for (n, p, rho)
+            points = None
+            if rng.random() < 0.5:
+                points = rng.sample(range(1, q), n)
+                seen["points"] += 1
+            ctx = build_code_context(n, s, u, q, eval_points=points)
+            a = [rng.choice((0, 1, -1, rng.randrange(q))) for _ in range(p)]
+            enc = build_encoding_matrix(ctx, a_mat, a)
+            ref = solve_encoding_matrix(ctx, a_mat, a)
+            assert enc.a == ref.a
+            assert enc.w == ref.w, (q, n, s, u, p, kind, points, a)
+            cases += 1
+            seen[kind] += 1
+            seen["r0"] += ctx.r == 0
+            seen["zero"] += 0 in enc.a
+            seen["scaled"] += any(v not in (0, 1) for v in enc.a)
+    assert all(seen.values()), seen
+
+
 # restriction -----------------------------------------------------------------
 
 
@@ -191,6 +251,32 @@ def test_combining_vector_size_check():
     ctx = small_context()
     with pytest.raises(InvalidParamsError):
         combining_vector(ctx, (0,))
+
+
+def test_cached_combining_vector_cannot_be_poisoned():
+    ctx = build_code_context(7, 2, 2, 101)
+    group = (0, 2, 4, 5)
+    first = combining_vector(ctx, group)
+    expected = list(first)
+    first[0] += 1
+    first[2] = 0
+    assert combining_vector(ctx, list(group)) == expected
+    assert combining_vector(ctx, group) is not combining_vector(ctx, group)
+
+
+def test_cached_lagrange_basis_is_immutable():
+    xs, q = (1, 2, 3, 5, 8), 101
+    g0, columns = _lagrange_basis(xs, q)
+    with pytest.raises(TypeError):
+        g0[0] = 1
+    with pytest.raises(TypeError):
+        columns[0][0] = 1
+    assert _lagrange_basis(xs, q) == _lagrange_basis.__wrapped__(xs, q)
+    # Basis polynomial j is 1 at x_j and 0 at every other point.
+    for j, xj in enumerate(xs):
+        for m, xm in enumerate(xs):
+            value = sum(col[j] * pow(xm, i, q) for i, col in enumerate(columns)) % q
+            assert value == (1 if m == j else 0)
 
 
 # decoding matrix --------------------------------------------------------------

@@ -55,6 +55,12 @@ def test_tree_children_partition_with_larger_first_half():
     assert node.left.size == 1 and node.right.size == 1
 
 
+def test_leaf_depths_match_per_leaf_walk():
+    for p in range(1, 70):
+        tree = MatchTree(p)
+        assert tree.leaf_depths() == [tree.leaf_depth(i) for i in range(p)]
+
+
 def test_leftmost_leaf_is_deepest():
     for p in (3, 5, 6, 7, 9, 12):
         tree = MatchTree(p)
