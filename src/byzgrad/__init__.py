@@ -63,12 +63,12 @@ from .linalg import (
 from .protocol import (
     Agreement,
     Conflict,
-    GradientOracle,
     GroupingPlan,
     MatchTree,
     ProtocolResult,
     ProtocolRun,
     Query,
+    SimulatedResponder,
     Transcript,
     detect_contradiction,
     form_groups,

@@ -155,5 +155,5 @@ def assignment_from_text(text: str) -> tuple[AssignmentMatrix, int]:
     for ln in lines[1:]:
         if len(ln) != p or set(ln) - {"0", "1"}:
             raise InvalidParamsError(f"bad assignment row: {ln!r}")
-        bits.append(tuple(int(ch) for ch in ln))
+        bits.append(tuple(map(int, ln)))
     return AssignmentMatrix(n, p, tuple(bits)), rho

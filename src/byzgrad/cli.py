@@ -171,7 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
         gradient = replay_transcript(args.transcript)
-    except TranscriptReplayError as e:
+    except (OSError, TranscriptReplayError) as e:
         print(f"replay failed: {e}", file=sys.stderr)
         return 1
     print(f"replayed gradient: {gradient}")

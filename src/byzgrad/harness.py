@@ -6,6 +6,11 @@ byte-identical transcripts and metrics. The per-run CSV schema is
     n,s,u,p,d,q,assignment,adversary,seed,correct,c,C_oh,rounds,downlink_bits,eliminated
 
 with eliminated as a semicolon-joined list of 1-based worker ids.
+
+Replay runs the same ProtocolRun engine as a simulation, fed the worker
+answers, local computations and (for shuffled grouping) group orders that a
+transcript recorded, and accepts the transcript only if the regenerated
+event list equals the recorded one.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
 
@@ -30,23 +36,23 @@ from .assignment import (
 from .coding import (
     CodeContext,
     EncodingMatrix,
-    ResponseMatrix,
     build_code_context,
     build_encoding_matrix,
-    combining_vector,
-    ecc_decode,
 )
-from .errors import InvalidParamsError, TranscriptReplayError
+from .errors import (
+    AdversaryBudgetExceededError,
+    InfeasibleStateError,
+    InvalidParamsError,
+    ProtocolInvariantViolation,
+    TranscriptReplayError,
+)
 from .field import DEFAULT_MODULUS, is_prime
 from .linalg import Matrix
-from .protocol import (
-    Agreement,
-    MatchTree,
-    ProtocolResult,
-    detect_contradiction,
-    group_response,
-    run_protocol,
-)
+from .protocol import ProtocolResult, ProtocolRun, run_protocol
+
+# Not used here: perfbench/tracing.py wraps these at their harness names.
+from .coding import combining_vector, ecc_decode  # noqa: F401
+from .protocol import detect_contradiction, group_response  # noqa: F401
 
 METRICS_HEADER = "n,s,u,p,d,q,assignment,adversary,seed,correct,c,C_oh,rounds,downlink_bits,eliminated"
 
@@ -134,14 +140,19 @@ def assignment_feasible(kind: str, n: int, p: int, rho: int) -> tuple[bool, str]
     return True, ""
 
 
+def _make_assignment(kind: str, n: int, p: int, rho: int, seed: int) -> AssignmentMatrix:
+    """The cyclic, fractional or (seeded) random regular assignment."""
+    if kind == "cyclic":
+        return make_cyclic(n, p, rho)
+    if kind == "fractional":
+        return make_fractional(n, p, rho)
+    return make_random_regular(n, p, rho, seed)
+
+
 def build_assignment(config: SimulationConfig) -> AssignmentMatrix:
     rho = config.rho
-    if config.assignment == "cyclic":
-        return make_cyclic(config.n, config.p, rho)
-    if config.assignment == "fractional":
-        return make_fractional(config.n, config.p, rho)
-    if config.assignment == "random":
-        return make_random_regular(config.n, config.p, rho, config.seed)
+    if config.assignment != "file":
+        return _make_assignment(config.assignment, config.n, config.p, rho, config.seed)
     with open(config.assignment_path, "r", encoding="ascii") as fh:
         a_mat, file_rho = assignment_from_text(fh.read())
     if a_mat.n != config.n or a_mat.p != config.p or file_rho != rho:
@@ -192,12 +203,7 @@ def _cached_instance(
     n: int, s: int, u: int, q: int, p: int, kind: str, seed: int
 ) -> tuple[CodeContext, AssignmentMatrix, EncodingMatrix]:
     ctx = build_code_context(n, s, u, q)
-    if kind == "cyclic":
-        a_mat = make_cyclic(n, p, s + u)
-    elif kind == "fractional":
-        a_mat = make_fractional(n, p, s + u)
-    else:
-        a_mat = make_random_regular(n, p, s + u, seed)
+    a_mat = _make_assignment(kind, n, p, s + u, seed)
     enc = build_encoding_matrix(ctx, a_mat, [1] * p)
     return ctx, a_mat, enc
 
@@ -450,135 +456,124 @@ def write_transcript(result: ProtocolResult, path: str) -> None:
 
 
 def read_events(path: str) -> list[dict]:
+    """The transcript's events; bad JSON or non-ASCII bytes raise TranscriptReplayError."""
     with open(path, "r", encoding="ascii") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        try:
+            events = [json.loads(line) for line in fh if line.strip()]
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError alike
+            raise TranscriptReplayError(f"unreadable transcript: {e}") from e
+    if not all(type(ev) is dict and type(ev.get("event")) is str for ev in events):
+        raise TranscriptReplayError("every line must be a JSON object with an event name")
+    return events
+
+
+def _is_int_list(value, length: int | None = None, q: int | None = None) -> bool:
+    """A list of ints, optionally of the given length and all in [0, q)."""
+    if type(value) is not list or (length is not None and len(value) != length):
+        return False
+    return not value or (
+        set(map(type, value)) == {int} and (q is None or 0 <= min(value) and max(value) < q)
+    )
+
+
+class RecordedResponder:
+    """Worker answers and local computations read back from a transcript.
+
+    Answers are handed out in file order; whether each one answers the query
+    the engine asked is settled by comparing the regenerated events.
+    """
+
+    def __init__(self, events: list[dict], d: int):
+        self.d = d
+        self._answers = iter([ev.get("values") for ev in events if ev["event"] == "response_set"])
+        self._truths = iter([ev.get("value") for ev in events if ev["event"] == "local_compute"])
+
+    def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix, enc: EncodingMatrix) -> None:
+        self.n, self.q = ctx.n, ctx.field.q
+
+    def _symbols(self, value, length: int) -> list[int]:
+        if not _is_int_list(value, length, self.q):
+            raise TranscriptReplayError(f"recorded {value!r} is not {length} field elements")
+        return value
+
+    def initial(self, query) -> list[list[int]]:
+        cols = next(self._answers, None)
+        if type(cols) is not list or len(cols) != self.n:
+            raise TranscriptReplayError(f"initial responses must come from {self.n} workers")
+        return [self._symbols(col, self.d) for col in cols]
+
+    def match(self, query, workers) -> dict[int, int]:
+        return dict(zip(workers, self._symbols(next(self._answers, None), len(workers))))
+
+    def truth(self, i: int) -> list[int]:
+        return self._symbols(next(self._truths, None), self.d)
+
+
+class RecordedGroupOrder:
+    """The shuffling rng of a shuffled run, read back from its decode events.
+
+    Each shuffle yields the order the next round's groups were formed from:
+    their shared root, then each group's satellite. form_groups rejects an
+    order that repeats a worker or names an inactive one.
+    """
+
+    def __init__(self, events: list[dict]):
+        self._groups = iter([ev.get("groups") for ev in events if ev["event"] == "decode"])
+
+    def shuffle(self, order: list[int]) -> None:
+        groups = next(self._groups, None)
+        if not (type(groups) is list and groups and all(_is_int_list(g) for g in groups)):
+            raise TranscriptReplayError("a shuffled round needs a decode event with its groups")
+        root = set(groups[0]).intersection(*groups[1:])
+        order[:] = [j - 1 for j in sorted(root)] + [j - 1 for g in groups for j in g if j not in root]
+
+
+# start-event fields that ProtocolRun writes itself; the rest are labels.
+_ENGINE_START_FIELDS = ("event", "n", "s", "u", "r", "p", "d", "q", "eval_points", "grouping")
+# What the code build or the engine raise on a malformed or tampered transcript.
+_REPLAY_ERRORS = (
+    ValueError, InfeasibleStateError, ProtocolInvariantViolation, AdversaryBudgetExceededError,
+)
 
 
 def replay_transcript(path: str) -> list[int]:
-    """Re-execute the main node's decisions from the recorded wire data.
+    """Re-run the protocol engine on the answers recorded in a transcript.
 
-    Rebuilds the code and encoding from the header, recomputes every decode,
-    match walk, elimination and the final decode from the recorded responses,
-    and cross-checks each against the recorded events. Returns the recomputed
-    gradient, which must equal the recorded one.
+    Rebuilds the code, the assignment and W from the start event, runs
+    ProtocolRun with the recorded worker answers and local computations (and,
+    for shuffled grouping, the recorded group order), and requires the
+    regenerated event list to equal the recorded one. Returns the gradient;
+    a malformed or tampered transcript raises TranscriptReplayError.
     """
     events = read_events(path)
-    if not events or events[0]["event"] != "start":
+    hdr = events[0] if events else {}
+    if hdr.get("event") != "start":
         raise TranscriptReplayError("transcript must begin with a start event")
-    hdr = events[0]
-    if "assignment" not in hdr:
-        raise TranscriptReplayError("transcript lacks the embedded assignment text")
-    ctx = build_code_context(
-        hdr["n"], hdr["s"], hdr["u"], hdr["q"], eval_points=hdr["eval_points"]
-    )
-    a_mat, rho = assignment_from_text(hdr["assignment"])
-    if rho != hdr["s"] + hdr["u"]:
-        raise TranscriptReplayError("assignment replication disagrees with header")
-    enc = build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
-    tree = MatchTree(a_mat.p)
-    q = ctx.field.q
-    d = hdr["d"]
-    pos = 1
-
-    def expect(kind: str) -> dict:
-        nonlocal pos
-        if pos >= len(events) or events[pos]["event"] != kind:
-            got = events[pos]["event"] if pos < len(events) else "end of file"
-            raise TranscriptReplayError(f"expected {kind} event, got {got}")
-        ev = events[pos]
-        pos += 1
-        return ev
-
-    expect("query")
-    init = expect("response_set")
-    cols = init["values"]
-    if len(cols) != ctx.n or any(len(c) != d for c in cols):
-        raise TranscriptReplayError("initial response set has wrong shape")
-    ztilde = Matrix(
-        ctx.field, d, ctx.n, [cols[j][t] % q for t in range(d) for j in range(ctx.n)]
-    )
-    eliminated: list[int] = []
-    groups: list[tuple[int, ...]] = []
-    claims: list[list[int]] = []
-    gradient: Optional[list[int]] = None
-    while pos < len(events):
-        ev = events[pos]
-        pos += 1
-        kind = ev["event"]
-        if kind == "decode":
-            groups = [tuple(j - 1 for j in g) for g in ev["groups"]]
-            claims = [
-                group_response(ztilde, combining_vector(ctx, g)) for g in groups
-            ]
-            if claims != ev["values"]:
-                raise TranscriptReplayError("recorded group decode does not reproduce")
-        elif kind == "agreement":
-            out = detect_contradiction(claims)
-            if not isinstance(out, Agreement) or list(out.value) != ev["value"]:
-                raise TranscriptReplayError("recorded agreement does not reproduce")
-            gradient = list(out.value)
-        elif kind == "conflict":
-            out = detect_contradiction(claims)
-            if isinstance(out, Agreement):
-                raise TranscriptReplayError("recorded conflict does not reproduce")
-            if (out.first + 1, out.second + 1, out.coordinate + 1) != (
-                ev["first"], ev["second"], ev["coordinate"],
-            ):
-                raise TranscriptReplayError("conflict pair or coordinate mismatch")
-            g1, g2 = groups[out.first], groups[out.second]
-            union = sorted(set(g1) | set(g2))
-            b1 = combining_vector(ctx, g1)
-            b2 = combining_vector(ctx, g2)
-            coord = out.coordinate
-            commit = {j: ztilde.at(coord, j) for j in union}
-            label1 = claims[out.first][coord]
-            label2 = claims[out.second][coord]
-            node = tree.root
-            while not node.is_leaf:
-                expect("query")
-                rs = expect("response_set")
-                resp = {
-                    j - 1: v % q for j, v in zip(rs["workers"], rs["values"])
-                }
-                lc1 = sum(resp[j] * b1[j] for j in g1) % q
-                lc2 = sum(resp[j] * b2[j] for j in g2) % q
-                rc1 = (label1 - lc1) % q
-                rc2 = (label2 - lc2) % q
-                level = expect("match_level")
-                if lc1 != lc2:
-                    if level["descend"] != "left":
-                        raise TranscriptReplayError("descent direction mismatch")
-                    commit = {j: resp[j] for j in union}
-                    label1, label2 = lc1, lc2
-                    node = node.left
-                else:
-                    if level["descend"] != "right":
-                        raise TranscriptReplayError("descent direction mismatch")
-                    commit = {j: (commit[j] - resp[j]) % q for j in union}
-                    label1, label2 = rc1, rc2
-                    node = node.right
-            lc_ev = expect("local_compute")
-            if lc_ev["sample"] != node.lo + 1:
-                raise TranscriptReplayError("locally computed sample mismatch")
-            truth = lc_ev["value"][coord] % q
-            malicious = [
-                j for j in union if commit[j] != truth * enc.w.at(node.lo, j) % q
-            ]
-            elim = expect("elimination")
-            if [j + 1 for j in malicious] != elim["workers"]:
-                raise TranscriptReplayError("recorded eliminations do not reproduce")
-            eliminated.extend(malicious)
-        elif kind == "ecc_decode":
-            received = ResponseMatrix(
-                ztilde, tuple([1] * a_mat.p), tuple([True] * ctx.n)
-            )
-            gradient = ecc_decode(ctx, received, eliminated)
-            if gradient != ev["gradient"]:
-                raise TranscriptReplayError("recorded final decode does not reproduce")
-        elif kind == "final":
-            if gradient is None or gradient != ev["gradient"]:
-                raise TranscriptReplayError("final gradient does not reproduce")
-            return gradient
-        else:
-            raise TranscriptReplayError(f"unexpected event {kind!r}")
-    raise TranscriptReplayError("transcript ended without a final event")
+    if (
+        any(type(hdr.get(k)) is not int for k in ("n", "s", "u", "p", "d", "q"))
+        or not _is_int_list(hdr.get("eval_points"))
+        or type(hdr.get("assignment")) is not str
+    ):
+        raise TranscriptReplayError(
+            "start needs integers n, s, u, p, d, q and eval_points, and the assignment text"
+        )
+    grouping = hdr.get("grouping")
+    try:
+        ctx = build_code_context(hdr["n"], hdr["s"], hdr["u"], hdr["q"], hdr["eval_points"])
+        a_mat, rho = assignment_from_text(hdr["assignment"])
+        if rho != ctx.s + ctx.u:
+            raise TranscriptReplayError("assignment replication disagrees with header")
+        result = ProtocolRun(
+            ctx, a_mat, RecordedResponder(events, hdr["d"]),
+            grouping=grouping,
+            grouping_rng=RecordedGroupOrder(events) if grouping == "shuffled" else None,
+            meta={k: v for k, v in hdr.items() if k not in _ENGINE_START_FIELDS},
+            enc=build_encoding_matrix(ctx, a_mat, [1] * a_mat.p),
+        ).run()
+    except _REPLAY_ERRORS as e:
+        raise TranscriptReplayError(f"transcript does not replay: {e}") from e
+    regenerated = result.transcript.events
+    if regenerated != events:
+        k = next(k for k, (a, b) in enumerate(zip_longest(regenerated, events)) if a != b)
+        raise TranscriptReplayError(f"event {k + 1} does not reproduce the recorded one")
+    return result.gradient

@@ -139,9 +139,15 @@ def form_groups(
 
     Group k is the root together with satellite k, so any two groups overlap
     in exactly the root. By default the lowest-index active workers are used;
-    an explicit order exercises other choices.
+    an explicit order exercises other choices and must name distinct active
+    workers.
     """
-    pool = list(order) if order is not None else sorted(active)
+    if order is None:
+        pool = sorted(active)
+    else:
+        pool = list(order)
+        if len(set(pool)) != len(pool) or not set(pool) <= set(active):
+            raise InfeasibleStateError(f"group order {pool} must name distinct active workers")
     need = r + s_t + 1
     if len(pool) < need:
         raise InfeasibleStateError(
@@ -194,7 +200,7 @@ def group_response(received: Matrix, b: Sequence[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Transcript and oracle
+# Transcript
 
 
 class Transcript:
@@ -209,22 +215,6 @@ class Transcript:
 
     def add(self, event: str, **fields) -> None:
         self.events.append({"event": event, **fields})
-
-
-class GradientOracle:
-    """Ground-truth source for the main node's local computations."""
-
-    def __init__(self, gradients: Matrix):
-        self.gradients = gradients
-        self.calls = 0
-
-    def compute(self, i: int) -> list[int]:
-        self.calls += 1
-        return self.gradients.col_values(i)
-
-
-def local_compute(oracle: GradientOracle, i: int) -> list[int]:
-    return oracle.compute(i)
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +232,6 @@ class Query:
     coordinate: int | None
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    leaf: int
-    claims: dict[int, int]
-    truth: int
-    malicious: tuple[int, ...]
-    levels: int
-
-
 @dataclass
 class ProtocolResult:
     gradient: list[int]
@@ -260,121 +241,139 @@ class ProtocolResult:
 
 
 # ---------------------------------------------------------------------------
+# Worker answers
+
+
+class SimulatedResponder:
+    """Worker answers of a simulated run: honest values through the adversary.
+
+    truth(i), the main node's local computation of sample i, is column i of
+    the gradients.
+    """
+
+    def __init__(self, gradients: Matrix, adversary):
+        self.gradients = gradients
+        self.adversary = adversary
+        self.d = gradients.rows
+
+    def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix, enc: EncodingMatrix) -> None:
+        if self.gradients.cols != a_mat.p:
+            raise InfeasibleStateError("assignment and gradients disagree on shape")
+        self.q, self.n, self.enc = ctx.field.q, ctx.n, enc
+        self.adversary.bind(ctx, a_mat, enc)
+
+    def initial(self, query: Query) -> list[list[int]]:
+        """Every worker's coded d-vector, as one list per worker."""
+        adversary, q = self.adversary, self.q
+        adversary.record(query)
+        cols: list[list[int]] = []
+        for j in range(self.n):
+            honest = worker_response(self.gradients, self.enc, j)
+            if j in adversary.controlled:
+                cols.append([v % q for v in adversary.initial_response(j, honest)])
+            else:
+                cols.append(honest)
+        return cols
+
+    def match(self, query: Query, workers: Sequence[int]) -> dict[int, int]:
+        """One field symbol per competing worker: its share of the queried interval."""
+        adversary, q = self.adversary, self.q
+        adversary.record(query)
+        lo, hi = query.mask
+        grow = self.gradients.row_values(query.coordinate)[lo:hi]
+        n, wdata = self.n, self.enc.w.data
+        out: dict[int, int] = {}
+        for j in workers:
+            # Column j of W restricted to rows lo..hi-1, as one strided slice.
+            honest = sum(map(mul, grow, wdata[lo * n + j : hi * n : n])) % q
+            if j in adversary.controlled:
+                out[j] = adversary.match_response(j, query, honest) % q
+            else:
+                out[j] = honest
+        return out
+
+    def truth(self, i: int) -> list[int]:
+        return self.gradients.col_values(i)
+
+
+def local_compute(responder, i: int) -> list[int]:
+    """The main node's own computation of sample i's gradient."""
+    return responder.truth(i)
+
+
+# ---------------------------------------------------------------------------
 # Protocol engine
 
 
 class ProtocolRun:
-    """Single simulated run binding code, assignment, gradients and adversary."""
+    """The main node's state machine, fed worker answers by a responder.
+
+    A responder has bind(ctx, a_mat, enc), initial(query), match(query,
+    workers), truth(i) and the gradient dimension d: SimulatedResponder, or
+    the answers a transcript recorded when it is replayed.
+    """
 
     def __init__(
         self,
         ctx: CodeContext,
         a_mat: AssignmentMatrix,
-        gradients: Matrix,
-        adversary,
+        responder,
         *,
         grouping: str = "lowest",
         grouping_rng: Optional[random.Random] = None,
         meta: Optional[dict] = None,
         enc: Optional[EncodingMatrix] = None,
     ):
-        if a_mat.n != ctx.n or gradients.cols != a_mat.p:
-            raise InfeasibleStateError("code, assignment and gradients disagree on shape")
+        if a_mat.n != ctx.n:
+            raise InfeasibleStateError("code and assignment disagree on shape")
         if grouping not in ("lowest", "shuffled"):
             raise ValueError(f"unknown grouping mode {grouping!r}")
         if grouping == "shuffled" and grouping_rng is None:
             raise ValueError("shuffled grouping needs an rng")
         self.ctx = ctx
         self.a_mat = a_mat
-        self.gradients = gradients
-        self.adversary = adversary
+        self.responder = responder
         self.grouping = grouping
         self.grouping_rng = grouping_rng
         self.tree = MatchTree(a_mat.p)
         self.enc = enc if enc is not None else build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
-        self.oracle = GradientOracle(gradients)
         self.transcript = Transcript()
         self.active = list(range(ctx.n))
         self.eliminated: list[int] = []
-        meta = dict(meta or {})
         self.transcript.add(
-            "start",
-            n=ctx.n,
-            s=ctx.s,
-            u=ctx.u,
-            r=ctx.r,
-            p=a_mat.p,
-            d=gradients.rows,
-            q=ctx.field.q,
-            eval_points=list(ctx.eval_points),
-            grouping=grouping,
-            **meta,
+            "start", n=ctx.n, s=ctx.s, u=ctx.u, r=ctx.r, p=a_mat.p, d=responder.d,
+            q=ctx.field.q, eval_points=list(ctx.eval_points), grouping=grouping, **(meta or {}),
         )
 
     # -- queries ------------------------------------------------------------
 
     def _transmit_initial(self) -> ResponseMatrix:
         ctx = self.ctx
-        query = Query("initial", 1, None, (0, self.a_mat.p), None)
-        self.adversary.record(query)
-        cols: list[list[int]] = []
-        for j in range(ctx.n):
-            honest = worker_response(self.gradients, self.enc, j)
-            if j in self.adversary.controlled:
-                cols.append([v % ctx.field.q for v in self.adversary.initial_response(j, honest)])
-            else:
-                cols.append(honest)
-        d = self.gradients.rows
-        data = [cols[j][t] for t in range(d) for j in range(ctx.n)]
-        values = Matrix(ctx.field, d, ctx.n, data)
-        self.transcript.add(
-            "query", t=1, kind="initial", mask=[1, self.a_mat.p], coordinate=None,
-            workers=[j + 1 for j in range(ctx.n)],
-        )
-        self.transcript.add(
-            "response_set", t=1, kind="initial",
-            workers=[j + 1 for j in range(ctx.n)],
-            values=[cols[j] for j in range(ctx.n)],
-        )
-        return ResponseMatrix(values, tuple([1] * self.a_mat.p), tuple([True] * ctx.n))
+        n, p, d = ctx.n, self.a_mat.p, self.responder.d
+        cols = self.responder.initial(Query("initial", 1, None, (0, p), None))
+        values = Matrix(ctx.field, d, n, [cols[j][t] for t in range(d) for j in range(n)])
+        workers = list(range(1, n + 1))
+        self.transcript.add("query", t=1, kind="initial", mask=[1, p], coordinate=None, workers=workers)
+        self.transcript.add("response_set", t=1, kind="initial", workers=workers, values=cols)
+        return ResponseMatrix(values, tuple([1] * p), tuple([True] * n))
 
     def _query_match(
         self, t: int, level: int, node: TreeNode, coord: int, workers: Sequence[int]
     ) -> dict[int, int]:
         """One tournament query: each competing worker sends one field symbol."""
-        ctx = self.ctx
-        q = ctx.field.q
-        query = Query("match", t, level, (node.lo, node.hi), coord)
-        self.adversary.record(query)
-        lo, hi = node.lo, node.hi
-        grow = self.gradients.row_values(coord)[lo:hi]
-        n, wdata = ctx.n, self.enc.w.data
-        out: dict[int, int] = {}
-        for j in workers:
-            # Column j of W restricted to rows lo..hi-1, as one strided slice.
-            honest = sum(map(mul, grow, wdata[lo * n + j : hi * n : n])) % q
-            if j in self.adversary.controlled:
-                out[j] = self.adversary.match_response(j, query, honest) % q
-            else:
-                out[j] = honest
+        out = self.responder.match(Query("match", t, level, (node.lo, node.hi), coord), workers)
         self.transcript.comm_overhead += len(workers)
         self.transcript.downlink_bits += 1
+        ids = [j + 1 for j in workers]
         self.transcript.add(
             "query", t=t, kind="match", level=level,
-            mask=[node.lo + 1, node.hi], coordinate=coord + 1,
-            workers=[j + 1 for j in workers],
+            mask=[node.lo + 1, node.hi], coordinate=coord + 1, workers=ids,
         )
         self.transcript.add(
             "response_set", t=t, kind="match", level=level,
-            workers=[j + 1 for j in workers], values=[out[j] for j in workers],
+            workers=ids, values=[out[j] for j in workers],
         )
         return out
-
-    def _local_compute(self, t: int, i: int) -> list[int]:
-        value = local_compute(self.oracle, i)
-        self.transcript.local_computations += 1
-        self.transcript.add("local_compute", t=t, sample=i + 1, value=value)
-        return value
 
     # -- tournament ---------------------------------------------------------
 
@@ -385,14 +384,14 @@ class ProtocolRun:
         conflict: Conflict,
         initial: ResponseMatrix,
         group_claims: Sequence[Sequence[int]],
-    ) -> MatchResult:
+    ) -> tuple[int, ...]:
         """Binary-search the dispute between two groups down to one sample.
 
         Every level queries the left child interval of the current node; the
         unqueried child's per-worker commitment follows by subtracting from
         the parent commitment. At the leaf each worker's committed symbol is
         checked against truth times its known coefficient, which is a proof
-        of deviation whenever it fails.
+        of deviation whenever it fails. Returns the workers proven to lie.
         """
         ctx = self.ctx
         q = ctx.field.q
@@ -444,7 +443,9 @@ class ProtocolRun:
             )
             node = nxt
         leaf = node.lo
-        truth_vec = self._local_compute(t, leaf)
+        truth_vec = local_compute(self.responder, leaf)
+        self.transcript.local_computations += 1
+        self.transcript.add("local_compute", t=t, sample=leaf + 1, value=truth_vec)
         truth = truth_vec[coord]
         w = self.enc.w
         malicious = []
@@ -464,13 +465,13 @@ class ProtocolRun:
             truth_coordinate=truth,
             workers=[j + 1 for j in malicious],
         )
-        return MatchResult(leaf, commit, truth, tuple(malicious), levels)
+        return tuple(malicious)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> ProtocolResult:
         ctx = self.ctx
-        self.adversary.bind(ctx, self.a_mat, self.enc)
+        self.responder.bind(ctx, self.a_mat, self.enc)
         initial = self._transmit_initial()
         t = 1
         while True:
@@ -516,8 +517,7 @@ class ProtocolRun:
                 first=outcome.first + 1, second=outcome.second + 1,
                 coordinate=outcome.coordinate + 1,
             )
-            result = self.run_match(t, plan, outcome, initial, claims)
-            for j in result.malicious:
+            for j in self.run_match(t, plan, outcome, initial, claims):
                 self.active.remove(j)
                 self.eliminated.append(j)
             t += 1
@@ -548,7 +548,7 @@ def run_protocol(
 ) -> ProtocolResult:
     """Run one full protocol instance and return gradient plus transcript."""
     run = ProtocolRun(
-        ctx, a_mat, gradients, adversary,
+        ctx, a_mat, SimulatedResponder(gradients, adversary),
         grouping=grouping, grouping_rng=grouping_rng, meta=meta, enc=enc,
     )
     return run.run()

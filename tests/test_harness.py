@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import random
 
 import pytest
 
@@ -10,6 +12,7 @@ from byzgrad.harness import (
     SimulationConfig,
     assignment_feasible,
     grid_configs,
+    read_events,
     replay_transcript,
     run_simulation,
     run_sweep,
@@ -238,6 +241,150 @@ def test_replay_detects_tampering(tmp_path):
         replay_transcript(str(path))
 
 
+def test_replay_rejects_shuffled_group_of_eliminated_worker(tmp_path):
+    out = run_simulation(
+        cfg(n=6, s=2, u=1, p=9, adversary="tournament-liar", grouping="shuffled", seed=0)
+    )
+    events = copy.deepcopy(out.result.transcript.events)
+    decodes = [ev for ev in events if ev["event"] == "decode"]
+    gone = next(ev for ev in events if ev["event"] == "elimination")["workers"][0]
+    assert len(decodes) == 2
+    groups = decodes[1]["groups"]
+    root = set(groups[0]).intersection(*groups[1:])
+    # Swap the last group's satellite for the worker eliminated in round 1.
+    groups[-1] = sorted(root | {gone})
+    path = tmp_path / "shuffled.jsonl"
+    path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    with pytest.raises(TranscriptReplayError, match="active"):
+        replay_transcript(str(path))
+
+
+def test_read_events_rejects_bad_json(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"event": "start", "n": 5\n')
+    with pytest.raises(TranscriptReplayError):
+        read_events(str(path))
+
+
+def test_read_events_rejects_non_ascii(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes('{"event": "start", "label": "\u00e9"}\n'.encode("utf-8"))
+    with pytest.raises(TranscriptReplayError):
+        read_events(str(path))
+
+
+def test_read_events_rejects_non_event_lines(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('[1, 2]\n')
+    with pytest.raises(TranscriptReplayError):
+        read_events(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("assignment", ["5 6 3"]), ("n", "5"), ("q", 101.0), ("d", True),
+     ("eval_points", [1, 2, "3", 4, 5]), ("eval_points", None)],
+)
+def test_replay_rejects_mistyped_header(tmp_path, field, value):
+    out = run_simulation(cfg(adversary="tournament-liar", seed=1))
+    events = copy.deepcopy(out.result.transcript.events)
+    events[0][field] = value
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    with pytest.raises(TranscriptReplayError):
+        replay_transcript(str(path))
+
+
+# Fields a replay may not pin down: worker answers (which may decide nothing,
+# e.g. at a coordinate no match looks at) and the run's descriptive labels.
+FREE_FIELDS = {
+    ("response_set", "values"),
+    ("local_compute", "value"),
+    ("start", "adversary"),
+    ("start", "assignment_kind"),
+    ("start", "seed"),
+}
+
+
+def _paths(value, path=()):
+    """Paths to every field, list item and nested item of an event."""
+    if path:
+        yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            yield from _paths(item, path + (idx,))
+
+
+def _changed(rng, old):
+    """A different value of the same JSON type."""
+    if isinstance(old, int):
+        return old + rng.choice([1, -1, 2, 101, rng.randrange(1, 10**6)])
+    if isinstance(old, str):
+        bits = [k for k, ch in enumerate(old) if ch in "01"]
+        if bits and rng.random() < 0.5:
+            k = rng.choice(bits)
+            return old[:k] + "10"[int(old[k])] + old[k + 1:]
+        return rng.choice([old + "x", ""])
+    if old is None:
+        return 0
+    return old + [old[-1]] if old else [1]
+
+
+def _mutate(rng, events):
+    """One field of one event deleted, changed in value, or changed in type."""
+    events = copy.deepcopy(events)
+    k = rng.randrange(len(events))
+    kind = events[k]["event"]
+    path = rng.choice(list(_paths(events[k])))
+    parent = events[k]
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    op = rng.randrange(3)
+    if op == 0:
+        del parent[path[-1]]
+    elif op == 1:
+        parent[path[-1]] = _changed(rng, old)
+    else:
+        parent[path[-1]] = [old] if isinstance(old, str) else str(old)
+    return events, (kind, path[0])
+
+
+def test_replay_mutation_fuzz(tmp_path):
+    rng = random.Random(2024)
+    path = tmp_path / "m.jsonl"
+    outcomes = {"rejected": 0, "accepted": 0}
+    touched = set()
+    # One run per ending: two liars end in the errors-and-erasures decode,
+    # one liar in a second-round agreement; 1,000 mutations of each.
+    for controlled in ("random", "1"):
+        out = run_simulation(cfg(n=6, s=2, u=1, p=9, d=2, q=101,
+                                 adversary="tournament-liar", controlled=controlled))
+        recorded = out.result.transcript.events
+        for _ in range(1000):
+            events, (kind, field) = _mutate(rng, recorded)
+            path.write_text(
+                "".join(json.dumps(ev, separators=(",", ":")) + "\n" for ev in events)
+            )
+            try:
+                gradient = replay_transcript(str(path))
+            except TranscriptReplayError:
+                outcomes["rejected"] += 1
+            else:
+                outcomes["accepted"] += 1
+                assert gradient == out.result.gradient
+                assert (kind, field) in FREE_FIELDS, (kind, field)
+            touched.add(kind)
+    assert touched >= {
+        "start", "query", "response_set", "decode", "conflict", "match_level",
+        "local_compute", "elimination", "ecc_decode", "agreement", "final",
+    }
+    assert outcomes["rejected"] > 1500 and outcomes["accepted"] > 0
+
+
 # CLI --------------------------------------------------------------------------------
 
 
@@ -296,6 +443,12 @@ def test_cli_sweep_and_replay(tmp_path, capsys):
     rc = cli_main(["replay", str(tmp_path / "r.jsonl")])
     assert rc == 0
     assert "replayed gradient" in capsys.readouterr().out
+
+
+def test_cli_replay_reports_unreadable_path(tmp_path, capsys):
+    rc = cli_main(["replay", str(tmp_path / "missing.jsonl")])
+    assert rc == 1
+    assert "replay failed:" in capsys.readouterr().err
 
 
 def test_cli_verify_subcommand(capsys):

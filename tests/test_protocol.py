@@ -100,6 +100,15 @@ def test_form_groups_respects_order():
     assert plan.groups == ((1, 3), (0, 3))
 
 
+def test_form_groups_rejects_bad_order():
+    with pytest.raises(InfeasibleStateError):
+        form_groups([0, 1, 2, 3], r=1, s_t=1, order=[3, 1, 3, 0])  # 3 named twice
+    with pytest.raises(InfeasibleStateError):
+        form_groups([0, 1, 3], r=1, s_t=1, order=[3, 1, 2])  # 2 is not active
+    plan = form_groups([0, 1, 3], r=1, s_t=1, order=[3, 1, 0])
+    assert plan.groups == ((1, 3), (0, 3))
+
+
 def test_form_groups_infeasible():
     with pytest.raises(InfeasibleStateError):
         form_groups([0, 1], r=1, s_t=1)
@@ -153,15 +162,14 @@ def test_corrupt_shared_worker_weighted_differently_per_group():
         assert r1 != [truth] and r2 != [truth]
 
 
-def test_oracle_counts_each_local_computation():
-    from byzgrad.protocol import GradientOracle, local_compute
+def test_simulated_responder_truth_is_sample_column():
+    from byzgrad.protocol import SimulatedResponder, local_compute
 
     g = Matrix.from_rows(build_code_context(3, 1, 1, 7).field, [[2, 3, 4], [5, 6, 0]])
-    oracle = GradientOracle(g)
-    assert local_compute(oracle, 1) == [3, 6]
-    assert oracle.calls == 1
-    local_compute(oracle, 0)
-    assert oracle.calls == 2
+    responder = SimulatedResponder(g, honest())
+    assert responder.truth(1) == [3, 6]
+    assert local_compute(responder, 0) == [2, 5]
+    assert local_compute(responder, 2) == [4, 0]
 
 
 # worked example ---------------------------------------------------------------
