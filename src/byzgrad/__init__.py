@@ -27,7 +27,6 @@ from .coding import (
     CodeContext,
     DecodingMatrix,
     EncodingMatrix,
-    ResponseMatrix,
     build_code_context,
     build_decoding_matrix,
     build_encoding_matrix,
@@ -52,10 +51,6 @@ from .harness import (
 from .linalg import (
     LinearSolveOutcome,
     Matrix,
-    cauchy_like_det,
-    determinant,
-    invert,
-    row_span_contains,
     solve_linear,
     vandermonde,
     vandermonde_inverse_last_column,

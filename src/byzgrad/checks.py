@@ -14,7 +14,6 @@ from itertools import combinations, permutations
 from .adversary import pick_attack_support, symmetrization_attack
 from .assignment import make_random_regular
 from .coding import (
-    ResponseMatrix,
     build_code_context,
     build_decoding_matrix,
     build_encoding_matrix,
@@ -281,10 +280,7 @@ def check_errors_and_erasures(n=7, s=2, u=2, q=11, p=5, d=1, seed=0) -> CheckRes
                 data = list(z.data)
                 for t in range(d):
                     data[t * n + corrupt] = (data[t * n + corrupt] + err) % q
-                received = ResponseMatrix(
-                    Matrix(ctx.field, d, n, data), tuple([1] * p), tuple([True] * n)
-                )
-                got = ecc_decode(ctx, received, [identified])
+                got = ecc_decode(ctx, Matrix(ctx.field, d, n, data), [identified])
                 if got != truth:
                     res.failures.append(
                         f"identified={identified + 1} corrupt={corrupt + 1} err={err}"

@@ -7,11 +7,14 @@ W = (Q | a) F: row i evaluates a polynomial of degree r with leading
 coefficient a_i that vanishes at the workers not holding sample i, which in
 closed form is W[i][j] = a_i * prod_{m in Z_i} (x_j - x_m). Any r+1 workers
 then suffice to recover the combination via a closed-form combining vector,
-cached per code and group. Once few enough liars remain, the
-errors-and-erasures decoder erases the identified workers and corrects at
-most tau = min(u-1, (n'-(r+1))//2) errors among the n' available ones with
-Gao's algorithm, sharing one Lagrange basis, cached per point set, across
-the d gradient coordinates, and re-encodes the result to check it.
+cached per code and group. So each coordinate of the all-one responses
+evaluates a polynomial of degree at most r whose coefficient of x^r is the
+gradient. Once few enough liars remain, the errors-and-erasures decoder
+erases the identified workers, interpolates the rest with one Lagrange
+basis, cached per point set and shared across the d gradient coordinates,
+corrects at most tau = min(u-1, (n'-(r+1))//2) errors among the n'
+available ones with Gao's algorithm, and re-encodes the decoded polynomial
+at every available point to locate and bound the errors.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ from .errors import (
     DecodeFailureError,
     DimensionError,
     InvalidParamsError,
-    ProtocolInvariantViolation,
 )
 from .field import DEFAULT_MODULUS, PrimeField
-from .linalg import Matrix, solve_linear, vandermonde, vandermonde_inverse_last_column
+from .linalg import Matrix, vandermonde_inverse_last_column
+
+# Not used here: perfbench/tracing.py wraps solve_linear at its coding name.
+from .linalg import solve_linear  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,6 @@ class CodeContext:
     r: int
     field: PrimeField
     eval_points: tuple[int, ...]
-    generator: Matrix  # (r+1) x n, entry [k][j] = eval_points[j]**k
 
 
 def build_code_context(
@@ -69,9 +73,7 @@ def build_code_context(
         raise InvalidParamsError("need one evaluation point per worker")
     if 0 in eval_points or len(set(eval_points)) != n:
         raise InvalidParamsError("evaluation points must be distinct and nonzero")
-    r = n - (s + u)
-    generator = vandermonde(field, eval_points, r + 1).transpose()
-    return CodeContext(n, s, u, r, field, eval_points, generator)
+    return CodeContext(n, s, u, n - (s + u), field, eval_points)
 
 
 @dataclass(frozen=True)
@@ -197,15 +199,6 @@ def response_matrix(gradients: Matrix, enc: EncodingMatrix) -> Matrix:
     return gradients * enc.w
 
 
-@dataclass(frozen=True)
-class ResponseMatrix:
-    """Received responses for one query: possibly corrupted columns of G @ W."""
-
-    values: Matrix  # d x n
-    query: tuple[int, ...]
-    present: tuple[bool, ...]
-
-
 def _trim(poly: list[int]) -> list[int]:
     """Drop zero leading coefficients in place; the zero polynomial is []."""
     while poly and not poly[-1]:
@@ -267,34 +260,28 @@ def _lagrange_basis(
     for x in xs:
         g0 = [(lo - x * hi) % q for lo, hi in zip([0] + g0, g0 + [0])]
     basis = []
-    for xj in xs:
+    for xj, w in zip(xs, vandermonde_inverse_last_column(PrimeField(q), xs)):
         # Synthetic division of g0 by (x - x_j), highest coefficient first.
         quo = [0] * (len(g0) - 1)
         acc = 0
         for i in range(len(g0) - 1, 0, -1):
             acc = (g0[i] + acc * xj) % q
             quo[i - 1] = acc
-        w = 1
-        for xm in xs:
-            if xm != xj:
-                w = w * (xj - xm) % q
-        w = pow(w, -1, q)
         basis.append([c * w % q for c in quo])
     return tuple(g0), tuple(zip(*basis))
 
 
-def _gao_errors(
-    q: int, g0: Sequence[int], g1: list[int], xs: Sequence[int], ys: Sequence[int], k: int
-) -> list[int] | None:
-    """Positions where ys departs from the nearest degree-<k polynomial.
+def _gao_message(q: int, g0: Sequence[int], g1: list[int], k: int) -> list[int] | None:
+    """The message polynomial nearest to the word that g1 interpolates.
 
     Gao's decoder: run the extended Euclidean algorithm on (g0, g1), where
-    g1 interpolates ys, until the remainder g has degree below (n+k)/2 with
-    cofactor v of g1. Then f = g / v is the message polynomial when at most
-    (n-k)/2 positions are in error. Returns None when the division leaves a
-    remainder or f is too long, i.e. the word is beyond the unique radius.
+    g0 vanishes on all n points, until the remainder g has degree below
+    (n+k)/2 with cofactor v of g1. Then f = g / v is the message polynomial
+    when at most (n-k)/2 positions are in error. Returns None when the
+    division leaves a remainder, i.e. the word is beyond the unique radius;
+    the caller still checks deg f < k.
     """
-    n = len(xs)
+    n = len(g0) - 1
     r0, r1 = g0, g1
     v0: list[int] = []
     v1 = [1]
@@ -303,71 +290,49 @@ def _gao_errors(
         r0, r1 = r1, rem
         v0, v1 = v1, _poly_sub(v0, _poly_mul(quo, v1, q), q)
     f, rem = _poly_divmod(r1, v1, q)
-    if rem or len(f) > k:
-        return None
-    if len(v1) == 1:
-        return []  # g1 itself has degree < k: no errors
-    # f agrees with ys wherever v does not vanish, so this is at most deg v.
-    return [i for i, (x, y) in enumerate(zip(xs, ys)) if _poly_eval(f, x, q) != y]
+    return None if rem else f
 
 
-def ecc_decode(
-    ctx: CodeContext, received: ResponseMatrix, identified: Iterable[int]
-) -> list[int]:
-    """Recover the full gradient from the all-one responses by errors-and-erasures.
+def ecc_decode(ctx: CodeContext, z: Matrix, identified: Iterable[int]) -> list[int]:
+    """Recover the full gradient from the d x n all-one responses z.
 
-    Identified and absent workers are erased. Among the n' available ones,
-    k = r+1 columns fix a codeword, so at most tau = min(u-1, (n'-k)//2)
-    errors are corrected: u-1 is the protocol's residual budget and
-    (n'-k)//2 the unique-decoding radius of the punctured code. When tau > 0,
-    the Lagrange basis over the available points is built once and shared by
-    the d coordinates; each coordinate is decoded with Gao's algorithm and
-    the error positions are pooled, since a corrupted worker may leave some
-    coordinates intact. More than tau pooled errors is a decoding failure.
-    The guard then erases the pooled errors, solves for the information
-    word on k kept columns and accepts it only if the re-encoded codeword
-    matches every kept column; its last information symbol is the gradient.
+    Identified workers are erased. Among the n' available ones, k = r+1
+    symbols fix a codeword, so at most tau = min(u-1, (n'-k)//2) errors are
+    corrected: u-1 is the protocol's residual budget and (n'-k)//2 the
+    unique-decoding radius of the punctured code. Each coordinate is
+    interpolated over the available points with one shared Lagrange basis;
+    when tau > 0, Gao's algorithm turns the interpolant into the message
+    polynomial f. A coordinate whose f is missing or has degree k or more is
+    a decoding failure. f is then re-encoded at every available point: the
+    points where it departs from the received symbol are that coordinate's
+    errors. The error positions are pooled across coordinates, since a
+    corrupted worker may leave some coordinates intact, and more than tau of
+    them is a decoding failure. The gradient is each f's coefficient of x^r.
     """
-    if any(v != 1 for v in received.query):
-        raise InvalidParamsError("errors-and-erasures decoding runs on the all-one query")
     erased = set(identified)
-    avail = [j for j in range(ctx.n) if received.present[j] and j not in erased]
+    avail = [j for j in range(ctx.n) if j not in erased]
     k = ctx.r + 1
-    f = ctx.generator
-    z = received.values
     tau = min(ctx.u - 1, (len(avail) - k) // 2)
     if tau < 0:
         raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
+    q = ctx.field.q
+    xs = tuple(ctx.eval_points[j] for j in avail)
+    g0, columns = _lagrange_basis(xs, q)
     errors: set[int] = set()
-    if tau > 0:
-        q = ctx.field.q
-        xs = tuple(ctx.eval_points[j] for j in avail)
-        g0, columns = _lagrange_basis(xs, q)
-        for t in range(z.rows):
-            row = z.row_values(t)
-            ys = [row[j] for j in avail]
-            g1 = _trim([sum(map(mul, ys, col)) % q for col in columns])
-            found = _gao_errors(q, g0, g1, xs, ys, k)
-            if found is None:
-                raise DecodeFailureError(
-                    f"coordinate {t + 1} is beyond the unique radius over "
-                    f"{len(avail)} available workers"
-                )
-            errors.update(avail[i] for i in found)
-        if len(errors) > tau:
+    gradient = []
+    for t in range(z.rows):
+        row = z.row_values(t)
+        ys = [row[j] for j in avail]
+        f = _trim([sum(map(mul, ys, col)) % q for col in columns])
+        if tau:
+            f = _gao_message(q, g0, f, k)
+        if f is None or len(f) > k:
             raise DecodeFailureError(
-                f"{len(errors)} workers in error exceed the budget of {tau}"
+                f"coordinate {t + 1} has no codeword within {tau} errors over "
+                f"{len(avail)} available workers"
             )
-    keep = [j for j in avail if j not in errors]
-    info_set = keep[:k]
-    out = solve_linear(
-        f.take_columns(info_set).transpose(), z.take_columns(info_set).transpose()
-    )
-    if out.kind != "unique":
-        raise ProtocolInvariantViolation("generator block must be invertible")
-    c = out.solution.transpose()  # d x (r+1)
-    if c * f.take_columns(keep) != z.take_columns(keep):
-        raise DecodeFailureError(
-            f"no codeword within {tau} errors over {len(avail)} available workers"
-        )
-    return c.col_values(k - 1)
+        errors.update(j for j, x, y in zip(avail, xs, ys) if _poly_eval(f, x, q) != y)
+        gradient.append(f[k - 1] if len(f) == k else 0)
+    if len(errors) > tau:
+        raise DecodeFailureError(f"{len(errors)} workers in error exceed the budget of {tau}")
+    return gradient

@@ -67,6 +67,13 @@ ADVERSARY_NAMES = (
 
 ASSIGNMENT_KINDS = ("cyclic", "fractional", "random", "file")
 
+_CONTROLLED_RULES = ("random", "first", "last")
+
+_INT_FIELDS = ("n", "s", "u", "p", "d", "q", "seed", "corruption_offset")
+_STR_FIELDS = (
+    "assignment", "adversary", "grouping", "controlled", "lie_plan", "assignment_path",
+)
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -94,6 +101,14 @@ class SimulationConfig:
         return self.s + self.u
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+        for name in _STR_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str) and (name != "assignment_path" or value is not None):
+                raise InvalidParamsError(f"{name} must be a string, got {value!r}")
         if self.s < 1:
             raise InvalidParamsError(f"need s >= 1, got s={self.s}")
         if not (1 <= self.u <= self.s + 1):
@@ -114,6 +129,8 @@ class SimulationConfig:
             raise InvalidParamsError(f"unknown adversary {self.adversary!r}")
         if self.grouping not in ("lowest", "shuffled"):
             raise InvalidParamsError(f"unknown grouping mode {self.grouping!r}")
+        if self.controlled not in _CONTROLLED_RULES:
+            _explicit_controlled(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
@@ -172,7 +189,16 @@ def resolve_controlled(config: SimulationConfig) -> tuple[int, ...]:
         return tuple(range(config.s))
     if rule == "last":
         return tuple(range(config.n - config.s, config.n))
-    ids = [int(tok) for tok in rule.replace(",", ";").split(";") if tok.strip()]
+    return _explicit_controlled(config)
+
+
+def _explicit_controlled(config: SimulationConfig) -> tuple[int, ...]:
+    """0-based ids of an explicit 1-based controlled set such as "1;3"."""
+    rule = config.controlled
+    try:
+        ids = [int(tok) for tok in rule.replace(",", ";").split(";") if tok.strip()]
+    except ValueError as e:
+        raise InvalidParamsError(f"controlled workers must be integers: {rule!r}") from e
     if any(not (1 <= j <= config.n) for j in ids):
         raise InvalidParamsError(f"controlled workers out of range: {rule!r}")
     if len(set(ids)) > config.s:
@@ -455,15 +481,43 @@ def write_transcript(result: ProtocolResult, path: str) -> None:
             fh.write(json.dumps(ev, separators=(",", ":")) + "\n")
 
 
+def _no_float(text: str):
+    raise ValueError(f"transcripts hold no floats, got {text}")
+
+
+# A transcript holds only ints, strings, lists and objects. Rejecting floats
+# while parsing (and booleans after) keeps 2.0 or true from standing in for
+# an equal int, which Python's == would let through the event comparison.
+_DECODER = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float)
+
+
+def _has_bool(value) -> bool:
+    if type(value) is bool:
+        return True
+    if type(value) is dict:
+        value = value.values()
+    elif type(value) is not list:
+        return False
+    return any(map(_has_bool, value))
+
+
 def read_events(path: str) -> list[dict]:
-    """The transcript's events; bad JSON or non-ASCII bytes raise TranscriptReplayError."""
+    """The transcript's events.
+
+    Bad JSON, non-ASCII bytes, floats and booleans raise TranscriptReplayError.
+    """
     with open(path, "r", encoding="ascii") as fh:
         try:
-            events = [json.loads(line) for line in fh if line.strip()]
+            lines = [line for line in fh if line.strip()]
+            events = [_DECODER.decode(line) for line in lines]
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError alike
             raise TranscriptReplayError(f"unreadable transcript: {e}") from e
     if not all(type(ev) is dict and type(ev.get("event")) is str for ev in events):
         raise TranscriptReplayError("every line must be a JSON object with an event name")
+    if any(
+        ("true" in line or "false" in line) and _has_bool(ev) for line, ev in zip(lines, events)
+    ):
+        raise TranscriptReplayError("transcripts hold no true/false values")
     return events
 
 

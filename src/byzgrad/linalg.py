@@ -42,10 +42,6 @@ class Matrix:
         return cls(field, nrows, ncols, data)
 
     @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [0] * (rows * cols))
-
-    @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
         data = [0] * (n * n)
         for i in range(n):
@@ -99,16 +95,6 @@ class Matrix:
             data.extend(self.row_values(i))
         return Matrix(self.field, len(idx), self.cols, data)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if self.rows != other.rows:
-            raise DimensionError("row count mismatch in hstack")
-        data = []
-        for i in range(self.rows):
-            data.extend(self.row_values(i))
-            data.extend(other.row_values(i))
-        return Matrix(self.field, self.rows, self.cols + other.cols, data)
-
     def _check_field(self, other: "Matrix") -> None:
         if self.field.q != other.field.q:
             raise DimensionError("operands live in different fields")
@@ -124,22 +110,6 @@ class Matrix:
             self.cols,
             [(a + b) % q for a, b in zip(self.data, other.data)],
         )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in subtraction")
-        q = self.field.q
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols,
-            [(a - b) % q for a, b in zip(self.data, other.data)],
-        )
-
-    def __neg__(self) -> "Matrix":
-        q = self.field.q
-        return Matrix(self.field, self.rows, self.cols, [-v % q for v in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)

@@ -26,7 +26,6 @@ from .assignment import AssignmentMatrix
 from .coding import (
     CodeContext,
     EncodingMatrix,
-    ResponseMatrix,
     build_encoding_matrix,
     combining_vector,
     ecc_decode,
@@ -347,7 +346,8 @@ class ProtocolRun:
 
     # -- queries ------------------------------------------------------------
 
-    def _transmit_initial(self) -> ResponseMatrix:
+    def _transmit_initial(self) -> Matrix:
+        """The d x n all-one responses, one column per worker."""
         ctx = self.ctx
         n, p, d = ctx.n, self.a_mat.p, self.responder.d
         cols = self.responder.initial(Query("initial", 1, None, (0, p), None))
@@ -355,7 +355,7 @@ class ProtocolRun:
         workers = list(range(1, n + 1))
         self.transcript.add("query", t=1, kind="initial", mask=[1, p], coordinate=None, workers=workers)
         self.transcript.add("response_set", t=1, kind="initial", workers=workers, values=cols)
-        return ResponseMatrix(values, tuple([1] * p), tuple([True] * n))
+        return values
 
     def _query_match(
         self, t: int, level: int, node: TreeNode, coord: int, workers: Sequence[int]
@@ -382,7 +382,7 @@ class ProtocolRun:
         t: int,
         plan: GroupingPlan,
         conflict: Conflict,
-        initial: ResponseMatrix,
+        initial: Matrix,
         group_claims: Sequence[Sequence[int]],
     ) -> tuple[int, ...]:
         """Binary-search the dispute between two groups down to one sample.
@@ -403,7 +403,7 @@ class ProtocolRun:
         b2 = combining_vector(ctx, g2)
         # Per-worker commitments for the current node, seeded by the initial
         # responses at the disputed coordinate.
-        commit = {j: initial.values.at(coord, j) for j in union}
+        commit = {j: initial.at(coord, j) for j in union}
         label1 = group_claims[conflict.first][coord]
         label2 = group_claims[conflict.second][coord]
         if label1 == label2:
@@ -499,7 +499,7 @@ class ProtocolRun:
                 self.grouping_rng.shuffle(order)
             plan = form_groups(self.active, ctx.r, s_t, order)
             claims = [
-                group_response(initial.values, combining_vector(ctx, g))
+                group_response(initial, combining_vector(ctx, g))
                 for g in plan.groups
             ]
             self.transcript.rounds += 1

@@ -6,15 +6,19 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from byzgrad.assignment import AssignmentMatrix
-from byzgrad.coding import CodeContext, EncodingMatrix, ResponseMatrix
+from byzgrad.coding import CodeContext, EncodingMatrix
 from byzgrad.errors import (
     AssignmentMismatchError,
     DecodeFailureError,
     DimensionError,
-    InvalidParamsError,
     ProtocolInvariantViolation,
 )
-from byzgrad.linalg import Matrix, solve_linear
+from byzgrad.linalg import Matrix, solve_linear, vandermonde
+
+
+def generator_matrix(ctx: CodeContext) -> Matrix:
+    """The (r+1) x n generator F, entry [k][j] = eval_points[j]**k."""
+    return vandermonde(ctx.field, ctx.eval_points, ctx.r + 1).transpose()
 
 
 def solve_encoding_matrix(
@@ -33,7 +37,7 @@ def solve_encoding_matrix(
         raise AssignmentMismatchError(f"assignment has {a_mat.n} workers, code has {n}")
     if len(a) != p:
         raise DimensionError(f"query vector length {len(a)} != p = {p}")
-    f_rows = ctx.generator.to_rows()  # r+1 rows of length n
+    f_rows = generator_matrix(ctx).to_rows()  # r+1 rows of length n
     unit_cache: dict[tuple[int, ...], list[int]] = {}
     w_rows: list[list[int]] = []
     for i in range(p):
@@ -78,7 +82,7 @@ def solve_encoding_matrix(
 
 
 def exhaustive_ecc_decode(
-    ctx: CodeContext, received: ResponseMatrix, identified: Iterable[int]
+    ctx: CodeContext, z: Matrix, identified: Iterable[int]
 ) -> list[int]:
     """Errors-and-erasures decoding by trying every error pattern.
 
@@ -88,13 +92,10 @@ def exhaustive_ecc_decode(
     column block, and accept iff the re-encoded codeword matches every
     remaining column. This costs up to C(n', <= u-1) Gaussian solves.
     """
-    if any(v != 1 for v in received.query):
-        raise InvalidParamsError("errors-and-erasures decoding runs on the all-one query")
     erased = set(identified)
-    avail = [j for j in range(ctx.n) if received.present[j] and j not in erased]
+    avail = [j for j in range(ctx.n) if j not in erased]
     k = ctx.r + 1
-    f = ctx.generator
-    z = received.values
+    f = generator_matrix(ctx)
     budget = ctx.u - 1
     for t_size in range(budget + 1):
         for trial in combinations(avail, t_size):

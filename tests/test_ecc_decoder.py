@@ -5,9 +5,9 @@ import time
 
 import pytest
 
+from byzgrad import adversary, coding, linalg
 from byzgrad.assignment import make_random_regular
 from byzgrad.coding import (
-    ResponseMatrix,
     build_code_context,
     build_encoding_matrix,
     ecc_decode,
@@ -15,7 +15,7 @@ from byzgrad.coding import (
 )
 from byzgrad.errors import DecodeFailureError
 from byzgrad.field import DEFAULT_MODULUS
-from byzgrad.harness import SimulationConfig, run_simulation
+from byzgrad.harness import SimulationConfig, replay_transcript, run_simulation, write_transcript
 from byzgrad.linalg import Matrix
 
 from oracles import exhaustive_ecc_decode
@@ -49,7 +49,7 @@ def corrupt_instance(rng, ctx, p, d, identified_count, corrupt_count):
         coords = [t for t in range(d) if rng.random() < 0.5] or [rng.randrange(d)]
         for t in coords:
             data[t * n + j] = (data[t * n + j] + rng.randrange(1, q)) % q
-    received = ResponseMatrix(Matrix(ctx.field, d, n, data), tuple([1] * p), tuple([True] * n))
+    received = Matrix(ctx.field, d, n, data)
     return received, identified, corrupted, truth
 
 
@@ -100,15 +100,14 @@ def test_over_budget_beyond_tau_fails_where_oracle_misdecodes():
     truth = [(1 + 2 + 3 + 4 + 5) % 11]
     data = list(z.data)
     data[5] = (data[5] + 3) % 11
-    received = ResponseMatrix(Matrix(ctx.field, 1, 7, data), tuple([1] * 5), tuple([True] * 7))
+    received = Matrix(ctx.field, 1, 7, data)
     identified = [0, 1, 2]
     wrong = exhaustive_ecc_decode(ctx, received, identified)
     assert wrong != truth
     with pytest.raises(DecodeFailureError):
         ecc_decode(ctx, received, identified)
     # Within budget, the same instance without the extra corruption decodes.
-    clean = ResponseMatrix(z, tuple([1] * 5), tuple([True] * 7))
-    assert ecc_decode(ctx, clean, identified) == truth
+    assert ecc_decode(ctx, z, identified) == truth
 
 
 def test_shared_locator_pools_errors_across_coordinates():
@@ -122,12 +121,12 @@ def test_shared_locator_pools_errors_across_coordinates():
     data = list(z.data)
     data[0 * 9 + 2] = (data[0 * 9 + 2] + 1) % 101
     data[1 * 9 + 6] = (data[1 * 9 + 6] + 1) % 101
-    received = ResponseMatrix(Matrix(ctx.field, 2, 9, data), tuple([1] * 6), tuple([True] * 9))
+    received = Matrix(ctx.field, 2, 9, data)
     assert ecc_decode(ctx, received, []) == truth
     # A third worker in error exceeds tau = 2 even though each coordinate
     # alone is within the unique radius (n'-k)//2 = 3.
     data[0 * 9 + 4] = (data[0 * 9 + 4] + 1) % 101
-    received = ResponseMatrix(Matrix(ctx.field, 2, 9, data), tuple([1] * 6), tuple([True] * 9))
+    received = Matrix(ctx.field, 2, 9, data)
     with pytest.raises(DecodeFailureError):
         ecc_decode(ctx, received, [])
 
@@ -143,14 +142,14 @@ def test_pooled_errors_capped_by_unique_radius():
     data = list(response_matrix(g, enc).data)
     data[0 * 7 + 3] = (data[0 * 7 + 3] + 9) % 101
     data[1 * 7 + 5] = (data[1 * 7 + 5] + 9) % 101
-    received = ResponseMatrix(Matrix(ctx.field, 2, 7, data), tuple([1] * 4), tuple([True] * 7))
+    received = Matrix(ctx.field, 2, 7, data)
     with pytest.raises(DecodeFailureError):
         ecc_decode(ctx, received, [0, 1, 2])
 
 
 def test_too_few_available_workers_fail():
     ctx = build_code_context(5, 2, 1, 11)  # k = r+1 = 3
-    received = ResponseMatrix(Matrix(ctx.field, 1, 5, [0] * 5), (1,), tuple([True] * 5))
+    received = Matrix(ctx.field, 1, 5, [0] * 5)
     with pytest.raises(DecodeFailureError):
         ecc_decode(ctx, received, [0, 1, 2])
 
@@ -160,7 +159,7 @@ def test_scale_probes_decode_exactly():
     # corrects s errors, which the exhaustive search made cost C(n, <= s)
     # solves (24.8 s at n=20).
     start = time.perf_counter()
-    for n, s, u in ((20, 6, 7), (32, 10, 11)):
+    for n, s, u in ((20, 6, 7), (32, 10, 11), (64, 21, 22)):
         cfg = SimulationConfig(
             n=n, s=s, u=u, p=n, d=4, adversary="random-always", controlled="last", seed=1
         )
@@ -170,3 +169,26 @@ def test_scale_probes_decode_exactly():
         assert out.metrics.bound_violations() == []
         assert out.result.outcome == "ecc"
     assert time.perf_counter() - start < 5.0
+
+
+def test_protocol_path_does_no_linear_solve(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("linear solve on the protocol path")
+
+    for module in (linalg, coding, adversary):
+        monkeypatch.setattr(module, "solve_linear", no_solve)
+    # tau = 3: s = u-1, so the decode corrects the liars without a match.
+    corrected = run_simulation(
+        SimulationConfig(n=12, s=3, u=4, p=12, d=3, adversary="random-always", seed=3)
+    )
+    # tau = 0: both liars are eliminated, then the decode only erases.
+    erased = run_simulation(
+        SimulationConfig(n=8, s=2, u=1, p=8, d=3, adversary="tournament-liar", seed=1)
+    )
+    assert erased.result.eliminated
+    for out in (corrected, erased):
+        assert out.result.gradient == out.truth
+        assert out.result.outcome == "ecc"
+    path = tmp_path / "erased.jsonl"
+    write_transcript(erased.result, str(path))
+    assert replay_transcript(str(path)) == erased.truth

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import random
@@ -44,6 +45,16 @@ def test_config_validation_errors():
         cfg(assignment="none").validate()
     with pytest.raises(InvalidParamsError):
         SimulationConfig.from_dict({"n": 5, "s": 2, "u": 1, "p": 6, "bogus": 1})
+    # Mistyped values, as a JSON config can carry them.
+    for bad in ({"n": "5"}, {"d": 2.0}, {"s": True}, {"seed": "x"}, {"q": 101.0},
+                {"corruption_offset": None}, {"adversary": 1}, {"assignment_path": 3}):
+        with pytest.raises(InvalidParamsError):
+            SimulationConfig.from_dict(dataclasses.asdict(cfg()) | bad).validate()
+    # An explicit controlled set is checked whatever the adversary.
+    for adversary in ("honest", "random-always"):
+        for controlled in ("a", "9", "1;2;3", "1;x"):
+            with pytest.raises(InvalidParamsError):
+                cfg(adversary=adversary, controlled=controlled).validate()
 
 
 def test_assignment_feasibility_rules():
@@ -295,6 +306,19 @@ def test_replay_rejects_mistyped_header(tmp_path, field, value):
         replay_transcript(str(path))
 
 
+@pytest.mark.parametrize("kind, field, value", [("decode", "t", True), ("final", "rounds", 2.0)])
+def test_replay_rejects_same_value_retyping(tmp_path, kind, field, value):
+    out = run_simulation(cfg(adversary="tournament-liar", seed=1))
+    events = copy.deepcopy(out.result.transcript.events)
+    ev = next(ev for ev in events if ev["event"] == kind)
+    assert ev[field] == value
+    ev[field] = value
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    with pytest.raises(TranscriptReplayError):
+        replay_transcript(str(path))
+
+
 # Fields a replay may not pin down: worker answers (which may decide nothing,
 # e.g. at a coordinate no match looks at) and the run's descriptive labels.
 FREE_FIELDS = {
@@ -334,7 +358,11 @@ def _changed(rng, old):
 
 
 def _mutate(rng, events):
-    """One field of one event deleted, changed in value, or changed in type."""
+    """One field of one event deleted, changed in value, or changed in type.
+
+    A type change may keep the value: an int becomes the float of the same
+    value, and 0/1 may become false/true.
+    """
     events = copy.deepcopy(events)
     k = rng.randrange(len(events))
     kind = events[k]["event"]
@@ -343,11 +371,13 @@ def _mutate(rng, events):
     for key in path[:-1]:
         parent = parent[key]
     old = parent[path[-1]]
-    op = rng.randrange(3)
+    op = rng.randrange(4)
     if op == 0:
         del parent[path[-1]]
     elif op == 1:
         parent[path[-1]] = _changed(rng, old)
+    elif op == 3 and type(old) is int:
+        parent[path[-1]] = bool(old) if old in (0, 1) and rng.random() < 0.5 else float(old)
     else:
         parent[path[-1]] = [old] if isinstance(old, str) else str(old)
     return events, (kind, path[0])

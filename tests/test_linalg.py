@@ -71,8 +71,6 @@ def test_matmul_and_identity():
 
 def test_add_sub_transpose():
     a = Matrix.from_rows(F7, [[1, 2, 3], [4, 5, 6]])
-    assert (a - a).is_zero()
-    assert (a + (-a)).is_zero()
     assert a.transpose().transpose() == a
     assert a.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
 
@@ -81,7 +79,6 @@ def test_take_rows_columns_hstack():
     a = Matrix.from_rows(F7, [[1, 2, 3], [4, 5, 6], [0, 1, 0]])
     assert a.take_rows([2, 0]).to_rows() == [[0, 1, 0], [1, 2, 3]]
     assert a.take_columns([1]).col_values(0) == [2, 5, 1]
-    assert a.hstack(Matrix.identity(F7, 3)).cols == 6
 
 
 def test_dimension_errors():
