@@ -9,6 +9,7 @@ replay bit-identically.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .assignment import AssignmentMatrix
@@ -143,7 +144,7 @@ class TournamentLiar(AdversaryStrategy):
     def bind(self, ctx, a_mat, enc):
         super().bind(ctx, a_mat, enc)
         if self.lie_plan == "consistent":
-            depth = MatchTree(a_mat.p).leaf_depths()
+            depth = _leaf_depths(a_mat.p)
             for j in sorted(self.controlled):
                 if j not in self._targets:
                     samples = a_mat.samples_of(j)
@@ -184,6 +185,12 @@ class TournamentLiar(AdversaryStrategy):
         if idx < len(self.level_actions) and self.level_actions[idx] == "lie":
             return (honest + self._nonzero_scalar()) % q
         return honest
+
+
+@lru_cache(maxsize=64)
+def _leaf_depths(p: int) -> tuple[int, ...]:
+    """Every leaf's depth in the match tree over p samples, as a shared tuple."""
+    return tuple(MatchTree(p).leaf_depths())
 
 
 def tournament_liar(

@@ -34,11 +34,14 @@ def _parse_int_list(text: str) -> list[int]:
     out: list[int] = []
     for tok in text.split(","):
         tok = tok.strip()
-        if "-" in tok[1:]:
-            lo, hi = tok.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif tok:
-            out.append(int(tok))
+        try:
+            if "-" in tok[1:]:
+                lo, hi = tok.split("-", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            elif tok:
+                out.append(int(tok))
+        except ValueError as e:
+            raise InvalidParamsError(f"bad integer list {text!r}: {e}") from e
     return out
 
 
@@ -70,8 +73,14 @@ def _add_instance_flags(sp: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> SimulationConfig:
     values: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as e:  # ValueError covers bad JSON and bad UTF-8
+            raise InvalidParamsError(f"cannot read config {args.config}: {e}") from e
+        if not isinstance(loaded, dict):
+            raise InvalidParamsError(f"config {args.config} must hold a JSON object")
+        values.update(loaded)
     overrides = {
         "n": args.n, "s": args.s, "u": args.u, "p": args.p, "d": args.d,
         "q": args.q, "assignment": args.assignment,
@@ -123,24 +132,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    us: object = "auto"
-    if args.u and args.u != "auto":
-        us = _parse_int_list(args.u)
-    items = list(
-        grid_configs(
-            ns=_parse_int_list(args.n),
-            ss=_parse_int_list(args.s),
-            us=us,
-            ps=_parse_int_list(args.p),
-            ds=_parse_int_list(args.d),
-            assignments=[a.strip() for a in args.assignments.split(",")],
-            adversaries=[a.strip() for a in args.adversaries.split(",")],
-            seeds=args.seeds,
-            q=args.q,
-            grouping=args.grouping or "lowest",
+    try:
+        us: object = "auto"
+        if args.u and args.u != "auto":
+            us = _parse_int_list(args.u)
+        items = list(
+            grid_configs(
+                ns=_parse_int_list(args.n),
+                ss=_parse_int_list(args.s),
+                us=us,
+                ps=_parse_int_list(args.p),
+                ds=_parse_int_list(args.d),
+                assignments=[a.strip() for a in args.assignments.split(",")],
+                adversaries=[a.strip() for a in args.adversaries.split(",")],
+                seeds=args.seeds,
+                q=args.q,
+                grouping=args.grouping or "lowest",
+            )
         )
-    )
-    report = run_sweep(items, jobs=args.jobs)
+        report = run_sweep(items, jobs=args.jobs)
+    except InvalidParamsError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "sweep.csv")

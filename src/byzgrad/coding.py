@@ -5,11 +5,14 @@ evaluation points, so every r+1 columns form an invertible block (MDS).
 Worker j's coefficients for a queried combination a are column j of
 W = (Q | a) F: row i evaluates a polynomial of degree r with leading
 coefficient a_i that vanishes at the workers not holding sample i, which in
-closed form is W[i][j] = a_i * prod_{m in Z_i} (x_j - x_m). Any r+1 workers
-then suffice to recover the combination via a closed-form combining vector,
-cached per code and group. So each coordinate of the all-one responses
-evaluates a polynomial of degree at most r whose coefficient of x^r is the
-gradient. Once few enough liars remain, the errors-and-erasures decoder
+closed form is W[i][j] = a_i * prod_{m in Z_i} (x_j - x_m). Row i thus
+depends only on a_i and Z_i, so a regular assignment has few distinct rows,
+and the honest responses G @ W are computed per class of equal rows from
+the sum of that class's gradient columns. Any r+1 workers suffice to
+recover the combination via a closed-form combining vector, cached per code
+and group. So each coordinate of the all-one responses evaluates a
+polynomial of degree at most r whose coefficient of x^r is the gradient.
+Once few enough liars remain, the errors-and-erasures decoder
 erases the identified workers, interpolates the rest with one Lagrange
 basis, cached per point set and shared across the d gradient coordinates,
 corrects at most tau = min(u-1, (n'-(r+1))//2) errors among the n'
@@ -20,7 +23,7 @@ at every available point to locate and bound the errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Sequence
@@ -82,6 +85,30 @@ class EncodingMatrix:
 
     a: tuple[int, ...]
     w: Matrix
+
+    @cached_property
+    def row_classes(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Samples grouped by equal nonzero rows of W, with each worker's entry per group.
+
+        Returns (samples, columns): samples[c] holds, in increasing order, the
+        samples whose rows equal class c's, classes ordered by first sample;
+        columns[j][c] is W[i][j] for any i in samples[c]. Row i depends only on
+        a_i and the zero set Z_i, so a regular all-one encoding has few
+        classes: n for cyclic, n/rho for fractional. All-zero rows join no
+        class. Derived from W itself, so it holds for any encoding; tuples,
+        because every caller shares the cached value.
+        """
+        w = self.w
+        n, data = w.cols, w.data
+        index: dict[tuple[int, ...], list[int]] = {}
+        for i in range(w.rows):
+            row = tuple(data[i * n : (i + 1) * n])
+            if any(row):
+                index.setdefault(row, []).append(i)
+        samples = tuple(map(tuple, index.values()))
+        # Transpose the distinct rows; with no class every worker's entry list is empty.
+        columns = tuple(zip(*index)) if index else ((),) * n
+        return samples, columns
 
 
 def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence[int]) -> EncodingMatrix:
@@ -195,8 +222,27 @@ def worker_response(gradients: Matrix, enc: EncodingMatrix, j: int) -> list[int]
 
 
 def response_matrix(gradients: Matrix, enc: EncodingMatrix) -> Matrix:
-    """All honest responses at once: Z = G @ W, shape d x n."""
-    return gradients * enc.w
+    """All honest responses at once: Z = G @ W, shape d x n.
+
+    Equal rows of W form one class (EncodingMatrix.row_classes), so
+    Z[t][j] = sum over classes c of (sum of G[t][i] over i in c) * W[c][j]:
+    per coordinate, one sum per class, then one dot product over the classes
+    per worker. When every class is a single sample this is the dense
+    product plus d*p additions.
+    """
+    w = enc.w
+    if gradients.field.q != w.field.q:
+        raise DimensionError("operands live in different fields")
+    if gradients.cols != w.rows:
+        raise DimensionError("gradient matrix width must equal sample count")
+    q = w.field.q
+    samples, columns = enc.row_classes
+    data: list[int] = []
+    for t in range(gradients.rows):
+        get = gradients.row_values(t).__getitem__
+        sums = [get(c[0]) if len(c) == 1 else sum(map(get, c)) for c in samples]
+        data.extend([sum(map(mul, sums, col)) % q for col in columns])
+    return Matrix(w.field, gradients.rows, w.cols, data)
 
 
 def _trim(poly: list[int]) -> list[int]:

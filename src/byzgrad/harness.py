@@ -170,8 +170,12 @@ def build_assignment(config: SimulationConfig) -> AssignmentMatrix:
     rho = config.rho
     if config.assignment != "file":
         return _make_assignment(config.assignment, config.n, config.p, rho, config.seed)
-    with open(config.assignment_path, "r", encoding="ascii") as fh:
-        a_mat, file_rho = assignment_from_text(fh.read())
+    try:
+        with open(config.assignment_path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InvalidParamsError(f"cannot read assignment file: {e}") from e
+    a_mat, file_rho = assignment_from_text(text)
     if a_mat.n != config.n or a_mat.p != config.p or file_rho != rho:
         raise InvalidParamsError("assignment file disagrees with config dimensions")
     if not validate_regular(a_mat, rho):
@@ -227,11 +231,29 @@ def make_adversary(config: SimulationConfig):
 @lru_cache(maxsize=256)
 def _cached_instance(
     n: int, s: int, u: int, q: int, p: int, kind: str, seed: int
-) -> tuple[CodeContext, AssignmentMatrix, EncodingMatrix]:
+) -> tuple[CodeContext, AssignmentMatrix, EncodingMatrix, str]:
+    """Code, assignment, all-one encoding and the assignment's text."""
     ctx = build_code_context(n, s, u, q)
     a_mat = _make_assignment(kind, n, p, s + u, seed)
     enc = build_encoding_matrix(ctx, a_mat, [1] * p)
-    return ctx, a_mat, enc
+    return ctx, a_mat, enc, assignment_to_text(a_mat, s + u)
+
+
+def _draw_below(rng: random.Random, q: int, count: int) -> list[int]:
+    """count draws of rng.randrange(q), the same values from the same rng state.
+
+    randrange(q) takes getrandbits(q.bit_length()) until the draw is below q;
+    this is that loop without randrange's per-call argument handling.
+    """
+    k = q.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        v = getrandbits(k)
+        while v >= q:
+            v = getrandbits(k)
+        out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,27 +321,25 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         ctx = build_code_context(config.n, config.s, config.u, config.q)
         a_mat = build_assignment(config)
         enc = build_encoding_matrix(ctx, a_mat, [1] * config.p)
+        text = assignment_to_text(a_mat, config.rho)
     else:
         ok, reason = assignment_feasible(config.assignment, config.n, config.p, config.rho)
         if not ok:
             raise InvalidParamsError(reason)
         aseed = config.seed if config.assignment == "random" else 0
-        ctx, a_mat, enc = _cached_instance(
+        ctx, a_mat, enc, text = _cached_instance(
             config.n, config.s, config.u, config.q, config.p, config.assignment, aseed
         )
     grad_rng = random.Random(f"{config.seed}:gradients")
     gradients = Matrix(
-        ctx.field,
-        config.d,
-        config.p,
-        [grad_rng.randrange(config.q) for _ in range(config.d * config.p)],
+        ctx.field, config.d, config.p, _draw_below(grad_rng, config.q, config.d * config.p)
     )
     strategy = make_adversary(config)
     grouping_rng = (
         random.Random(f"{config.seed}:grouping") if config.grouping == "shuffled" else None
     )
     meta = {
-        "assignment": assignment_to_text(a_mat, config.rho),
+        "assignment": text,
         "assignment_kind": config.assignment,
         "adversary": config.adversary,
         "seed": config.seed,

@@ -29,7 +29,7 @@ from .coding import (
     build_encoding_matrix,
     combining_vector,
     ecc_decode,
-    worker_response,
+    response_matrix,
 )
 from .errors import (
     AdversaryBudgetExceededError,
@@ -38,6 +38,9 @@ from .errors import (
     ProtocolInvariantViolation,
 )
 from .linalg import Matrix
+
+# Not used here: perfbench/tracing.py wraps worker_response at its protocol name.
+from .coding import worker_response  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +194,7 @@ def detect_contradiction(responses: Sequence[Sequence[int]]) -> Agreement | Conf
 def group_response(received: Matrix, b: Sequence[int]) -> list[int]:
     """Decode one group's claim: received (d x n) times the combining vector."""
     q = received.field.q
-    out = []
-    for t in range(received.rows):
-        row = received.row_values(t)
-        out.append(sum(v * c for v, c in zip(row, b)) % q)
-    return out
+    return [sum(map(mul, received.row_values(t), b)) % q for t in range(received.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +264,10 @@ class SimulatedResponder:
         """Every worker's coded d-vector, as one list per worker."""
         adversary, q = self.adversary, self.q
         adversary.record(query)
+        z = response_matrix(self.gradients, self.enc)
         cols: list[list[int]] = []
         for j in range(self.n):
-            honest = worker_response(self.gradients, self.enc, j)
+            honest = z.col_values(j)
             if j in adversary.controlled:
                 cols.append([v % q for v in adversary.initial_response(j, honest)])
             else:

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from byzgrad.adversary import (
+    _leaf_depths,
     honest,
     pick_attack_support,
     random_corruption,
@@ -21,7 +22,7 @@ from byzgrad.coding import (
 )
 from byzgrad.errors import InvalidParamsError
 from byzgrad.linalg import Matrix
-from byzgrad.protocol import form_groups, group_response, run_protocol
+from byzgrad.protocol import MatchTree, form_groups, group_response, run_protocol
 
 
 def make_gradients(ctx, p, d, seed):
@@ -218,3 +219,13 @@ def test_symmetrization_hides_from_targeted_groups_round_one():
     assert values[0] == values[1]
     assert values[2] != values[0]
     assert res.gradient == full_sum(g)
+
+
+def test_cached_leaf_depths_are_shared_immutable_tuples():
+    for p in (1, 2, 7, 256):
+        depths = _leaf_depths(p)
+        assert type(depths) is tuple
+        assert list(depths) == MatchTree(p).leaf_depths()
+        assert _leaf_depths(p) is depths
+        with pytest.raises(TypeError):
+            depths[0] = 99

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -336,6 +337,119 @@ def test_worker_response_matches_matrix_product():
         z = response_matrix(g, enc)
         for j in range(ctx.n):
             assert worker_response(g, enc, j) == z.col_values(j)
+
+
+def _check_row_classes(enc):
+    """Every class holds equal nonzero rows, and every nonzero row is in one."""
+    w = enc.w
+    samples, columns = enc.row_classes
+    assert len(columns) == w.cols
+    members = [i for c in samples for i in c]
+    assert sorted(members) == [i for i in range(w.rows) if any(w.row_values(i))]
+    for k, c in enumerate(samples):
+        assert list(c) == sorted(c)
+        rep = [col[k] for col in columns]
+        assert all(w.row_values(i) == rep for i in c)
+    reps = [tuple(w.row_values(c[0])) for c in samples]
+    assert len(set(reps)) == len(reps)
+
+
+def test_response_matrix_matches_dense_product():
+    """Class sums times class rows equal G @ W, whatever built the encoding."""
+    rng = random.Random(77)
+    seen = dict.fromkeys(
+        ("cyclic", "fractional", "random", "p<n", "p=n", "p>>n", "p=1",
+         "zero", "minus", "scaled", "oracle", "restricted", "empty", "singletons"),
+        0,
+    )
+    for q in (7, 101, DEFAULT_MODULUS):
+        cases = 0
+        while cases < 60:
+            n = rng.randrange(2, min(q - 1, 9) + 1)
+            s = rng.randrange(1, n)
+            u = rng.randrange(1, min(s + 1, n - s) + 1)
+            rho = s + u
+            p = rng.choice((1, rng.randrange(1, n + 1), n, rng.randrange(3 * n, 8 * n)))
+            kind = rng.choice(("cyclic", "fractional", "random"))
+            try:
+                if kind == "cyclic":
+                    a_mat = make_cyclic(n, p, rho)
+                elif kind == "fractional":
+                    a_mat = make_fractional(n, p, rho)
+                else:
+                    a_mat = make_random_regular(n, p, rho, rng.randrange(10**6))
+            except InvalidParamsError:
+                continue  # no layout of this kind for (n, p, rho)
+            ctx = build_code_context(n, s, u, q)
+            style = rng.choice(("ones", "mixed", "oracle", "restricted"))
+            if style == "ones":
+                enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+            elif style in ("mixed", "oracle"):
+                a = [rng.choice((0, 1, -1, rng.randrange(q))) for _ in range(p)]
+                build = build_encoding_matrix if style == "mixed" else solve_encoding_matrix
+                enc = build(ctx, a_mat, a)
+                seen["zero"] += 0 in enc.a
+                seen["minus"] += q - 1 in enc.a
+                seen["scaled"] += any(v not in (0, 1, q - 1) for v in enc.a)
+            else:
+                full = build_encoding_matrix(ctx, a_mat, [1] * p)
+                mask = [i for i in range(p) if rng.random() < 0.5]
+                enc = restrict_encoding(full, mask)
+                seen["empty"] += not mask
+            d = rng.randrange(1, 5)
+            g = Matrix(ctx.field, d, p, [rng.randrange(q) for _ in range(d * p)])
+            assert response_matrix(g, enc) == g * enc.w, (q, n, s, u, p, kind, style)
+            _check_row_classes(enc)
+            cases += 1
+            seen[kind] += 1
+            seen["p=1" if p == 1 else "p<n" if p < n else "p=n" if p == n else "p>>n"] += 1
+            seen["oracle"] += style == "oracle"
+            seen["restricted"] += style == "restricted"
+            samples, _ = enc.row_classes
+            seen["singletons"] += bool(samples) and all(len(c) == 1 for c in samples)
+    assert all(seen.values()), seen
+
+
+def test_response_matrix_rejects_mismatches():
+    ctx = small_context()
+    enc = build_encoding_matrix(ctx, make_cyclic(3, 3, 2), [1, 1, 1])
+    with pytest.raises(DimensionError):
+        response_matrix(Matrix.from_rows(ctx.field, [[1, 2]]), enc)
+    other = build_code_context(3, 1, 1, 11).field
+    with pytest.raises(DimensionError):
+        response_matrix(Matrix.from_rows(other, [[1, 2, 3]]), enc)
+
+
+def test_row_class_counts():
+    cyclic = make_cyclic(24, 256, 7)
+    enc = build_encoding_matrix(build_code_context(24, 6, 1), cyclic, [1] * 256)
+    assert len(enc.row_classes[0]) == 24
+    for n, s, u in ((24, 5, 1), (12, 2, 2), (9, 2, 1)):
+        rho = s + u
+        frac = make_fractional(n, 60, rho)
+        enc = build_encoding_matrix(build_code_context(n, s, u), frac, [1] * 60)
+        assert len(enc.row_classes[0]) == n // rho
+    rand = make_random_regular(24, 256, 7, seed=1)
+    assert len({tuple(rand.zero_set(i)) for i in range(256)}) == 256  # all patterns distinct
+    enc = build_encoding_matrix(build_code_context(24, 6, 1), rand, [1] * 256)
+    assert len(enc.row_classes[0]) == 256
+
+
+def test_row_classes_are_immutable_and_leave_the_fields_alone():
+    ctx = build_code_context(6, 2, 1, 101)
+    a_mat = make_cyclic(6, 9, 3)
+    enc = build_encoding_matrix(ctx, a_mat, [1] * 9)
+    twin = build_encoding_matrix(ctx, a_mat, [1] * 9)
+    samples, columns = enc.row_classes
+    assert enc.row_classes is enc.row_classes  # computed once per encoding
+    for part in (enc.row_classes, samples, columns, *samples, *columns):
+        assert type(part) is tuple
+    with pytest.raises(TypeError):
+        samples[0][0] = 5
+    with pytest.raises(TypeError):
+        columns[0][0] = 5
+    assert [f.name for f in dataclasses.fields(enc)] == ["a", "w"]
+    assert enc == twin and hash(enc) == hash(twin)
 
 
 def test_fig_instance_pairwise_decodable():

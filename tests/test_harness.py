@@ -11,6 +11,7 @@ from byzgrad.errors import InvalidParamsError, TranscriptReplayError
 from byzgrad.harness import (
     METRICS_HEADER,
     SimulationConfig,
+    _draw_below,
     assignment_feasible,
     grid_configs,
     read_events,
@@ -418,6 +419,15 @@ def test_replay_mutation_fuzz(tmp_path):
 # CLI --------------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("q", [2, 5, 7, 257, 2**31 - 1])
+def test_gradient_draw_matches_randrange(q):
+    for seed in range(3):
+        ref = random.Random(f"{seed}:gradients")
+        rng = random.Random(f"{seed}:gradients")
+        assert _draw_below(rng, q, 500) == [ref.randrange(q) for _ in range(500)]
+        assert rng.getstate() == ref.getstate()
+
+
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
     rc = cli_main([
         "simulate", "--n", "3", "--s", "1", "--u", "1", "--p", "3", "--d", "1",
@@ -479,6 +489,31 @@ def test_cli_replay_reports_unreadable_path(tmp_path, capsys):
     rc = cli_main(["replay", str(tmp_path / "missing.jsonl")])
     assert rc == 1
     assert "replay failed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case", ["bad_json", "json_list", "missing_config", "bad_range", "missing_assignment"]
+)
+def test_cli_rejects_malformed_input(tmp_path, capsys, case):
+    instance = ["--n", "5", "--s", "2", "--u", "1", "--p", "6", "--q", "101"]
+    config = tmp_path / "cfg.json"
+    if case == "bad_json":
+        config.write_text('{"n": 5,')
+    elif case == "json_list":
+        config.write_text("[5, 2, 1, 6]")
+    argv = {
+        "bad_json": ["simulate", "--config", str(config)],
+        "json_list": ["simulate", "--config", str(config)],
+        "missing_config": ["simulate", "--config", str(tmp_path / "none.json")],
+        "bad_range": ["sweep", "--n", "4-x", "--s", "1", "--p", "4", "--jobs", "1"],
+        "missing_assignment": [
+            "simulate", *instance, "--assignment", "file",
+            "--assignment-path", str(tmp_path / "none.txt"),
+        ],
+    }[case]
+    rc = cli_main([*argv, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_verify_subcommand(capsys):

@@ -6,6 +6,7 @@ from byzgrad.adversary import honest, random_corruption, tournament_liar
 from byzgrad.assignment import make_cyclic, make_random_regular
 from byzgrad.coding import build_code_context
 from byzgrad.errors import AdversaryBudgetExceededError, InfeasibleStateError
+from byzgrad.harness import SimulationConfig, replay_transcript, run_simulation, write_transcript
 from byzgrad.linalg import Matrix
 from byzgrad.protocol import (
     Agreement,
@@ -316,3 +317,26 @@ def test_transcript_structure():
     for ev in events:
         if ev["event"] == "elimination":
             assert all(w >= 1 for w in ev["workers"])
+
+
+def test_protocol_path_does_no_dense_product(tmp_path, monkeypatch):
+    def no_product(self, other):
+        raise RuntimeError("dense matrix product on the protocol path")
+
+    monkeypatch.setattr(Matrix, "__mul__", no_product)
+    liar = run_simulation(
+        SimulationConfig(n=8, s=2, u=1, p=8, d=3, adversary="tournament-liar", seed=1)
+    )
+    # tau = 3: s = u-1, so the decode corrects the liars without a match.
+    corrected = run_simulation(
+        SimulationConfig(n=12, s=3, u=4, p=12, d=3, adversary="random-always", seed=3)
+    )
+    symmetrized = run_simulation(
+        SimulationConfig(n=7, s=2, u=1, p=9, d=2, adversary="symmetrization", seed=2)
+    )
+    assert liar.result.eliminated and corrected.result.outcome == "ecc"
+    for out in (liar, corrected, symmetrized):
+        assert out.result.gradient == out.truth
+    path = tmp_path / "liar.jsonl"
+    write_transcript(liar.result, str(path))
+    assert replay_transcript(str(path)) == liar.truth
