@@ -9,7 +9,7 @@ replay bit-identically.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .assignment import AssignmentMatrix
@@ -27,11 +27,15 @@ class AdversaryStrategy:
     def __init__(self, controlled: Iterable[int] = (), seed: int = 0):
         self.controlled = frozenset(controlled)
         self.seed = seed
-        self.rng = random.Random(f"{seed}:adversary")
         self.history: list[Query] = []
         self.ctx: Optional[CodeContext] = None
         self.a_mat: Optional[AssignmentMatrix] = None
         self.enc: Optional[EncodingMatrix] = None
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """Seeded on first use, so a policy that draws nothing hashes no seed string."""
+        return random.Random(f"{self.seed}:adversary")
 
     def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix, enc: EncodingMatrix) -> None:
         """Called once before the initial responses; the code is public."""

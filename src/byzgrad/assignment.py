@@ -26,9 +26,6 @@ class AssignmentMatrix:
     def row_sum(self, j: int) -> int:
         return sum(self.bits[j])
 
-    def assigned_workers(self, i: int) -> list[int]:
-        return [j for j in range(self.n) if self.bits[j][i]]
-
     def zero_set(self, i: int) -> list[int]:
         """Workers that do not hold sample i."""
         return [j for j in range(self.n) if not self.bits[j][i]]

@@ -12,19 +12,17 @@ the sum of that class's gradient columns. Any r+1 workers suffice to
 recover the combination via a closed-form combining vector, cached per code
 and group. So each coordinate of the all-one responses evaluates a
 polynomial of degree at most r whose coefficient of x^r is the gradient.
-Once few enough liars remain, the errors-and-erasures decoder
-erases the identified workers, interpolates the rest with one Lagrange
-basis, cached per point set and shared across the d gradient coordinates,
-corrects at most tau = min(u-1, (n'-(r+1))//2) errors among the n'
-available ones with Gao's algorithm, and re-encodes the decoded polynomial
-at every available point to locate and bound the errors.
+Once few enough liars remain, the errors-and-erasures decoder erases the
+identified workers and reads every coordinate's syndromes and gradient off
+one cached table of parity checks over the N available points; it corrects
+at most tau = min(u-1, (N-(r+1))//2) errors, pooled across coordinates,
+with Berlekamp-Massey and never interpolates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -245,115 +243,112 @@ def response_matrix(gradients: Matrix, enc: EncodingMatrix) -> Matrix:
     return Matrix(w.field, gradients.rows, w.cols, data)
 
 
-def _trim(poly: list[int]) -> list[int]:
-    """Drop zero leading coefficients in place; the zero polynomial is []."""
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod(num: list[int], den: list[int], q: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of num / den (coefficient lists, lowest first)."""
-    rem = list(num)
-    dd = len(den) - 1
-    if len(rem) <= dd:
-        return [], _trim(rem)
-    inv_lead = pow(den[-1], -1, q)
-    quo = [0] * (len(rem) - dd)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + dd] * inv_lead % q
-        quo[i] = c
-        if c:
-            for m in range(dd):
-                rem[i + m] = (rem[i + m] - c * den[m]) % q
-    return _trim(quo), _trim(rem[:dd])
-
-
-def _poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim([v % q for v in out])
-
-
-def _poly_sub(a: list[int], b: list[int], q: int) -> list[int]:
-    return _trim([(x - y) % q for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _poly_eval(poly: list[int], x: int, q: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % q
-    return acc
-
-
 @lru_cache(maxsize=16)
-def _lagrange_basis(
-    xs: tuple[int, ...], q: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """g0 = prod (x - x_j) and the Lagrange basis over xs, by coefficient.
+def _syndrome_table(xs: tuple[int, ...], q: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Rows m = 0..N-k of w_j * x_j**m, w_j = 1 / prod_{i != j} (x_j - x_i), over N points.
 
-    Basis polynomial j is w_j * g0 / (x - x_j), with the barycentric weight
-    w_j = 1 / prod_{m != j} (x_j - x_m), so it is 1 at x_j and 0 at the rest.
-    The basis comes transposed: entry [i][j] is coefficient i of polynomial
-    j. Both parts are tuples, because the cache hands them to every caller.
+    Row m dotted with a word is the coefficient of x^(N-1) in the interpolant
+    of x^m times the word. On a codeword f of degree below k it is 0 for
+    m < N-k, so those rows are parity checks, and f's coefficient of x^(k-1)
+    for m = N-k. Tuples, because the cache hands them to every caller.
     """
-    g0 = [1]
-    for x in xs:
-        g0 = [(lo - x * hi) % q for lo, hi in zip([0] + g0, g0 + [0])]
-    basis = []
-    for xj, w in zip(xs, vandermonde_inverse_last_column(PrimeField(q), xs)):
-        # Synthetic division of g0 by (x - x_j), highest coefficient first.
-        quo = [0] * (len(g0) - 1)
+    rows = [tuple(vandermonde_inverse_last_column(PrimeField(q), xs))]
+    for _ in range(len(xs) - k):
+        rows.append(tuple(w * x % q for w, x in zip(rows[-1], xs)))
+    return tuple(rows)
+
+
+def _berlekamp_massey(syndromes: Sequence[int], q: int) -> list[int]:
+    """Massey's shortest connection polynomial C of S, C[0] = 1, lowest first.
+
+    With L = len(C) - 1, sum_i C[i] * S[m-i] = 0 for every L <= m < len(S).
+    When S_m = sum_j c_j x_j**m over at most len(S)/2 nonzero terms, C is
+    the error locator prod_j (1 - x_j x).
+    """
+    c, b = [1], [1]
+    length, shift, scale = 0, 1, 1  # scale: inverse of the discrepancy when b was kept
+    for m, s in enumerate(syndromes):
+        # The discrepancy sum_i c[i] * S[m-i]; c has degree at most length <= m.
+        d = sum(map(mul, c, syndromes[m::-1])) % q
+        if not d:
+            shift += 1
+            continue
+        coef = d * scale % q
+        prev, c = c, c + [0] * (shift + len(b) - len(c))
+        for i, bi in enumerate(b, shift):
+            c[i] = (c[i] - coef * bi) % q
+        if 2 * length <= m:
+            length, b, scale, shift = m + 1 - length, prev, pow(d, -1, q), 1
+        else:
+            shift += 1
+        del c[length + 1 :]  # only zeros: c keeps degree at most length
+    return c
+
+
+def _pattern_share(points: Sequence[int], syndromes: Sequence[int], q: int) -> int | None:
+    """sum_j c_j x_j**len(S) for the values c_j on the points with S_m = sum_j c_j x_j**m.
+
+    Such values exist, the points being distinct, exactly when the locator
+    prod_j (1 - x_j x) generates the syndromes: sum_i locator[i] * S[m-i] = 0
+    for L <= m < len(S). Its recurrence then gives the next term, the
+    pattern's share of the gradient row. None if some window fails.
+    """
+    rev = [1]  # prod_j (x - x_j) lowest first, the locator's coefficients reversed
+    for x in points:
+        rev = [(lo - x * hi) % q for lo, hi in zip([0] + rev, rev + [0])]
+    size = len(points)
+    for m in range(size, len(syndromes)):
+        if sum(map(mul, rev, syndromes[m - size : m + 1])) % q:
+            return None
+    return -sum(map(mul, rev, syndromes[len(syndromes) - size :])) % q
+
+
+def _located_pattern(
+    avail: Sequence[int], xs: Sequence[int], syndromes: Sequence[int], q: int
+) -> tuple[dict[int, int], int] | None:
+    """Error workers with their points, and the pattern's share, by Berlekamp-Massey.
+
+    The locator's degree L must be at most len(S)/2, with L roots among the
+    available points, and every error value nonzero: by Forney's formula
+    value j is x_j^(L-1) O(1/x_j) / prod_{i != j} (x_j - x_i), with the
+    evaluator O = S * locator mod x^L. None otherwise.
+    """
+    locator = _berlekamp_massey(syndromes, q)
+    size = len(locator) - 1
+    if 2 * size > len(syndromes):
+        return None
+    values = [1] * len(xs)
+    for coef in locator[1:]:  # x^L * locator(1/x), zero at the error points
+        values = [(v * x + coef) % q for v, x in zip(values, xs)]
+    roots = {j: x for j, x, v in zip(avail, xs, values) if not v}
+    if len(roots) != size:
+        return None
+    omega = [sum(map(mul, locator[: m + 1], syndromes[m::-1])) % q for m in range(size)]
+    for x in roots.values():
         acc = 0
-        for i in range(len(g0) - 1, 0, -1):
-            acc = (g0[i] + acc * xj) % q
-            quo[i - 1] = acc
-        basis.append([c * w % q for c in quo])
-    return tuple(g0), tuple(zip(*basis))
-
-
-def _gao_message(q: int, g0: Sequence[int], g1: list[int], k: int) -> list[int] | None:
-    """The message polynomial nearest to the word that g1 interpolates.
-
-    Gao's decoder: run the extended Euclidean algorithm on (g0, g1), where
-    g0 vanishes on all n points, until the remainder g has degree below
-    (n+k)/2 with cofactor v of g1. Then f = g / v is the message polynomial
-    when at most (n-k)/2 positions are in error. Returns None when the
-    division leaves a remainder, i.e. the word is beyond the unique radius;
-    the caller still checks deg f < k.
-    """
-    n = len(g0) - 1
-    r0, r1 = g0, g1
-    v0: list[int] = []
-    v1 = [1]
-    while 2 * (len(r1) - 1) >= n + k:
-        quo, rem = _poly_divmod(r0, r1, q)
-        r0, r1 = r1, rem
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(quo, v1, q), q)
-    f, rem = _poly_divmod(r1, v1, q)
-    return None if rem else f
+        for coef in omega:  # x^(L-1) * O(1/x)
+            acc = (acc * x + coef) % q
+        if not acc:
+            return None
+    share = _pattern_share(list(roots.values()), syndromes, q)
+    return None if share is None else (roots, share)
 
 
 def ecc_decode(ctx: CodeContext, z: Matrix, identified: Iterable[int]) -> list[int]:
     """Recover the full gradient from the d x n all-one responses z.
 
-    Identified workers are erased. Among the n' available ones, k = r+1
-    symbols fix a codeword, so at most tau = min(u-1, (n'-k)//2) errors are
-    corrected: u-1 is the protocol's residual budget and (n'-k)//2 the
-    unique-decoding radius of the punctured code. Each coordinate is
-    interpolated over the available points with one shared Lagrange basis;
-    when tau > 0, Gao's algorithm turns the interpolant into the message
-    polynomial f. A coordinate whose f is missing or has degree k or more is
-    a decoding failure. f is then re-encoded at every available point: the
-    points where it departs from the received symbol are that coordinate's
-    errors. The error positions are pooled across coordinates, since a
-    corrupted worker may leave some coordinates intact, and more than tau of
-    them is a decoding failure. The gradient is each f's coefficient of x^r.
+    Identified workers are erased. Among the N available ones, k = r+1
+    symbols fix a codeword, so at most tau = min(u-1, (N-k)//2) errors are
+    corrected: u-1 is the protocol's residual budget and (N-k)//2 the
+    unique-decoding radius of the punctured code. Each coordinate is dotted
+    with one cached table: N-k parity checks, all zero exactly on a codeword,
+    and a row giving its coefficient of x^r, the gradient. A nonzero syndrome
+    fails when tau = 0. Else error values are solved for on the workers
+    pooled in error at earlier coordinates, if at most (N-k)/2, or else
+    Berlekamp-Massey locates the errors. The pattern must reproduce every
+    syndrome, so the codeword is the unique one within (N-k)//2, and the
+    gradient is the last row less the pattern's share; with no such pattern
+    the coordinate fails. More than tau pooled workers is a failure too.
     """
     erased = set(identified)
     avail = [j for j in range(ctx.n) if j not in erased]
@@ -363,22 +358,29 @@ def ecc_decode(ctx: CodeContext, z: Matrix, identified: Iterable[int]) -> list[i
         raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
     q = ctx.field.q
     xs = tuple(ctx.eval_points[j] for j in avail)
-    g0, columns = _lagrange_basis(xs, q)
-    errors: set[int] = set()
+    *checks, last = _syndrome_table(xs, q, k)
+    errors: dict[int, int] = {}  # pooled worker -> its evaluation point
     gradient = []
     for t in range(z.rows):
         row = z.row_values(t)
         ys = [row[j] for j in avail]
-        f = _trim([sum(map(mul, ys, col)) % q for col in columns])
-        if tau:
-            f = _gao_message(q, g0, f, k)
-        if f is None or len(f) > k:
-            raise DecodeFailureError(
-                f"coordinate {t + 1} has no codeword within {tau} errors over "
-                f"{len(avail)} available workers"
-            )
-        errors.update(j for j, x, y in zip(avail, xs, ys) if _poly_eval(f, x, q) != y)
-        gradient.append(f[k - 1] if len(f) == k else 0)
+        moment = sum(map(mul, ys, last))
+        syndromes = [sum(map(mul, ys, check)) % q for check in checks]
+        if any(syndromes):
+            share = None
+            if tau and errors and 2 * len(errors) <= len(checks):
+                share = _pattern_share(list(errors.values()), syndromes, q)
+            located = tau and share is None and _located_pattern(avail, xs, syndromes, q)
+            if located:
+                roots, share = located
+                errors.update(roots)
+            if share is None:
+                raise DecodeFailureError(
+                    f"coordinate {t + 1} has no codeword within {tau} errors over "
+                    f"{len(avail)} available workers"
+                )
+            moment -= share
+        gradient.append(moment % q)
     if len(errors) > tau:
         raise DecodeFailureError(f"{len(errors)} workers in error exceed the budget of {tau}")
     return gradient

@@ -52,9 +52,6 @@ class PrimeField:
             raise InvalidParamsError(f"modulus must be prime, got {q}")
         self.q = q
 
-    def element(self, v: int) -> int:
-        return v % self.q
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 

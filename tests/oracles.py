@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, zip_longest
+from operator import mul
 from typing import Iterable, Sequence
 
 from byzgrad.assignment import AssignmentMatrix
@@ -13,7 +15,13 @@ from byzgrad.errors import (
     DimensionError,
     ProtocolInvariantViolation,
 )
-from byzgrad.linalg import Matrix, solve_linear, vandermonde
+from byzgrad.field import PrimeField
+from byzgrad.linalg import (
+    Matrix,
+    solve_linear,
+    vandermonde,
+    vandermonde_inverse_last_column,
+)
 
 
 def generator_matrix(ctx: CodeContext) -> Matrix:
@@ -114,3 +122,142 @@ def exhaustive_ecc_decode(
     raise DecodeFailureError(
         f"no codeword within {budget} errors over {len(avail)} available workers"
     )
+
+
+def _trim(poly: list[int]) -> list[int]:
+    """Drop zero leading coefficients in place; the zero polynomial is []."""
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _poly_divmod(num: list[int], den: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num / den (coefficient lists, lowest first)."""
+    rem = list(num)
+    dd = len(den) - 1
+    if len(rem) <= dd:
+        return [], _trim(rem)
+    inv_lead = pow(den[-1], -1, q)
+    quo = [0] * (len(rem) - dd)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + dd] * inv_lead % q
+        quo[i] = c
+        if c:
+            for m in range(dd):
+                rem[i + m] = (rem[i + m] - c * den[m]) % q
+    return _trim(quo), _trim(rem[:dd])
+
+
+def _poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _trim([v % q for v in out])
+
+
+def _poly_sub(a: list[int], b: list[int], q: int) -> list[int]:
+    return _trim([(x - y) % q for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _poly_eval(poly: list[int], x: int, q: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % q
+    return acc
+
+
+@lru_cache(maxsize=16)
+def _lagrange_basis(
+    xs: tuple[int, ...], q: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """g0 = prod (x - x_j) and the Lagrange basis over xs, by coefficient.
+
+    Basis polynomial j is w_j * g0 / (x - x_j), with the barycentric weight
+    w_j = 1 / prod_{m != j} (x_j - x_m), so it is 1 at x_j and 0 at the rest.
+    The basis comes transposed: entry [i][j] is coefficient i of polynomial
+    j. Both parts are tuples, because the cache hands them to every caller.
+    """
+    g0 = [1]
+    for x in xs:
+        g0 = [(lo - x * hi) % q for lo, hi in zip([0] + g0, g0 + [0])]
+    basis = []
+    for xj, w in zip(xs, vandermonde_inverse_last_column(PrimeField(q), xs)):
+        # Synthetic division of g0 by (x - x_j), highest coefficient first.
+        quo = [0] * (len(g0) - 1)
+        acc = 0
+        for i in range(len(g0) - 1, 0, -1):
+            acc = (g0[i] + acc * xj) % q
+            quo[i - 1] = acc
+        basis.append([c * w % q for c in quo])
+    return tuple(g0), tuple(zip(*basis))
+
+
+def _gao_message(q: int, g0: Sequence[int], g1: list[int], k: int) -> list[int] | None:
+    """The message polynomial nearest to the word that g1 interpolates.
+
+    Gao's decoder: run the extended Euclidean algorithm on (g0, g1), where
+    g0 vanishes on all n points, until the remainder g has degree below
+    (n+k)/2 with cofactor v of g1. Then f = g / v is the message polynomial
+    when at most (n-k)/2 positions are in error. Returns None when the
+    division leaves a remainder, i.e. the word is beyond the unique radius;
+    the caller still checks deg f < k.
+    """
+    n = len(g0) - 1
+    r0, r1 = g0, g1
+    v0: list[int] = []
+    v1 = [1]
+    while 2 * (len(r1) - 1) >= n + k:
+        quo, rem = _poly_divmod(r0, r1, q)
+        r0, r1 = r1, rem
+        v0, v1 = v1, _poly_sub(v0, _poly_mul(quo, v1, q), q)
+    f, rem = _poly_divmod(r1, v1, q)
+    return None if rem else f
+
+
+def gao_ecc_decode(ctx: CodeContext, z: Matrix, identified: Iterable[int]) -> list[int]:
+    """Errors-and-erasures decoding by interpolation, Gao's algorithm and re-encoding.
+
+    The decoder byzgrad.coding.ecc_decode replaced; it must give the same
+    gradient or the same DecodeFailureError message. Identified workers are
+    erased. Among the n' available ones, k = r+1 symbols fix a codeword, so
+    at most tau = min(u-1, (n'-k)//2) errors are corrected. Each coordinate is
+    interpolated over the available points with one shared Lagrange basis;
+    when tau > 0, Gao's algorithm turns the interpolant into the message
+    polynomial f. A coordinate whose f is missing or has degree k or more is
+    a decoding failure. f is then re-encoded at every available point: the
+    points where it departs from the received symbol are that coordinate's
+    errors. The error positions are pooled across coordinates, since a
+    corrupted worker may leave some coordinates intact, and more than tau of
+    them is a decoding failure. The gradient is each f's coefficient of x^r.
+    """
+    erased = set(identified)
+    avail = [j for j in range(ctx.n) if j not in erased]
+    k = ctx.r + 1
+    tau = min(ctx.u - 1, (len(avail) - k) // 2)
+    if tau < 0:
+        raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
+    q = ctx.field.q
+    xs = tuple(ctx.eval_points[j] for j in avail)
+    g0, columns = _lagrange_basis(xs, q)
+    errors: set[int] = set()
+    gradient = []
+    for t in range(z.rows):
+        row = z.row_values(t)
+        ys = [row[j] for j in avail]
+        f = _trim([sum(map(mul, ys, col)) % q for col in columns])
+        if tau:
+            f = _gao_message(q, g0, f, k)
+        if f is None or len(f) > k:
+            raise DecodeFailureError(
+                f"coordinate {t + 1} has no codeword within {tau} errors over "
+                f"{len(avail)} available workers"
+            )
+        errors.update(j for j, x, y in zip(avail, xs, ys) if _poly_eval(f, x, q) != y)
+        gradient.append(f[k - 1] if len(f) == k else 0)
+    if len(errors) > tau:
+        raise DecodeFailureError(f"{len(errors)} workers in error exceed the budget of {tau}")
+    return gradient

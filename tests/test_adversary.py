@@ -49,6 +49,27 @@ def test_honest_strategy_is_transparent():
     assert res.gradient == full_sum(g)
 
 
+def test_rng_is_seeded_on_first_use():
+    ctx = build_code_context(6, 2, 2, 101)
+    a_mat = make_cyclic(6, 6, 4)
+    g = make_gradients(ctx, 6, 3, seed=2)
+    for strategy in (honest(), symmetrization(seed=5)):
+        run_protocol(ctx, a_mat, g, strategy)
+        assert "rng" not in vars(strategy)
+    # A drawing policy draws what an rng seeded at construction would.
+    strategy = random_corruption([2], seed=9)
+    assert "rng" not in vars(strategy)
+    strategy.bind(ctx, a_mat, build_encoding_matrix(ctx, a_mat, [1] * 6))
+    expected = random.Random("9:adversary")
+    errors = [expected.randrange(101) for _ in range(3)]
+    assert any(errors)
+    honest_values = [5, 0, 100]
+    sent = strategy.initial_response(2, honest_values)
+    assert sent == [(h + e) % 101 for h, e in zip(honest_values, errors)]
+    assert strategy.match_response(2, None, 7) == (7 + expected.randrange(1, 101)) % 101
+    assert strategy.rng is vars(strategy)["rng"]
+
+
 def test_empty_controlled_set_behaves_honestly():
     ctx = build_code_context(4, 1, 1, 101)
     a_mat = make_cyclic(4, 4, 2)

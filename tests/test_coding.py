@@ -11,7 +11,7 @@ from byzgrad.assignment import (
     make_random_regular,
 )
 from byzgrad.coding import (
-    _lagrange_basis,
+    _syndrome_table,
     build_code_context,
     build_decoding_matrix,
     build_encoding_matrix,
@@ -265,19 +265,31 @@ def test_cached_combining_vector_cannot_be_poisoned():
     assert combining_vector(ctx, group) is not combining_vector(ctx, group)
 
 
-def test_cached_lagrange_basis_is_immutable():
-    xs, q = (1, 2, 3, 5, 8), 101
-    g0, columns = _lagrange_basis(xs, q)
+def test_cached_syndrome_table_is_immutable():
+    xs, q, k = (1, 2, 3, 5, 8), 101, 2
+    table = _syndrome_table(xs, q, k)
+    assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
     with pytest.raises(TypeError):
-        g0[0] = 1
-    with pytest.raises(TypeError):
-        columns[0][0] = 1
-    assert _lagrange_basis(xs, q) == _lagrange_basis.__wrapped__(xs, q)
-    # Basis polynomial j is 1 at x_j and 0 at every other point.
+        table[0][0] = 1
+    assert table == _syndrome_table.__wrapped__(xs, q, k)
+    assert len(table) == len(xs) - k + 1
+    # Row m is w_j * x_j**m with the barycentric weight w_j.
     for j, xj in enumerate(xs):
-        for m, xm in enumerate(xs):
-            value = sum(col[j] * pow(xm, i, q) for i, col in enumerate(columns)) % q
-            assert value == (1 if m == j else 0)
+        w = 1
+        for xm in xs:
+            if xm != xj:
+                w = w * (xj - xm) % q
+        w = pow(w, -1, q)
+        for m, row in enumerate(table):
+            assert row[j] == w * pow(xj, m, q) % q
+    # On any polynomial of degree below k the first len(xs)-k rows vanish and
+    # the last reads off its coefficient of x^(k-1).
+    rng = random.Random(3)
+    for _ in range(20):
+        f = [rng.randrange(q) for _ in range(k)]
+        word = [sum(c * pow(x, i, q) for i, c in enumerate(f)) % q for x in xs]
+        dots = [sum(a * b for a, b in zip(word, row)) % q for row in table]
+        assert dots == [0] * (len(xs) - k) + [f[k - 1]]
 
 
 # decoding matrix --------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Gao errors-and-erasures decoder against the exhaustive oracle."""
+"""Syndrome errors-and-erasures decoder against the Gao and exhaustive oracles."""
 
 import random
 import time
@@ -18,7 +18,7 @@ from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import SimulationConfig, replay_transcript, run_simulation, write_transcript
 from byzgrad.linalg import Matrix
 
-from oracles import exhaustive_ecc_decode
+from oracles import exhaustive_ecc_decode, gao_ecc_decode
 
 
 def decode_or_failure(decoder, ctx, received, identified):
@@ -53,6 +53,13 @@ def corrupt_instance(rng, ctx, p, d, identified_count, corrupt_count):
     return received, identified, corrupted, truth
 
 
+def decode_or_message(decoder, ctx, received, identified):
+    try:
+        return decoder(ctx, received, identified)
+    except DecodeFailureError as exc:
+        return str(exc)
+
+
 def test_gao_matches_exhaustive_oracle():
     rng = random.Random(20031)
     counts = {"within_with_errors": 0, "diverged": 0, "both_failed": 0}
@@ -69,7 +76,7 @@ def test_gao_matches_exhaustive_oracle():
         received, identified, corrupted, truth = corrupt_instance(
             rng, ctx, p, d, identified_count, corrupt_count
         )
-        new = decode_or_failure(ecc_decode, ctx, received, identified)
+        new = decode_or_failure(gao_ecc_decode, ctx, received, identified)
         old = decode_or_failure(exhaustive_ecc_decode, ctx, received, identified)
         errors = len(corrupted)
         within = errors <= min(u - 1, s - len(identified))
@@ -85,6 +92,77 @@ def test_gao_matches_exhaustive_oracle():
         counts["both_failed"] += new is None and old is None
     # Every regime is exercised, including the over-budget divergence.
     assert all(counts.values()), counts
+
+
+def random_case(rng):
+    """A random code, a corrupted all-one response and the identified workers.
+
+    q is one of 11, 13, 101 and 2^31-1 and n <= 16. Up to s+2 workers are
+    identified or corrupted, so instances run from clean words to beyond the
+    unique radius; a few leave fewer than r+1 workers available.
+    """
+    while True:
+        q = rng.choice((11, 13, 101, DEFAULT_MODULUS))
+        n = rng.randint(2, min(16, q - 1))
+        s = rng.randint(1, min(5, n - 1))
+        u = rng.randint(1, min(s + 1, n - s))
+        ctx = build_code_context(n, s, u, q)
+        identified_count = rng.randint(0, s)
+        if n - identified_count >= ctx.r + 1 or rng.random() < 0.05:
+            break
+    p = rng.randint(-(-n // (s + u)), 8)
+    d = rng.randint(1, 4)
+    corrupt_count = rng.randint(0, s + 2 - identified_count)
+    received, identified, _, _ = corrupt_instance(rng, ctx, p, d, identified_count, corrupt_count)
+    return ctx, received, identified
+
+
+def test_syndrome_decoder_matches_gao_oracle(monkeypatch):
+    # The decoder's steps are wrapped to record which regime each decode took.
+    log = []
+    located = coding._located_pattern
+    share = coding._pattern_share
+
+    def log_located(*args):
+        log.append("located")
+        out = located(*args)
+        log.append("berlekamp_massey" if out is not None else "located_none")
+        return out
+
+    def log_share(*args):
+        out = share(*args)
+        # Outside a Berlekamp-Massey step, the points are the pooled positions.
+        if out is not None and (not log or log[-1] != "located"):
+            log.append("pooled")
+        return out
+
+    monkeypatch.setattr(coding, "_located_pattern", log_located)
+    monkeypatch.setattr(coding, "_pattern_share", log_share)
+    rng = random.Random(80211)
+    regimes = dict.fromkeys(
+        ["clean", "pooled", "berlekamp_massey", "tau0_failure", "coordinate_failure"]
+        + ["budget_failure", "odd_redundancy", "even_redundancy"],
+        0,
+    )
+    for _ in range(2400):
+        ctx, received, identified = random_case(rng)
+        log.clear()
+        new = decode_or_message(ecc_decode, ctx, received, identified)
+        assert new == decode_or_message(gao_ecc_decode, ctx, received, identified)
+        redundancy = ctx.n - len(identified) - ctx.r - 1
+        if redundancy >= 0:
+            regimes["odd_redundancy" if redundancy % 2 else "even_redundancy"] += 1
+        if isinstance(new, list):
+            regimes["clean"] += not log
+            regimes["pooled"] += "pooled" in log
+            regimes["berlekamp_massey"] += "berlekamp_massey" in log
+        elif "exceed the budget" in new:
+            regimes["budget_failure"] += 1
+        elif "within 0 errors" in new:
+            regimes["tau0_failure"] += 1
+        elif new.startswith("coordinate"):
+            regimes["coordinate_failure"] += 1
+    assert all(regimes.values()), regimes
 
 
 def test_over_budget_beyond_tau_fails_where_oracle_misdecodes():
