@@ -138,6 +138,10 @@ def assignment_to_text(a: AssignmentMatrix, rho: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Maps the characters "0" and "1" to the bytes 0 and 1, so a row is one C-level pass.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def assignment_from_text(text: str) -> tuple[AssignmentMatrix, int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -152,5 +156,5 @@ def assignment_from_text(text: str) -> tuple[AssignmentMatrix, int]:
     for ln in lines[1:]:
         if len(ln) != p or set(ln) - {"0", "1"}:
             raise InvalidParamsError(f"bad assignment row: {ln!r}")
-        bits.append(tuple(map(int, ln)))
+        bits.append(tuple(ln.encode().translate(_BITS)))
     return AssignmentMatrix(n, p, tuple(bits)), rho

@@ -9,9 +9,12 @@ closed form is W[i][j] = a_i * prod_{m in Z_i} (x_j - x_m). Row i thus
 depends only on a_i and Z_i, so a regular assignment has few distinct rows,
 and the honest responses G @ W are computed per class of equal rows from
 the sum of that class's gradient columns. Any r+1 workers suffice to
-recover the combination via a closed-form combining vector, cached per code
-and group. So each coordinate of the all-one responses evaluates a
-polynomial of degree at most r whose coefficient of x^r is the gradient.
+recover the combination via a closed-form combining vector: member j's
+entry is w_j times the product of x_j - x_m over the non-members m, with
+the weights w_j = 1 / prod_{m != j} (x_j - x_m) over all n points computed
+once per code, and each vector cached per code and group. So each
+coordinate of the all-one responses evaluates a polynomial of degree at
+most r whose coefficient of x^r is the gradient.
 Once few enough liars remain, the errors-and-erasures decoder erases the
 identified workers and reads every coordinate's syndromes and gradient off
 one cached table of parity checks over the N available points; it corrects
@@ -116,9 +119,10 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence
     leading coefficient a_i at every worker's point; vanishing on the r
     workers Z_i that do not hold sample i pins it to a_i times the monic
     polynomial with those roots. One base row is built per distinct zero
-    pattern and scaled by a_i. Requires each sample to be missing from
-    exactly r workers, which is what a regular assignment with replication
-    s+u guarantees.
+    pattern and scaled by a_i; its entries are products only at the s+u
+    holders, since the product vanishes on Z_i. Requires each sample to be
+    missing from exactly r workers, which is what a regular assignment with
+    replication s+u guarantees.
     """
     q = ctx.field.q
     n, r = ctx.n, ctx.r
@@ -131,22 +135,24 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence
     zeros = [0] * n
     bases: dict[tuple[int, ...], list[int]] = {}
     data: list[int] = []
-    for i in range(p):
-        zero_set = tuple(a_mat.zero_set(i))
-        if len(zero_set) != r:
-            raise AssignmentMismatchError(
-                f"sample {i + 1} is missing from {len(zero_set)} workers, expected r={r}"
-            )
-        base = bases.get(zero_set)
+    # Samples with equal assignment columns share a zero set and a base row.
+    for i, column in enumerate(zip(*a_mat.bits)):
+        base = bases.get(column)
         if base is None:
+            zero_set = [j for j, held in enumerate(column) if not held]
+            if len(zero_set) != r:
+                raise AssignmentMismatchError(
+                    f"sample {i + 1} is missing from {len(zero_set)} workers, expected r={r}"
+                )
             roots = [pts[m] for m in zero_set]
-            base = []
-            for xj in pts:
-                acc = 1
-                for xm in roots:
-                    acc = acc * (xj - xm) % q
-                base.append(acc)
-            bases[zero_set] = base
+            base = list(zeros)
+            for j, xj in enumerate(pts):
+                if column[j]:
+                    acc = 1
+                    for xm in roots:
+                        acc *= xj - xm
+                    base[j] = acc % q
+            bases[column] = base
         ai = a[i] % q
         if ai == 1:
             data.extend(base)
@@ -177,22 +183,38 @@ def combining_vector(ctx: CodeContext, group: Sequence[int]) -> list[int]:
     """Length-n coefficients fusing a size-(r+1) group's responses into G @ a.
 
     Entry j for a group member is 1 / prod over the other members' evaluation
-    point differences; entries outside the group are zero. Each call returns
-    a fresh list built from a per-(code, group) cache.
+    point differences, computed as w_j * prod_{m not in group} (x_j - x_m)
+    from the code's per-point weights w_j = 1 / prod_{m != j} (x_j - x_m);
+    entries outside the group are zero. Each call returns a fresh list built
+    from a per-(code, group) cache.
     """
     return list(_combining_vector(ctx.field.q, ctx.eval_points, ctx.r, tuple(group)))
+
+
+@lru_cache(maxsize=16)
+def _point_weights(q: int, eval_points: tuple[int, ...]) -> tuple[int, ...]:
+    """w_j = 1 / prod_{m != j} (x_j - x_m) over all of the code's points."""
+    return tuple(vandermonde_inverse_last_column(PrimeField(q), eval_points))
 
 
 @lru_cache(maxsize=256)
 def _combining_vector(
     q: int, eval_points: tuple[int, ...], r: int, members: tuple[int, ...]
 ) -> tuple[int, ...]:
+    n = len(eval_points)
     if len(members) != r + 1 or len(set(members)) != len(members):
         raise InvalidParamsError(f"group must contain r+1 = {r + 1} distinct workers")
-    coeffs = vandermonde_inverse_last_column(PrimeField(q), [eval_points[j] for j in members])
-    b = [0] * len(eval_points)
-    for j, c in zip(members, coeffs):
-        b[j] = c
+    if not all(0 <= j < n for j in members):
+        raise InvalidParamsError(f"group members must be workers 0..{n - 1}")
+    weights = _point_weights(q, eval_points)
+    inside = set(members)
+    others = [x for m, x in enumerate(eval_points) if m not in inside]
+    b = [0] * n
+    for j in members:
+        xj, acc = eval_points[j], weights[j]
+        for xm in others:
+            acc *= xj - xm
+        b[j] = acc % q
     return tuple(b)
 
 

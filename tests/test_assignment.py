@@ -141,3 +141,5 @@ def test_text_rejects_malformed():
         assignment_from_text("2 2 1\n10\n")
     with pytest.raises(InvalidParamsError):
         assignment_from_text("2 2 1\n1x\n01\n")
+    with pytest.raises(InvalidParamsError):
+        assignment_from_text("2 2 1\n1\u0661\n01\n")  # a non-ASCII digit one

@@ -28,7 +28,7 @@ from byzgrad.errors import (
     InvalidParamsError,
 )
 from byzgrad.field import DEFAULT_MODULUS
-from byzgrad.linalg import Matrix, determinant, solve_linear
+from byzgrad.linalg import Matrix, determinant, solve_linear, vandermonde_inverse_last_column
 
 from oracles import generator_matrix, solve_encoding_matrix
 
@@ -133,6 +133,14 @@ def test_encoding_rejects_wrong_replication():
     bad = AssignmentMatrix(3, 2, ((1, 1), (1, 1), (1, 1)))  # rho=3, so r would be 0
     with pytest.raises(AssignmentMismatchError):
         build_encoding_matrix(ctx, bad, [1, 1])
+    # Samples 1, 2 and 4 share a good column; sample 3's is the first bad one.
+    ctx = build_code_context(5, 2, 1, 101)
+    columns = [(1, 1, 1, 0, 0), (1, 1, 1, 0, 0), (0, 1, 1, 1, 1), (1, 1, 1, 0, 0), (1, 0, 0, 0, 0)]
+    mixed = AssignmentMatrix(5, 5, tuple(zip(*columns)))
+    message = "^sample 3 is missing from 1 workers, expected r=2$"
+    for build in (build_encoding_matrix, solve_encoding_matrix):
+        with pytest.raises(AssignmentMismatchError, match=message):
+            build(ctx, mixed, [1] * 5)
 
 
 def test_encoding_rejects_shape_mismatches():
@@ -246,6 +254,48 @@ def test_combining_vector_matches_solver_all_groups():
             for idx, j in enumerate(group):
                 by_solve[j] = out.solution.at(idx, 0)
             assert closed == by_solve
+
+
+def test_closed_form_combining_vector_matches_group_inverse():
+    """Per-code weights times the non-members' differences equal the group's own inverse.
+
+    The oracle inverts the Vandermonde over the members' points alone and
+    places its last column at the member indices.
+    """
+    rng = random.Random(909)
+    seen = {"singleton": 0, "everyone": 0, "custom": 0}
+    for q in (7, 11, 101, DEFAULT_MODULUS):
+        for _ in range(60):
+            n = rng.randrange(1, min(q - 1, 12) + 1)
+            r = rng.randrange(n)
+            u = rng.randrange(1, (n - r + 1) // 2 + 1)  # u <= s+1 with s+u = n-r
+            points = None
+            if rng.random() < 0.5:
+                # Permuted distinct nonzero points, many of them near or above q.
+                points = [x + q * rng.randrange(3) for x in rng.sample(range(1, q), n)]
+                seen["custom"] += 1
+            ctx = build_code_context(n, n - r - u, u, q, points)
+            seen["singleton"] += r == 0
+            seen["everyone"] += r + 1 == n
+            for _ in range(3):
+                group = rng.sample(range(n), r + 1)  # members in any order
+                expected = [0] * n
+                xs = [ctx.eval_points[j] for j in group]
+                for j, c in zip(group, vandermonde_inverse_last_column(ctx.field, xs)):
+                    expected[j] = c
+                assert combining_vector(ctx, group) == expected
+            if r + 1 < n:
+                with pytest.raises(InvalidParamsError):
+                    combining_vector(ctx, rng.sample(range(n), r + 2))
+            if r:
+                with pytest.raises(InvalidParamsError):
+                    combining_vector(ctx, rng.sample(range(n), r))
+                members = rng.sample(range(n), r)
+                with pytest.raises(InvalidParamsError):
+                    combining_vector(ctx, members + [members[0]])
+            with pytest.raises(InvalidParamsError):
+                combining_vector(ctx, rng.sample(range(n), r) + [n])
+    assert min(seen.values()) >= 10, seen
 
 
 def test_combining_vector_size_check():
