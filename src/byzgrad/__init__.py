@@ -59,7 +59,6 @@ from .protocol import (
     Agreement,
     Conflict,
     GroupingPlan,
-    MatchTree,
     ProtocolResult,
     ProtocolRun,
     Query,

@@ -9,14 +9,14 @@ replay bit-identically.
 from __future__ import annotations
 
 import random
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .assignment import AssignmentMatrix
 from .coding import CodeContext, DecodingMatrix, EncodingMatrix, build_decoding_matrix
 from .errors import InvalidParamsError, ProtocolInvariantViolation
 from .linalg import Matrix, solve_linear
-from .protocol import MatchTree, Query, form_groups
+from .protocol import Query, form_groups, leaf_depths
 
 
 class AdversaryStrategy:
@@ -126,14 +126,7 @@ class TournamentLiar(AdversaryStrategy):
 
     name = "tournament-liar"
 
-    def __init__(
-        self,
-        controlled: Iterable[int],
-        lie_plan: str = "consistent",
-        seed: int = 0,
-        offsets: Optional[dict[int, Sequence[int]]] = None,
-        targets: Optional[dict[int, int]] = None,
-    ):
+    def __init__(self, controlled: Iterable[int], lie_plan: str = "consistent", seed: int = 0):
         super().__init__(controlled, seed)
         self.lie_plan = lie_plan
         self.level_actions: list[str] = []
@@ -142,17 +135,15 @@ class TournamentLiar(AdversaryStrategy):
             if any(tok not in ("lie", "honest") for tok in actions):
                 raise InvalidParamsError(f"bad lie plan {lie_plan!r}")
             self.level_actions = actions
-        self._offsets = dict(offsets) if offsets else {}
-        self._targets = dict(targets) if targets else {}
+        self._offsets: dict[int, list[int]] = {}
+        self._targets: dict[int, int] = {}
 
     def bind(self, ctx, a_mat, enc):
         super().bind(ctx, a_mat, enc)
         if self.lie_plan == "consistent":
-            depth = _leaf_depths(a_mat.p)
+            depth = leaf_depths(a_mat.p)
             for j in sorted(self.controlled):
-                if j not in self._targets:
-                    samples = a_mat.samples_of(j)
-                    self._targets[j] = max(samples, key=depth.__getitem__)
+                self._targets[j] = max(a_mat.samples_of(j), key=depth.__getitem__)
         # Offsets are drawn lazily once the gradient dimension is known.
 
     def _offset(self, j: int, d: int) -> list[int]:
@@ -191,16 +182,10 @@ class TournamentLiar(AdversaryStrategy):
         return honest
 
 
-@lru_cache(maxsize=64)
-def _leaf_depths(p: int) -> tuple[int, ...]:
-    """Every leaf's depth in the match tree over p samples, as a shared tuple."""
-    return tuple(MatchTree(p).leaf_depths())
-
-
 def tournament_liar(
-    controlled: Iterable[int], lie_plan: str = "consistent", seed: int = 0, **kw
+    controlled: Iterable[int], lie_plan: str = "consistent", seed: int = 0
 ) -> TournamentLiar:
-    return TournamentLiar(controlled, lie_plan, seed, **kw)
+    return TournamentLiar(controlled, lie_plan, seed)
 
 
 def symmetrization_attack(

@@ -243,7 +243,6 @@ def check_fewer_groups_attackable(
             order = list(range(n))
             rng.shuffle(order)
             shuffled = form_groups(range(n), ctx.r, s, order).groups[:s]
-            sdec = build_decoding_matrix(ctx, shuffled)
             sresp = [
                 group_response(corrupted, combining_vector(ctx, g)) for g in shuffled
             ]
@@ -295,4 +294,5 @@ CHECKS = {
     "lemma3": check_grouping_agreement_sound,
     "theorem-optimality": check_fewer_groups_attackable,
     "ecc": check_errors_and_erasures,
+    "restriction": check_restriction_equivalence,
 }

@@ -3,7 +3,8 @@
 simulate runs one protocol instance, writes a JSONL transcript plus a
 one-row metrics CSV, and exits 0 only if the gradient was exact and all
 bounds held. sweep runs a parameter grid and aggregates a CSV. verify runs
-the exhaustive checks. replay re-executes a recorded transcript.
+the exhaustive checks. replay re-executes a recorded transcript. Bad input
+or an output path that cannot be written exits 2 with `error: ...`.
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ import json
 import os
 import sys
 
-from .assignment import assignment_to_text
 from .checks import CHECKS
 from .errors import InvalidParamsError, TranscriptReplayError
 from .field import DEFAULT_MODULUS
 from .harness import (
     METRICS_HEADER,
     SimulationConfig,
-    build_assignment,
     grid_configs,
     replay_transcript,
     run_simulation,
@@ -98,28 +97,27 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        config = _build_config(args)
-        config.validate()
-        out = run_simulation(config)
-    except InvalidParamsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    config = _build_config(args)
+    config.validate()
+    out = run_simulation(config)
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
     stem = (
         f"run_n{config.n}_s{config.s}_u{config.u}_p{config.p}_d{config.d}"
         f"_{config.assignment}_{config.adversary}_seed{config.seed}"
     )
     transcript_path = args.transcript or os.path.join(outdir, stem + ".jsonl")
     metrics_path = args.metrics or os.path.join(outdir, stem + ".csv")
-    write_transcript(out.result, transcript_path)
-    with open(metrics_path, "w", encoding="ascii") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        fh.write(out.metrics.csv_row() + "\n")
-    if args.save_assignment:
-        with open(args.save_assignment, "w", encoding="ascii") as fh:
-            fh.write(assignment_to_text(build_assignment(config), config.rho))
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        write_transcript(out.result, transcript_path)
+        with open(metrics_path, "w", encoding="ascii") as fh:
+            fh.write(METRICS_HEADER + "\n")
+            fh.write(out.metrics.csv_row() + "\n")
+        if args.save_assignment:
+            with open(args.save_assignment, "w", encoding="ascii") as fh:
+                fh.write(out.result.transcript.events[0]["assignment"])
+    except OSError as e:
+        raise InvalidParamsError(f"cannot write output: {e}") from e
     print(METRICS_HEADER)
     print(out.metrics.csv_row())
     print(f"transcript: {transcript_path}")
@@ -132,35 +130,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        us: object = "auto"
-        if args.u and args.u != "auto":
-            us = _parse_int_list(args.u)
-        items = list(
-            grid_configs(
-                ns=_parse_int_list(args.n),
-                ss=_parse_int_list(args.s),
-                us=us,
-                ps=_parse_int_list(args.p),
-                ds=_parse_int_list(args.d),
-                assignments=[a.strip() for a in args.assignments.split(",")],
-                adversaries=[a.strip() for a in args.adversaries.split(",")],
-                seeds=args.seeds,
-                q=args.q,
-                grouping=args.grouping or "lowest",
-            )
+    us: object = "auto"
+    if args.u and args.u != "auto":
+        us = _parse_int_list(args.u)
+    items = list(
+        grid_configs(
+            ns=_parse_int_list(args.n),
+            ss=_parse_int_list(args.s),
+            us=us,
+            ps=_parse_int_list(args.p),
+            ds=_parse_int_list(args.d),
+            assignments=[a.strip() for a in args.assignments.split(",")],
+            adversaries=[a.strip() for a in args.adversaries.split(",")],
+            seeds=args.seeds,
+            q=args.q,
+            grouping=args.grouping or "lowest",
         )
-        report = run_sweep(items, jobs=args.jobs)
-    except InvalidParamsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    )
+    report = run_sweep(items, jobs=args.jobs)
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "sweep.csv")
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for m in report.rows:
-            fh.write(m.csv_row() + "\n")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        with open(csv_path, "w", encoding="ascii") as fh:
+            fh.write(METRICS_HEADER + "\n")
+            for m in report.rows:
+                fh.write(m.csv_row() + "\n")
+    except OSError as e:
+        raise InvalidParamsError(f"cannot write output: {e}") from e
     for sk in report.skipped:
         print(f"skipped {sk.params}: {sk.reason}")
     print(report.summary())
@@ -240,7 +237,11 @@ def main(argv: list[str] | None = None) -> int:
     sp.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidParamsError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

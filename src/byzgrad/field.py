@@ -1,7 +1,8 @@
-"""Exact arithmetic in a prime field F_q.
+"""The prime modulus of the field F_q.
 
 Elements are plain Python ints in [0, q); the field object carries the shared
-modulus. All operations are exact modular arithmetic, never floating point.
+modulus, checked prime. All arithmetic is exact modular integer arithmetic,
+done inline by its callers, never floating point.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field F_q for prime q, operating on int residues."""
+    """The field F_q for prime q; its elements are int residues modulo q."""
 
     __slots__ = ("q",)
 
@@ -51,33 +52,6 @@ class PrimeField:
         if not is_prime(q):
             raise InvalidParamsError(f"modulus must be prime, got {q}")
         self.q = q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; pow(a, -1, q) agrees with Fermat's a^(q-2)."""
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, -1, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.q
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a % self.q, e, self.q)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and self.q == other.q

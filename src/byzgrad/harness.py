@@ -349,7 +349,6 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         a_mat,
         gradients,
         strategy,
-        grouping=config.grouping,
         grouping_rng=grouping_rng,
         meta=meta,
         enc=enc,
@@ -631,7 +630,6 @@ def replay_transcript(path: str) -> list[int]:
         raise TranscriptReplayError(
             "start needs integers n, s, u, p, d, q and eval_points, and the assignment text"
         )
-    grouping = hdr.get("grouping")
     try:
         ctx = build_code_context(hdr["n"], hdr["s"], hdr["u"], hdr["q"], hdr["eval_points"])
         a_mat, rho = assignment_from_text(hdr["assignment"])
@@ -639,8 +637,7 @@ def replay_transcript(path: str) -> list[int]:
             raise TranscriptReplayError("assignment replication disagrees with header")
         result = ProtocolRun(
             ctx, a_mat, RecordedResponder(events, hdr["d"]),
-            grouping=grouping,
-            grouping_rng=RecordedGroupOrder(events) if grouping == "shuffled" else None,
+            grouping_rng=RecordedGroupOrder(events) if hdr.get("grouping") == "shuffled" else None,
             meta={k: v for k, v in hdr.items() if k not in _ENGINE_START_FIELDS},
             enc=build_encoding_matrix(ctx, a_mat, [1] * a_mat.p),
         ).run()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
@@ -44,83 +45,29 @@ from .coding import worker_response  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
-# Match tree
+# Match intervals
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Contiguous 0-based sample interval [lo, hi)."""
-
-    lo: int
-    hi: int
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.size == 1
-
-    @property
-    def mid(self) -> int:
-        # First child takes the larger half when the interval is odd.
-        return self.lo + (self.size + 1) // 2
-
-    @property
-    def left(self) -> "TreeNode":
-        return TreeNode(self.lo, self.mid)
-
-    @property
-    def right(self) -> "TreeNode":
-        return TreeNode(self.mid, self.hi)
+def split(lo: int, hi: int) -> int:
+    """Where the sample interval [lo, hi) halves; the first half is the larger."""
+    return lo + (hi - lo + 1) // 2
 
 
-class MatchTree:
-    """Full binary tree over sample indices; leaves are single samples."""
-
-    def __init__(self, p: int):
-        if p < 1:
-            raise ValueError("need at least one sample")
-        self.p = p
-        self.root = TreeNode(0, p)
-
-    @property
-    def height(self) -> int:
-        return (self.p - 1).bit_length()
-
-    def leaves(self) -> list[int]:
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node.lo)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
-
-    def leaf_depths(self) -> list[int]:
-        """Depth of every leaf, indexed by sample, from one traversal."""
-        depths = [0] * self.p
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if node.is_leaf:
-                depths[node.lo] = depth
-            else:
-                stack.append((node.left, depth + 1))
-                stack.append((node.right, depth + 1))
-        return depths
-
-    def leaf_depth(self, i: int) -> int:
-        node = self.root
-        depth = 0
-        while not node.is_leaf:
-            node = node.left if i < node.mid else node.right
-            depth += 1
-        return depth
+@lru_cache(maxsize=64)
+def leaf_depths(p: int) -> tuple[int, ...]:
+    """How many halvings isolate each of p samples, as a shared tuple."""
+    if p < 1:
+        raise ValueError("need at least one sample")
+    depths = [0] * p
+    stack = [(0, p, 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        if hi - lo == 1:
+            depths[lo] = depth
+        else:
+            mid = split(lo, hi)
+            stack += ((lo, mid, depth + 1), (mid, hi, depth + 1))
+    return tuple(depths)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +256,8 @@ class ProtocolRun:
 
     A responder has bind(ctx, a_mat, enc), initial(query), match(query,
     workers), truth(i) and the gradient dimension d: SimulatedResponder, or
-    the answers a transcript recorded when it is replayed.
+    the answers a transcript recorded when it is replayed. Groups come from
+    the lowest-index active workers, or from grouping_rng's shuffle when given.
     """
 
     def __init__(
@@ -318,30 +266,26 @@ class ProtocolRun:
         a_mat: AssignmentMatrix,
         responder,
         *,
-        grouping: str = "lowest",
         grouping_rng: Optional[random.Random] = None,
         meta: Optional[dict] = None,
         enc: Optional[EncodingMatrix] = None,
     ):
         if a_mat.n != ctx.n:
             raise InfeasibleStateError("code and assignment disagree on shape")
-        if grouping not in ("lowest", "shuffled"):
-            raise ValueError(f"unknown grouping mode {grouping!r}")
-        if grouping == "shuffled" and grouping_rng is None:
-            raise ValueError("shuffled grouping needs an rng")
+        if a_mat.p < 1:
+            raise ValueError("need at least one sample")
         self.ctx = ctx
         self.a_mat = a_mat
         self.responder = responder
-        self.grouping = grouping
         self.grouping_rng = grouping_rng
-        self.tree = MatchTree(a_mat.p)
         self.enc = enc if enc is not None else build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
         self.transcript = Transcript()
         self.active = list(range(ctx.n))
         self.eliminated: list[int] = []
         self.transcript.add(
             "start", n=ctx.n, s=ctx.s, u=ctx.u, r=ctx.r, p=a_mat.p, d=responder.d,
-            q=ctx.field.q, eval_points=list(ctx.eval_points), grouping=grouping, **(meta or {}),
+            q=ctx.field.q, eval_points=list(ctx.eval_points),
+            grouping="lowest" if grouping_rng is None else "shuffled", **(meta or {}),
         )
 
     # -- queries ------------------------------------------------------------
@@ -358,16 +302,16 @@ class ProtocolRun:
         return values
 
     def _query_match(
-        self, t: int, level: int, node: TreeNode, coord: int, workers: Sequence[int]
+        self, t: int, level: int, lo: int, hi: int, coord: int, workers: Sequence[int]
     ) -> dict[int, int]:
         """One tournament query: each competing worker sends one field symbol."""
-        out = self.responder.match(Query("match", t, level, (node.lo, node.hi), coord), workers)
+        out = self.responder.match(Query("match", t, level, (lo, hi), coord), workers)
         self.transcript.comm_overhead += len(workers)
         self.transcript.downlink_bits += 1
         ids = [j + 1 for j in workers]
         self.transcript.add(
             "query", t=t, kind="match", level=level,
-            mask=[node.lo + 1, node.hi], coordinate=coord + 1, workers=ids,
+            mask=[lo + 1, hi], coordinate=coord + 1, workers=ids,
         )
         self.transcript.add(
             "response_set", t=t, kind="match", level=level,
@@ -387,8 +331,8 @@ class ProtocolRun:
     ) -> tuple[int, ...]:
         """Binary-search the dispute between two groups down to one sample.
 
-        Every level queries the left child interval of the current node; the
-        unqueried child's per-worker commitment follows by subtracting from
+        Every level halves the current interval [lo, hi) and queries its first
+        half; the unqueried half's per-worker commitment follows by subtracting from
         the parent commitment. At the leaf each worker's committed symbol is
         checked against truth times its known coefficient, which is a proof
         of deviation whenever it fails. Returns the workers proven to lie.
@@ -401,19 +345,19 @@ class ProtocolRun:
         union = sorted(set(g1) | set(g2))
         b1 = combining_vector(ctx, g1)
         b2 = combining_vector(ctx, g2)
-        # Per-worker commitments for the current node, seeded by the initial
+        # Per-worker commitments for the current interval, seeded by the initial
         # responses at the disputed coordinate.
         commit = {j: initial.at(coord, j) for j in union}
         label1 = group_claims[conflict.first][coord]
         label2 = group_claims[conflict.second][coord]
         if label1 == label2:
             raise ProtocolInvariantViolation("match started without a dispute")
-        node = self.tree.root
+        lo, hi = 0, self.a_mat.p
         levels = 0
-        while not node.is_leaf:
+        while hi - lo > 1:
             levels += 1
-            left = node.left
-            resp = self._query_match(t, levels, left, coord, union)
+            mid = split(lo, hi)
+            resp = self._query_match(t, levels, lo, mid, coord, union)
             lc1 = sum(resp[j] * b1[j] for j in g1) % q
             lc2 = sum(resp[j] * b2[j] for j in g2) % q
             rc1 = (label1 - lc1) % q
@@ -423,7 +367,7 @@ class ProtocolRun:
                 for j in union:
                     commit[j] = resp[j]
                 label1, label2 = lc1, lc2
-                nxt = left
+                nxt = lo, mid
             else:
                 if rc1 == rc2:
                     raise ProtocolInvariantViolation(
@@ -433,16 +377,16 @@ class ProtocolRun:
                 for j in union:
                     commit[j] = (commit[j] - resp[j]) % q
                 label1, label2 = rc1, rc2
-                nxt = node.right
+                nxt = mid, hi
             self.transcript.add(
                 "match_level", t=t, level=levels,
-                node=[node.lo + 1, node.hi],
-                queried=[left.lo + 1, left.hi],
+                node=[lo + 1, hi],
+                queried=[lo + 1, mid],
                 left_claims=[lc1, lc2], right_claims=[rc1, rc2],
                 descend=descend,
             )
-            node = nxt
-        leaf = node.lo
+            lo, hi = nxt
+        leaf = lo
         truth_vec = local_compute(self.responder, leaf)
         self.transcript.local_computations += 1
         self.transcript.add("local_compute", t=t, sample=leaf + 1, value=truth_vec)
@@ -494,7 +438,7 @@ class ProtocolRun:
                 )
                 return self._finish("ecc", gradient)
             order = None
-            if self.grouping == "shuffled":
+            if self.grouping_rng is not None:
                 order = list(self.active)
                 self.grouping_rng.shuffle(order)
             plan = form_groups(self.active, ctx.r, s_t, order)
@@ -541,7 +485,6 @@ def run_protocol(
     gradients: Matrix,
     adversary,
     *,
-    grouping: str = "lowest",
     grouping_rng: Optional[random.Random] = None,
     meta: Optional[dict] = None,
     enc: Optional[EncodingMatrix] = None,
@@ -549,6 +492,6 @@ def run_protocol(
     """Run one full protocol instance and return gradient plus transcript."""
     run = ProtocolRun(
         ctx, a_mat, SimulatedResponder(gradients, adversary),
-        grouping=grouping, grouping_rng=grouping_rng, meta=meta, enc=enc,
+        grouping_rng=grouping_rng, meta=meta, enc=enc,
     )
     return run.run()

@@ -261,3 +261,17 @@ def gao_ecc_decode(ctx: CodeContext, z: Matrix, identified: Iterable[int]) -> li
     if len(errors) > tau:
         raise DecodeFailureError(f"{len(errors)} workers in error exceed the budget of {tau}")
     return gradient
+
+
+def leaf_depth_walk(p: int, i: int) -> int:
+    """Depth of sample i in the match tree over p samples, by one walk from the root.
+
+    Each node [lo, hi) splits at lo + ceil((hi - lo) / 2), so the first child
+    takes the larger half.
+    """
+    lo, hi, depth = 0, p, 0
+    while hi - lo > 1:
+        mid = lo + (hi - lo + 1) // 2
+        lo, hi = (lo, mid) if i < mid else (mid, hi)
+        depth += 1
+    return depth

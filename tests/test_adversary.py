@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 
 from byzgrad.adversary import (
-    _leaf_depths,
     honest,
     pick_attack_support,
     random_corruption,
@@ -22,7 +21,9 @@ from byzgrad.coding import (
 )
 from byzgrad.errors import InvalidParamsError
 from byzgrad.linalg import Matrix
-from byzgrad.protocol import MatchTree, form_groups, group_response, run_protocol
+from byzgrad.protocol import form_groups, group_response, leaf_depths, run_protocol
+
+from oracles import leaf_depth_walk
 
 
 def make_gradients(ctx, p, d, seed):
@@ -244,9 +245,9 @@ def test_symmetrization_hides_from_targeted_groups_round_one():
 
 def test_cached_leaf_depths_are_shared_immutable_tuples():
     for p in (1, 2, 7, 256):
-        depths = _leaf_depths(p)
+        depths = leaf_depths(p)
         assert type(depths) is tuple
-        assert list(depths) == MatchTree(p).leaf_depths()
-        assert _leaf_depths(p) is depths
+        assert depths == tuple(leaf_depth_walk(p, i) for i in range(p))
+        assert leaf_depths(p) is depths
         with pytest.raises(TypeError):
             depths[0] = 99

@@ -14,6 +14,7 @@ def test_registry_exposes_expected_tokens():
         "vandermonde",
         "cauchy",
         "ecc",
+        "restriction",
     }
 
 

@@ -84,11 +84,10 @@ def test_chaos_adversary_never_corrupts_output(tmp_path):
             a_mat = make_random_regular(n, p, rho, seed)
         g = Matrix(ctx.field, d, p, [rng.randrange(q) for _ in range(d * p)])
         controlled = rng.sample(range(n), rng.randrange(1, s + 1))
-        grouping = rng.choice(["lowest", "shuffled"])
+        shuffled = rng.choice(["lowest", "shuffled"]) == "shuffled"
         res = run_protocol(
             ctx, a_mat, g, ChaosStrategy(controlled, seed),
-            grouping=grouping,
-            grouping_rng=random.Random(seed) if grouping == "shuffled" else None,
+            grouping_rng=random.Random(seed) if shuffled else None,
             meta={"assignment": assignment_to_text(a_mat, rho)},
         )
         truth = [sum(g.row_values(t)) % q for t in range(d)]

@@ -516,11 +516,58 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_cli_verify_subcommand(capsys):
-    rc = cli_main(["verify", "lemma3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--out", "{file}"],
+        ["simulate", "--transcript", "{missing}/r.jsonl"],
+        ["simulate", "--save-assignment", "{missing}/a.txt"],
+        ["sweep", "--n", "5", "--s", "2", "--p", "6", "--seeds", "1", "--jobs", "1",
+         "--out", "{file}"],
+    ],
+    ids=["simulate_out_is_file", "transcript_dir_missing", "save_assignment_dir_missing",
+         "sweep_out_is_file"],
+)
+def test_cli_reports_unwritable_output(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # outputs not named in argv go to the working directory
+    instance = ["--n", "5", "--s", "2", "--u", "1", "--p", "6", "--q", "101"]
+    (tmp_path / "file").write_text("")
+    argv = [a.format(file=tmp_path / "file", missing=tmp_path / "missing") for a in argv]
+    if argv[0] == "simulate":
+        argv += [*instance, "--metrics", str(tmp_path / "m.csv")]
+    rc = cli_main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_save_assignment_writes_the_run_assignment(tmp_path, capsys):
+    instance = ["--n", "7", "--s", "2", "--u", "1", "--p", "9", "--d", "2", "--q", "101"]
+    saved, first, second = tmp_path / "a.txt", tmp_path / "1.jsonl", tmp_path / "2.jsonl"
+    rc = cli_main([
+        "simulate", *instance, "--assignment", "random", "--adversary", "random-always",
+        "--seed", "5", "--out", str(tmp_path), "--transcript", str(first),
+        "--save-assignment", str(saved),
+    ])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
+    start = read_events(str(first))[0]
+    assert saved.read_text(encoding="ascii") == start["assignment"]
+    rc = cli_main([
+        "simulate", *instance, "--assignment", "file", "--assignment-path", str(saved),
+        "--adversary", "random-always", "--seed", "5", "--out", str(tmp_path),
+        "--transcript", str(second),
+    ])
+    assert rc == 0
+    events = read_events(str(second))
+    assert events[0]["assignment"] == start["assignment"]
+    assert events[-1]["gradient"] == read_events(str(first))[-1]["gradient"]
+
+
+def test_cli_verify_subcommand(capsys):
+    for which in ("lemma3", "restriction"):
+        rc = cli_main(["verify", which])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[PASS]")
 
 
 def test_cli_seed_env_default(tmp_path, monkeypatch, capsys):

@@ -11,12 +11,15 @@ from byzgrad.linalg import Matrix
 from byzgrad.protocol import (
     Agreement,
     Conflict,
-    MatchTree,
     detect_contradiction,
     form_groups,
     group_response,
+    leaf_depths,
     run_protocol,
+    split,
 )
+
+from oracles import leaf_depth_walk
 
 
 def make_gradients(ctx, p, d, seed):
@@ -34,38 +37,46 @@ def full_sum(g):
 
 def test_tree_leaves_enumerate_samples_once():
     for p in range(1, 33):
-        tree = MatchTree(p)
-        assert tree.leaves() == list(range(p))
+        leaves, stack = [], [(0, p)]
+        while stack:
+            lo, hi = stack.pop()
+            if hi - lo == 1:
+                leaves.append(lo)
+            else:
+                mid = split(lo, hi)
+                assert lo < mid < hi
+                stack += [(mid, hi), (lo, mid)]
+        assert leaves == list(range(p))
 
 
 def test_tree_height_is_ceil_log2():
     import math
 
     for p in range(1, 33):
-        tree = MatchTree(p)
         expected = 0 if p == 1 else math.ceil(math.log2(p))
-        assert tree.height == expected
-        assert max(tree.leaf_depth(i) for i in range(p)) == expected
+        assert max(leaf_depths(p)) == expected == (p - 1).bit_length()
 
 
 def test_tree_children_partition_with_larger_first_half():
-    tree = MatchTree(3)
-    assert (tree.root.left.lo, tree.root.left.hi) == (0, 2)
-    assert (tree.root.right.lo, tree.root.right.hi) == (2, 3)
-    node = tree.root.left
-    assert node.left.size == 1 and node.right.size == 1
+    assert split(0, 3) == 2
+    assert split(0, 2) == 1 and split(2, 3) == 3
+    assert leaf_depths(3) == (2, 2, 1)
+    for lo in range(5):
+        for hi in range(lo + 2, lo + 20):
+            first, second = split(lo, hi) - lo, hi - split(lo, hi)
+            assert first + second == hi - lo and 0 <= first - second <= 1
 
 
 def test_leaf_depths_match_per_leaf_walk():
     for p in range(1, 70):
-        tree = MatchTree(p)
-        assert tree.leaf_depths() == [tree.leaf_depth(i) for i in range(p)]
+        assert leaf_depths(p) == tuple(leaf_depth_walk(p, i) for i in range(p))
+    with pytest.raises(ValueError):
+        leaf_depths(0)
 
 
 def test_leftmost_leaf_is_deepest():
     for p in (3, 5, 6, 7, 9, 12):
-        tree = MatchTree(p)
-        assert tree.leaf_depth(0) == tree.height
+        assert leaf_depths(p)[0] == max(leaf_depths(p)) == (p - 1).bit_length()
 
 
 # grouping ---------------------------------------------------------------------
@@ -241,7 +252,7 @@ def test_consistent_liar_forces_full_depth():
     assert res.eliminated == (0,)
     tr = res.transcript
     levels = [ev for ev in tr.events if ev["event"] == "match_level"]
-    assert len(levels) == MatchTree(8).height == 3
+    assert len(levels) == max(leaf_depths(8)) == 3
     assert tr.comm_overhead == (ctx.r + 2) * 3
 
 
@@ -281,8 +292,7 @@ def test_shuffled_grouping_still_sound():
         g = make_gradients(ctx, 6, 1, seed=seed)
         strat = random_corruption([1, 4], seed=seed, persistence="always")
         res = run_protocol(
-            ctx, a_mat, g, strat,
-            grouping="shuffled", grouping_rng=random.Random(seed),
+            ctx, a_mat, g, strat, grouping_rng=random.Random(seed),
         )
         assert res.gradient == full_sum(g)
         assert set(res.eliminated) <= {1, 4}
