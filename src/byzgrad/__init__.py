@@ -1,7 +1,7 @@
 """Byzantine-resilient gradient coding over prime fields.
 
 Library plus simulation harness: exact finite-field linear algebra, regular
-data assignments, encoding/decoding matrix construction, the interactive
+data assignments, encoding matrix construction, the interactive
 identification protocol, pluggable adversaries, and verification checks.
 """
 
@@ -25,10 +25,8 @@ from .adversary import (
 )
 from .coding import (
     CodeContext,
-    DecodingMatrix,
     EncodingMatrix,
     build_code_context,
-    build_decoding_matrix,
     build_encoding_matrix,
     combining_vector,
     ecc_decode,

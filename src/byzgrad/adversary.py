@@ -13,23 +13,19 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .assignment import AssignmentMatrix
-from .coding import CodeContext, DecodingMatrix, EncodingMatrix, build_decoding_matrix
+from .coding import CodeContext, EncodingMatrix, combining_vector
 from .errors import InvalidParamsError, ProtocolInvariantViolation
 from .linalg import Matrix, solve_linear
 from .protocol import Query, form_groups, leaf_depths
 
 
 class AdversaryStrategy:
-    """Base policy: honest behaviour, bookkeeping for history and rng."""
-
-    name = "honest"
+    """Base policy: honest behaviour, and the code and rng that subclasses use."""
 
     def __init__(self, controlled: Iterable[int] = (), seed: int = 0):
         self.controlled = frozenset(controlled)
         self.seed = seed
-        self.history: list[Query] = []
         self.ctx: Optional[CodeContext] = None
-        self.a_mat: Optional[AssignmentMatrix] = None
         self.enc: Optional[EncodingMatrix] = None
 
     @cached_property
@@ -40,11 +36,7 @@ class AdversaryStrategy:
     def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix, enc: EncodingMatrix) -> None:
         """Called once before the initial responses; the code is public."""
         self.ctx = ctx
-        self.a_mat = a_mat
         self.enc = enc
-
-    def record(self, query: Query) -> None:
-        self.history.append(query)
 
     def initial_response(self, j: int, honest: Sequence[int]) -> list[int]:
         return list(honest)
@@ -77,14 +69,11 @@ class RandomCorruption(AdversaryStrategy):
     worker per query.
     """
 
-    name = "random"
-
     def __init__(self, controlled: Iterable[int], seed: int = 0, persistence: str = "always"):
         if persistence not in ("always", "initial_only", "per_query_coin"):
             raise InvalidParamsError(f"unknown persistence {persistence!r}")
         super().__init__(controlled, seed)
         self.persistence = persistence
-        self.name = f"random-{persistence.replace('_', '-')}"
 
     def initial_response(self, j, honest):
         if self.persistence == "per_query_coin" and self.rng.random() < 0.5:
@@ -123,8 +112,6 @@ class TournamentLiar(AdversaryStrategy):
         levels 1, 2, ...; levels beyond the list are honest. The initial
         response is corrupted.
     """
-
-    name = "tournament-liar"
 
     def __init__(self, controlled: Iterable[int], lie_plan: str = "consistent", seed: int = 0):
         super().__init__(controlled, seed)
@@ -189,51 +176,41 @@ def tournament_liar(
 
 
 def symmetrization_attack(
-    ctx: CodeContext,
-    decoding: DecodingMatrix,
-    controlled: Sequence[int],
-    lam: int = 1,
-) -> Optional[Matrix]:
-    """Error row making every given group decode the same wrong value.
+    ctx: CodeContext, groups: Sequence[Sequence[int]], controlled: Sequence[int]
+) -> Optional[list[int]]:
+    """Error making every given group decode the same wrong value, or None.
 
-    Solves for a 1 x n error supported on the controlled workers such that
-    each group's decoded response shifts by the same nonzero offset lam.
-    Returns None when the system is inconsistent, which is guaranteed for
-    the full root-plus-satellites grouping with one more group than
-    unidentified malicious workers.
+    Solves b_k . e = 1 for every group's combining vector b_k, with the error
+    e supported on the controlled workers, so each group's decoded response
+    shifts by the same nonzero offset; the system is linear in the offset, so
+    1 stands for any. Returns e as a length-n list, or None when the system
+    is inconsistent, which is guaranteed for the full root-plus-satellites
+    grouping with one more group than unidentified malicious workers.
     """
-    field = ctx.field
-    lam %= field.q
-    if lam == 0:
-        raise InvalidParamsError("corruption offset must be nonzero")
-    s_rows = sorted(set(controlled))
-    m = len(decoding.groups)
-    coeffs = decoding.b.take_rows(s_rows).transpose()  # m x |S|
-    rhs = Matrix(field, m, 1, [lam] * m)
-    out = solve_linear(coeffs, rhs)
+    support = sorted(set(controlled))
+    vectors = [combining_vector(ctx, g) for g in groups]
+    coeffs = Matrix(ctx.field, len(vectors), len(support), [b[j] for b in vectors for j in support])
+    out = solve_linear(coeffs, Matrix.column(ctx.field, [1] * len(vectors)))
     if out.kind == "inconsistent":
         return None
     err = [0] * ctx.n
-    for idx, j in enumerate(s_rows):
-        err[j] = out.solution.at(idx, 0)
-    return Matrix.row(field, err)
+    for j, e in zip(support, out.solution.data):
+        err[j] = e
+    return err
 
 
-def pick_attack_support(decoding: DecodingMatrix) -> list[int]:
-    """One controlled worker per group, preferring each group's satellite."""
-    groups = [set(g) for g in decoding.groups]
-    if not groups:
-        return []
-    root = set.intersection(*groups) if len(groups) > 1 else set()
-    support = []
-    for g in decoding.groups:
-        satellites = [j for j in g if j not in root and j not in support]
-        if satellites:
-            support.append(satellites[0])
-        else:
-            rest = [j for j in g if j not in support]
-            if rest:
-                support.append(rest[0])
+def pick_attack_support(groups: Sequence[Sequence[int]]) -> list[int]:
+    """One controlled worker per group, preferring each group's satellite.
+
+    A lone group has an empty root, so its first member is picked.
+    """
+    root = set(groups[0]).intersection(*groups[1:]) if len(groups) > 1 else set()
+    support: list[int] = []
+    for g in groups:
+        rest = [j for j in g if j not in support]
+        pick = [j for j in rest if j not in root] or rest
+        if pick:
+            support.append(pick[0])
     return sorted(support)
 
 
@@ -246,26 +223,21 @@ class SymmetrizationStrategy(AdversaryStrategy):
     from those groups and surfaces as a contradiction against the final one.
     """
 
-    name = "symmetrization"
-
-    def __init__(self, seed: int = 0, lam: int = 1):
+    def __init__(self, seed: int = 0):
         super().__init__((), seed)
-        self.lam = lam
-        self.error_row: Optional[Matrix] = None
+        self.error: Optional[list[int]] = None
 
     def bind(self, ctx, a_mat, enc):
         super().bind(ctx, a_mat, enc)
-        plan = form_groups(range(ctx.n), ctx.r, ctx.s)
-        partial = build_decoding_matrix(ctx, plan.groups[: ctx.s])
-        support = pick_attack_support(partial)
+        groups = form_groups(range(ctx.n), ctx.r, ctx.s).groups
+        support = pick_attack_support(groups[: ctx.s])
         # Within budget (|support| = s) the full grouping must be unattackable.
-        full = build_decoding_matrix(ctx, plan.groups)
-        if symmetrization_attack(ctx, full, support, self.lam) is not None:
+        if symmetrization_attack(ctx, groups, support) is not None:
             raise ProtocolInvariantViolation(
                 "full grouping admits a within-budget symmetrization attack"
             )
-        self.error_row = symmetrization_attack(ctx, partial, support, self.lam)
-        if self.error_row is None:
+        self.error = symmetrization_attack(ctx, groups[: ctx.s], support)
+        if self.error is None:
             raise ProtocolInvariantViolation(
                 "attack against one fewer group should always be feasible"
             )
@@ -273,9 +245,9 @@ class SymmetrizationStrategy(AdversaryStrategy):
 
     def initial_response(self, j, honest):
         q = self.ctx.field.q
-        e = self.error_row.at(0, j)
+        e = self.error[j]
         return [(h + e) % q for h in honest]
 
 
-def symmetrization(seed: int = 0, lam: int = 1) -> SymmetrizationStrategy:
-    return SymmetrizationStrategy(seed, lam)
+def symmetrization(seed: int = 0) -> SymmetrizationStrategy:
+    return SymmetrizationStrategy(seed)

@@ -45,7 +45,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("BYZGRAD_SEED", "0"))
+    text = os.environ.get("BYZGRAD_SEED", "0")
+    try:
+        return int(text)
+    except ValueError as e:
+        raise InvalidParamsError(f"BYZGRAD_SEED must be an integer, got {text!r}") from e
 
 
 def _add_instance_flags(sp: argparse.ArgumentParser) -> None:
@@ -98,7 +102,6 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    config.validate()
     out = run_simulation(config)
     outdir = args.out or "."
     stem = (
@@ -147,17 +150,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             grouping=args.grouping or "lowest",
         )
     )
-    report = run_sweep(items, jobs=args.jobs)
     outdir = args.out or "."
     csv_path = os.path.join(outdir, "sweep.csv")
+    # Open the output before the grid runs, so an unwritable path costs no runs.
     try:
         os.makedirs(outdir, exist_ok=True)
-        with open(csv_path, "w", encoding="ascii") as fh:
-            fh.write(METRICS_HEADER + "\n")
-            for m in report.rows:
-                fh.write(m.csv_row() + "\n")
+        fh = open(csv_path, "w", encoding="ascii")
     except OSError as e:
         raise InvalidParamsError(f"cannot write output: {e}") from e
+    with fh:
+        report = run_sweep(items, jobs=args.jobs)
+        fh.write(METRICS_HEADER + "\n")
+        for m in report.rows:
+            fh.write(m.csv_row() + "\n")
     for sk in report.skipped:
         print(f"skipped {sk.params}: {sk.reason}")
     print(report.summary())

@@ -218,19 +218,6 @@ def _combining_vector(
     return tuple(b)
 
 
-@dataclass(frozen=True)
-class DecodingMatrix:
-    groups: tuple[tuple[int, ...], ...]
-    b: Matrix  # n x m, column k = combining vector of group k
-
-
-def build_decoding_matrix(ctx: CodeContext, groups: Sequence[Sequence[int]]) -> DecodingMatrix:
-    cols = [combining_vector(ctx, g) for g in groups]
-    data = [cols[k][j] for j in range(ctx.n) for k in range(len(cols))]
-    b = Matrix(ctx.field, ctx.n, len(cols), data)
-    return DecodingMatrix(tuple(tuple(g) for g in groups), b)
-
-
 def worker_response(gradients: Matrix, enc: EncodingMatrix, j: int) -> list[int]:
     """Honest response of worker j: G @ W[:, j], a length-d vector."""
     q = gradients.field.q

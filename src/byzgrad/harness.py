@@ -69,7 +69,7 @@ ASSIGNMENT_KINDS = ("cyclic", "fractional", "random", "file")
 
 _CONTROLLED_RULES = ("random", "first", "last")
 
-_INT_FIELDS = ("n", "s", "u", "p", "d", "q", "seed", "corruption_offset")
+_INT_FIELDS = ("n", "s", "u", "p", "d", "q", "seed")
 _STR_FIELDS = (
     "assignment", "adversary", "grouping", "controlled", "lie_plan", "assignment_path",
 )
@@ -93,7 +93,6 @@ class SimulationConfig:
     grouping: str = "lowest"
     controlled: str = "random"  # "random" | "first" | "last" | "1;3" explicit 1-based
     lie_plan: str = "consistent"
-    corruption_offset: int = 1
     assignment_path: Optional[str] = None
 
     @property
@@ -167,9 +166,8 @@ def _make_assignment(kind: str, n: int, p: int, rho: int, seed: int) -> Assignme
 
 
 def build_assignment(config: SimulationConfig) -> AssignmentMatrix:
+    """The assignment read from a file config's assignment_path."""
     rho = config.rho
-    if config.assignment != "file":
-        return _make_assignment(config.assignment, config.n, config.p, rho, config.seed)
     try:
         with open(config.assignment_path, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -215,7 +213,7 @@ def make_adversary(config: SimulationConfig):
     if name == "honest":
         return adv.honest()
     if name == "symmetrization":
-        return adv.symmetrization(config.seed, config.corruption_offset)
+        return adv.symmetrization(config.seed)
     controlled = resolve_controlled(config)
     if name == "random-always":
         return adv.random_corruption(controlled, config.seed, "always")
@@ -569,7 +567,7 @@ class RecordedResponder:
             raise TranscriptReplayError(f"recorded {value!r} is not {length} field elements")
         return value
 
-    def initial(self, query) -> list[list[int]]:
+    def initial(self) -> list[list[int]]:
         cols = next(self._answers, None)
         if type(cols) is not list or len(cols) != self.n:
             raise TranscriptReplayError(f"initial responses must come from {self.n} workers")
@@ -639,7 +637,6 @@ def replay_transcript(path: str) -> list[int]:
             ctx, a_mat, RecordedResponder(events, hdr["d"]),
             grouping_rng=RecordedGroupOrder(events) if hdr.get("grouping") == "shuffled" else None,
             meta={k: v for k, v in hdr.items() if k not in _ENGINE_START_FIELDS},
-            enc=build_encoding_matrix(ctx, a_mat, [1] * a_mat.p),
         ).run()
     except _REPLAY_ERRORS as e:
         raise TranscriptReplayError(f"transcript does not replay: {e}") from e

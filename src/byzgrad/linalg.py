@@ -53,11 +53,6 @@ class Matrix:
         q = field.q
         return cls(field, len(values), 1, [v % q for v in values])
 
-    @classmethod
-    def row(cls, field: PrimeField, values: Sequence[int]) -> "Matrix":
-        q = field.q
-        return cls(field, 1, len(values), [v % q for v in values])
-
     def at(self, i: int, j: int) -> int:
         return self.data[i * self.cols + j]
 
@@ -88,12 +83,6 @@ class Matrix:
             base = i * c
             data.extend(d[base + j] for j in idx)
         return Matrix(self.field, self.rows, len(idx), data)
-
-    def take_rows(self, idx: Sequence[int]) -> "Matrix":
-        data = []
-        for i in idx:
-            data.extend(self.row_values(i))
-        return Matrix(self.field, len(idx), self.cols, data)
 
     def _check_field(self, other: "Matrix") -> None:
         if self.field.q != other.field.q:
@@ -155,14 +144,12 @@ class Matrix:
 class LinearSolveOutcome:
     """Result of Gaussian elimination on an augmented system.
 
-    kind is one of "unique", "underdetermined", "inconsistent". The pivot
-    flag certifies inconsistency: it is true exactly when the echelon form of
-    the augmented matrix has a pivot inside the augmented block.
+    kind is one of "unique", "underdetermined", "inconsistent"; solution is
+    None exactly when the system is inconsistent.
     """
 
     kind: str
     solution: Optional[Matrix]
-    pivot_in_augmented_last_column: bool
 
 
 def solve_linear(coeffs: Matrix, rhs: Matrix) -> LinearSolveOutcome:
@@ -203,12 +190,12 @@ def solve_linear(coeffs: Matrix, rhs: Matrix) -> LinearSolveOutcome:
     # augmented entry there is a pivot in the augmented block.
     inconsistent = any(any(aug[rr][k:width]) for rr in range(rank, m))
     if inconsistent:
-        return LinearSolveOutcome("inconsistent", None, True)
+        return LinearSolveOutcome("inconsistent", None)
     sol = [0] * (k * t)
     for idx, col in enumerate(pivots):
         sol[col * t : (col + 1) * t] = aug[idx][k:width]
     kind = "unique" if rank == k else "underdetermined"
-    return LinearSolveOutcome(kind, Matrix(coeffs.field, k, t, sol), False)
+    return LinearSolveOutcome(kind, Matrix(coeffs.field, k, t, sol))
 
 
 def invert(mat: Matrix) -> Matrix:
@@ -305,11 +292,3 @@ def cauchy_like_det(field: PrimeField, zetas: Sequence[int], deltas: Sequence[in
         row.append(1)
         rows.append(row)
     return determinant(Matrix.from_rows(field, rows))
-
-
-def row_span_contains(mat: Matrix, target_row: Matrix) -> bool:
-    """True iff target_row is a linear combination of mat's rows."""
-    if target_row.rows != 1 or mat.cols != target_row.cols:
-        raise DimensionError("target must be a single row with matching width")
-    out = solve_linear(mat.transpose(), target_row.transpose())
-    return out.kind != "inconsistent"

@@ -168,9 +168,9 @@ class Transcript:
 
 @dataclass(frozen=True)
 class Query:
-    """What the main node asks for; the adversary sees these in causal order."""
+    """A match query of the main node; the adversary sees these in causal order."""
 
-    kind: str  # "initial" or "match"
+    kind: str  # "match"
     round: int
     level: int | None
     mask: tuple[int, int]  # 0-based inclusive-exclusive sample interval
@@ -207,10 +207,9 @@ class SimulatedResponder:
         self.q, self.n, self.enc = ctx.field.q, ctx.n, enc
         self.adversary.bind(ctx, a_mat, enc)
 
-    def initial(self, query: Query) -> list[list[int]]:
+    def initial(self) -> list[list[int]]:
         """Every worker's coded d-vector, as one list per worker."""
         adversary, q = self.adversary, self.q
-        adversary.record(query)
         z = response_matrix(self.gradients, self.enc)
         cols: list[list[int]] = []
         for j in range(self.n):
@@ -224,7 +223,6 @@ class SimulatedResponder:
     def match(self, query: Query, workers: Sequence[int]) -> dict[int, int]:
         """One field symbol per competing worker: its share of the queried interval."""
         adversary, q = self.adversary, self.q
-        adversary.record(query)
         lo, hi = query.mask
         grow = self.gradients.row_values(query.coordinate)[lo:hi]
         n, wdata = self.n, self.enc.w.data
@@ -254,7 +252,7 @@ def local_compute(responder, i: int) -> list[int]:
 class ProtocolRun:
     """The main node's state machine, fed worker answers by a responder.
 
-    A responder has bind(ctx, a_mat, enc), initial(query), match(query,
+    A responder has bind(ctx, a_mat, enc), initial(), match(query,
     workers), truth(i) and the gradient dimension d: SimulatedResponder, or
     the answers a transcript recorded when it is replayed. Groups come from
     the lowest-index active workers, or from grouping_rng's shuffle when given.
@@ -294,7 +292,7 @@ class ProtocolRun:
         """The d x n all-one responses, one column per worker."""
         ctx = self.ctx
         n, p, d = ctx.n, self.a_mat.p, self.responder.d
-        cols = self.responder.initial(Query("initial", 1, None, (0, p), None))
+        cols = self.responder.initial()
         values = Matrix(ctx.field, d, n, [cols[j][t] for t in range(d) for j in range(n)])
         workers = list(range(1, n + 1))
         self.transcript.add("query", t=1, kind="initial", mask=[1, p], coordinate=None, workers=workers)

@@ -1,5 +1,7 @@
+import hashlib
+import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,12 +16,12 @@ from byzgrad.adversary import (
 from byzgrad.assignment import make_cyclic, make_random_regular
 from byzgrad.coding import (
     build_code_context,
-    build_decoding_matrix,
     build_encoding_matrix,
     combining_vector,
     response_matrix,
 )
 from byzgrad.errors import InvalidParamsError
+from byzgrad.harness import SimulationConfig, assignment_feasible, run_simulation
 from byzgrad.linalg import Matrix
 from byzgrad.protocol import form_groups, group_response, leaf_depths, run_protocol
 
@@ -113,19 +115,6 @@ def test_initial_only_corruption_pinned_by_commitments():
     assert caught >= 1  # worker 0 sits in round-one groups, so it does get caught
 
 
-def test_strategy_history_grows_causally():
-    ctx = build_code_context(3, 1, 1, 7)
-    a_mat = make_cyclic(3, 3, 2)
-    g = Matrix.from_rows(ctx.field, [[2, 3, 4]])
-    strat = tournament_liar([2], "consistent", seed=1)
-    run_protocol(ctx, a_mat, g, strat)
-    kinds = [q.kind for q in strat.history]
-    assert kinds[0] == "initial"
-    assert all(k == "match" for k in kinds[1:])
-    levels = [q.level for q in strat.history[1:]]
-    assert levels == sorted(levels)
-
-
 # tournament liar ------------------------------------------------------------------
 
 
@@ -171,12 +160,15 @@ def test_liar_rejects_malformed_plan():
 
 def test_attack_single_group_always_works():
     ctx = build_code_context(5, 2, 1, 101)
-    plan = form_groups(range(5), ctx.r, ctx.s)
-    dec = build_decoding_matrix(ctx, plan.groups[:1])
-    member = plan.groups[0][0]
-    err = symmetrization_attack(ctx, dec, [member], lam=1)
+    groups = form_groups(range(5), ctx.r, ctx.s).groups[:1]
+    # A lone group has no root to avoid: the support is its first member.
+    member = groups[0][0]
+    assert pick_attack_support(groups) == [member]
+    err = symmetrization_attack(ctx, groups, [member])
     assert err is not None
-    assert group_response(err, dec.b.col_values(0)) == [1]
+    assert [j for j, e in enumerate(err) if e] == [member]
+    row = Matrix(ctx.field, 1, 5, err)
+    assert group_response(row, combining_vector(ctx, groups[0])) == [1]
 
 
 def test_attack_on_fewer_groups_fools_them():
@@ -184,17 +176,17 @@ def test_attack_on_fewer_groups_fools_them():
         ctx = build_code_context(n, s, u, 101)
         plan = form_groups(range(n), ctx.r, s)
         groups = plan.groups[:s]
-        dec = build_decoding_matrix(ctx, groups)
-        support = pick_attack_support(dec)
+        support = pick_attack_support(groups)
         assert len(support) <= s
-        err = symmetrization_attack(ctx, dec, support, lam=1)
+        err = symmetrization_attack(ctx, groups, support)
         assert err is not None
+        assert len(err) == n and all(err[j] == 0 for j in range(n) if j not in support)
         p = max(2, n // (s + u) + 1)
         a_mat = make_random_regular(n, p, s + u, seed=0)
         enc = build_encoding_matrix(ctx, a_mat, [1] * p)
         g = make_gradients(ctx, p, 1, seed=0)
         z = response_matrix(g, enc)
-        corrupted = z + err
+        corrupted = z + Matrix(ctx.field, 1, n, err)
         responses = [group_response(corrupted, combining_vector(ctx, gr)) for gr in groups]
         assert all(resp == responses[0] for resp in responses)
         assert responses[0] != full_sum(g)
@@ -204,17 +196,8 @@ def test_attack_infeasible_against_full_grouping_exhaustive():
     for n, s, u in ((5, 2, 1), (6, 2, 2)):
         ctx = build_code_context(n, s, u, 101)
         plan = form_groups(range(n), ctx.r, s)
-        dec = build_decoding_matrix(ctx, plan.groups)
         for support in combinations(range(n), s):
-            assert symmetrization_attack(ctx, dec, support, lam=1) is None
-
-
-def test_attack_rejects_zero_offset():
-    ctx = build_code_context(5, 2, 1, 101)
-    plan = form_groups(range(5), ctx.r, ctx.s)
-    dec = build_decoding_matrix(ctx, plan.groups[:1])
-    with pytest.raises(InvalidParamsError):
-        symmetrization_attack(ctx, dec, [0], lam=0)
+            assert symmetrization_attack(ctx, plan.groups, support) is None
 
 
 def test_symmetrization_strategy_never_corrupts_output():
@@ -241,6 +224,35 @@ def test_symmetrization_hides_from_targeted_groups_round_one():
     assert values[0] == values[1]
     assert values[2] != values[0]
     assert res.gradient == full_sum(g)
+
+
+# No benchmark workload runs the symmetrization adversary, so this digest pins
+# its transcripts and metrics rows: any change in the attack changes it.
+SYMMETRIZATION_DIGEST = "8c204bd7c894e2426d0a7997e5ff6318dc167bcd9769044d1dd65d2f6dfe127c"
+
+
+def test_symmetrization_golden_digest():
+    digest = hashlib.sha256()
+    runs = 0
+    for n in range(3, 8):
+        for s in range(1, 4):
+            for u in range(1, s + 2):
+                if n < s + u:
+                    continue
+                for p, kind in product((4, 9), ("cyclic", "fractional", "random")):
+                    if not assignment_feasible(kind, n, p, s + u)[0]:
+                        continue
+                    for grouping in ("lowest", "shuffled"):
+                        out = run_simulation(SimulationConfig(
+                            n=n, s=s, u=u, p=p, d=2, assignment=kind,
+                            adversary="symmetrization", seed=runs, grouping=grouping,
+                        ))
+                        runs += 1
+                        for ev in out.result.transcript.events:
+                            digest.update((json.dumps(ev, separators=(",", ":")) + "\n").encode())
+                        digest.update((out.metrics.csv_row() + "\n").encode())
+    assert runs == 296
+    assert digest.hexdigest() == SYMMETRIZATION_DIGEST
 
 
 def test_cached_leaf_depths_are_shared_immutable_tuples():

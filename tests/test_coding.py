@@ -13,7 +13,6 @@ from byzgrad.assignment import (
 from byzgrad.coding import (
     _syndrome_table,
     build_code_context,
-    build_decoding_matrix,
     build_encoding_matrix,
     combining_vector,
     ecc_decode,
@@ -349,15 +348,11 @@ def test_decoding_matrix_worked_instance():
     ctx = small_context()
     a_mat = make_cyclic(3, 3, 2)
     enc = build_encoding_matrix(ctx, a_mat, [1, 1, 1])
-    dec = build_decoding_matrix(ctx, [(0, 2), (1, 2)])
-    prod = enc.w * dec.b
-    assert prod.col_values(0) == [1, 1, 1]
-    assert prod.col_values(1) == [1, 1, 1]
-    # column k supported only on its group
-    for k, group in enumerate(dec.groups):
-        for j in range(3):
-            if j not in group:
-                assert dec.b.at(j, k) == 0
+    for group in [(0, 2), (1, 2)]:
+        b = combining_vector(ctx, group)
+        # sum_j W[i][j] * b_g[j] = a_i, with b_g supported only on its group
+        assert (enc.w * Matrix.column(ctx.field, b)).col_values(0) == [1, 1, 1]
+        assert all(b[j] == 0 for j in range(3) if j not in group)
 
 
 def test_decoding_identity_random_groupings():
@@ -367,13 +362,15 @@ def test_decoding_identity_random_groupings():
         groups = [
             tuple(sorted(rng.sample(range(ctx.n), ctx.r + 1))) for _ in range(3)
         ]
-        dec = build_decoding_matrix(ctx, groups)
+        vectors = [combining_vector(ctx, g) for g in groups]
+        for g, b in zip(groups, vectors):
+            assert all(b[j] == 0 for j in range(ctx.n) if j not in g)
         for _ in range(10):
             a = [rng.randrange(101) for _ in range(a_mat.p)]
             enc = build_encoding_matrix(ctx, a_mat, a)
-            prod = enc.w * dec.b
-            for k in range(len(groups)):
-                assert prod.col_values(k) == [v % 101 for v in a]
+            for b in vectors:
+                prod = enc.w * Matrix.column(ctx.field, b)
+                assert prod.col_values(0) == [v % 101 for v in a]
 
 
 # worker responses --------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from byzgrad import harness
 from byzgrad.cli import main as cli_main
 from byzgrad.errors import InvalidParamsError, TranscriptReplayError
 from byzgrad.harness import (
@@ -44,11 +45,12 @@ def test_config_validation_errors():
         cfg(adversary="nonsense").validate()
     with pytest.raises(InvalidParamsError):
         cfg(assignment="none").validate()
-    with pytest.raises(InvalidParamsError):
-        SimulationConfig.from_dict({"n": 5, "s": 2, "u": 1, "p": 6, "bogus": 1})
+    for unknown in ({"bogus": 1}, {"corruption_offset": 1}):
+        with pytest.raises(InvalidParamsError):
+            SimulationConfig.from_dict({"n": 5, "s": 2, "u": 1, "p": 6} | unknown)
     # Mistyped values, as a JSON config can carry them.
     for bad in ({"n": "5"}, {"d": 2.0}, {"s": True}, {"seed": "x"}, {"q": 101.0},
-                {"corruption_offset": None}, {"adversary": 1}, {"assignment_path": 3}):
+                {"d": None}, {"adversary": 1}, {"assignment_path": 3}):
         with pytest.raises(InvalidParamsError):
             SimulationConfig.from_dict(dataclasses.asdict(cfg()) | bad).validate()
     # An explicit controlled set is checked whatever the adversary.
@@ -535,6 +537,12 @@ def test_cli_reports_unwritable_output(tmp_path, capsys, monkeypatch, argv):
     argv = [a.format(file=tmp_path / "file", missing=tmp_path / "missing") for a in argv]
     if argv[0] == "simulate":
         argv += [*instance, "--metrics", str(tmp_path / "m.csv")]
+    else:
+        # The sweep checks its output before the grid runs: no run may start.
+        def no_run(config):
+            raise AssertionError("a sweep run started before --out was checked")
+
+        monkeypatch.setattr(harness, "run_simulation", no_run)
     rc = cli_main(argv)
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -578,3 +586,13 @@ def test_cli_seed_env_default(tmp_path, monkeypatch, capsys):
     ])
     assert rc == 0
     assert ",7,true," in capsys.readouterr().out
+    # A malformed default is bad input like any other, not a traceback.
+    monkeypatch.setenv("BYZGRAD_SEED", "abc")
+    bad_out = tmp_path / "bad"
+    rc = cli_main([
+        "simulate", "--n", "3", "--s", "1", "--u", "1", "--p", "3", "--q", "7",
+        "--out", str(bad_out),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: BYZGRAD_SEED must be an integer, got 'abc'\n"
+    assert not bad_out.exists()

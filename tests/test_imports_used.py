@@ -1,0 +1,50 @@
+"""Every name a module of the package imports is used in that module.
+
+The one exception is a name imported only so that the benchmark tracer in
+perfbench/tracing.py can wrap it at that module's name: a (module, name)
+wrap point. Package __init__ modules import to re-export and are skipped.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def wrap_points():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {(mod, attr) for mod, attr, _ in module.WRAP_POINTS if "." not in attr}
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = "from os import path, sep\nimport json\nprint(sep)\n"
+    assert unused_imports(source) == ["path", "json"]
+
+
+def test_package_modules_use_what_they_import():
+    allowed = wrap_points()
+    sources = [p for p in sorted((ROOT / "src" / "byzgrad").glob("*.py")) if p.name != "__init__.py"]
+    assert sources
+    dead = [
+        f"{path.stem}: {name}"
+        for path in sources
+        for name in unused_imports(path.read_text(encoding="utf-8"))
+        if (path.stem, name) not in allowed
+    ]
+    assert dead == []
