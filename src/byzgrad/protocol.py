@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence
 
@@ -170,11 +171,9 @@ class Transcript:
 class Query:
     """A match query of the main node; the adversary sees these in causal order."""
 
-    kind: str  # "match"
-    round: int
-    level: int | None
+    level: int
     mask: tuple[int, int]  # 0-based inclusive-exclusive sample interval
-    coordinate: int | None
+    coordinate: int
 
 
 @dataclass
@@ -193,7 +192,12 @@ class SimulatedResponder:
     """Worker answers of a simulated run: honest values through the adversary.
 
     truth(i), the main node's local computation of sample i, is column i of
-    the gradients.
+    the gradients. A worker's honest match answer for coordinate c is a
+    difference of two entries of its prefix sums over samples of
+    G[c][i]·W[i][j], built the first time the run disputes c and asks that
+    worker, so every later level and round costs O(1) per worker. bind()
+    starts a run and drops the previous run's sums: they hold at most
+    d·n·(p+1) integers, in practice only those of the disputed coordinates.
     """
 
     def __init__(self, gradients: Matrix, adversary):
@@ -205,6 +209,7 @@ class SimulatedResponder:
         if self.gradients.cols != a_mat.p:
             raise InfeasibleStateError("assignment and gradients disagree on shape")
         self.q, self.n, self.enc = ctx.field.q, ctx.n, enc
+        self._prefix: dict[tuple[int, int], list[int]] = {}
         self.adversary.bind(ctx, a_mat, enc)
 
     def initial(self) -> list[list[int]]:
@@ -222,14 +227,18 @@ class SimulatedResponder:
 
     def match(self, query: Query, workers: Sequence[int]) -> dict[int, int]:
         """One field symbol per competing worker: its share of the queried interval."""
-        adversary, q = self.adversary, self.q
+        adversary, q, prefix = self.adversary, self.q, self._prefix
         lo, hi = query.mask
-        grow = self.gradients.row_values(query.coordinate)[lo:hi]
-        n, wdata = self.n, self.enc.w.data
+        c = query.coordinate
         out: dict[int, int] = {}
         for j in workers:
-            # Column j of W restricted to rows lo..hi-1, as one strided slice.
-            honest = sum(map(mul, grow, wdata[lo * n + j : hi * n : n])) % q
+            sums = prefix.get((c, j))
+            if sums is None:
+                # sums[k] adds G[c][i]·W[i][j] over samples i < k; column j of W
+                # is the strided slice data[j::n].
+                grow, wcol = self.gradients.row_values(c), self.enc.w.data[j :: self.n]
+                sums = prefix[c, j] = [0, *accumulate(map(mul, grow, wcol))]
+            honest = (sums[hi] - sums[lo]) % q
             if j in adversary.controlled:
                 out[j] = adversary.match_response(j, query, honest) % q
             else:
@@ -303,7 +312,7 @@ class ProtocolRun:
         self, t: int, level: int, lo: int, hi: int, coord: int, workers: Sequence[int]
     ) -> dict[int, int]:
         """One tournament query: each competing worker sends one field symbol."""
-        out = self.responder.match(Query("match", t, level, (lo, hi), coord), workers)
+        out = self.responder.match(Query(level, (lo, hi), coord), workers)
         self.transcript.comm_overhead += len(workers)
         self.transcript.downlink_bits += 1
         ids = [j + 1 for j in workers]

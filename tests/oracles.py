@@ -275,3 +275,16 @@ def leaf_depth_walk(p: int, i: int) -> int:
         lo, hi = (lo, mid) if i < mid else (mid, hi)
         depth += 1
     return depth
+
+
+def match_answer_slice(
+    gradients: Matrix, enc: EncodingMatrix, coord: int, lo: int, hi: int, j: int
+) -> int:
+    """Worker j's honest match answer: sum over samples lo..hi-1 of G[coord][i]·W[i][j].
+
+    Column j of W restricted to rows lo..hi-1 is one strided slice of its
+    row-major data; the slice is recomputed for every query.
+    """
+    n = enc.w.cols
+    grow = gradients.row_values(coord)[lo:hi]
+    return sum(map(mul, grow, enc.w.data[lo * n + j : hi * n : n])) % gradients.field.q

@@ -40,7 +40,7 @@ def test_criterion_1_worked_example_identification():
     res = run_protocol(ctx, a_mat, gradients, strat)
     elapsed = time.monotonic() - t0
     assert strat._targets[2] == 0
-    honest_probe = strat.match_response(2, Query("match", 1, 1, (1, 2), 0), honest=5)
+    honest_probe = strat.match_response(2, Query(1, (1, 2), 0), honest=5)
     truth = [(2 + 3 + 4) % 7]
     tr = res.transcript
     ok = (

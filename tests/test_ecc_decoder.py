@@ -249,6 +249,21 @@ def test_scale_probes_decode_exactly():
     assert time.perf_counter() - start < 5.0
 
 
+def test_scale_probes_full_depth_matches():
+    # One consistent liar per round drags each of the s matches down to a
+    # leaf of a 1024- or 2048-sample tree before the final erasure decode.
+    start = time.perf_counter()
+    for n, s, p, d in ((64, 21, 1024, 8), (128, 42, 2048, 4)):
+        cfg = SimulationConfig(n=n, s=s, u=1, p=p, d=d, adversary="tournament-liar", seed=1)
+        out = run_simulation(cfg)
+        assert out.result.gradient == out.truth
+        assert out.metrics.correct
+        assert out.metrics.bound_violations() == []
+        assert out.result.transcript.rounds == s
+        assert out.result.outcome == "ecc"
+    assert time.perf_counter() - start < 5.0
+
+
 def test_protocol_path_does_no_linear_solve(tmp_path, monkeypatch):
     def no_solve(*args, **kwargs):
         raise RuntimeError("linear solve on the protocol path")

@@ -10,6 +10,9 @@ transmission), which covers patterns the structured strategies never hit.
 
 import random
 
+import pytest
+
+from byzgrad import harness
 from byzgrad.adversary import AdversaryStrategy
 from byzgrad.assignment import (
     assignment_to_text,
@@ -18,7 +21,14 @@ from byzgrad.assignment import (
     make_random_regular,
 )
 from byzgrad.coding import build_code_context
-from byzgrad.harness import assignment_feasible, replay_transcript, write_transcript
+from byzgrad.field import DEFAULT_MODULUS
+from byzgrad.harness import (
+    SimulationConfig,
+    assignment_feasible,
+    replay_transcript,
+    run_simulation,
+    write_transcript,
+)
 from byzgrad.linalg import Matrix
 from byzgrad.protocol import run_protocol
 
@@ -106,3 +116,39 @@ def test_chaos_adversary_never_corrupts_output(tmp_path):
             replayed += 1
     assert eliminations > 0  # the fuzz actually exercised tournaments
     assert replayed == 8
+
+
+def test_chaos_property_exact_within_bounds():
+    # Arbitrary shapes up to p = 64, so matches dispute arbitrary coordinates
+    # of gradients with up to 4 of them.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 12), "n")
+        s = data.draw(st.integers(1, min(4, n - 1)), "s")
+        u = data.draw(st.integers(1, min(s + 1, n - s)), "u")
+        kind = data.draw(st.sampled_from(("cyclic", "fractional", "random")), "kind")
+        p = data.draw(st.integers(1, 64), "p")
+        hypothesis.assume(assignment_feasible(kind, n, p, s + u)[0])
+        d = data.draw(st.integers(1, 4), "d")
+        q = data.draw(st.sampled_from((67, 101, DEFAULT_MODULUS)), "q")
+        controlled = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=s, unique=True), "controlled"
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        grouping = data.draw(st.sampled_from(("lowest", "shuffled")), "grouping")
+        config = SimulationConfig(
+            n=n, s=s, u=u, p=p, d=d, q=q, assignment=kind, adversary="random-always",
+            seed=seed, grouping=grouping,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "make_adversary", lambda cfg: ChaosStrategy(controlled, cfg.seed))
+            out = run_simulation(config)
+        assert out.result.gradient == out.truth
+        assert out.metrics.bound_violations() == []
+        assert set(out.result.eliminated) <= set(controlled)
+
+    check()

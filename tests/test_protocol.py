@@ -1,16 +1,28 @@
+import hashlib
+import json
 import random
+from itertools import product
 
 import pytest
 
 from byzgrad.adversary import honest, random_corruption, tournament_liar
-from byzgrad.assignment import make_cyclic, make_random_regular
-from byzgrad.coding import build_code_context
+from byzgrad.assignment import make_cyclic, make_fractional, make_random_regular
+from byzgrad.coding import build_code_context, build_encoding_matrix
 from byzgrad.errors import AdversaryBudgetExceededError, InfeasibleStateError
-from byzgrad.harness import SimulationConfig, replay_transcript, run_simulation, write_transcript
+from byzgrad.field import DEFAULT_MODULUS
+from byzgrad.harness import (
+    SimulationConfig,
+    assignment_feasible,
+    replay_transcript,
+    run_simulation,
+    write_transcript,
+)
 from byzgrad.linalg import Matrix
 from byzgrad.protocol import (
     Agreement,
     Conflict,
+    Query,
+    SimulatedResponder,
     detect_contradiction,
     form_groups,
     group_response,
@@ -19,7 +31,11 @@ from byzgrad.protocol import (
     split,
 )
 
-from oracles import leaf_depth_walk
+from oracles import leaf_depth_walk, match_answer_slice
+
+# SHA-256 over the transcripts and metrics rows of test_match_golden_digest,
+# computed before honest match answers came from per-run prefix sums.
+MATCH_DIGEST = "75357748970161434af66c8ee463f7646e06ac5fb30368f363abb6e49d3177a2"
 
 
 def make_gradients(ctx, p, d, seed):
@@ -72,6 +88,18 @@ def test_leaf_depths_match_per_leaf_walk():
         assert leaf_depths(p) == tuple(leaf_depth_walk(p, i) for i in range(p))
     with pytest.raises(ValueError):
         leaf_depths(0)
+
+
+def match_tree_nodes(p):
+    """Every interval [lo, hi) of the halving over p samples, root to leaves."""
+    nodes, stack = [], [(0, p)]
+    while stack:
+        lo, hi = stack.pop()
+        nodes.append((lo, hi))
+        if hi - lo > 1:
+            mid = split(lo, hi)
+            stack += [(mid, hi), (lo, mid)]
+    return nodes
 
 
 def test_leftmost_leaf_is_deepest():
@@ -182,6 +210,74 @@ def test_simulated_responder_truth_is_sample_column():
     assert responder.truth(1) == [3, 6]
     assert local_compute(responder, 0) == [2, 5]
     assert local_compute(responder, 2) == [4, 0]
+
+
+def assert_match_answers_equal_slice(responder, gradients, enc, n, coords):
+    # Coordinates alternate within every interval, so a table keyed by the
+    # worker alone answers some coordinate from another's sums.
+    p = gradients.cols
+    for (lo, hi), c in product(match_tree_nodes(p), coords):
+        out = responder.match(Query(1, (lo, hi), c), range(n))
+        assert out == {
+            j: match_answer_slice(gradients, enc, c, lo, hi, j) for j in range(n)
+        }, (p, lo, hi, c)
+
+
+def test_prefix_match_answers_equal_strided_slice():
+    # One responder per p is bound to each assignment in turn, so answers
+    # taken from the previous run's table would differ from the oracle.
+    s, u = 1, 1
+    builders = {
+        "cyclic": lambda n, p: make_cyclic(n, p, s + u),
+        "fractional": lambda n, p: make_fractional(n, p, s + u),
+        "random": lambda n, p: make_random_regular(n, p, s + u, seed=p),
+    }
+    checked = 0
+    for p in range(1, 71):
+        n = 4 if p > 1 else 2  # one sample keeps at most s+u workers busy
+        ctx = build_code_context(n, s, u, DEFAULT_MODULUS)
+        g = make_gradients(ctx, p, 3, seed=p)
+        responder = SimulatedResponder(g, honest())
+        for kind, build in builders.items():
+            if not assignment_feasible(kind, n, p, s + u)[0]:
+                continue
+            a_mat = build(n, p)
+            enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+            responder.bind(ctx, a_mat, enc)
+            assert_match_answers_equal_slice(responder, g, enc, n, range(3))
+            checked += 1
+    assert checked == 3 * 70 - 1  # all but the cyclic layout at n=4, p=2
+
+
+def test_match_golden_digest():
+    # Match-heavy runs: small fields put conflicts on several coordinates,
+    # and p = 256 runs every match to full depth.
+    digest = hashlib.sha256()
+    runs, coordinates = 0, set()
+    for (n, s, u, p, q), kind, (adversary, plan) in product(
+        ((4, 1, 1, 4, 5), (6, 2, 1, 9, 11), (8, 3, 1, 16, 17), (12, 3, 2, 64, 67),
+         (16, 4, 1, 256, 257)),
+        ("cyclic", "fractional", "random"),
+        (("tournament-liar", "consistent"), ("tournament-liar", "inconsistent"),
+         ("random-always", "consistent")),
+    ):
+        if not assignment_feasible(kind, n, p, s + u)[0]:
+            continue
+        for seed in range(8):
+            out = run_simulation(SimulationConfig(
+                n=n, s=s, u=u, p=p, d=4, q=q, assignment=kind, adversary=adversary,
+                lie_plan=plan, seed=seed, grouping=("lowest", "shuffled")[seed % 2],
+            ))
+            runs += 1
+            assert out.result.gradient == out.truth
+            for ev in out.result.transcript.events:
+                if ev["event"] == "conflict":
+                    coordinates.add(ev["coordinate"])
+                digest.update((json.dumps(ev, separators=(",", ":")) + "\n").encode())
+            digest.update((out.metrics.csv_row() + "\n").encode())
+    assert runs == 312
+    assert len(coordinates) >= 3
+    assert digest.hexdigest() == MATCH_DIGEST
 
 
 # worked example ---------------------------------------------------------------
