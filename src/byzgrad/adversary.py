@@ -61,16 +61,43 @@ def honest() -> AdversaryStrategy:
     return AdversaryStrategy()
 
 
+_PERSISTENCES = ("always", "initial_only", "per_query_coin")
+
+# Lie plans besides per-level scripts, each with the RandomCorruption
+# persistence it runs; "consistent" is the TournamentLiar story.
+LIE_PLANS = {"consistent": None, "inconsistent": "always", "": "initial_only"}
+
+
+def _lie_levels(script: str) -> Optional[frozenset[int]]:
+    """Match levels a per-level script like "lie,honest" marks lie, or None if malformed."""
+    actions = [tok.strip() for tok in script.split(",")]
+    if any(tok not in ("lie", "honest") for tok in actions):
+        return None
+    return frozenset(level for level, tok in enumerate(actions, 1) if tok == "lie")
+
+
+def lie_plan_persistence(lie_plan: str) -> Optional[str]:
+    """The RandomCorruption persistence a lie plan runs; None for "consistent"."""
+    if lie_plan in LIE_PLANS:
+        return LIE_PLANS[lie_plan]
+    if _lie_levels(lie_plan) is None:
+        raise InvalidParamsError(f"bad lie plan {lie_plan!r}")
+    return lie_plan
+
+
 class RandomCorruption(AdversaryStrategy):
     """Adds uniformly random nonzero errors according to a persistence policy.
 
     persistence: "always" corrupts every response, "initial_only" corrupts
     only the first transmission, "per_query_coin" flips a fair coin per
-    worker per query.
+    worker per query, and a per-level script "a,b,c" of {lie, honest}
+    corrupts the first transmission and the match levels 1, 2, ... it marks
+    lie; levels beyond the script are answered honestly.
     """
 
     def __init__(self, controlled: Iterable[int], seed: int = 0, persistence: str = "always"):
-        if persistence not in ("always", "initial_only", "per_query_coin"):
+        self.lie_levels = None if persistence in _PERSISTENCES else _lie_levels(persistence)
+        if persistence not in _PERSISTENCES and self.lie_levels is None:
             raise InvalidParamsError(f"unknown persistence {persistence!r}")
         super().__init__(controlled, seed)
         self.persistence = persistence
@@ -87,6 +114,8 @@ class RandomCorruption(AdversaryStrategy):
             return honest
         if self.persistence == "per_query_coin" and self.rng.random() < 0.5:
             return honest
+        if self.lie_levels is not None and query.level not in self.lie_levels:
+            return honest
         return (honest + self._nonzero_scalar()) % self.ctx.field.q
 
 
@@ -97,82 +126,50 @@ def random_corruption(
 
 
 class TournamentLiar(AdversaryStrategy):
-    """Scripted lying during the dispute search.
+    """Consistent lying during the dispute search.
 
-    lie_plan selects the script:
-      - "consistent": each controlled worker commits to a fake value for one
-        assigned sample (the one with the deepest leaf) and answers every
-        query from that story, which drags the search through the full tree
-        depth before the leaf check exposes it.
-      - "inconsistent": corrupt the initial response, then add a fresh random
-        error to every match response regardless of earlier commitments.
-      - "" (empty): corrupt the initial response only and answer matches
-        honestly; the committed initial value is still pinned to a leaf.
-      - "a,b,c": per-level actions from {lie, honest} applied to match
-        levels 1, 2, ...; levels beyond the list are honest. The initial
-        response is corrupted.
+    Each controlled worker commits to a fake value for one assigned sample
+    (the one with the deepest leaf) and answers every query from that story,
+    which drags the search through the full tree depth before the leaf check
+    exposes it.
     """
 
-    def __init__(self, controlled: Iterable[int], lie_plan: str = "consistent", seed: int = 0):
+    def __init__(self, controlled: Iterable[int], *, seed: int = 0):
         super().__init__(controlled, seed)
-        self.lie_plan = lie_plan
-        self.level_actions: list[str] = []
-        if lie_plan not in ("consistent", "inconsistent", ""):
-            actions = [tok.strip() for tok in lie_plan.split(",")]
-            if any(tok not in ("lie", "honest") for tok in actions):
-                raise InvalidParamsError(f"bad lie plan {lie_plan!r}")
-            self.level_actions = actions
         self._offsets: dict[int, list[int]] = {}
         self._targets: dict[int, int] = {}
 
     def bind(self, ctx, a_mat, enc):
         super().bind(ctx, a_mat, enc)
-        if self.lie_plan == "consistent":
-            depth = leaf_depths(a_mat.p)
-            for j in sorted(self.controlled):
-                self._targets[j] = max(a_mat.samples_of(j), key=depth.__getitem__)
-        # Offsets are drawn lazily once the gradient dimension is known.
-
-    def _offset(self, j: int, d: int) -> list[int]:
-        if j not in self._offsets:
-            self._offsets[j] = self._nonzero_vector(d)
-        return list(self._offsets[j])
+        depth = leaf_depths(a_mat.p)
+        for j in sorted(self.controlled):
+            self._targets[j] = max(a_mat.samples_of(j), key=depth.__getitem__)
 
     def initial_response(self, j, honest):
+        # Offsets are drawn lazily once the gradient dimension is known.
+        if j not in self._offsets:
+            self._offsets[j] = self._nonzero_vector(len(honest))
         q = self.ctx.field.q
-        d = len(honest)
-        if self.lie_plan == "consistent":
-            target = self._targets[j]
-            wij = self.enc.w.at(target, j)
-            off = self._offset(j, d)
-            return [(h + wij * e) % q for h, e in zip(honest, off)]
-        err = self._nonzero_vector(d)
-        return [(h + e) % q for h, e in zip(honest, err)]
+        wij = self.enc.w.at(self._targets[j], j)
+        return [(h + wij * e) % q for h, e in zip(honest, self._offsets[j])]
 
     def match_response(self, j, query, honest):
-        q = self.ctx.field.q
-        if self.lie_plan == "consistent":
-            target = self._targets[j]
-            lo, hi = query.mask
-            if lo <= target < hi:
-                wij = self.enc.w.at(target, j)
-                off = self._offsets[j]
-                return (honest + wij * off[query.coordinate]) % q
-            return honest
-        if self.lie_plan == "inconsistent":
-            return (honest + self._nonzero_scalar()) % q
-        if self.lie_plan == "":
-            return honest
-        idx = query.level - 1
-        if idx < len(self.level_actions) and self.level_actions[idx] == "lie":
-            return (honest + self._nonzero_scalar()) % q
+        target = self._targets[j]
+        lo, hi = query.mask
+        if lo <= target < hi:
+            wij = self.enc.w.at(target, j)
+            return (honest + wij * self._offsets[j][query.coordinate]) % self.ctx.field.q
         return honest
 
 
 def tournament_liar(
     controlled: Iterable[int], lie_plan: str = "consistent", seed: int = 0
-) -> TournamentLiar:
-    return TournamentLiar(controlled, lie_plan, seed)
+) -> AdversaryStrategy:
+    """The consistent story, or the random corruption any other lie plan runs."""
+    persistence = lie_plan_persistence(lie_plan)
+    if persistence is None:
+        return TournamentLiar(controlled, seed=seed)
+    return RandomCorruption(controlled, seed, persistence)
 
 
 def symmetrization_attack(

@@ -14,10 +14,13 @@ import json
 import os
 import sys
 
+from .adversary import LIE_PLANS
 from .checks import CHECKS
 from .errors import InvalidParamsError, TranscriptReplayError
 from .field import DEFAULT_MODULUS
 from .harness import (
+    ADVERSARY_NAMES,
+    ASSIGNMENT_KINDS,
     METRICS_HEADER,
     SimulationConfig,
     grid_configs,
@@ -59,17 +62,15 @@ def _add_instance_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--p", type=int, help="number of samples")
     sp.add_argument("--d", type=int, help="gradient dimension")
     sp.add_argument("--q", type=int, help="prime field modulus")
-    sp.add_argument("--assignment", help="cyclic | fractional | random | file")
+    sp.add_argument("--assignment", help=" | ".join(ASSIGNMENT_KINDS))
     sp.add_argument("--assignment-path", help="assignment text file when --assignment file")
-    sp.add_argument(
-        "--adversary",
-        help="honest | random-always | random-initial-only | random-coin | "
-        "tournament-liar | symmetrization",
-    )
+    sp.add_argument("--adversary", help=" | ".join(ADVERSARY_NAMES))
     sp.add_argument("--seed", type=int, help="run seed (default $BYZGRAD_SEED or 0)")
     sp.add_argument("--grouping", help="lowest | shuffled")
     sp.add_argument("--controlled", help="random | first | last | 1-based ids like 2;5")
-    sp.add_argument("--lie-plan", help="consistent | inconsistent | '' | lie,honest,...")
+    sp.add_argument(
+        "--lie-plan", help=" | ".join([*(plan or "''" for plan in LIE_PLANS), "lie,honest,..."])
+    )
     sp.add_argument("--out", help="output directory (default .)")
 
 
@@ -79,7 +80,8 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, ValueError) as e:  # ValueError covers bad JSON and bad UTF-8
+        # ValueError covers bad JSON and bad UTF-8, RecursionError too deep nesting.
+        except (OSError, ValueError, RecursionError) as e:
             raise InvalidParamsError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(loaded, dict):
             raise InvalidParamsError(f"config {args.config} must hold a JSON object")

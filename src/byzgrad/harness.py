@@ -56,14 +56,25 @@ from .protocol import detect_contradiction, group_response  # noqa: F401
 
 METRICS_HEADER = "n,s,u,p,d,q,assignment,adversary,seed,correct,c,C_oh,rounds,downlink_bits,eliminated"
 
-ADVERSARY_NAMES = (
-    "honest",
-    "random-always",
-    "random-initial-only",
-    "random-coin",
-    "tournament-liar",
-    "symmetrization",
-)
+
+def _random(persistence: str):
+    return lambda config: adv.random_corruption(
+        resolve_controlled(config), config.seed, persistence
+    )
+
+
+# Adversary name -> its strategy for a validated config.
+_ADVERSARIES = {
+    "honest": lambda config: adv.honest(),
+    "random-always": _random("always"),
+    "random-initial-only": _random("initial_only"),
+    "random-coin": _random("per_query_coin"),
+    "tournament-liar": lambda config: adv.tournament_liar(
+        resolve_controlled(config), config.lie_plan, config.seed
+    ),
+    "symmetrization": lambda config: adv.symmetrization(config.seed),
+}
+ADVERSARY_NAMES = tuple(_ADVERSARIES)
 
 ASSIGNMENT_KINDS = ("cyclic", "fractional", "random", "file")
 
@@ -130,6 +141,7 @@ class SimulationConfig:
             raise InvalidParamsError(f"unknown grouping mode {self.grouping!r}")
         if self.controlled not in _CONTROLLED_RULES:
             _explicit_controlled(self)
+        adv.lie_plan_persistence(self.lie_plan)  # raises on a malformed plan
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
@@ -209,21 +221,9 @@ def _explicit_controlled(config: SimulationConfig) -> tuple[int, ...]:
 
 
 def make_adversary(config: SimulationConfig):
-    name = config.adversary
-    if name == "honest":
-        return adv.honest()
-    if name == "symmetrization":
-        return adv.symmetrization(config.seed)
-    controlled = resolve_controlled(config)
-    if name == "random-always":
-        return adv.random_corruption(controlled, config.seed, "always")
-    if name == "random-initial-only":
-        return adv.random_corruption(controlled, config.seed, "initial_only")
-    if name == "random-coin":
-        return adv.random_corruption(controlled, config.seed, "per_query_coin")
-    if name == "tournament-liar":
-        return adv.tournament_liar(controlled, config.lie_plan, config.seed)
-    raise InvalidParamsError(f"unknown adversary {name!r}")
+    if config.adversary not in ADVERSARY_NAMES:
+        raise InvalidParamsError(f"unknown adversary {config.adversary!r}")
+    return _ADVERSARIES[config.adversary](config)
 
 
 @lru_cache(maxsize=256)
@@ -264,15 +264,7 @@ def ceil_log2(p: int) -> int:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    n: int
-    s: int
-    u: int
-    p: int
-    d: int
-    q: int
-    assignment: str
-    adversary: str
-    seed: int
+    config: SimulationConfig
     correct: bool
     c: int
     c_oh: int
@@ -281,24 +273,24 @@ class RunMetrics:
     eliminated: tuple[int, ...]  # 1-based
 
     def bound_violations(self) -> list[str]:
-        r = self.n - self.s - self.u
-        budget = self.s + 1 - self.u
+        cfg = self.config
+        budget = cfg.s + 1 - cfg.u
+        overhead = (cfg.n - cfg.rho + 2) * budget * ceil_log2(cfg.p)
         out = []
         if self.c > budget:
             out.append(f"local computations {self.c} > {budget}")
-        if self.c_oh > (r + 2) * budget * ceil_log2(self.p):
-            out.append(
-                f"communication overhead {self.c_oh} > {(r + 2) * budget * ceil_log2(self.p)}"
-            )
+        if self.c_oh > overhead:
+            out.append(f"communication overhead {self.c_oh} > {overhead}")
         if self.rounds > budget:
             out.append(f"rounds {self.rounds} > {budget}")
         return out
 
     def csv_row(self) -> str:
+        cfg = self.config
         elim = ";".join(map(str, self.eliminated))
         return (
-            f"{self.n},{self.s},{self.u},{self.p},{self.d},{self.q},"
-            f"{self.assignment},{self.adversary},{self.seed},"
+            f"{cfg.n},{cfg.s},{cfg.u},{cfg.p},{cfg.d},{cfg.q},"
+            f"{cfg.assignment},{cfg.adversary},{cfg.seed},"
             f"{'true' if self.correct else 'false'},{self.c},{self.c_oh},"
             f"{self.rounds},{self.downlink_bits},{elim}"
         )
@@ -355,15 +347,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
     truth = [sum(gradients.row_values(t)) % q for t in range(config.d)]
     tr = result.transcript
     metrics = RunMetrics(
-        n=config.n,
-        s=config.s,
-        u=config.u,
-        p=config.p,
-        d=config.d,
-        q=config.q,
-        assignment=config.assignment,
-        adversary=config.adversary,
-        seed=config.seed,
+        config=config,
         correct=result.gradient == truth,
         c=tr.local_computations,
         c_oh=tr.comm_overhead,
@@ -509,13 +493,17 @@ _DECODER = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float)
 
 
 def _has_bool(value) -> bool:
-    if type(value) is bool:
-        return True
-    if type(value) is dict:
-        value = value.values()
-    elif type(value) is not list:
-        return False
-    return any(map(_has_bool, value))
+    """Whether true or false occurs at any depth of a decoded JSON value."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is bool:
+            return True
+        if type(value) is dict:
+            stack.extend(value.values())
+        elif type(value) is list:
+            stack.extend(value)
+    return False
 
 
 def read_events(path: str) -> list[dict]:
@@ -527,7 +515,9 @@ def read_events(path: str) -> list[dict]:
         try:
             lines = [line for line in fh if line.strip()]
             events = [_DECODER.decode(line) for line in lines]
-        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError alike
+        # JSONDecodeError and UnicodeDecodeError alike, and nesting deeper
+        # than the decoder's recursion limit.
+        except (ValueError, RecursionError) as e:
             raise TranscriptReplayError(f"unreadable transcript: {e}") from e
     if not all(type(ev) is dict and type(ev.get("event")) is str for ev in events):
         raise TranscriptReplayError("every line must be a JSON object with an event name")

@@ -159,7 +159,8 @@ class Transcript:
         self.downlink_bits = 0
         self.rounds = 0
 
-    def add(self, event: str, **fields) -> None:
+    def add(self, event: str, /, **fields) -> None:
+        """Append an event; its fields may carry any name, "self" included."""
         self.events.append({"event": event, **fields})
 
 

@@ -6,6 +6,8 @@ from itertools import combinations, product
 import pytest
 
 from byzgrad.adversary import (
+    RandomCorruption,
+    TournamentLiar,
     honest,
     pick_attack_support,
     random_corruption,
@@ -21,7 +23,7 @@ from byzgrad.coding import (
     response_matrix,
 )
 from byzgrad.errors import InvalidParamsError
-from byzgrad.harness import SimulationConfig, assignment_feasible, run_simulation
+from byzgrad.harness import ADVERSARY_NAMES, SimulationConfig, assignment_feasible, run_simulation
 from byzgrad.linalg import Matrix
 from byzgrad.protocol import form_groups, group_response, leaf_depths, run_protocol
 
@@ -153,6 +155,48 @@ def test_liar_per_level_script():
 def test_liar_rejects_malformed_plan():
     with pytest.raises(InvalidParamsError):
         tournament_liar([0], "lie,maybe", seed=0)
+
+
+def test_liar_plans_other_than_the_story_are_random_corruption():
+    assert type(tournament_liar([0], seed=1)) is TournamentLiar
+    for plan in ("inconsistent", "", "lie,honest", "honest,lie,lie", " lie "):
+        assert type(tournament_liar([0], plan, seed=1)) is RandomCorruption
+    # The persistence words name no lie plan.
+    for word in ("always", "initial_only", "per_query_coin"):
+        with pytest.raises(InvalidParamsError, match="bad lie plan"):
+            tournament_liar([0], word, seed=0)
+    # The seed is keyword-only, so a plan passed by position fails loudly.
+    with pytest.raises(TypeError):
+        TournamentLiar([0], "inconsistent")
+
+
+# Every adversary name under every kind of lie plan, transcripts and metrics
+# rows alike: the plans other than "consistent" run random corruption.
+CATALOGUE_DIGEST = "154a6aadea2760198264a7f0a6eddbc937b47c8b6e1fe623795d5566782ec6d7"
+
+
+def test_adversary_catalogue_golden_digest():
+    digest = hashlib.sha256()
+    runs = 0
+    for (n, s, u, p, q), kind, adversary, plan in product(
+        ((4, 1, 1, 4, 5), (6, 2, 1, 9, 11), (8, 3, 1, 16, 17), (12, 3, 2, 64, 67)),
+        ("cyclic", "fractional", "random"),
+        ADVERSARY_NAMES,
+        ("consistent", "inconsistent", "", "lie,honest", "honest,lie,lie", " lie "),
+    ):
+        if not assignment_feasible(kind, n, p, s + u)[0]:
+            continue
+        for seed in range(3):
+            out = run_simulation(SimulationConfig(
+                n=n, s=s, u=u, p=p, d=3, q=q, assignment=kind, adversary=adversary,
+                lie_plan=plan, seed=seed, grouping=("lowest", "shuffled")[seed % 2],
+            ))
+            runs += 1
+            for ev in out.result.transcript.events:
+                digest.update((json.dumps(ev, separators=(",", ":")) + "\n").encode())
+            digest.update((out.metrics.csv_row() + "\n").encode())
+    assert runs == 1188
+    assert digest.hexdigest() == CATALOGUE_DIGEST
 
 
 # symmetrization --------------------------------------------------------------------

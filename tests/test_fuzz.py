@@ -8,11 +8,14 @@ The chaos strategy below answers each query with an arbitrary value
 transmission), which covers patterns the structured strategies never hit.
 """
 
+import argparse
+import json
 import random
 
 import pytest
 
 from byzgrad import harness
+from byzgrad.cli import _build_config
 from byzgrad.adversary import AdversaryStrategy
 from byzgrad.assignment import (
     assignment_to_text,
@@ -21,6 +24,7 @@ from byzgrad.assignment import (
     make_random_regular,
 )
 from byzgrad.coding import build_code_context
+from byzgrad.errors import InvalidParamsError, TranscriptReplayError
 from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import (
     SimulationConfig,
@@ -150,5 +154,79 @@ def test_chaos_property_exact_within_bounds():
         assert out.result.gradient == out.truth
         assert out.metrics.bound_violations() == []
         assert set(out.result.eliminated) <= set(controlled)
+
+    check()
+
+
+# Boundary fuzz: arbitrary JSON where a transcript or a config file is read.
+# Keys include "self" and "event", which collide with Python and engine
+# names; integers stay below 100 so no draw could ask for a large instance.
+CONFIG_FIELDS = tuple(SimulationConfig.__dataclass_fields__)
+
+
+def json_strategies(st):
+    keys = st.sampled_from(("self", "event", *CONFIG_FIELDS, "eval_points")) | st.text(max_size=4)
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers(-100, 99) | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3),
+        max_leaves=10,
+    )
+    return keys, values
+
+
+def test_start_label_property_replays_or_rejects(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    keys, values = json_strategies(st)
+    recorded = []
+    for grouping in ("lowest", "shuffled"):
+        out = run_simulation(SimulationConfig(
+            n=5, s=2, u=1, p=6, d=2, q=101, adversary="tournament-liar", seed=1,
+            grouping=grouping,
+        ))
+        recorded.append((out.result.transcript.events, out.result.gradient))
+    path = tmp_path / "t.jsonl"
+
+    # An extra start label, or a new value for an existing one.
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.sampled_from(recorded), keys, values)
+    def check(run, key, value):
+        events, gradient = run
+        start = {**events[0], key: value}
+        path.write_text("".join(json.dumps(ev) + "\n" for ev in [start, *events[1:]]))
+        try:
+            assert replay_transcript(str(path)) == gradient
+        except TranscriptReplayError:
+            pass
+
+    check()
+
+
+def test_config_file_property_raises_only_invalid_params(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    keys, values = json_strategies(st)
+    plausible = st.integers(-5, 99) | st.sampled_from((
+        "cyclic", "file", "tournament-liar", "shuffled", "first", "1;3", "lie,honest", "",
+    ))
+    field_values = values | plausible
+    configs = values | st.fixed_dictionaries(
+        {name: field_values for name in ("n", "s", "u", "p")},
+        optional={name: field_values for name in CONFIG_FIELDS if name not in "nsup"},
+    )
+    path = tmp_path / "cfg.json"
+    flags = ("n", "s", "u", "p", "d", "q", "assignment", "assignment_path", "adversary",
+             "seed", "grouping", "controlled", "lie_plan")
+    args = argparse.Namespace(config=str(path), **dict.fromkeys(flags))
+
+    # Config building and validation only: a valid config is never run.
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(configs)
+    def check(config):
+        path.write_text(json.dumps(config))
+        try:
+            _build_config(args).validate()
+        except InvalidParamsError:
+            pass
 
     check()

@@ -58,6 +58,11 @@ def test_config_validation_errors():
         for controlled in ("a", "9", "1;2;3", "1;x"):
             with pytest.raises(InvalidParamsError):
                 cfg(adversary=adversary, controlled=controlled).validate()
+    # So is the lie plan.
+    for adversary in ("honest", "random-always", "symmetrization"):
+        for plan in ("lie,maybe", "always", "Consistent"):
+            with pytest.raises(InvalidParamsError, match="bad lie plan"):
+                cfg(adversary=adversary, lie_plan=plan).validate()
 
 
 def test_assignment_feasibility_rules():
@@ -294,6 +299,26 @@ def test_read_events_rejects_non_event_lines(tmp_path):
         read_events(str(path))
 
 
+def test_replay_accepts_start_label_named_self(tmp_path):
+    out = run_simulation(cfg(adversary="tournament-liar", seed=1))
+    events = copy.deepcopy(out.result.transcript.events)
+    events[0]["self"] = 1
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    assert replay_transcript(str(path)) == out.result.gradient
+
+
+@pytest.mark.parametrize("depth, leaf", [(600, "true"), (100_000, "1")])
+def test_replay_rejects_deeply_nested_label(tmp_path, depth, leaf):
+    out = run_simulation(cfg(adversary="tournament-liar", seed=1))
+    lines = [json.dumps(ev) for ev in out.result.transcript.events]
+    lines[0] = lines[0][:-1] + ', "label": ' + "[" * depth + leaf + "]" * depth + "}"
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(TranscriptReplayError):
+        replay_transcript(str(path))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("assignment", ["5 6 3"]), ("n", "5"), ("q", 101.0), ("d", True),
@@ -516,6 +541,14 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, case):
     rc = cli_main([*argv, "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_rejects_deeply_nested_config(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"n": 5, "s": 2, "u": 1, "p": 6, "seed": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    rc = cli_main(["simulate", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {config}")
 
 
 @pytest.mark.parametrize(
