@@ -150,14 +150,14 @@ class TournamentLiar(AdversaryStrategy):
         if j not in self._offsets:
             self._offsets[j] = self._nonzero_vector(len(honest))
         q = self.ctx.field.q
-        wij = self.enc.w.at(self._targets[j], j)
+        wij = self.enc.w[self._targets[j]][j]
         return [(h + wij * e) % q for h, e in zip(honest, self._offsets[j])]
 
     def match_response(self, j, query, honest):
         target = self._targets[j]
         lo, hi = query.mask
         if lo <= target < hi:
-            wij = self.enc.w.at(target, j)
+            wij = self.enc.w[target][j]
             return (honest + wij * self._offsets[j][query.coordinate]) % self.ctx.field.q
         return honest
 

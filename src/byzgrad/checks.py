@@ -22,13 +22,7 @@ from .coding import (
     restrict_encoding,
 )
 from .field import PrimeField
-from .linalg import (
-    Matrix,
-    cauchy_like_det,
-    invert,
-    vandermonde,
-    vandermonde_inverse_last_column,
-)
+from .linalg import cauchy_like_det, invert, vandermonde, vandermonde_inverse_last_column
 from .protocol import form_groups, group_response
 
 
@@ -125,13 +119,11 @@ def check_encoding_matrix(trials=60, q=101, seed=0) -> CheckResult:
         res.cases += 1
         for j in range(n):
             for i in range(p):
-                if a_mat.bits[j][i] == 0 and enc.w.at(i, j) != 0:
+                if a_mat.bits[j][i] == 0 and enc.w[i][j] != 0:
                     res.failures.append(f"n={n} s={s} u={u} p={p}: W[{i},{j}] != 0")
         for group in combinations(range(n), ctx.r + 1):
             b = combining_vector(ctx, group)
-            got = [
-                sum(enc.w.at(i, j) * b[j] for j in group) % q for i in range(p)
-            ]
+            got = [sum(row[j] * b[j] for j in group) % q for row in enc.w]
             if got != [v % q for v in a]:
                 res.failures.append(f"n={n} s={s} u={u} group={group}: span miss")
     return res
@@ -210,14 +202,12 @@ def check_fewer_groups_attackable(
         rho = s + u
         a_mat = make_random_regular(n, max(n // rho + 1, 2), rho, seed)
         enc = build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
-        gradients = Matrix(
-            ctx.field, d, a_mat.p, [rng.randrange(q) for _ in range(d * a_mat.p)]
-        )
-        z = response_matrix(gradients, enc)
-        corrupted = z + Matrix(ctx.field, d, n, err * d)
-        truth = [sum(gradients.row_values(t)) % q for t in range(d)]
+        gradients = [[rng.randrange(q) for _ in range(a_mat.p)] for _ in range(d)]
+        z = response_matrix(ctx, gradients, enc)
+        corrupted = [[(v + e) % q for v, e in zip(row, err)] for row in z]
+        truth = [sum(row) % q for row in gradients]
         responses = [
-            group_response(corrupted, combining_vector(ctx, g)) for g in groups
+            group_response(ctx, corrupted, combining_vector(ctx, g)) for g in groups
         ]
         if any(resp != responses[0] for resp in responses[1:]):
             res.failures.append(f"n={n} s={s} u={u}: groups not unanimous under attack")
@@ -229,7 +219,7 @@ def check_fewer_groups_attackable(
             rng.shuffle(order)
             shuffled = form_groups(range(n), ctx.r, s, order).groups[:s]
             sresp = [
-                group_response(corrupted, combining_vector(ctx, g)) for g in shuffled
+                group_response(ctx, corrupted, combining_vector(ctx, g)) for g in shuffled
             ]
             unanimous = all(r == sresp[0] for r in sresp[1:]) and sresp[0] != truth
             hits += unanimous
@@ -252,19 +242,19 @@ def check_errors_and_erasures(n=7, s=2, u=2, q=11, p=5, d=1, seed=0) -> CheckRes
     ctx = build_code_context(n, s, u, q)
     a_mat = make_random_regular(n, p, s + u, seed)
     enc = build_encoding_matrix(ctx, a_mat, [1] * p)
-    gradients = Matrix(ctx.field, d, p, [rng.randrange(q) for _ in range(d * p)])
-    z = response_matrix(gradients, enc)
-    truth = [sum(gradients.row_values(t)) % q for t in range(d)]
+    gradients = [[rng.randrange(q) for _ in range(p)] for _ in range(d)]
+    z = response_matrix(ctx, gradients, enc)
+    truth = [sum(row) % q for row in gradients]
     for identified in range(n):
         for corrupt in range(n):
             if corrupt == identified:
                 continue
             for err in range(1, q):
                 res.cases += 1
-                data = list(z.data)
-                for t in range(d):
-                    data[t * n + corrupt] = (data[t * n + corrupt] + err) % q
-                got = ecc_decode(ctx, Matrix(ctx.field, d, n, data), [identified])
+                received = [list(row) for row in z]
+                for row in received:
+                    row[corrupt] = (row[corrupt] + err) % q
+                got = ecc_decode(ctx, received, [identified])
                 if got != truth:
                     res.failures.append(
                         f"identified={identified + 1} corrupt={corrupt + 1} err={err}"

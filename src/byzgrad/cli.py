@@ -152,6 +152,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             grouping=args.grouping or "lowest",
         )
     )
+    # Reject a bad grid before sweep.csv is opened (and truncated) or any run starts.
+    for item in items:
+        if isinstance(item, SimulationConfig):
+            item.validate()
     outdir = args.out or "."
     csv_path = os.path.join(outdir, "sweep.csv")
     # Open the output before the grid runs, so an unwritable path costs no runs.

@@ -37,7 +37,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .field import DEFAULT_MODULUS, PrimeField
-from .linalg import Matrix, vandermonde_inverse_last_column
+from .linalg import vandermonde_inverse_last_column
 
 # Not used here: perfbench/tracing.py wraps solve_linear at its coding name.
 from .linalg import solve_linear  # noqa: F401
@@ -82,10 +82,18 @@ def build_code_context(
 
 @dataclass(frozen=True)
 class EncodingMatrix:
-    """Query coefficients a together with the worker coefficient matrix W (p x n)."""
+    """Query coefficients a together with the worker coefficient matrix W (p x n).
+
+    W is a tuple of p row tuples; samples with equal rows share one tuple.
+    """
 
     a: tuple[int, ...]
-    w: Matrix
+    w: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """W's n columns: columns[j][i] is W[i][j]."""
+        return tuple(zip(*self.w))
 
     @cached_property
     def row_classes(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -99,16 +107,13 @@ class EncodingMatrix:
         class. Derived from W itself, so it holds for any encoding; tuples,
         because every caller shares the cached value.
         """
-        w = self.w
-        n, data = w.cols, w.data
         index: dict[tuple[int, ...], list[int]] = {}
-        for i in range(w.rows):
-            row = tuple(data[i * n : (i + 1) * n])
+        for i, row in enumerate(self.w):
             if any(row):
                 index.setdefault(row, []).append(i)
         samples = tuple(map(tuple, index.values()))
         # Transpose the distinct rows; with no class every worker's entry list is empty.
-        columns = tuple(zip(*index)) if index else ((),) * n
+        columns = tuple(zip(*index)) if index else ((),) * len(self.w[0])
         return samples, columns
 
 
@@ -132,9 +137,9 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence
     if len(a) != p:
         raise DimensionError(f"query vector length {len(a)} != p = {p}")
     pts = ctx.eval_points
-    zeros = [0] * n
-    bases: dict[tuple[int, ...], list[int]] = {}
-    data: list[int] = []
+    zeros = (0,) * n
+    bases: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rows: list[tuple[int, ...]] = []
     # Samples with equal assignment columns share a zero set and a base row.
     for i, column in enumerate(zip(*a_mat.bits)):
         base = bases.get(column)
@@ -145,22 +150,22 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence
                     f"sample {i + 1} is missing from {len(zero_set)} workers, expected r={r}"
                 )
             roots = [pts[m] for m in zero_set]
-            base = list(zeros)
+            row = list(zeros)
             for j, xj in enumerate(pts):
                 if column[j]:
                     acc = 1
                     for xm in roots:
                         acc *= xj - xm
-                    base[j] = acc % q
-            bases[column] = base
+                    row[j] = acc % q
+            base = bases[column] = tuple(row)
         ai = a[i] % q
         if ai == 1:
-            data.extend(base)
+            rows.append(base)
         elif ai == 0:
-            data.extend(zeros)
+            rows.append(zeros)
         else:
-            data.extend(ai * v % q for v in base)
-    return EncodingMatrix(tuple(v % q for v in a), Matrix(ctx.field, p, n, data))
+            rows.append(tuple(ai * v % q for v in base))
+    return EncodingMatrix(tuple(v % q for v in a), tuple(rows))
 
 
 def restrict_encoding(enc: EncodingMatrix, mask: Iterable[int]) -> EncodingMatrix:
@@ -172,11 +177,9 @@ def restrict_encoding(enc: EncodingMatrix, mask: Iterable[int]) -> EncodingMatri
     if any(v != 1 for v in enc.a):
         raise InvalidParamsError("restriction requires the all-one base encoding")
     keep = set(mask)
-    p, n = enc.w.rows, enc.w.cols
-    zeros = [0] * n
-    rows = [enc.w.row_values(i) if i in keep else list(zeros) for i in range(p)]
-    a = tuple(1 if i in keep else 0 for i in range(p))
-    return EncodingMatrix(a, Matrix.from_rows(enc.w.field, rows))
+    zeros = (0,) * len(enc.w[0])
+    w = tuple(row if i in keep else zeros for i, row in enumerate(enc.w))
+    return EncodingMatrix(tuple(1 if i in keep else 0 for i in range(len(w))), w)
 
 
 def combining_vector(ctx: CodeContext, group: Sequence[int]) -> list[int]:
@@ -218,18 +221,20 @@ def _combining_vector(
     return tuple(b)
 
 
-def worker_response(gradients: Matrix, enc: EncodingMatrix, j: int) -> list[int]:
+def worker_response(
+    ctx: CodeContext, gradients: Sequence[Sequence[int]], enc: EncodingMatrix, j: int
+) -> list[int]:
     """Honest response of worker j: G @ W[:, j], a length-d vector."""
-    q = gradients.field.q
-    d, p = gradients.rows, gradients.cols
-    if p != enc.w.rows:
+    if any(len(row) != len(enc.w) for row in gradients):
         raise DimensionError("gradient matrix width must equal sample count")
-    col = enc.w.col_values(j)
-    return [sum(map(mul, gradients.row_values(t), col)) % q for t in range(d)]
+    q, col = ctx.field.q, enc.columns[j]
+    return [sum(map(mul, row, col)) % q for row in gradients]
 
 
-def response_matrix(gradients: Matrix, enc: EncodingMatrix) -> Matrix:
-    """All honest responses at once: Z = G @ W, shape d x n.
+def response_matrix(
+    ctx: CodeContext, gradients: Sequence[Sequence[int]], enc: EncodingMatrix
+) -> list[list[int]]:
+    """All honest responses at once: Z = G @ W, as d rows of n.
 
     Equal rows of W form one class (EncodingMatrix.row_classes), so
     Z[t][j] = sum over classes c of (sum of G[t][i] over i in c) * W[c][j]:
@@ -237,19 +242,16 @@ def response_matrix(gradients: Matrix, enc: EncodingMatrix) -> Matrix:
     per worker. When every class is a single sample this is the dense
     product plus d*p additions.
     """
-    w = enc.w
-    if gradients.field.q != w.field.q:
-        raise DimensionError("operands live in different fields")
-    if gradients.cols != w.rows:
+    if any(len(row) != len(enc.w) for row in gradients):
         raise DimensionError("gradient matrix width must equal sample count")
-    q = w.field.q
+    q = ctx.field.q
     samples, columns = enc.row_classes
-    data: list[int] = []
-    for t in range(gradients.rows):
-        get = gradients.row_values(t).__getitem__
+    out = []
+    for row in gradients:
+        get = row.__getitem__
         sums = [get(c[0]) if len(c) == 1 else sum(map(get, c)) for c in samples]
-        data.extend([sum(map(mul, sums, col)) % q for col in columns])
-    return Matrix(w.field, gradients.rows, w.cols, data)
+        out.append([sum(map(mul, sums, col)) % q for col in columns])
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -343,8 +345,10 @@ def _located_pattern(
     return None if share is None else (roots, share)
 
 
-def ecc_decode(ctx: CodeContext, z: Matrix, identified: Iterable[int]) -> list[int]:
-    """Recover the full gradient from the d x n all-one responses z.
+def ecc_decode(
+    ctx: CodeContext, z: Sequence[Sequence[int]], identified: Iterable[int]
+) -> list[int]:
+    """Recover the full gradient from the all-one responses z, d rows of n.
 
     Identified workers are erased. Among the N available ones, k = r+1
     symbols fix a codeword, so at most tau = min(u-1, (N-k)//2) errors are
@@ -370,8 +374,7 @@ def ecc_decode(ctx: CodeContext, z: Matrix, identified: Iterable[int]) -> list[i
     *checks, last = _syndrome_table(xs, q, k)
     errors: dict[int, int] = {}  # pooled worker -> its evaluation point
     gradient = []
-    for t in range(z.rows):
-        row = z.row_values(t)
+    for t, row in enumerate(z):
         ys = [row[j] for j in avail]
         moment = sum(map(mul, ys, last))
         syndromes = [sum(map(mul, ys, check)) % q for check in checks]

@@ -47,7 +47,6 @@ from .errors import (
     TranscriptReplayError,
 )
 from .field import DEFAULT_MODULUS, is_prime
-from .linalg import Matrix
 from .protocol import ProtocolResult, ProtocolRun, run_protocol
 
 # Not used here: perfbench/tracing.py wraps these at their harness names.
@@ -321,9 +320,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
             config.n, config.s, config.u, config.q, config.p, config.assignment, aseed
         )
     grad_rng = random.Random(f"{config.seed}:gradients")
-    gradients = Matrix(
-        ctx.field, config.d, config.p, _draw_below(grad_rng, config.q, config.d * config.p)
-    )
+    gradients = [_draw_below(grad_rng, config.q, config.p) for _ in range(config.d)]
     strategy = make_adversary(config)
     grouping_rng = (
         random.Random(f"{config.seed}:grouping") if config.grouping == "shuffled" else None
@@ -343,8 +340,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         meta=meta,
         enc=enc,
     )
-    q = config.q
-    truth = [sum(gradients.row_values(t)) % q for t in range(config.d)]
+    truth = [sum(row) % config.q for row in gradients]
     tr = result.transcript
     metrics = RunMetrics(
         config=config,

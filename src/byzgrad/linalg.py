@@ -1,7 +1,9 @@
 """Dense exact linear algebra over a prime field.
 
-Matrices store int residues row-major. Gaussian elimination uses
-first-nonzero pivoting; over an exact field no magnitude pivoting is needed.
+Matrices store int residues row-major. They and Gaussian elimination serve
+the certificates in checks, the symmetrization attack and the test oracles;
+a protocol run carries plain int rows. Elimination uses first-nonzero
+pivoting; over an exact field no magnitude pivoting is needed.
 Includes the closed-form last column of a Vandermonde inverse and the
 determinant of a Cauchy-like block with an appended all-one column, both of
 which back the scheme's combining-vector and grouping-soundness arguments.
@@ -88,18 +90,6 @@ class Matrix:
         if self.field.q != other.field.q:
             raise DimensionError("operands live in different fields")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in addition")
-        q = self.field.q
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols,
-            [(a + b) % q for a, b in zip(self.data, other.data)],
-        )
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.cols != other.rows:
@@ -120,9 +110,6 @@ class Matrix:
                 data[out + j] = acc % q
         return Matrix(self.field, n, m, data)
 
-    def is_zero(self) -> bool:
-        return not any(self.data)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -131,9 +118,6 @@ class Matrix:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.rows, self.cols, tuple(self.data)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(map(str, self.row_values(i))) for i in range(self.rows))

@@ -39,7 +39,6 @@ from .errors import (
     InfeasibleStateError,
     ProtocolInvariantViolation,
 )
-from .linalg import Matrix
 
 # Not used here: perfbench/tracing.py wraps worker_response at its protocol name.
 from .coding import worker_response  # noqa: F401
@@ -139,10 +138,12 @@ def detect_contradiction(responses: Sequence[Sequence[int]]) -> Agreement | Conf
     return Agreement(tuple(responses[0]))
 
 
-def group_response(received: Matrix, b: Sequence[int]) -> list[int]:
-    """Decode one group's claim: received (d x n) times the combining vector."""
-    q = received.field.q
-    return [sum(map(mul, received.row_values(t), b)) % q for t in range(received.rows)]
+def group_response(
+    ctx: CodeContext, received: Sequence[Sequence[int]], b: Sequence[int]
+) -> list[int]:
+    """Decode one group's claim: received (d rows of n) times the combining vector."""
+    q = ctx.field.q
+    return [sum(map(mul, row, b)) % q for row in received]
 
 
 # ---------------------------------------------------------------------------
@@ -192,36 +193,43 @@ class ProtocolResult:
 class SimulatedResponder:
     """Worker answers of a simulated run: honest values through the adversary.
 
-    truth(i), the main node's local computation of sample i, is column i of
-    the gradients. A worker's honest match answer for coordinate c is a
-    difference of two entries of its prefix sums over samples of
-    G[c][i]·W[i][j], built the first time the run disputes c and asks that
-    worker, so every later level and round costs O(1) per worker. bind()
-    starts a run and drops the previous run's sums: they hold at most
-    d·n·(p+1) integers, in practice only those of the disputed coordinates.
+    The gradients are d rows of p. truth(i), the main node's local
+    computation of sample i, is column i of the gradients reduced mod q. A
+    worker's honest match answer for coordinate c is a difference of two
+    entries of its prefix sums over samples of G[c][i]·W[i][j], built the
+    first time the run disputes c and asks that worker, so every later
+    level and round costs O(1) per worker. bind() starts a run and drops
+    the previous run's sums: they hold at most d·n·(p+1) integers, in
+    practice only those of the disputed coordinates.
     """
 
-    def __init__(self, gradients: Matrix, adversary):
+    def __init__(self, gradients: Sequence[Sequence[int]], adversary):
         self.gradients = gradients
         self.adversary = adversary
-        self.d = gradients.rows
+        self.d = len(gradients)
 
     def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix, enc: EncodingMatrix) -> None:
-        if self.gradients.cols != a_mat.p:
+        if any(len(row) != a_mat.p for row in self.gradients):
             raise InfeasibleStateError("assignment and gradients disagree on shape")
-        self.q, self.n, self.enc = ctx.field.q, ctx.n, enc
+        self.ctx, self.q, self.enc = ctx, ctx.field.q, enc
         self._prefix: dict[tuple[int, int], list[int]] = {}
         self.adversary.bind(ctx, a_mat, enc)
 
     def initial(self) -> list[list[int]]:
         """Every worker's coded d-vector, as one list per worker."""
         adversary, q = self.adversary, self.q
-        z = response_matrix(self.gradients, self.enc)
+        z = response_matrix(self.ctx, self.gradients, self.enc)
         cols: list[list[int]] = []
-        for j in range(self.n):
-            honest = z.col_values(j)
+        for j, column in enumerate(zip(*z)):
+            honest = list(column)
             if j in adversary.controlled:
-                cols.append([v % q for v in adversary.initial_response(j, honest)])
+                sent = [v % q for v in adversary.initial_response(j, honest)]
+                # Zipping the columns into rows would hide a short or long column.
+                if len(sent) != self.d:
+                    raise ProtocolInvariantViolation(
+                        f"worker {j + 1} sent {len(sent)} symbols, expected d={self.d}"
+                    )
+                cols.append(sent)
             else:
                 cols.append(honest)
         return cols
@@ -235,9 +243,8 @@ class SimulatedResponder:
         for j in workers:
             sums = prefix.get((c, j))
             if sums is None:
-                # sums[k] adds G[c][i]·W[i][j] over samples i < k; column j of W
-                # is the strided slice data[j::n].
-                grow, wcol = self.gradients.row_values(c), self.enc.w.data[j :: self.n]
+                # sums[k] adds G[c][i]·W[i][j] over samples i < k.
+                grow, wcol = self.gradients[c], self.enc.columns[j]
                 sums = prefix[c, j] = [0, *accumulate(map(mul, grow, wcol))]
             honest = (sums[hi] - sums[lo]) % q
             if j in adversary.controlled:
@@ -247,7 +254,8 @@ class SimulatedResponder:
         return out
 
     def truth(self, i: int) -> list[int]:
-        return self.gradients.col_values(i)
+        q = self.q
+        return [row[i] % q for row in self.gradients]
 
 
 def local_compute(responder, i: int) -> list[int]:
@@ -282,6 +290,8 @@ class ProtocolRun:
             raise InfeasibleStateError("code and assignment disagree on shape")
         if a_mat.p < 1:
             raise ValueError("need at least one sample")
+        if responder.d < 1:
+            raise ValueError("need at least one gradient coordinate")
         self.ctx = ctx
         self.a_mat = a_mat
         self.responder = responder
@@ -298,12 +308,11 @@ class ProtocolRun:
 
     # -- queries ------------------------------------------------------------
 
-    def _transmit_initial(self) -> Matrix:
-        """The d x n all-one responses, one column per worker."""
-        ctx = self.ctx
-        n, p, d = ctx.n, self.a_mat.p, self.responder.d
+    def _transmit_initial(self) -> list[tuple[int, ...]]:
+        """The all-one responses as d rows of n, from one column per worker."""
+        n, p = self.ctx.n, self.a_mat.p
         cols = self.responder.initial()
-        values = Matrix(ctx.field, d, n, [cols[j][t] for t in range(d) for j in range(n)])
+        values = list(zip(*cols))
         workers = list(range(1, n + 1))
         self.transcript.add("query", t=1, kind="initial", mask=[1, p], coordinate=None, workers=workers)
         self.transcript.add("response_set", t=1, kind="initial", workers=workers, values=cols)
@@ -334,7 +343,7 @@ class ProtocolRun:
         t: int,
         plan: GroupingPlan,
         conflict: Conflict,
-        initial: Matrix,
+        initial: Sequence[Sequence[int]],
         group_claims: Sequence[Sequence[int]],
     ) -> tuple[int, ...]:
         """Binary-search the dispute between two groups down to one sample.
@@ -355,7 +364,7 @@ class ProtocolRun:
         b2 = combining_vector(ctx, g2)
         # Per-worker commitments for the current interval, seeded by the initial
         # responses at the disputed coordinate.
-        commit = {j: initial.at(coord, j) for j in union}
+        commit = {j: initial[coord][j] for j in union}
         label1 = group_claims[conflict.first][coord]
         label2 = group_claims[conflict.second][coord]
         if label1 == label2:
@@ -399,10 +408,10 @@ class ProtocolRun:
         self.transcript.local_computations += 1
         self.transcript.add("local_compute", t=t, sample=leaf + 1, value=truth_vec)
         truth = truth_vec[coord]
-        w = self.enc.w
+        w_leaf = self.enc.w[leaf]
         malicious = []
         for j in union:
-            wij = w.at(leaf, j)
+            wij = w_leaf[j]
             if self.a_mat.bits[j][leaf] and wij == 0:
                 raise ProtocolInvariantViolation(
                     f"assigned worker {j + 1} has zero coefficient for sample {leaf + 1}"
@@ -451,7 +460,7 @@ class ProtocolRun:
                 self.grouping_rng.shuffle(order)
             plan = form_groups(self.active, ctx.r, s_t, order)
             claims = [
-                group_response(initial, combining_vector(ctx, g))
+                group_response(ctx, initial, combining_vector(ctx, g))
                 for g in plan.groups
             ]
             self.transcript.rounds += 1
@@ -490,7 +499,7 @@ class ProtocolRun:
 def run_protocol(
     ctx: CodeContext,
     a_mat: AssignmentMatrix,
-    gradients: Matrix,
+    gradients: Sequence[Sequence[int]],
     adversary,
     *,
     grouping_rng: Optional[random.Random] = None,

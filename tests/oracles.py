@@ -86,11 +86,11 @@ def solve_encoding_matrix(
                 acc += qi[k] * f_rows[k][j]
             row.append(acc % q)
         w_rows.append(row)
-    return EncodingMatrix(tuple(v % q for v in a), Matrix.from_rows(field, w_rows))
+    return EncodingMatrix(tuple(v % q for v in a), tuple(map(tuple, w_rows)))
 
 
 def exhaustive_ecc_decode(
-    ctx: CodeContext, z: Matrix, identified: Iterable[int]
+    ctx: CodeContext, z: Sequence[Sequence[int]], identified: Iterable[int]
 ) -> list[int]:
     """Errors-and-erasures decoding by trying every error pattern.
 
@@ -100,6 +100,7 @@ def exhaustive_ecc_decode(
     column block, and accept iff the re-encoded codeword matches every
     remaining column. This costs up to C(n', <= u-1) Gaussian solves.
     """
+    z = Matrix.from_rows(ctx.field, z)
     erased = set(identified)
     avail = [j for j in range(ctx.n) if j not in erased]
     k = ctx.r + 1
@@ -218,7 +219,9 @@ def _gao_message(q: int, g0: Sequence[int], g1: list[int], k: int) -> list[int] 
     return None if rem else f
 
 
-def gao_ecc_decode(ctx: CodeContext, z: Matrix, identified: Iterable[int]) -> list[int]:
+def gao_ecc_decode(
+    ctx: CodeContext, z: Sequence[Sequence[int]], identified: Iterable[int]
+) -> list[int]:
     """Errors-and-erasures decoding by interpolation, Gao's algorithm and re-encoding.
 
     The decoder byzgrad.coding.ecc_decode replaced; it must give the same
@@ -245,8 +248,7 @@ def gao_ecc_decode(ctx: CodeContext, z: Matrix, identified: Iterable[int]) -> li
     g0, columns = _lagrange_basis(xs, q)
     errors: set[int] = set()
     gradient = []
-    for t in range(z.rows):
-        row = z.row_values(t)
+    for t, row in enumerate(z):
         ys = [row[j] for j in avail]
         f = _trim([sum(map(mul, ys, col)) % q for col in columns])
         if tau:
@@ -278,13 +280,17 @@ def leaf_depth_walk(p: int, i: int) -> int:
 
 
 def match_answer_slice(
-    gradients: Matrix, enc: EncodingMatrix, coord: int, lo: int, hi: int, j: int
+    ctx: CodeContext,
+    gradients: Sequence[Sequence[int]],
+    enc: EncodingMatrix,
+    coord: int,
+    lo: int,
+    hi: int,
+    j: int,
 ) -> int:
     """Worker j's honest match answer: sum over samples lo..hi-1 of G[coord][i]·W[i][j].
 
-    Column j of W restricted to rows lo..hi-1 is one strided slice of its
-    row-major data; the slice is recomputed for every query.
+    Reads entry j of W's rows lo..hi-1 directly, recomputed for every query.
     """
-    n = enc.w.cols
-    grow = gradients.row_values(coord)[lo:hi]
-    return sum(map(mul, grow, enc.w.data[lo * n + j : hi * n : n])) % gradients.field.q
+    grow = gradients[coord][lo:hi]
+    return sum(g * row[j] for g, row in zip(grow, enc.w[lo:hi])) % ctx.field.q

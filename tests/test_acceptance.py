@@ -18,7 +18,6 @@ from byzgrad.checks import (
 )
 from byzgrad.coding import build_code_context
 from byzgrad.harness import grid_configs, run_simulation, run_sweep, SimulationConfig
-from byzgrad.linalg import Matrix
 from byzgrad.protocol import Query, run_protocol
 
 
@@ -32,7 +31,7 @@ def test_criterion_1_worked_example_identification():
     t0 = time.monotonic()
     ctx = build_code_context(3, 1, 1, 7)
     a_mat = make_cyclic(3, 3, 2)
-    gradients = Matrix.from_rows(ctx.field, [[2, 3, 4]])
+    gradients = [[2, 3, 4]]
     # Worker 3 commits to a fake value for sample 1 (nonzero initial error)
     # and answers honestly whenever sample 1 is not queried, in particular on
     # any query for sample 2 alone.

@@ -24,7 +24,6 @@ from byzgrad.coding import (
 )
 from byzgrad.errors import InvalidParamsError
 from byzgrad.harness import ADVERSARY_NAMES, SimulationConfig, assignment_feasible, run_simulation
-from byzgrad.linalg import Matrix
 from byzgrad.protocol import form_groups, group_response, leaf_depths, run_protocol
 
 from oracles import leaf_depth_walk
@@ -32,12 +31,11 @@ from oracles import leaf_depth_walk
 
 def make_gradients(ctx, p, d, seed):
     rng = random.Random(seed)
-    return Matrix(ctx.field, d, p, [rng.randrange(ctx.field.q) for _ in range(d * p)])
+    return [[rng.randrange(ctx.field.q) for _ in range(p)] for _ in range(d)]
 
 
-def full_sum(g):
-    q = g.field.q
-    return [sum(g.row_values(t)) % q for t in range(g.rows)]
+def full_sum(ctx, g):
+    return [sum(row) % ctx.field.q for row in g]
 
 
 # baseline strategies ------------------------------------------------------------
@@ -51,7 +49,7 @@ def test_honest_strategy_is_transparent():
     tr = res.transcript
     assert (tr.local_computations, tr.comm_overhead) == (0, 0)
     assert res.eliminated == ()
-    assert res.gradient == full_sum(g)
+    assert res.gradient == full_sum(ctx, g)
 
 
 def test_rng_is_seeded_on_first_use():
@@ -91,7 +89,7 @@ def test_persistent_corruption_identified_within_budget():
         g = make_gradients(ctx, 6, 1, seed=seed)
         strat = random_corruption([0, 3], seed=seed, persistence="always")
         res = run_protocol(ctx, a_mat, g, strat)
-        assert res.gradient == full_sum(g)
+        assert res.gradient == full_sum(ctx, g)
         assert res.transcript.rounds <= ctx.s - (ctx.u - 1)
         assert set(res.eliminated) <= {0, 3}
 
@@ -111,7 +109,7 @@ def test_initial_only_corruption_pinned_by_commitments():
         g = make_gradients(ctx, 6, 1, seed=seed)
         strat = random_corruption([0], seed=seed, persistence="initial_only")
         res = run_protocol(ctx, a_mat, g, strat)
-        assert res.gradient == full_sum(g)
+        assert res.gradient == full_sum(ctx, g)
         assert set(res.eliminated) <= {0}
         caught += bool(res.eliminated)
     assert caught >= 1  # worker 0 sits in round-one groups, so it does get caught
@@ -126,7 +124,7 @@ def test_liar_empty_plan_caught_from_initial_commitment():
     g = make_gradients(ctx, 5, 1, seed=2)
     strat = tournament_liar([1], "", seed=2)
     res = run_protocol(ctx, a_mat, g, strat)
-    assert res.gradient == full_sum(g)
+    assert res.gradient == full_sum(ctx, g)
     assert res.eliminated == (1,)
 
 
@@ -137,7 +135,7 @@ def test_liar_inconsistent_plan_soundness():
         g = make_gradients(ctx, 6, 1, seed=seed)
         strat = tournament_liar([0, 2], "inconsistent", seed=seed)
         res = run_protocol(ctx, a_mat, g, strat)
-        assert res.gradient == full_sum(g)
+        assert res.gradient == full_sum(ctx, g)
         assert set(res.eliminated) <= {0, 2}
         assert len(res.eliminated) >= 1
 
@@ -148,7 +146,7 @@ def test_liar_per_level_script():
     g = make_gradients(ctx, 8, 1, seed=4)
     strat = tournament_liar([2], "lie,honest", seed=4)
     res = run_protocol(ctx, a_mat, g, strat)
-    assert res.gradient == full_sum(g)
+    assert res.gradient == full_sum(ctx, g)
     assert res.eliminated == (2,)
 
 
@@ -211,8 +209,7 @@ def test_attack_single_group_always_works():
     err = symmetrization_attack(ctx, groups, [member])
     assert err is not None
     assert [j for j, e in enumerate(err) if e] == [member]
-    row = Matrix(ctx.field, 1, 5, err)
-    assert group_response(row, combining_vector(ctx, groups[0])) == [1]
+    assert group_response(ctx, [err], combining_vector(ctx, groups[0])) == [1]
 
 
 def test_attack_on_fewer_groups_fools_them():
@@ -229,11 +226,11 @@ def test_attack_on_fewer_groups_fools_them():
         a_mat = make_random_regular(n, p, s + u, seed=0)
         enc = build_encoding_matrix(ctx, a_mat, [1] * p)
         g = make_gradients(ctx, p, 1, seed=0)
-        z = response_matrix(g, enc)
-        corrupted = z + Matrix(ctx.field, 1, n, err)
-        responses = [group_response(corrupted, combining_vector(ctx, gr)) for gr in groups]
+        z = response_matrix(ctx, g, enc)
+        corrupted = [[(v + e) % ctx.field.q for v, e in zip(row, err)] for row in z]
+        responses = [group_response(ctx, corrupted, combining_vector(ctx, gr)) for gr in groups]
         assert all(resp == responses[0] for resp in responses)
-        assert responses[0] != full_sum(g)
+        assert responses[0] != full_sum(ctx, g)
 
 
 def test_attack_infeasible_against_full_grouping_exhaustive():
@@ -252,7 +249,7 @@ def test_symmetrization_strategy_never_corrupts_output():
             g = make_gradients(ctx, p, 1, seed=seed)
             strat = symmetrization(seed=seed)
             res = run_protocol(ctx, a_mat, g, strat)
-            assert res.gradient == full_sum(g)
+            assert res.gradient == full_sum(ctx, g)
             assert set(res.eliminated) <= set(strat.controlled)
 
 
@@ -267,7 +264,7 @@ def test_symmetrization_hides_from_targeted_groups_round_one():
     # the first s groups decode the same wrong value; the last disagrees
     assert values[0] == values[1]
     assert values[2] != values[0]
-    assert res.gradient == full_sum(g)
+    assert res.gradient == full_sum(ctx, g)
 
 
 # No benchmark workload runs the symmetrization adversary, so this digest pins

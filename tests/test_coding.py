@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -88,19 +89,19 @@ def test_encoding_matrix_worked_instance():
     ctx = small_context()
     a_mat = make_cyclic(3, 3, 2)
     enc = build_encoding_matrix(ctx, a_mat, [1, 1, 1])
-    assert enc.w.to_rows() == [[6, 0, 1], [5, 6, 0], [0, 1, 2]]
+    assert enc.w == ((6, 0, 1), (5, 6, 0), (0, 1, 2))
     # any two workers recover the full sum
     for pair in combinations(range(3), 2):
         b = combining_vector(ctx, pair)
         for i in range(3):
-            assert sum(enc.w.at(i, j) * b[j] for j in pair) % 7 == 1
+            assert sum(enc.w[i][j] * b[j] for j in pair) % 7 == 1
 
 
 def test_encoding_zero_query_gives_zero_matrix():
     ctx = small_context()
     a_mat = make_cyclic(3, 3, 2)
     enc = build_encoding_matrix(ctx, a_mat, [0, 0, 0])
-    assert enc.w.is_zero()
+    assert not any(map(any, enc.w))
 
 
 def test_encoding_zero_pattern_random_instances():
@@ -112,7 +113,7 @@ def test_encoding_zero_pattern_random_instances():
         for j in range(ctx.n):
             for i in range(a_mat.p):
                 if not a_mat.bits[j][i]:
-                    assert enc.w.at(i, j) == 0
+                    assert enc.w[i][j] == 0
 
 
 def test_encoding_span_all_groups_exhaustive():
@@ -123,7 +124,7 @@ def test_encoding_span_all_groups_exhaustive():
         enc = build_encoding_matrix(ctx, a_mat, a)
         for group in combinations(range(ctx.n), ctx.r + 1):
             b = combining_vector(ctx, group)
-            got = [sum(enc.w.at(i, j) * b[j] for j in group) % 101 for i in range(a_mat.p)]
+            got = [sum(row[j] * b[j] for j in group) % 101 for row in enc.w]
             assert got == [v % 101 for v in a]
 
 
@@ -200,7 +201,7 @@ def test_restrict_full_and_empty_masks():
     a_mat = make_cyclic(3, 3, 2)
     enc = build_encoding_matrix(ctx, a_mat, [1, 1, 1])
     assert restrict_encoding(enc, range(3)).w == enc.w
-    assert restrict_encoding(enc, []).w.is_zero()
+    assert not any(map(any, restrict_encoding(enc, []).w))
 
 
 def test_restrict_matches_rebuild():
@@ -351,7 +352,7 @@ def test_decoding_matrix_worked_instance():
     for group in [(0, 2), (1, 2)]:
         b = combining_vector(ctx, group)
         # sum_j W[i][j] * b_g[j] = a_i, with b_g supported only on its group
-        assert (enc.w * Matrix.column(ctx.field, b)).col_values(0) == [1, 1, 1]
+        assert [sum(map(mul, row, b)) % 7 for row in enc.w] == [1, 1, 1]
         assert all(b[j] == 0 for j in range(3) if j not in group)
 
 
@@ -369,8 +370,8 @@ def test_decoding_identity_random_groupings():
             a = [rng.randrange(101) for _ in range(a_mat.p)]
             enc = build_encoding_matrix(ctx, a_mat, a)
             for b in vectors:
-                prod = enc.w * Matrix.column(ctx.field, b)
-                assert prod.col_values(0) == [v % 101 for v in a]
+                prod = [sum(map(mul, row, b)) % 101 for row in enc.w]
+                assert prod == [v % 101 for v in a]
 
 
 # worker responses --------------------------------------------------------------
@@ -380,8 +381,7 @@ def test_worker_response_zero_column():
     ctx = small_context()
     a_mat = make_cyclic(3, 3, 2)
     enc = build_encoding_matrix(ctx, a_mat, [0, 0, 0])
-    g = Matrix.from_rows(ctx.field, [[1, 2, 3]])
-    assert worker_response(g, enc, 0) == [0]
+    assert worker_response(ctx, [[1, 2, 3]], enc, 0) == [0]
 
 
 def test_worker_response_matches_matrix_product():
@@ -389,27 +389,25 @@ def test_worker_response_matches_matrix_product():
     for _ in range(20):
         ctx, a_mat = random_instance(rng)
         d = rng.randrange(1, 4)
-        g = Matrix.from_rows(
-            ctx.field, [[rng.randrange(101) for _ in range(a_mat.p)] for _ in range(d)]
-        )
+        g = [[rng.randrange(101) for _ in range(a_mat.p)] for _ in range(d)]
         enc = build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
-        z = response_matrix(g, enc)
+        z = response_matrix(ctx, g, enc)
         for j in range(ctx.n):
-            assert worker_response(g, enc, j) == z.col_values(j)
+            assert worker_response(ctx, g, enc, j) == [row[j] for row in z]
 
 
 def _check_row_classes(enc):
     """Every class holds equal nonzero rows, and every nonzero row is in one."""
     w = enc.w
     samples, columns = enc.row_classes
-    assert len(columns) == w.cols
+    assert len(columns) == len(w[0])
     members = [i for c in samples for i in c]
-    assert sorted(members) == [i for i in range(w.rows) if any(w.row_values(i))]
+    assert sorted(members) == [i for i in range(len(w)) if any(w[i])]
     for k, c in enumerate(samples):
         assert list(c) == sorted(c)
-        rep = [col[k] for col in columns]
-        assert all(w.row_values(i) == rep for i in c)
-    reps = [tuple(w.row_values(c[0])) for c in samples]
+        rep = tuple(col[k] for col in columns)
+        assert all(w[i] == rep for i in c)
+    reps = [w[c[0]] for c in samples]
     assert len(set(reps)) == len(reps)
 
 
@@ -456,8 +454,9 @@ def test_response_matrix_matches_dense_product():
                 enc = restrict_encoding(full, mask)
                 seen["empty"] += not mask
             d = rng.randrange(1, 5)
-            g = Matrix(ctx.field, d, p, [rng.randrange(q) for _ in range(d * p)])
-            assert response_matrix(g, enc) == g * enc.w, (q, n, s, u, p, kind, style)
+            g = [[rng.randrange(q) for _ in range(p)] for _ in range(d)]
+            dense = Matrix.from_rows(ctx.field, g) * Matrix.from_rows(ctx.field, enc.w)
+            assert response_matrix(ctx, g, enc) == dense.to_rows(), (q, n, s, u, p, kind, style)
             _check_row_classes(enc)
             cases += 1
             seen[kind] += 1
@@ -473,10 +472,11 @@ def test_response_matrix_rejects_mismatches():
     ctx = small_context()
     enc = build_encoding_matrix(ctx, make_cyclic(3, 3, 2), [1, 1, 1])
     with pytest.raises(DimensionError):
-        response_matrix(Matrix.from_rows(ctx.field, [[1, 2]]), enc)
-    other = build_code_context(3, 1, 1, 11).field
+        response_matrix(ctx, [[1, 2]], enc)
     with pytest.raises(DimensionError):
-        response_matrix(Matrix.from_rows(other, [[1, 2, 3]]), enc)
+        response_matrix(ctx, [[1, 2, 3], [1, 2]], enc)  # ragged rows
+    with pytest.raises(DimensionError):
+        worker_response(ctx, [[1, 2, 3], [1, 2]], enc, 0)
 
 
 def test_row_class_counts():
@@ -511,16 +511,30 @@ def test_row_classes_are_immutable_and_leave_the_fields_alone():
     assert enc == twin and hash(enc) == hash(twin)
 
 
+def test_encoding_rows_are_shared_tuples_and_columns_are_cached():
+    ctx = build_code_context(6, 2, 1, 101)
+    a_mat = make_cyclic(6, 12, 3)  # samples i and i + 6 share a zero set
+    a = [1] * 7 + [0] * 3 + [5, 1]
+    enc = build_encoding_matrix(ctx, a_mat, a)
+    assert type(enc.w) is tuple and all(type(row) is tuple for row in enc.w)
+    assert enc.w[0] is enc.w[6] and enc.w[5] is enc.w[11]  # one base tuple per zero set
+    assert enc.w[7] is enc.w[8] is enc.w[9] and not any(enc.w[7])  # one zero tuple
+    assert enc.w[10] == tuple(5 * v % 101 for v in enc.w[4])
+    columns = enc.columns
+    assert enc.columns is columns
+    assert all(type(col) is tuple for col in columns)
+    assert [[col[i] for col in columns] for i in range(12)] == [list(row) for row in enc.w]
+
+
 def test_fig_instance_pairwise_decodable():
     ctx = small_context()
     a_mat = make_cyclic(3, 3, 2)
     enc = build_encoding_matrix(ctx, a_mat, [1, 1, 1])
-    g = Matrix.from_rows(ctx.field, [[2, 3, 4]])
-    z = response_matrix(g, enc)
+    z = response_matrix(ctx, [[2, 3, 4]], enc)
     total = (2 + 3 + 4) % 7
     for pair in combinations(range(3), 2):
         b = combining_vector(ctx, pair)
-        assert sum(z.at(0, j) * b[j] for j in pair) % 7 == total
+        assert sum(z[0][j] * b[j] for j in pair) % 7 == total
 
 
 # errors-and-erasures -----------------------------------------------------------
@@ -531,42 +545,36 @@ def test_ecc_erasure_only_path():
     ctx = build_code_context(5, 2, 1, 11)
     a_mat = make_random_regular(5, 4, 3, seed=0)
     enc = build_encoding_matrix(ctx, a_mat, [1] * 4)
-    g = Matrix.from_rows(ctx.field, [[3, 7, 1, 9]])
-    z = response_matrix(g, enc)
+    z = response_matrix(ctx, [[3, 7, 1, 9]], enc)
     truth = [(3 + 7 + 1 + 9) % 11]
-    corrupted = list(z.data)
+    corrupted = list(z[0])
     corrupted[0] = (corrupted[0] + 5) % 11
     corrupted[3] = (corrupted[3] + 2) % 11
-    received = Matrix(ctx.field, 1, 5, corrupted)
-    assert ecc_decode(ctx, received, [0, 3]) == truth
+    assert ecc_decode(ctx, [corrupted], [0, 3]) == truth
 
 
 def test_ecc_single_residual_error():
     ctx = build_code_context(7, 2, 2, 11)
     a_mat = make_random_regular(7, 5, 4, seed=1)
     enc = build_encoding_matrix(ctx, a_mat, [1] * 5)
-    g = Matrix.from_rows(ctx.field, [[1, 2, 3, 4, 5]])
-    z = response_matrix(g, enc)
+    z = response_matrix(ctx, [[1, 2, 3, 4, 5]], enc)
     truth = [(1 + 2 + 3 + 4 + 5) % 11]
     for corrupt in range(1, 7):
         for err in (1, 5, 10):
-            data = list(z.data)
+            data = list(z[0])
             data[corrupt] = (data[corrupt] + err) % 11
-            received = Matrix(ctx.field, 1, 7, data)
-            assert ecc_decode(ctx, received, [0]) == truth
+            assert ecc_decode(ctx, [data], [0]) == truth
 
 
 def test_ecc_over_budget_fails():
     ctx = build_code_context(3, 1, 1, 7)
     a_mat = make_cyclic(3, 3, 2)
     enc = build_encoding_matrix(ctx, a_mat, [1, 1, 1])
-    g = Matrix.from_rows(ctx.field, [[2, 3, 4]])
-    z = response_matrix(g, enc)
-    data = list(z.data)
+    z = response_matrix(ctx, [[2, 3, 4]], enc)
+    data = list(z[0])
     data[1] = (data[1] + 3) % 7
-    received = Matrix(ctx.field, 1, 3, data)
     with pytest.raises(DecodeFailureError):
-        ecc_decode(ctx, received, [])
+        ecc_decode(ctx, [data], [])
 
 
 def test_ecc_multivector_gradient():
@@ -574,12 +582,10 @@ def test_ecc_multivector_gradient():
     a_mat = make_random_regular(6, 4, 5, seed=2)
     enc = build_encoding_matrix(ctx, a_mat, [1] * 4)
     rng = random.Random(0)
-    g = Matrix.from_rows(ctx.field, [[rng.randrange(101) for _ in range(4)] for _ in range(3)])
-    z = response_matrix(g, enc)
-    truth = [sum(g.row_values(t)) % 101 for t in range(3)]
-    data = list(z.data)
+    g = [[rng.randrange(101) for _ in range(4)] for _ in range(3)]
+    received = response_matrix(ctx, g, enc)
+    truth = [sum(row) % 101 for row in g]
     for j in (1, 4):  # two corrupt workers, within u-1 = 2
-        for t in range(3):
-            data[t * 6 + j] = (data[t * 6 + j] + 17) % 101
-    received = Matrix(ctx.field, 3, 6, data)
+        for row in received:
+            row[j] = (row[j] + 17) % 101
     assert ecc_decode(ctx, received, []) == truth

@@ -16,7 +16,6 @@ from byzgrad.coding import (
 from byzgrad.errors import DecodeFailureError
 from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import SimulationConfig, replay_transcript, run_simulation, write_transcript
-from byzgrad.linalg import Matrix
 
 from oracles import exhaustive_ecc_decode, gao_ecc_decode
 
@@ -38,18 +37,16 @@ def corrupt_instance(rng, ctx, p, d, identified_count, corrupt_count):
     n, q = ctx.n, ctx.field.q
     a_mat = make_random_regular(n, p, ctx.s + ctx.u, rng.randrange(2**31))
     enc = build_encoding_matrix(ctx, a_mat, [1] * p)
-    g = Matrix(ctx.field, d, p, [rng.randrange(q) for _ in range(d * p)])
-    z = response_matrix(g, enc)
-    truth = [sum(g.row_values(t)) % q for t in range(d)]
+    g = [[rng.randrange(q) for _ in range(p)] for _ in range(d)]
+    received = response_matrix(ctx, g, enc)
+    truth = [sum(row) % q for row in g]
     identified = rng.sample(range(n), identified_count)
     rest = [j for j in range(n) if j not in identified]
     corrupted = rng.sample(rest, min(corrupt_count, len(rest)))
-    data = list(z.data)
     for j in corrupted + identified:
         coords = [t for t in range(d) if rng.random() < 0.5] or [rng.randrange(d)]
         for t in coords:
-            data[t * n + j] = (data[t * n + j] + rng.randrange(1, q)) % q
-    received = Matrix(ctx.field, d, n, data)
+            received[t][j] = (received[t][j] + rng.randrange(1, q)) % q
     return received, identified, corrupted, truth
 
 
@@ -173,12 +170,11 @@ def test_over_budget_beyond_tau_fails_where_oracle_misdecodes():
     # a wrong gradient; the unique decoder refuses.
     ctx = build_code_context(7, 3, 2, 11)
     enc = build_encoding_matrix(ctx, make_random_regular(7, 5, 5, seed=4), [1] * 5)
-    g = Matrix.from_rows(ctx.field, [[1, 2, 3, 4, 5]])
-    z = response_matrix(g, enc)
+    z = response_matrix(ctx, [[1, 2, 3, 4, 5]], enc)
     truth = [(1 + 2 + 3 + 4 + 5) % 11]
-    data = list(z.data)
+    data = list(z[0])
     data[5] = (data[5] + 3) % 11
-    received = Matrix(ctx.field, 1, 7, data)
+    received = [data]
     identified = [0, 1, 2]
     wrong = exhaustive_ecc_decode(ctx, received, identified)
     assert wrong != truth
@@ -193,18 +189,15 @@ def test_shared_locator_pools_errors_across_coordinates():
     ctx = build_code_context(9, 3, 3, 101)
     enc = build_encoding_matrix(ctx, make_random_regular(9, 6, 6, seed=7), [1] * 6)
     rng = random.Random(5)
-    g = Matrix(ctx.field, 2, 6, [rng.randrange(101) for _ in range(12)])
-    z = response_matrix(g, enc)
-    truth = [sum(g.row_values(t)) % 101 for t in range(2)]
-    data = list(z.data)
-    data[0 * 9 + 2] = (data[0 * 9 + 2] + 1) % 101
-    data[1 * 9 + 6] = (data[1 * 9 + 6] + 1) % 101
-    received = Matrix(ctx.field, 2, 9, data)
+    g = [[rng.randrange(101) for _ in range(6)] for _ in range(2)]
+    received = response_matrix(ctx, g, enc)
+    truth = [sum(row) % 101 for row in g]
+    received[0][2] = (received[0][2] + 1) % 101
+    received[1][6] = (received[1][6] + 1) % 101
     assert ecc_decode(ctx, received, []) == truth
     # A third worker in error exceeds tau = 2 even though each coordinate
     # alone is within the unique radius (n'-k)//2 = 3.
-    data[0 * 9 + 4] = (data[0 * 9 + 4] + 1) % 101
-    received = Matrix(ctx.field, 2, 9, data)
+    received[0][4] = (received[0][4] + 1) % 101
     with pytest.raises(DecodeFailureError):
         ecc_decode(ctx, received, [])
 
@@ -216,18 +209,16 @@ def test_pooled_errors_capped_by_unique_radius():
     # together they are beyond it, where a codeword need not be unique.
     ctx = build_code_context(7, 3, 3, 101)
     enc = build_encoding_matrix(ctx, make_random_regular(7, 4, 6, seed=2), [1] * 4)
-    g = Matrix.from_rows(ctx.field, [[1, 2, 3, 4], [5, 6, 7, 8]])
-    data = list(response_matrix(g, enc).data)
-    data[0 * 7 + 3] = (data[0 * 7 + 3] + 9) % 101
-    data[1 * 7 + 5] = (data[1 * 7 + 5] + 9) % 101
-    received = Matrix(ctx.field, 2, 7, data)
+    received = response_matrix(ctx, [[1, 2, 3, 4], [5, 6, 7, 8]], enc)
+    received[0][3] = (received[0][3] + 9) % 101
+    received[1][5] = (received[1][5] + 9) % 101
     with pytest.raises(DecodeFailureError):
         ecc_decode(ctx, received, [0, 1, 2])
 
 
 def test_too_few_available_workers_fail():
     ctx = build_code_context(5, 2, 1, 11)  # k = r+1 = 3
-    received = Matrix(ctx.field, 1, 5, [0] * 5)
+    received = [[0] * 5]
     with pytest.raises(DecodeFailureError):
         ecc_decode(ctx, received, [0, 1, 2])
 

@@ -44,8 +44,8 @@ def test_encoder_zero_pattern_and_group_span(case):
     w = build_encoding_matrix(ctx, a_mat, a).w
     for i in range(a_mat.p):
         for j in range(ctx.n):
-            assert (w.at(i, j) == 0) == (not a_mat.bits[j][i] or a[i] % q == 0)
+            assert (w[i][j] == 0) == (not a_mat.bits[j][i] or a[i] % q == 0)
     b = combining_vector(ctx, group)
     assert all(b[j] == 0 for j in range(ctx.n) if j not in group)
     for i in range(a_mat.p):
-        assert sum(w.at(i, j) * b[j] for j in group) % q == a[i] % q
+        assert sum(w[i][j] * b[j] for j in group) % q == a[i] % q

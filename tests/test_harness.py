@@ -581,6 +581,33 @@ def test_cli_reports_unwritable_output(tmp_path, capsys, monkeypatch, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--adversaries", "honest,nonsens"], "unknown adversary 'nonsens'"),
+        (["--d", "1,0"], "need p >= 1 and d >= 1"),
+        (["--q", "4"], "q must be prime, got 4"),
+        (["--grouping", "bogus"], "unknown grouping mode 'bogus'"),
+        (["--assignments", "cyclic,file"], "assignment 'file' needs assignment_path"),
+    ],
+    ids=["adversary", "d", "q", "grouping", "assignment"],
+)
+def test_cli_sweep_rejects_bad_grid_before_writing(tmp_path, capsys, monkeypatch, flags, message):
+    def no_run(config):
+        raise AssertionError("a sweep run started before the grid was validated")
+
+    monkeypatch.setattr(harness, "run_simulation", no_run)
+    previous = tmp_path / "sweep.csv"
+    previous.write_bytes(b"an earlier sweep\n")
+    rc = cli_main([
+        "sweep", "--n", "5", "--s", "2", "--p", "6", "--seeds", "2", "--jobs", "1",
+        "--out", str(tmp_path), *flags,
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert previous.read_bytes() == b"an earlier sweep\n"
+
+
 def test_cli_save_assignment_writes_the_run_assignment(tmp_path, capsys):
     instance = ["--n", "7", "--s", "2", "--u", "1", "--p", "9", "--d", "2", "--q", "101"]
     saved, first, second = tmp_path / "a.txt", tmp_path / "1.jsonl", tmp_path / "2.jsonl"

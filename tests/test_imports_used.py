@@ -48,3 +48,39 @@ def test_package_modules_use_what_they_import():
         if (path.stem, name) not in allowed
     ]
     assert dead == []
+
+
+def linalg_imports(source: str) -> list[str]:
+    """Names a module takes from byzgrad.linalg; "linalg" if it imports the module."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "linalg":
+                names += [alias.name for alias in node.names]
+            else:
+                names += [alias.name for alias in node.names if alias.name == "linalg"]
+        elif isinstance(node, ast.Import):
+            names += ["linalg" for alias in node.names if alias.name.split(".")[-1] == "linalg"]
+    return names
+
+
+def test_linalg_imports_are_found():
+    source = (
+        "from .linalg import Matrix\nfrom byzgrad.linalg import invert\n"
+        "from . import linalg, field\nimport byzgrad.linalg\nfrom .field import PrimeField\n"
+    )
+    assert linalg_imports(source) == ["Matrix", "invert", "linalg", "linalg"]
+
+
+def test_run_path_takes_no_matrices_from_linalg():
+    # The run path carries plain rows: it may take the closed-form combining
+    # weights from linalg, and a name imported only for the tracer to wrap.
+    allowed = {
+        "coding": {"vandermonde_inverse_last_column", "solve_linear"},
+        "protocol": set(),
+        "harness": set(),
+    }
+    assert ("coding", "solve_linear") in wrap_points()
+    for stem, names in allowed.items():
+        source = (ROOT / "src" / "byzgrad" / f"{stem}.py").read_text(encoding="utf-8")
+        assert set(linalg_imports(source)) <= names, stem

@@ -5,10 +5,20 @@ from itertools import product
 
 import pytest
 
-from byzgrad.adversary import honest, random_corruption, tournament_liar
-from byzgrad.assignment import make_cyclic, make_fractional, make_random_regular
+from byzgrad.adversary import AdversaryStrategy, honest, random_corruption, tournament_liar
+from byzgrad.assignment import (
+    assignment_to_text,
+    make_cyclic,
+    make_fractional,
+    make_random_regular,
+)
 from byzgrad.coding import build_code_context, build_encoding_matrix
-from byzgrad.errors import AdversaryBudgetExceededError, InfeasibleStateError
+from byzgrad.errors import (
+    AdversaryBudgetExceededError,
+    InfeasibleStateError,
+    ProtocolInvariantViolation,
+    TranscriptReplayError,
+)
 from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import (
     SimulationConfig,
@@ -40,12 +50,11 @@ MATCH_DIGEST = "75357748970161434af66c8ee463f7646e06ac5fb30368f363abb6e49d3177a2
 
 def make_gradients(ctx, p, d, seed):
     rng = random.Random(seed)
-    return Matrix(ctx.field, d, p, [rng.randrange(ctx.field.q) for _ in range(d * p)])
+    return [[rng.randrange(ctx.field.q) for _ in range(p)] for _ in range(d)]
 
 
-def full_sum(g):
-    q = g.field.q
-    return [sum(g.row_values(t)) % q for t in range(g.rows)]
+def full_sum(ctx, g):
+    return [sum(row) % ctx.field.q for row in g]
 
 
 # match tree -------------------------------------------------------------------
@@ -177,8 +186,8 @@ def test_detect_conflict_first_coordinate():
 
 def test_group_response_exact_product():
     f = build_code_context(3, 1, 1, 7)
-    z = Matrix.from_rows(f.field, [[1, 2, 3], [4, 5, 6]])
-    assert group_response(z, [1, 0, 2]) == [(1 + 6) % 7, (4 + 12) % 7]
+    z = [[1, 2, 3], [4, 5, 6]]
+    assert group_response(f, z, [1, 0, 2]) == [(1 + 6) % 7, (4 + 12) % 7]
 
 
 def test_corrupt_shared_worker_weighted_differently_per_group():
@@ -186,18 +195,18 @@ def test_corrupt_shared_worker_weighted_differently_per_group():
     # so a single corrupt worker can never make two groups agree
     ctx = build_code_context(3, 1, 1, 7)
     a_mat = make_cyclic(3, 3, 2)
-    g = Matrix.from_rows(ctx.field, [[2, 3, 4]])
+    g = [[2, 3, 4]]
     from byzgrad.coding import build_encoding_matrix, combining_vector, response_matrix
 
     enc = build_encoding_matrix(ctx, a_mat, [1, 1, 1])
-    z = response_matrix(g, enc)
+    z = response_matrix(ctx, g, enc)
     truth = (2 + 3 + 4) % 7
     for err in range(1, 7):
-        data = list(z.data)
+        data = list(z[0])
         data[2] = (data[2] + err) % 7  # worker 3 sits in both groups below
-        zt = Matrix(ctx.field, 1, 3, data)
-        r1 = group_response(zt, combining_vector(ctx, (0, 2)))
-        r2 = group_response(zt, combining_vector(ctx, (1, 2)))
+        zt = [data]
+        r1 = group_response(ctx, zt, combining_vector(ctx, (0, 2)))
+        r2 = group_response(ctx, zt, combining_vector(ctx, (1, 2)))
         assert r1 != r2
         assert r1 != [truth] and r2 != [truth]
 
@@ -205,21 +214,75 @@ def test_corrupt_shared_worker_weighted_differently_per_group():
 def test_simulated_responder_truth_is_sample_column():
     from byzgrad.protocol import SimulatedResponder, local_compute
 
-    g = Matrix.from_rows(build_code_context(3, 1, 1, 7).field, [[2, 3, 4], [5, 6, 0]])
-    responder = SimulatedResponder(g, honest())
+    ctx = build_code_context(3, 1, 1, 7)
+    a_mat = make_cyclic(3, 3, 2)
+    responder = SimulatedResponder([[2, 3, 4], [5, 6, 0]], honest())
+    responder.bind(ctx, a_mat, build_encoding_matrix(ctx, a_mat, [1] * 3))
     assert responder.truth(1) == [3, 6]
     assert local_compute(responder, 0) == [2, 5]
     assert local_compute(responder, 2) == [4, 0]
 
 
-def assert_match_answers_equal_slice(responder, gradients, enc, n, coords):
+def test_unreduced_gradients_give_field_element_local_computations(tmp_path):
+    # Entries below 0 and at or above q: the run must record reduced values
+    # that its own replay accepts.
+    ctx = build_code_context(4, 1, 1, 101)
+    a_mat = make_cyclic(4, 8, 2)
+    g = [[-163, 250, 7, -1, 300, 0, 101, -202], [-163, -5, 1000, 2, -3, 4, 99, -100]]
+    res = run_protocol(
+        ctx, a_mat, g, tournament_liar([0], seed=9),
+        meta={"assignment": assignment_to_text(a_mat, 2)},
+    )
+    truth = [sum(row) % 101 for row in g]
+    assert res.eliminated == (0,) and res.gradient == truth
+    local = [ev["value"] for ev in res.transcript.events if ev["event"] == "local_compute"]
+    assert local == [[row[0] % 101 for row in g]] == [[39, 39]]
+    path = tmp_path / "unreduced.jsonl"
+    write_transcript(res, str(path))
+    assert replay_transcript(str(path)) == truth
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_initial_response_of_the_wrong_length_is_rejected(change):
+    class WrongLength(AdversaryStrategy):
+        def initial_response(self, j, honest):
+            return list(honest)[:change] if change < 0 else [*honest, 1]
+
+    ctx = build_code_context(4, 1, 1, 101)
+    g = [[1, 2, 3, 4], [5, 6, 7, 8]]
+    with pytest.raises(ProtocolInvariantViolation, match="worker 2 sent"):
+        run_protocol(ctx, make_cyclic(4, 4, 2), g, WrongLength([1]))
+
+
+def test_protocol_rejects_gradients_without_coordinates(tmp_path):
+    ctx = build_code_context(3, 1, 1, 7)
+    a_mat = make_cyclic(3, 3, 2)
+    with pytest.raises(ValueError, match="need at least one gradient coordinate"):
+        run_protocol(ctx, a_mat, [], honest())
+    # The transcript a 0-row run would have written, derived from a 1-row one.
+    meta = {"assignment": assignment_to_text(a_mat, 2)}
+    events = run_protocol(ctx, a_mat, [[2, 3, 4]], honest(), meta=meta).transcript.events
+    assert [ev["event"] for ev in events] == [
+        "start", "query", "response_set", "decode", "agreement", "final",
+    ]
+    events[0]["d"] = 0
+    events[2]["values"] = [[] for _ in events[2]["values"]]
+    events[3]["values"] = [[] for _ in events[3]["values"]]
+    events[4]["value"] = events[5]["gradient"] = []
+    path = tmp_path / "no_coordinates.jsonl"
+    path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    with pytest.raises(TranscriptReplayError, match="need at least one gradient coordinate"):
+        replay_transcript(str(path))
+
+
+def assert_match_answers_equal_slice(ctx, responder, gradients, enc, coords):
     # Coordinates alternate within every interval, so a table keyed by the
     # worker alone answers some coordinate from another's sums.
-    p = gradients.cols
+    n, p = ctx.n, len(gradients[0])
     for (lo, hi), c in product(match_tree_nodes(p), coords):
         out = responder.match(Query(1, (lo, hi), c), range(n))
         assert out == {
-            j: match_answer_slice(gradients, enc, c, lo, hi, j) for j in range(n)
+            j: match_answer_slice(ctx, gradients, enc, c, lo, hi, j) for j in range(n)
         }, (p, lo, hi, c)
 
 
@@ -244,7 +307,7 @@ def test_prefix_match_answers_equal_strided_slice():
             a_mat = build(n, p)
             enc = build_encoding_matrix(ctx, a_mat, [1] * p)
             responder.bind(ctx, a_mat, enc)
-            assert_match_answers_equal_slice(responder, g, enc, n, range(3))
+            assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
             checked += 1
     assert checked == 3 * 70 - 1  # all but the cyclic layout at n=4, p=2
 
@@ -286,7 +349,7 @@ def test_match_golden_digest():
 def test_worked_example_run():
     ctx = build_code_context(3, 1, 1, 7)
     a_mat = make_cyclic(3, 3, 2)
-    g = Matrix.from_rows(ctx.field, [[2, 3, 4]])
+    g = [[2, 3, 4]]
     strat = tournament_liar([2], "consistent", seed=1)
     res = run_protocol(ctx, a_mat, g, strat)
     assert res.gradient == [(2 + 3 + 4) % 7]
@@ -304,7 +367,7 @@ def test_honest_run_costs_nothing():
     g = make_gradients(ctx, 6, 2, seed=0)
     res = run_protocol(ctx, a_mat, g, honest())
     assert res.outcome == "agreement"
-    assert res.gradient == full_sum(g)
+    assert res.gradient == full_sum(ctx, g)
     assert res.eliminated == ()
     assert res.transcript.local_computations == 0
     assert res.transcript.comm_overhead == 0
@@ -319,7 +382,7 @@ def test_full_redundancy_skips_interaction():
     strat = random_corruption([1, 4], seed=3, persistence="always")
     res = run_protocol(ctx, a_mat, g, strat)
     assert res.outcome == "ecc"
-    assert res.gradient == full_sum(g)
+    assert res.gradient == full_sum(ctx, g)
     tr = res.transcript
     assert (tr.rounds, tr.local_computations, tr.comm_overhead) == (0, 0, 0)
 
@@ -327,7 +390,7 @@ def test_full_redundancy_skips_interaction():
 def test_single_sample_match_needs_no_communication():
     ctx = build_code_context(2, 1, 1, 11)
     a_mat = make_cyclic(2, 1, 2)
-    g = Matrix.from_rows(ctx.field, [[5]])
+    g = [[5]]
     strat = random_corruption([0], seed=3, persistence="always")
     res = run_protocol(ctx, a_mat, g, strat)
     assert res.gradient == [5]
@@ -344,7 +407,7 @@ def test_consistent_liar_forces_full_depth():
     g = make_gradients(ctx, 8, 1, seed=9)
     strat = tournament_liar([0], "consistent", seed=9)
     res = run_protocol(ctx, a_mat, g, strat)
-    assert res.gradient == full_sum(g)
+    assert res.gradient == full_sum(ctx, g)
     assert res.eliminated == (0,)
     tr = res.transcript
     levels = [ev for ev in tr.events if ev["event"] == "match_level"]
@@ -368,7 +431,7 @@ def test_soundness_and_progress_many_runs():
         kind = rng.choice(["always", "initial_only", "per_query_coin"])
         strat = random_corruption(controlled, seed=trial, persistence=kind)
         res = run_protocol(ctx, a_mat, g, strat)
-        assert res.gradient == full_sum(g)
+        assert res.gradient == full_sum(ctx, g)
         assert set(res.eliminated) <= set(controlled)
         tr = res.transcript
         budget = s + 1 - u
@@ -390,14 +453,14 @@ def test_shuffled_grouping_still_sound():
         res = run_protocol(
             ctx, a_mat, g, strat, grouping_rng=random.Random(seed),
         )
-        assert res.gradient == full_sum(g)
+        assert res.gradient == full_sum(ctx, g)
         assert set(res.eliminated) <= {1, 4}
 
 
 def test_budget_exceeded_detected():
     ctx = build_code_context(3, 1, 1, 101)
     a_mat = make_cyclic(3, 3, 2)
-    g = Matrix.from_rows(ctx.field, [[7, 8, 9]])
+    g = [[7, 8, 9]]
     strat = random_corruption([1, 2], seed=0, persistence="always")
     with pytest.raises(AdversaryBudgetExceededError):
         run_protocol(ctx, a_mat, g, strat)
@@ -406,7 +469,7 @@ def test_budget_exceeded_detected():
 def test_transcript_structure():
     ctx = build_code_context(3, 1, 1, 7)
     a_mat = make_cyclic(3, 3, 2)
-    g = Matrix.from_rows(ctx.field, [[2, 3, 4]])
+    g = [[2, 3, 4]]
     res = run_protocol(ctx, a_mat, g, tournament_liar([2], "consistent", seed=1))
     events = res.transcript.events
     assert events[0]["event"] == "start"
