@@ -66,6 +66,7 @@ from .protocol import (
     form_groups,
     group_response,
     local_compute,
+    pack_responses,
     run_protocol,
 )
 

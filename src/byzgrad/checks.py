@@ -23,7 +23,7 @@ from .coding import (
 )
 from .field import PrimeField
 from .linalg import cauchy_like_det, invert, vandermonde, vandermonde_inverse_last_column
-from .protocol import form_groups, group_response
+from .protocol import form_groups, group_response, pack_responses
 
 
 @dataclass
@@ -205,10 +205,9 @@ def check_fewer_groups_attackable(
         gradients = [[rng.randrange(q) for _ in range(a_mat.p)] for _ in range(d)]
         z = response_matrix(ctx, gradients, enc)
         corrupted = [[(v + e) % q for v, e in zip(row, err)] for row in z]
+        packed = pack_responses(ctx, corrupted)
         truth = [sum(row) % q for row in gradients]
-        responses = [
-            group_response(ctx, corrupted, combining_vector(ctx, g)) for g in groups
-        ]
+        responses = [group_response(ctx, packed, combining_vector(ctx, g), d) for g in groups]
         if any(resp != responses[0] for resp in responses[1:]):
             res.failures.append(f"n={n} s={s} u={u}: groups not unanimous under attack")
         if responses[0] == truth:
@@ -218,9 +217,7 @@ def check_fewer_groups_attackable(
             order = list(range(n))
             rng.shuffle(order)
             shuffled = form_groups(range(n), ctx.r, s, order).groups[:s]
-            sresp = [
-                group_response(ctx, corrupted, combining_vector(ctx, g)) for g in shuffled
-            ]
+            sresp = [group_response(ctx, packed, combining_vector(ctx, g), d) for g in shuffled]
             unanimous = all(r == sresp[0] for r in sresp[1:]) and sresp[0] != truth
             hits += unanimous
         res.notes.append(

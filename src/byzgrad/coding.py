@@ -8,18 +8,27 @@ coefficient a_i that vanishes at the workers not holding sample i, which in
 closed form is W[i][j] = a_i * prod_{m in Z_i} (x_j - x_m). Row i thus
 depends only on a_i and Z_i, so a regular assignment has few distinct rows,
 and the honest responses G @ W are computed per class of equal rows from
-the sum of that class's gradient columns. Any r+1 workers suffice to
-recover the combination via a closed-form combining vector: member j's
-entry is w_j times the product of x_j - x_m over the non-members m, with
-the weights w_j = 1 / prod_{m != j} (x_j - x_m) over all n points computed
-once per code, and each vector cached per code and group. So each
-coordinate of the all-one responses evaluates a polynomial of degree at
-most r whose coefficient of x^r is the gradient.
+the sum of that class's gradient columns.
+Dense products over F_q run on lanes: pack puts field elements side by side
+in one Python int, lane_bytes(q, terms) bytes each, so that a sum of terms
+products of two elements of [0, q) fits its lane without carrying into the
+next. One big-integer dot product of packed rows with field elements then
+does a whole row's products inside CPython's integer arithmetic, and unpack
+reads each lane off and reduces it mod q. Each class row of W is packed
+across the workers, so a coordinate's n responses are one dot product with
+its class sums.
+Any r+1 workers suffice to recover the combination via a closed-form
+combining vector: member j's entry is w_j times the product of x_j - x_m
+over the non-members m, with the weights w_j = 1 / prod_{m != j} (x_j - x_m)
+over all n points computed once per code, and each vector cached per code
+and group. So each coordinate of the all-one responses evaluates a
+polynomial of degree at most r whose coefficient of x^r is the gradient.
 Once few enough liars remain, the errors-and-erasures decoder erases the
 identified workers and reads every coordinate's syndromes and gradient off
-one cached table of parity checks over the N available points; it corrects
-at most tau = min(u-1, (N-(r+1))//2) errors, pooled across coordinates,
-with Berlekamp-Massey and never interpolates.
+one cached table of parity checks over the N available points, whose
+weights come from the same closed form; it corrects at most
+tau = min(u-1, (N-(r+1))//2) errors, pooled across coordinates, with
+Berlekamp-Massey and never interpolates.
 """
 
 from __future__ import annotations
@@ -53,6 +62,11 @@ class CodeContext:
     r: int
     field: PrimeField
     eval_points: tuple[int, ...]
+
+    @cached_property
+    def response_lanes(self) -> int:
+        """Lane width for one symbol per worker: a dot product over the n workers cannot carry."""
+        return lane_bytes(self.field.q, self.n)
 
 
 def build_code_context(
@@ -96,25 +110,59 @@ class EncodingMatrix:
         return tuple(zip(*self.w))
 
     @cached_property
-    def row_classes(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """Samples grouped by equal nonzero rows of W, with each worker's entry per group.
+    def row_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Samples grouped by equal nonzero rows of W.
 
-        Returns (samples, columns): samples[c] holds, in increasing order, the
-        samples whose rows equal class c's, classes ordered by first sample;
-        columns[j][c] is W[i][j] for any i in samples[c]. Row i depends only on
-        a_i and the zero set Z_i, so a regular all-one encoding has few
-        classes: n for cyclic, n/rho for fractional. All-zero rows join no
-        class. Derived from W itself, so it holds for any encoding; tuples,
-        because every caller shares the cached value.
+        Class c holds, in increasing order, the samples whose rows equal that
+        of its first sample; classes are ordered by first sample. Row i
+        depends only on a_i and the zero set Z_i, so a regular all-one
+        encoding has few classes: n for cyclic, n/rho for fractional.
+        All-zero rows join no class. Derived from W itself, so it holds for
+        any encoding; tuples, because every caller shares the cached value.
         """
         index: dict[tuple[int, ...], list[int]] = {}
         for i, row in enumerate(self.w):
             if any(row):
                 index.setdefault(row, []).append(i)
-        samples = tuple(map(tuple, index.values()))
-        # Transpose the distinct rows; with no class every worker's entry list is empty.
-        columns = tuple(zip(*index)) if index else ((),) * len(self.w[0])
-        return samples, columns
+        return tuple(map(tuple, index.values()))
+
+    def class_lanes(self, q: int) -> tuple[int, tuple[int, ...]]:
+        """(width, packed): each class's row of W as one int of n lanes, worker 0's on top.
+
+        width is lane_bytes(q, number of classes), so a dot product of the
+        packed rows with one element of [0, q) per class fills every lane
+        without a carry. Kept with the encoding for the modulus last asked.
+        """
+        lanes = self.__dict__.get("_lanes")
+        if lanes is None or lanes[0] != q:
+            w, classes = self.w, self.row_classes
+            width = lane_bytes(q, len(classes))
+            packed = tuple([pack(w[c[0]], width) for c in classes])
+            lanes = self.__dict__["_lanes"] = (q, width, packed)
+        return lanes[1], lanes[2]
+
+
+def lane_bytes(q: int, terms: int) -> int:
+    """The fewest bytes, at least one, holding a sum of terms products of elements of [0, q)."""
+    return max(1, ((q - 1) ** 2 * terms).bit_length() + 7 >> 3)
+
+
+def pack(values: Iterable[int], width: int) -> int:
+    """Elements of [0, q) side by side in lanes of width bytes, the first on top."""
+    shift, acc = 8 * width, 0
+    for v in values:
+        acc = acc << shift | v
+    return acc
+
+
+def unpack(x: int, width: int, count: int, q: int) -> list[int]:
+    """The count lanes of x, width bytes each, top lane first, each reduced mod q."""
+    shift = 8 * width
+    mask = (1 << shift) - 1
+    out = []  # a loop, not a comprehension: cheaper for the few lanes of a small run
+    for k in range(shift * (count - 1), -1, -shift):
+        out.append((x >> k & mask) % q)
+    return out
 
 
 def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence[int]) -> EncodingMatrix:
@@ -209,10 +257,21 @@ def _combining_vector(
         raise InvalidParamsError(f"group must contain r+1 = {r + 1} distinct workers")
     if not all(0 <= j < n for j in members):
         raise InvalidParamsError(f"group members must be workers 0..{n - 1}")
+    return _member_weights(q, eval_points, members)
+
+
+def _member_weights(
+    q: int, eval_points: tuple[int, ...], members: Sequence[int]
+) -> tuple[int, ...]:
+    """Length n: 1 / prod_{m in members, m != j} (x_j - x_m) at each member j, else 0.
+
+    The code's weight w_j has the product over all other points in its
+    denominator, so member j's entry is w_j * prod_{m not in members} (x_j - x_m).
+    """
     weights = _point_weights(q, eval_points)
     inside = set(members)
     others = [x for m, x in enumerate(eval_points) if m not in inside]
-    b = [0] * n
+    b = [0] * len(eval_points)
     for j in members:
         xj, acc = eval_points[j], weights[j]
         for xm in others:
@@ -237,33 +296,41 @@ def response_matrix(
     """All honest responses at once: Z = G @ W, as d rows of n.
 
     Equal rows of W form one class (EncodingMatrix.row_classes), so
-    Z[t][j] = sum over classes c of (sum of G[t][i] over i in c) * W[c][j]:
-    per coordinate, one sum per class, then one dot product over the classes
-    per worker. When every class is a single sample this is the dense
-    product plus d*p additions.
+    Z[t][j] = sum over classes c of S[t][c] * W[c][j], where S[t][c] is the
+    sum of G[t][i] over the samples i in c, reduced mod q. Every class row is
+    one int of n lanes (EncodingMatrix.class_lanes), so per coordinate the
+    class sums take one dot product with the packed rows, and its n lanes,
+    each reduced mod q, are the n responses.
     """
     if any(len(row) != len(enc.w) for row in gradients):
         raise DimensionError("gradient matrix width must equal sample count")
-    q = ctx.field.q
-    samples, columns = enc.row_classes
+    q, n = ctx.field.q, len(enc.w[0])
+    samples = enc.row_classes
+    width, packed = enc.class_lanes(q)
     out = []
     for row in gradients:
         get = row.__getitem__
-        sums = [get(c[0]) if len(c) == 1 else sum(map(get, c)) for c in samples]
-        out.append([sum(map(mul, sums, col)) % q for col in columns])
+        sums = [get(c[0]) % q if len(c) == 1 else sum(map(get, c)) % q for c in samples]
+        out.append(unpack(sum(map(mul, sums, packed)), width, n, q))
     return out
 
 
 @lru_cache(maxsize=16)
-def _syndrome_table(xs: tuple[int, ...], q: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Rows m = 0..N-k of w_j * x_j**m, w_j = 1 / prod_{i != j} (x_j - x_i), over N points.
+def _syndrome_table(
+    eval_points: tuple[int, ...], avail: tuple[int, ...], q: int, k: int
+) -> tuple[tuple[int, ...], ...]:
+    """Rows m = 0..N-k of v_j * x_j**m over the N available points x_j.
 
-    Row m dotted with a word is the coefficient of x^(N-1) in the interpolant
-    of x^m times the word. On a codeword f of degree below k it is 0 for
-    m < N-k, so those rows are parity checks, and f's coefficient of x^(k-1)
-    for m = N-k. Tuples, because the cache hands them to every caller.
+    v_j = 1 / prod_{i != j} (x_j - x_i) over the available points, from the
+    code's weights (_member_weights). Row m dotted with a word is the
+    coefficient of x^(N-1) in the interpolant of x^m times the word. On a
+    codeword f of degree below k it is 0 for m < N-k, so those rows are
+    parity checks, and f's coefficient of x^(k-1) for m = N-k. Tuples,
+    because the cache hands them to every caller.
     """
-    rows = [tuple(vandermonde_inverse_last_column(PrimeField(q), xs))]
+    xs = [eval_points[j] for j in avail]
+    weights = _member_weights(q, eval_points, avail)
+    rows = [tuple(weights[j] for j in avail)]
     for _ in range(len(xs) - k):
         rows.append(tuple(w * x % q for w, x in zip(rows[-1], xs)))
     return tuple(rows)
@@ -371,7 +438,7 @@ def ecc_decode(
         raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
     q = ctx.field.q
     xs = tuple(ctx.eval_points[j] for j in avail)
-    *checks, last = _syndrome_table(xs, q, k)
+    *checks, last = _syndrome_table(ctx.eval_points, tuple(avail), q, k)
     errors: dict[int, int] = {}  # pooled worker -> its evaluation point
     gradient = []
     for t, row in enumerate(z):

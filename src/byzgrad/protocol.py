@@ -31,11 +31,14 @@ from .coding import (
     build_encoding_matrix,
     combining_vector,
     ecc_decode,
+    pack,
     response_matrix,
+    unpack,
 )
 from .errors import (
     AdversaryBudgetExceededError,
     DecodeFailureError,
+    DimensionError,
     InfeasibleStateError,
     ProtocolInvariantViolation,
 )
@@ -138,12 +141,28 @@ def detect_contradiction(responses: Sequence[Sequence[int]]) -> Agreement | Conf
     return Agreement(tuple(responses[0]))
 
 
+def pack_responses(ctx: CodeContext, rows: Sequence[Sequence[int]]) -> list[int]:
+    """The responses, d rows of n elements of [0, q), as one int of lanes per worker.
+
+    Worker j's int holds rows[0][j] in its top lane, for group_response.
+    """
+    width = ctx.response_lanes
+    return [pack(col, width) for col in zip(*rows)]
+
+
 def group_response(
-    ctx: CodeContext, received: Sequence[Sequence[int]], b: Sequence[int]
+    ctx: CodeContext, packed: Sequence[int], b: Sequence[int], d: int
 ) -> list[int]:
-    """Decode one group's claim: received (d rows of n) times the combining vector."""
-    q = ctx.field.q
-    return [sum(map(mul, row, b)) % q for row in received]
+    """Decode one group's claim, d symbols, from the responses and the combining vector.
+
+    packed[j] holds worker j's d symbols (pack_responses), so one dot product
+    with b, an element of [0, q) per worker, puts each coordinate's claim in
+    its own lane.
+    """
+    n = ctx.n
+    if len(b) != n or len(packed) != n:
+        raise DimensionError(f"need {n} responses and coefficients, got {len(packed)}, {len(b)}")
+    return unpack(sum(map(mul, packed, b)), ctx.response_lanes, d, ctx.field.q)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +453,8 @@ class ProtocolRun:
         ctx = self.ctx
         self.responder.bind(ctx, self.a_mat, self.enc)
         initial = self._transmit_initial()
+        packed = None  # the responses in lanes, packed when the first round starts
+        d = self.responder.d
         t = 1
         while True:
             s_t = ctx.s - len(self.eliminated)
@@ -459,9 +480,10 @@ class ProtocolRun:
                 order = list(self.active)
                 self.grouping_rng.shuffle(order)
             plan = form_groups(self.active, ctx.r, s_t, order)
+            if packed is None:
+                packed = pack_responses(ctx, initial)
             claims = [
-                group_response(ctx, initial, combining_vector(ctx, g))
-                for g in plan.groups
+                group_response(ctx, packed, combining_vector(ctx, g), d) for g in plan.groups
             ]
             self.transcript.rounds += 1
             self.transcript.add(

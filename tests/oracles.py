@@ -294,3 +294,20 @@ def match_answer_slice(
     """
     grow = gradients[coord][lo:hi]
     return sum(g * row[j] for g, row in zip(grow, enc.w[lo:hi])) % ctx.field.q
+
+
+def dense_response_matrix(
+    ctx: CodeContext, gradients: Sequence[Sequence[int]], enc: EncodingMatrix
+) -> list[list[int]]:
+    """Z = G @ W by one dot product per coordinate and worker over W's columns."""
+    q = ctx.field.q
+    columns = list(zip(*enc.w))
+    return [[sum(map(mul, row, col)) % q for col in columns] for row in gradients]
+
+
+def dense_group_response(
+    ctx: CodeContext, received: Sequence[Sequence[int]], b: Sequence[int]
+) -> list[int]:
+    """One group's claim: received (d rows of n) times the combining vector, row by row."""
+    q = ctx.field.q
+    return [sum(map(mul, row, b)) % q for row in received]

@@ -24,7 +24,13 @@ from byzgrad.coding import (
 )
 from byzgrad.errors import InvalidParamsError
 from byzgrad.harness import ADVERSARY_NAMES, SimulationConfig, assignment_feasible, run_simulation
-from byzgrad.protocol import form_groups, group_response, leaf_depths, run_protocol
+from byzgrad.protocol import (
+    form_groups,
+    group_response,
+    leaf_depths,
+    pack_responses,
+    run_protocol,
+)
 
 from oracles import leaf_depth_walk
 
@@ -209,7 +215,8 @@ def test_attack_single_group_always_works():
     err = symmetrization_attack(ctx, groups, [member])
     assert err is not None
     assert [j for j, e in enumerate(err) if e] == [member]
-    assert group_response(ctx, [err], combining_vector(ctx, groups[0])) == [1]
+    packed = pack_responses(ctx, [err])
+    assert group_response(ctx, packed, combining_vector(ctx, groups[0]), 1) == [1]
 
 
 def test_attack_on_fewer_groups_fools_them():
@@ -228,7 +235,8 @@ def test_attack_on_fewer_groups_fools_them():
         g = make_gradients(ctx, p, 1, seed=0)
         z = response_matrix(ctx, g, enc)
         corrupted = [[(v + e) % ctx.field.q for v, e in zip(row, err)] for row in z]
-        responses = [group_response(ctx, corrupted, combining_vector(ctx, gr)) for gr in groups]
+        packed = pack_responses(ctx, corrupted)
+        responses = [group_response(ctx, packed, combining_vector(ctx, gr), 1) for gr in groups]
         assert all(resp == responses[0] for resp in responses)
         assert responses[0] != full_sum(ctx, g)
 

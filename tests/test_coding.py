@@ -12,11 +12,13 @@ from byzgrad.assignment import (
     make_random_regular,
 )
 from byzgrad.coding import (
+    EncodingMatrix,
     _syndrome_table,
     build_code_context,
     build_encoding_matrix,
     combining_vector,
     ecc_decode,
+    lane_bytes,
     response_matrix,
     restrict_encoding,
     worker_response,
@@ -27,10 +29,10 @@ from byzgrad.errors import (
     DimensionError,
     InvalidParamsError,
 )
-from byzgrad.field import DEFAULT_MODULUS
+from byzgrad.field import DEFAULT_MODULUS, PrimeField
 from byzgrad.linalg import Matrix, determinant, solve_linear, vandermonde_inverse_last_column
 
-from oracles import generator_matrix, solve_encoding_matrix
+from oracles import dense_response_matrix, generator_matrix, solve_encoding_matrix
 
 
 def small_context():
@@ -316,14 +318,16 @@ def test_cached_combining_vector_cannot_be_poisoned():
 
 
 def test_cached_syndrome_table_is_immutable():
-    xs, q, k = (1, 2, 3, 5, 8), 101, 2
-    table = _syndrome_table(xs, q, k)
+    points, q, k = (1, 2, 3, 5, 8, 13, 21), 101, 2
+    avail = (0, 2, 3, 4, 6)  # workers 2 and 6 erased
+    xs = [points[j] for j in avail]
+    table = _syndrome_table(points, avail, q, k)
     assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
     with pytest.raises(TypeError):
         table[0][0] = 1
-    assert table == _syndrome_table.__wrapped__(xs, q, k)
+    assert table == _syndrome_table.__wrapped__(points, avail, q, k)
     assert len(table) == len(xs) - k + 1
-    # Row m is w_j * x_j**m with the barycentric weight w_j.
+    # Row m is w_j * x_j**m with the barycentric weight w_j over the available points.
     for j, xj in enumerate(xs):
         w = 1
         for xm in xs:
@@ -340,6 +344,20 @@ def test_cached_syndrome_table_is_immutable():
         word = [sum(c * pow(x, i, q) for i, c in enumerate(f)) % q for x in xs]
         dots = [sum(a * b for a, b in zip(word, row)) % q for row in table]
         assert dots == [0] * (len(xs) - k) + [f[k - 1]]
+
+
+def test_syndrome_weights_from_code_weights_match_fresh_inverse():
+    """The weight row derived from the code's weights is the available points' own."""
+    rng = random.Random(11)
+    for q in (11, 101, DEFAULT_MODULUS, 2**64 + 13):
+        for _ in range(30):
+            n = rng.randrange(2, min(q - 1, 18) + 1)
+            points = tuple(rng.sample(range(1, min(q, 10**6)), n))
+            avail = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
+            k = rng.randrange(1, len(avail) + 1)
+            xs = [points[j] for j in avail]
+            fresh = vandermonde_inverse_last_column(PrimeField(q), xs)
+            assert list(_syndrome_table(points, avail, q, k)[0]) == fresh
 
 
 # decoding matrix --------------------------------------------------------------
@@ -399,27 +417,26 @@ def test_worker_response_matches_matrix_product():
 def _check_row_classes(enc):
     """Every class holds equal nonzero rows, and every nonzero row is in one."""
     w = enc.w
-    samples, columns = enc.row_classes
-    assert len(columns) == len(w[0])
+    samples = enc.row_classes
     members = [i for c in samples for i in c]
     assert sorted(members) == [i for i in range(len(w)) if any(w[i])]
-    for k, c in enumerate(samples):
+    for c in samples:
         assert list(c) == sorted(c)
-        rep = tuple(col[k] for col in columns)
-        assert all(w[i] == rep for i in c)
+        assert all(w[i] == w[c[0]] for i in c)
     reps = [w[c[0]] for c in samples]
     assert len(set(reps)) == len(reps)
 
 
 def test_response_matrix_matches_dense_product():
-    """Class sums times class rows equal G @ W, whatever built the encoding."""
+    """Class sums times packed class rows equal G @ W, whatever built the encoding."""
     rng = random.Random(77)
     seen = dict.fromkeys(
-        ("cyclic", "fractional", "random", "p<n", "p=n", "p>>n", "p=1",
-         "zero", "minus", "scaled", "oracle", "restricted", "empty", "singletons"),
+        ("cyclic", "fractional", "random", "p<n", "p=n", "p>>n", "p=1", "d=1",
+         "zero", "minus", "scaled", "oracle", "restricted", "empty", "singletons",
+         "unreduced", "negative"),
         0,
     )
-    for q in (7, 101, DEFAULT_MODULUS):
+    for q in (7, 101, DEFAULT_MODULUS, 2**61 - 1, 2**64 + 13):
         cases = 0
         while cases < 60:
             n = rng.randrange(2, min(q - 1, 9) + 1)
@@ -454,18 +471,44 @@ def test_response_matrix_matches_dense_product():
                 enc = restrict_encoding(full, mask)
                 seen["empty"] += not mask
             d = rng.randrange(1, 5)
-            g = [[rng.randrange(q) for _ in range(p)] for _ in range(d)]
+            entries = rng.choice(("field", "unreduced", "negative"))
+            lo, hi = {"field": (0, q), "unreduced": (0, 5 * q), "negative": (-5 * q, q)}[entries]
+            g = [[rng.randrange(lo, hi) for _ in range(p)] for _ in range(d)]
             dense = Matrix.from_rows(ctx.field, g) * Matrix.from_rows(ctx.field, enc.w)
-            assert response_matrix(ctx, g, enc) == dense.to_rows(), (q, n, s, u, p, kind, style)
+            z = response_matrix(ctx, g, enc)
+            assert z == dense.to_rows() == dense_response_matrix(ctx, g, enc), (
+                q, n, s, u, p, kind, style, entries,
+            )
             _check_row_classes(enc)
             cases += 1
             seen[kind] += 1
             seen["p=1" if p == 1 else "p<n" if p < n else "p=n" if p == n else "p>>n"] += 1
+            seen["d=1"] += d == 1
             seen["oracle"] += style == "oracle"
             seen["restricted"] += style == "restricted"
-            samples, _ = enc.row_classes
+            seen[entries] = seen.get(entries, 0) + 1
+            samples = enc.row_classes
             seen["singletons"] += bool(samples) and all(len(c) == 1 for c in samples)
     assert all(seen.values()), seen
+
+
+def test_response_matrix_lanes_at_the_carry_boundary():
+    """Every class sum and class entry at q-1 fills a lane to classes * (q-1)^2."""
+    for q, classes in ((7, 6), (101, 100), (DEFAULT_MODULUS, 300), (2**61 - 1, 300),
+                       (2**64 + 13, 300)):
+        for n in (2, 5):
+            ctx = build_code_context(n, 1, 1, q)
+            # Distinct rows, each q-1 everywhere but in the last worker.
+            w = tuple((q - 1,) * (n - 1) + (c + 1,) for c in range(classes))
+            enc = EncodingMatrix((1,) * classes, w)
+            assert len(enc.row_classes) == classes
+            for g in ([[q - 1] * classes], [[-1] * classes, [2 * q - 1] * classes]):
+                z = response_matrix(ctx, g, enc)
+                assert z == dense_response_matrix(ctx, g, enc)
+                assert z[0][0] == classes * (q - 1) ** 2 % q
+            width = enc.class_lanes(q)[0]
+            assert width == lane_bytes(q, classes)
+            assert classes * (q - 1) ** 2 >= 1 << 8 * (width - 1)  # one byte less carries
 
 
 def test_response_matrix_rejects_mismatches():
@@ -482,16 +525,16 @@ def test_response_matrix_rejects_mismatches():
 def test_row_class_counts():
     cyclic = make_cyclic(24, 256, 7)
     enc = build_encoding_matrix(build_code_context(24, 6, 1), cyclic, [1] * 256)
-    assert len(enc.row_classes[0]) == 24
+    assert len(enc.row_classes) == 24
     for n, s, u in ((24, 5, 1), (12, 2, 2), (9, 2, 1)):
         rho = s + u
         frac = make_fractional(n, 60, rho)
         enc = build_encoding_matrix(build_code_context(n, s, u), frac, [1] * 60)
-        assert len(enc.row_classes[0]) == n // rho
+        assert len(enc.row_classes) == n // rho
     rand = make_random_regular(24, 256, 7, seed=1)
     assert len({tuple(rand.zero_set(i)) for i in range(256)}) == 256  # all patterns distinct
     enc = build_encoding_matrix(build_code_context(24, 6, 1), rand, [1] * 256)
-    assert len(enc.row_classes[0]) == 256
+    assert len(enc.row_classes) == 256
 
 
 def test_row_classes_are_immutable_and_leave_the_fields_alone():
@@ -499,14 +542,16 @@ def test_row_classes_are_immutable_and_leave_the_fields_alone():
     a_mat = make_cyclic(6, 9, 3)
     enc = build_encoding_matrix(ctx, a_mat, [1] * 9)
     twin = build_encoding_matrix(ctx, a_mat, [1] * 9)
-    samples, columns = enc.row_classes
-    assert enc.row_classes is enc.row_classes  # computed once per encoding
-    for part in (enc.row_classes, samples, columns, *samples, *columns):
+    samples = enc.row_classes
+    assert enc.row_classes is samples  # computed once per encoding
+    for part in (samples, *samples):
         assert type(part) is tuple
     with pytest.raises(TypeError):
         samples[0][0] = 5
-    with pytest.raises(TypeError):
-        columns[0][0] = 5
+    width, packed = enc.class_lanes(101)
+    assert type(packed) is tuple and enc.class_lanes(101)[1] is packed  # packed once
+    assert width == lane_bytes(101, len(samples))
+    assert enc.class_lanes(2**61 - 1)[0] > width  # another modulus packs afresh
     assert [f.name for f in dataclasses.fields(enc)] == ["a", "w"]
     assert enc == twin and hash(enc) == hash(twin)
 

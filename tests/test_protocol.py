@@ -12,9 +12,10 @@ from byzgrad.assignment import (
     make_fractional,
     make_random_regular,
 )
-from byzgrad.coding import build_code_context, build_encoding_matrix
+from byzgrad.coding import build_code_context, build_encoding_matrix, combining_vector
 from byzgrad.errors import (
     AdversaryBudgetExceededError,
+    DimensionError,
     InfeasibleStateError,
     ProtocolInvariantViolation,
     TranscriptReplayError,
@@ -37,15 +38,19 @@ from byzgrad.protocol import (
     form_groups,
     group_response,
     leaf_depths,
+    pack_responses,
     run_protocol,
     split,
 )
 
-from oracles import leaf_depth_walk, match_answer_slice
+from oracles import dense_group_response, leaf_depth_walk, match_answer_slice
 
 # SHA-256 over the transcripts and metrics rows of test_match_golden_digest,
 # computed before honest match answers came from per-run prefix sums.
 MATCH_DIGEST = "75357748970161434af66c8ee463f7646e06ac5fb30368f363abb6e49d3177a2"
+# Likewise for test_wide_run_golden_digest, computed before honest responses
+# and group claims were packed into lanes of one big integer.
+WIDE_DIGEST = "4de8e923a95395f472d09c58b4c503e9430859472a089d3559f585c119fff5d8"
 
 
 def make_gradients(ctx, p, d, seed):
@@ -187,7 +192,44 @@ def test_detect_conflict_first_coordinate():
 def test_group_response_exact_product():
     f = build_code_context(3, 1, 1, 7)
     z = [[1, 2, 3], [4, 5, 6]]
-    assert group_response(f, z, [1, 0, 2]) == [(1 + 6) % 7, (4 + 12) % 7]
+    packed = pack_responses(f, z)
+    assert group_response(f, packed, [1, 0, 2], 2) == [(1 + 6) % 7, (4 + 12) % 7]
+
+
+def test_group_response_matches_dense_oracle():
+    """Claims from packed responses equal the row-by-row product, up to the carry boundary."""
+    rng = random.Random(21)
+    for q in (7, DEFAULT_MODULUS, 2**61 - 1, 2**64 + 13):
+        for _ in range(40):
+            n = rng.randrange(2, min(q - 1, 30) + 1)
+            s = rng.randrange(1, n)
+            u = rng.randrange(1, min(s + 1, n - s) + 1)
+            ctx = build_code_context(n, s, u, q)
+            d = rng.choice((1, rng.randrange(2, 20)))
+            received = [[rng.randrange(q) for _ in range(n)] for _ in range(d)]
+            packed = pack_responses(ctx, received)
+            group = rng.sample(range(n), ctx.r + 1)
+            for b in (combining_vector(ctx, group), [rng.randrange(q) for _ in range(n)]):
+                assert group_response(ctx, packed, b, d) == dense_group_response(ctx, received, b)
+        # Every symbol and coefficient at q-1 fills each lane to n * (q-1)^2.
+        for n in {2, min(q - 1, 30)}:
+            ctx = build_code_context(n, 1, 1, q)
+            received = [[q - 1] * n] * 3
+            packed = pack_responses(ctx, received)
+            claims = group_response(ctx, packed, [q - 1] * n, 3)
+            assert claims == dense_group_response(ctx, received, [q - 1] * n)
+            assert claims == [n * (q - 1) ** 2 % q] * 3
+
+
+def test_group_response_rejects_wrong_lengths():
+    # A short vector would drop the last workers' terms from the dot product.
+    ctx = build_code_context(3, 1, 1, 7)
+    packed = pack_responses(ctx, [[1, 2, 3], [4, 5, 6]])
+    for b in ([1, 0], [], [1, 0, 2, 0]):
+        with pytest.raises(DimensionError):
+            group_response(ctx, packed, b, 2)
+    with pytest.raises(DimensionError):
+        group_response(ctx, packed[:2], [1, 0, 2], 2)
 
 
 def test_corrupt_shared_worker_weighted_differently_per_group():
@@ -196,7 +238,7 @@ def test_corrupt_shared_worker_weighted_differently_per_group():
     ctx = build_code_context(3, 1, 1, 7)
     a_mat = make_cyclic(3, 3, 2)
     g = [[2, 3, 4]]
-    from byzgrad.coding import build_encoding_matrix, combining_vector, response_matrix
+    from byzgrad.coding import response_matrix
 
     enc = build_encoding_matrix(ctx, a_mat, [1, 1, 1])
     z = response_matrix(ctx, g, enc)
@@ -204,9 +246,9 @@ def test_corrupt_shared_worker_weighted_differently_per_group():
     for err in range(1, 7):
         data = list(z[0])
         data[2] = (data[2] + err) % 7  # worker 3 sits in both groups below
-        zt = [data]
-        r1 = group_response(ctx, zt, combining_vector(ctx, (0, 2)))
-        r2 = group_response(ctx, zt, combining_vector(ctx, (1, 2)))
+        packed = pack_responses(ctx, [data])
+        r1 = group_response(ctx, packed, combining_vector(ctx, (0, 2)), 1)
+        r2 = group_response(ctx, packed, combining_vector(ctx, (1, 2)), 1)
         assert r1 != r2
         assert r1 != [truth] and r2 != [truth]
 
@@ -341,6 +383,30 @@ def test_match_golden_digest():
     assert runs == 312
     assert len(coordinates) >= 3
     assert digest.hexdigest() == MATCH_DIGEST
+
+
+def test_wide_run_golden_digest():
+    # The benchmark's width, n=24, p=256, d=16: every response and group claim
+    # spans many field elements, in three fields, one of them above 2^64.
+    digest = hashlib.sha256()
+    runs = 0
+    for q, adversary, (kind, u) in product(
+        (2**31 - 1, 2**61 - 1, 2**64 + 13),
+        ("tournament-liar", "random-always"),
+        (("cyclic", 1), ("cyclic", 2), ("fractional", 2), ("random", 1), ("random", 2)),
+    ):
+        for seed in range(2):
+            out = run_simulation(SimulationConfig(
+                n=24, s=6, u=u, p=256, d=16, q=q, assignment=kind, adversary=adversary,
+                seed=seed, grouping=("lowest", "shuffled")[seed],
+            ))
+            runs += 1
+            assert out.result.gradient == out.truth
+            for ev in out.result.transcript.events:
+                digest.update((json.dumps(ev, separators=(",", ":")) + "\n").encode())
+            digest.update((out.metrics.csv_row() + "\n").encode())
+    assert runs == 60
+    assert digest.hexdigest() == WIDE_DIGEST
 
 
 # worked example ---------------------------------------------------------------
