@@ -20,9 +20,9 @@ from .adversary import (
     pick_attack_support,
     random_corruption,
     symmetrization,
-    symmetrization_attack,
     tournament_liar,
 )
+from .checks import symmetrization_attack
 from .coding import (
     CodeContext,
     EncodingMatrix,
@@ -51,7 +51,6 @@ from .linalg import (
     Matrix,
     solve_linear,
     vandermonde,
-    vandermonde_inverse_last_column,
 )
 from .protocol import (
     Agreement,

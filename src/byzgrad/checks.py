@@ -10,10 +10,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, permutations
+from typing import Optional, Sequence
 
-from .adversary import pick_attack_support, symmetrization_attack
+from .adversary import pick_attack_support
 from .assignment import make_random_regular
 from .coding import (
+    CodeContext,
+    _point_weights,
     build_code_context,
     build_encoding_matrix,
     combining_vector,
@@ -22,7 +25,7 @@ from .coding import (
     restrict_encoding,
 )
 from .field import PrimeField
-from .linalg import cauchy_like_det, invert, vandermonde, vandermonde_inverse_last_column
+from .linalg import Matrix, cauchy_like_det, invert, solve_linear, vandermonde
 from .protocol import form_groups, group_response, pack_responses
 
 
@@ -48,11 +51,11 @@ class CheckResult:
 def check_vandermonde_closed_form(
     qs=(101, 2**31 - 1), sizes=range(1, 9), trials=200, seed=0
 ) -> CheckResult:
-    """Closed-form combining coefficients against full Gaussian inversion.
+    """The code's per-point weights against full Gaussian inversion.
 
-    For random distinct point sets, the closed form must equal both the last
-    row of the inverse of the point-rows Vandermonde and the last column of
-    the inverse of its transpose.
+    For random distinct point sets, the weights must equal both the last row
+    of the inverse of the point-rows Vandermonde and the last column of the
+    inverse of its transpose.
     """
     res = CheckResult("vandermonde inverse closed form")
     rng = random.Random(seed)
@@ -62,7 +65,7 @@ def check_vandermonde_closed_form(
             for _ in range(trials):
                 pts = rng.sample(range(1, q), size)
                 res.cases += 1
-                closed = vandermonde_inverse_last_column(field, pts)
+                closed = list(_point_weights(q, tuple(pts)))
                 v = vandermonde(field, pts)
                 by_row = invert(v).row_values(size - 1)
                 by_col = invert(v.transpose()).col_values(size - 1)
@@ -155,6 +158,30 @@ def check_restriction_equivalence(trials=500, q=101, seed=0) -> CheckResult:
     return res
 
 
+def symmetrization_attack(
+    ctx: CodeContext, groups: Sequence[Sequence[int]], controlled: Sequence[int]
+) -> Optional[list[int]]:
+    """Error making every given group decode the same wrong value, or None.
+
+    Solves b_k . e = 1 for every group's combining vector b_k, with the error
+    e supported on the controlled workers, so each group's decoded response
+    shifts by the same nonzero offset; the system is linear in the offset, so
+    1 stands for any. Returns e as a length-n list, or None when the system
+    is inconsistent, which is guaranteed for the full root-plus-satellites
+    grouping with one more group than unidentified malicious workers.
+    """
+    support = sorted(set(controlled))
+    vectors = [combining_vector(ctx, g) for g in groups]
+    coeffs = Matrix(ctx.field, len(vectors), len(support), [b[j] for b in vectors for j in support])
+    out = solve_linear(coeffs, Matrix.column(ctx.field, [1] * len(vectors)))
+    if out.kind == "inconsistent":
+        return None
+    err = [0] * ctx.n
+    for j, e in zip(support, out.solution.data):
+        err[j] = e
+    return err
+
+
 def _grouping_instance(n, s, u, q):
     ctx = build_code_context(n, s, u, q)
     plan = form_groups(range(n), ctx.r, s)
@@ -204,7 +231,7 @@ def check_fewer_groups_attackable(
         enc = build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
         gradients = [[rng.randrange(q) for _ in range(a_mat.p)] for _ in range(d)]
         z = response_matrix(ctx, gradients, enc)
-        corrupted = [[(v + e) % q for v, e in zip(row, err)] for row in z]
+        corrupted = [[(v + e) % q for v in col] for col, e in zip(zip(*z), err)]
         packed = pack_responses(ctx, corrupted)
         truth = [sum(row) % q for row in gradients]
         responses = [group_response(ctx, packed, combining_vector(ctx, g), d) for g in groups]

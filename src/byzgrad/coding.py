@@ -46,7 +46,6 @@ from .errors import (
     InvalidParamsError,
 )
 from .field import DEFAULT_MODULUS, PrimeField
-from .linalg import vandermonde_inverse_last_column
 
 # Not used here: perfbench/tracing.py wraps solve_linear at its coding name.
 from .linalg import solve_linear  # noqa: F401
@@ -245,7 +244,14 @@ def combining_vector(ctx: CodeContext, group: Sequence[int]) -> list[int]:
 @lru_cache(maxsize=16)
 def _point_weights(q: int, eval_points: tuple[int, ...]) -> tuple[int, ...]:
     """w_j = 1 / prod_{m != j} (x_j - x_m) over all of the code's points."""
-    return tuple(vandermonde_inverse_last_column(PrimeField(q), eval_points))
+    weights = []
+    for j, xj in enumerate(eval_points):
+        acc = 1
+        for m, xm in enumerate(eval_points):
+            if m != j:
+                acc = acc * (xj - xm) % q
+        weights.append(pow(acc, -1, q))
+    return tuple(weights)
 
 
 @lru_cache(maxsize=256)

@@ -1,12 +1,12 @@
 """Dense exact linear algebra over a prime field.
 
 Matrices store int residues row-major. They and Gaussian elimination serve
-the certificates in checks, the symmetrization attack and the test oracles;
-a protocol run carries plain int rows. Elimination uses first-nonzero
-pivoting; over an exact field no magnitude pivoting is needed.
-Includes the closed-form last column of a Vandermonde inverse and the
-determinant of a Cauchy-like block with an appended all-one column, both of
-which back the scheme's combining-vector and grouping-soundness arguments.
+only the certificates in checks and the test oracles: a protocol run
+carries plain int rows, the code computes its combining weights in closed
+form, and the symmetrization strategy solves its diagonal system directly.
+Elimination uses first-nonzero pivoting; over an exact field no magnitude
+pivoting is needed. Includes the determinant of a Cauchy-like block with an
+appended all-one column, which backs the grouping-soundness argument.
 """
 
 from __future__ import annotations
@@ -233,27 +233,6 @@ def vandermonde(field: PrimeField, points: Sequence[int], ncols: int | None = No
             data.append(v)
             v = v * x % q
     return Matrix(field, len(points), ncols, data)
-
-
-def vandermonde_inverse_last_column(field: PrimeField, points: Sequence[int]) -> list[int]:
-    """Closed-form combining coefficients for a set of distinct points.
-
-    Entry j is 1 / prod_{m != j} (x_j - x_m). This is the last row of the
-    inverse of the point-rows Vandermonde, equivalently the last column of
-    the inverse of its transpose (the power-rows generator shape).
-    """
-    q = field.q
-    pts = [x % q for x in points]
-    if len(set(pts)) != len(pts):
-        raise SingularMatrixError("evaluation points must be pairwise distinct")
-    out = []
-    for j, xj in enumerate(pts):
-        prod = 1
-        for m, xm in enumerate(pts):
-            if m != j:
-                prod = prod * (xj - xm) % q
-        out.append(pow(prod, -1, q))
-    return out
 
 
 def cauchy_like_det(field: PrimeField, zetas: Sequence[int], deltas: Sequence[int]) -> int:

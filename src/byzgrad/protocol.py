@@ -141,13 +141,13 @@ def detect_contradiction(responses: Sequence[Sequence[int]]) -> Agreement | Conf
     return Agreement(tuple(responses[0]))
 
 
-def pack_responses(ctx: CodeContext, rows: Sequence[Sequence[int]]) -> list[int]:
-    """The responses, d rows of n elements of [0, q), as one int of lanes per worker.
+def pack_responses(ctx: CodeContext, cols: Sequence[Sequence[int]]) -> list[int]:
+    """Each worker's d responses, cols[j] for worker j, as one int of lanes.
 
-    Worker j's int holds rows[0][j] in its top lane, for group_response.
+    Worker j's int holds cols[j][0] in its top lane, for group_response.
     """
     width = ctx.response_lanes
-    return [pack(col, width) for col in zip(*rows)]
+    return [pack(col, width) for col in cols]
 
 
 def group_response(
@@ -327,15 +327,14 @@ class ProtocolRun:
 
     # -- queries ------------------------------------------------------------
 
-    def _transmit_initial(self) -> list[tuple[int, ...]]:
-        """The all-one responses as d rows of n, from one column per worker."""
+    def _transmit_initial(self) -> list[list[int]]:
+        """The all-one responses as the transcript records them: d symbols per worker."""
         n, p = self.ctx.n, self.a_mat.p
         cols = self.responder.initial()
-        values = list(zip(*cols))
         workers = list(range(1, n + 1))
         self.transcript.add("query", t=1, kind="initial", mask=[1, p], coordinate=None, workers=workers)
         self.transcript.add("response_set", t=1, kind="initial", workers=workers, values=cols)
-        return values
+        return cols
 
     def _query_match(
         self, t: int, level: int, lo: int, hi: int, coord: int, workers: Sequence[int]
@@ -383,7 +382,7 @@ class ProtocolRun:
         b2 = combining_vector(ctx, g2)
         # Per-worker commitments for the current interval, seeded by the initial
         # responses at the disputed coordinate.
-        commit = {j: initial[coord][j] for j in union}
+        commit = {j: initial[j][coord] for j in union}
         label1 = group_claims[conflict.first][coord]
         label2 = group_claims[conflict.second][coord]
         if label1 == label2:
@@ -464,7 +463,7 @@ class ProtocolRun:
                 )
             if s_t <= ctx.u - 1:
                 try:
-                    gradient = ecc_decode(ctx, initial, self.eliminated)
+                    gradient = ecc_decode(ctx, list(zip(*initial)), self.eliminated)
                 except DecodeFailureError as e:
                     raise AdversaryBudgetExceededError(
                         "errors-and-erasures decoding failed; corruption exceeds budget"

@@ -14,14 +14,32 @@ from byzgrad.errors import (
     DecodeFailureError,
     DimensionError,
     ProtocolInvariantViolation,
+    SingularMatrixError,
 )
 from byzgrad.field import PrimeField
-from byzgrad.linalg import (
-    Matrix,
-    solve_linear,
-    vandermonde,
-    vandermonde_inverse_last_column,
-)
+from byzgrad.linalg import Matrix, solve_linear, vandermonde
+
+
+def vandermonde_inverse_last_column(field: PrimeField, points: Sequence[int]) -> list[int]:
+    """Closed-form combining coefficients for a set of distinct points.
+
+    Entry j is 1 / prod_{m != j} (x_j - x_m). This is the last row of the
+    inverse of the point-rows Vandermonde, equivalently the last column of
+    the inverse of its transpose (the power-rows generator shape). Computed
+    afresh for any point set, where the code caches its own points' weights.
+    """
+    q = field.q
+    pts = [x % q for x in points]
+    if len(set(pts)) != len(pts):
+        raise SingularMatrixError("evaluation points must be pairwise distinct")
+    out = []
+    for j, xj in enumerate(pts):
+        prod = 1
+        for m, xm in enumerate(pts):
+            if m != j:
+                prod = prod * (xj - xm) % q
+        out.append(pow(prod, -1, q))
+    return out
 
 
 def generator_matrix(ctx: CodeContext) -> Matrix:

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from byzgrad import adversary as adv
 from byzgrad.adversary import (
     RandomCorruption,
     TournamentLiar,
@@ -12,17 +13,17 @@ from byzgrad.adversary import (
     pick_attack_support,
     random_corruption,
     symmetrization,
-    symmetrization_attack,
     tournament_liar,
 )
 from byzgrad.assignment import make_cyclic, make_random_regular
+from byzgrad.checks import symmetrization_attack
 from byzgrad.coding import (
     build_code_context,
     build_encoding_matrix,
     combining_vector,
     response_matrix,
 )
-from byzgrad.errors import InvalidParamsError
+from byzgrad.errors import InvalidParamsError, ProtocolInvariantViolation
 from byzgrad.harness import ADVERSARY_NAMES, SimulationConfig, assignment_feasible, run_simulation
 from byzgrad.protocol import (
     form_groups,
@@ -215,7 +216,7 @@ def test_attack_single_group_always_works():
     err = symmetrization_attack(ctx, groups, [member])
     assert err is not None
     assert [j for j, e in enumerate(err) if e] == [member]
-    packed = pack_responses(ctx, [err])
+    packed = pack_responses(ctx, [[e] for e in err])
     assert group_response(ctx, packed, combining_vector(ctx, groups[0]), 1) == [1]
 
 
@@ -234,7 +235,7 @@ def test_attack_on_fewer_groups_fools_them():
         enc = build_encoding_matrix(ctx, a_mat, [1] * p)
         g = make_gradients(ctx, p, 1, seed=0)
         z = response_matrix(ctx, g, enc)
-        corrupted = [[(v + e) % ctx.field.q for v, e in zip(row, err)] for row in z]
+        corrupted = [[(v + e) % ctx.field.q for v in col] for col, e in zip(zip(*z), err)]
         packed = pack_responses(ctx, corrupted)
         responses = [group_response(ctx, packed, combining_vector(ctx, gr), 1) for gr in groups]
         assert all(resp == responses[0] for resp in responses)
@@ -247,6 +248,61 @@ def test_attack_infeasible_against_full_grouping_exhaustive():
         plan = form_groups(range(n), ctx.r, s)
         for support in combinations(range(n), s):
             assert symmetrization_attack(ctx, plan.groups, support) is None
+
+
+def test_symmetrization_closed_form_matches_the_solved_attack():
+    """bind's diagonal closed form equals the general solve on every small shape."""
+    shapes = root_support = 0
+    for q in (11, 101, 2**31 - 1):
+        for n in range(1, min(q - 1, 13) + 1):
+            for s in range(n):
+                for u in range(1, min(s + 1, n - s) + 1):
+                    ctx = build_code_context(n, s, u, q)
+                    strat = symmetrization()
+                    if s == 0:
+                        g = make_gradients(ctx, n, 1, seed=n)
+                        res = run_protocol(ctx, make_cyclic(n, n, 1), g, strat)
+                        assert res.gradient == full_sum(ctx, g)
+                        assert strat.error == [0] * n
+                    else:
+                        strat.bind(ctx, None, None)  # the attack reads only the code
+                    groups = form_groups(range(n), ctx.r, s).groups
+                    support = pick_attack_support(groups[:s])
+                    assert sorted(strat.controlled) == support
+                    assert strat.error == symmetrization_attack(ctx, groups[:s], support)
+                    assert symmetrization_attack(ctx, groups, support) is None
+                    shapes += 1
+                    # s = 1 attacks one lone group through a root worker,
+                    # which the last group holds too.
+                    root_support += s == 1 and ctx.r >= 1 and support[0] in groups[-1]
+    assert shapes == 629
+    assert root_support > 0
+
+
+def _patched_vectors(monkeypatch, swap):
+    """Make adversary.combining_vector answer swap[group] for the groups swap names."""
+    real = adv.combining_vector
+    monkeypatch.setattr(
+        adv, "combining_vector", lambda c, g: swap.get(tuple(g)) or real(c, g)
+    )
+
+
+def test_symmetrization_bind_rejects_an_attackable_full_grouping(monkeypatch):
+    ctx = build_code_context(5, 2, 1, 101)
+    groups = form_groups(range(5), ctx.r, ctx.s).groups
+    # The last group reads the first one's vector, so b_last . e = 1.
+    _patched_vectors(monkeypatch, {groups[-1]: combining_vector(ctx, groups[0])})
+    with pytest.raises(ProtocolInvariantViolation, match="full grouping admits"):
+        symmetrization().bind(ctx, None, None)
+
+
+def test_symmetrization_bind_rejects_a_group_with_two_support_workers(monkeypatch):
+    ctx = build_code_context(5, 2, 1, 101)
+    groups = form_groups(range(5), ctx.r, ctx.s).groups
+    # An all-one vector reaches both satellites: the system is no longer diagonal.
+    _patched_vectors(monkeypatch, {groups[1]: [1] * ctx.n})
+    with pytest.raises(ProtocolInvariantViolation, match="attack against one fewer group"):
+        symmetrization().bind(ctx, None, None)
 
 
 def test_symmetrization_strategy_never_corrupts_output():

@@ -30,9 +30,14 @@ from byzgrad.errors import (
     InvalidParamsError,
 )
 from byzgrad.field import DEFAULT_MODULUS, PrimeField
-from byzgrad.linalg import Matrix, determinant, solve_linear, vandermonde_inverse_last_column
+from byzgrad.linalg import Matrix, determinant, solve_linear
 
-from oracles import dense_response_matrix, generator_matrix, solve_encoding_matrix
+from oracles import (
+    dense_response_matrix,
+    generator_matrix,
+    solve_encoding_matrix,
+    vandermonde_inverse_last_column,
+)
 
 
 def small_context():

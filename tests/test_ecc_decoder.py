@@ -269,10 +269,16 @@ def test_protocol_path_does_no_linear_solve(tmp_path, monkeypatch):
     erased = run_simulation(
         SimulationConfig(n=8, s=2, u=1, p=8, d=3, adversary="tournament-liar", seed=1)
     )
-    assert erased.result.eliminated
+    # The symmetrization attack is built in closed form when it binds.
+    attacked = run_simulation(
+        SimulationConfig(n=8, s=2, u=1, p=8, d=3, adversary="symmetrization", seed=2)
+    )
+    assert erased.result.eliminated and attacked.result.eliminated
     for out in (corrected, erased):
-        assert out.result.gradient == out.truth
         assert out.result.outcome == "ecc"
-    path = tmp_path / "erased.jsonl"
-    write_transcript(erased.result, str(path))
-    assert replay_transcript(str(path)) == erased.truth
+    for out in (corrected, erased, attacked):
+        assert out.result.gradient == out.truth
+    for name, out in (("erased", erased), ("attacked", attacked)):
+        path = tmp_path / f"{name}.jsonl"
+        write_transcript(out.result, str(path))
+        assert replay_transcript(str(path)) == out.truth

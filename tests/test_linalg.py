@@ -12,8 +12,9 @@ from byzgrad.linalg import (
     invert,
     solve_linear,
     vandermonde,
-    vandermonde_inverse_last_column,
 )
+
+from oracles import vandermonde_inverse_last_column
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)

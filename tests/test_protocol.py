@@ -191,8 +191,8 @@ def test_detect_conflict_first_coordinate():
 
 def test_group_response_exact_product():
     f = build_code_context(3, 1, 1, 7)
-    z = [[1, 2, 3], [4, 5, 6]]
-    packed = pack_responses(f, z)
+    cols = [[1, 4], [2, 5], [3, 6]]  # d = 2 symbols from each of n = 3 workers
+    packed = pack_responses(f, cols)
     assert group_response(f, packed, [1, 0, 2], 2) == [(1 + 6) % 7, (4 + 12) % 7]
 
 
@@ -207,7 +207,7 @@ def test_group_response_matches_dense_oracle():
             ctx = build_code_context(n, s, u, q)
             d = rng.choice((1, rng.randrange(2, 20)))
             received = [[rng.randrange(q) for _ in range(n)] for _ in range(d)]
-            packed = pack_responses(ctx, received)
+            packed = pack_responses(ctx, list(zip(*received)))
             group = rng.sample(range(n), ctx.r + 1)
             for b in (combining_vector(ctx, group), [rng.randrange(q) for _ in range(n)]):
                 assert group_response(ctx, packed, b, d) == dense_group_response(ctx, received, b)
@@ -215,7 +215,7 @@ def test_group_response_matches_dense_oracle():
         for n in {2, min(q - 1, 30)}:
             ctx = build_code_context(n, 1, 1, q)
             received = [[q - 1] * n] * 3
-            packed = pack_responses(ctx, received)
+            packed = pack_responses(ctx, [[q - 1] * 3] * n)
             claims = group_response(ctx, packed, [q - 1] * n, 3)
             assert claims == dense_group_response(ctx, received, [q - 1] * n)
             assert claims == [n * (q - 1) ** 2 % q] * 3
@@ -224,7 +224,7 @@ def test_group_response_matches_dense_oracle():
 def test_group_response_rejects_wrong_lengths():
     # A short vector would drop the last workers' terms from the dot product.
     ctx = build_code_context(3, 1, 1, 7)
-    packed = pack_responses(ctx, [[1, 2, 3], [4, 5, 6]])
+    packed = pack_responses(ctx, [[1, 4], [2, 5], [3, 6]])
     for b in ([1, 0], [], [1, 0, 2, 0]):
         with pytest.raises(DimensionError):
             group_response(ctx, packed, b, 2)
@@ -246,7 +246,7 @@ def test_corrupt_shared_worker_weighted_differently_per_group():
     for err in range(1, 7):
         data = list(z[0])
         data[2] = (data[2] + err) % 7  # worker 3 sits in both groups below
-        packed = pack_responses(ctx, [data])
+        packed = pack_responses(ctx, [[v] for v in data])
         r1 = group_response(ctx, packed, combining_vector(ctx, (0, 2)), 1)
         r2 = group_response(ctx, packed, combining_vector(ctx, (1, 2)), 1)
         assert r1 != r2
