@@ -22,7 +22,6 @@ from .adversary import (
     symmetrization,
     tournament_liar,
 )
-from .checks import symmetrization_attack
 from .coding import (
     CodeContext,
     EncodingMatrix,
@@ -48,7 +47,6 @@ from .harness import (
 )
 from .linalg import (
     LinearSolveOutcome,
-    Matrix,
     solve_linear,
     vandermonde,
 )

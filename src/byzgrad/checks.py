@@ -24,8 +24,7 @@ from .coding import (
     response_matrix,
     restrict_encoding,
 )
-from .field import PrimeField
-from .linalg import Matrix, cauchy_like_det, invert, solve_linear, vandermonde
+from .linalg import cauchy_like_det, invert, solve_linear, vandermonde
 from .protocol import form_groups, group_response, pack_responses
 
 
@@ -60,15 +59,14 @@ def check_vandermonde_closed_form(
     res = CheckResult("vandermonde inverse closed form")
     rng = random.Random(seed)
     for q in qs:
-        field = PrimeField(q)
         for size in sizes:
             for _ in range(trials):
                 pts = rng.sample(range(1, q), size)
                 res.cases += 1
                 closed = list(_point_weights(q, tuple(pts)))
-                v = vandermonde(field, pts)
-                by_row = invert(v).row_values(size - 1)
-                by_col = invert(v.transpose()).col_values(size - 1)
+                v = vandermonde(pts, q)
+                by_row = invert(v, q)[size - 1]
+                by_col = [row[size - 1] for row in invert(list(zip(*v)), q)]
                 if closed != by_row or closed != by_col:
                     res.failures.append(f"q={q} points={pts}")
     return res
@@ -80,20 +78,18 @@ def check_cauchy_determinant(
     """The bordered Cauchy block has a nonzero determinant for distinct inputs."""
     res = CheckResult("bordered Cauchy determinant nonzero")
     rng = random.Random(seed)
-    field = PrimeField(random_q)
     for _ in range(random_trials):
         k = rng.randrange(0, max_k + 1)
         elems = rng.sample(range(random_q), 2 * k + 1)
         zetas, deltas = elems[:k], elems[k:]
         res.cases += 1
-        if cauchy_like_det(field, zetas, deltas) == 0:
+        if cauchy_like_det(random_q, zetas, deltas) == 0:
             res.failures.append(f"q={random_q} zetas={zetas} deltas={deltas}")
-    small = PrimeField(exhaustive_q)
     for k in range(exhaustive_max_k + 1):
         for elems in permutations(range(exhaustive_q), 2 * k + 1):
             zetas, deltas = list(elems[:k]), list(elems[k:])
             res.cases += 1
-            if cauchy_like_det(small, zetas, deltas) == 0:
+            if cauchy_like_det(exhaustive_q, zetas, deltas) == 0:
                 res.failures.append(f"q={exhaustive_q} zetas={zetas} deltas={deltas}")
     return res
 
@@ -172,12 +168,12 @@ def symmetrization_attack(
     """
     support = sorted(set(controlled))
     vectors = [combining_vector(ctx, g) for g in groups]
-    coeffs = Matrix(ctx.field, len(vectors), len(support), [b[j] for b in vectors for j in support])
-    out = solve_linear(coeffs, Matrix.column(ctx.field, [1] * len(vectors)))
+    coeffs = [[b[j] for j in support] for b in vectors]
+    out = solve_linear(coeffs, [[1]] * len(vectors), ctx.field.q)
     if out.kind == "inconsistent":
         return None
     err = [0] * ctx.n
-    for j, e in zip(support, out.solution.data):
+    for j, (e,) in zip(support, out.solution):
         err[j] = e
     return err
 

@@ -393,9 +393,10 @@ def _located_pattern(
     """Error workers with their points, and the pattern's share, by Berlekamp-Massey.
 
     The locator's degree L must be at most len(S)/2, with L roots among the
-    available points, and every error value nonzero: by Forney's formula
-    value j is x_j^(L-1) O(1/x_j) / prod_{i != j} (x_j - x_i), with the
-    evaluator O = S * locator mod x^L. None otherwise.
+    available points; None otherwise. Every error value is then nonzero:
+    values on L roots with one zero would make the other L-1 points generate
+    S, and Berlekamp-Massey returns the shortest such locator (Massey, IEEE
+    Trans. IT 1969).
     """
     locator = _berlekamp_massey(syndromes, q)
     size = len(locator) - 1
@@ -407,13 +408,6 @@ def _located_pattern(
     roots = {j: x for j, x, v in zip(avail, xs, values) if not v}
     if len(roots) != size:
         return None
-    omega = [sum(map(mul, locator[: m + 1], syndromes[m::-1])) % q for m in range(size)]
-    for x in roots.values():
-        acc = 0
-        for coef in omega:  # x^(L-1) * O(1/x)
-            acc = (acc * x + coef) % q
-        if not acc:
-            return None
     share = _pattern_share(list(roots.values()), syndromes, q)
     return None if share is None else (roots, share)
 

@@ -127,18 +127,19 @@ def detect_contradiction(responses: Sequence[Sequence[int]]) -> Agreement | Conf
     """Agreement if all group responses match; else the lowest differing pair.
 
     The conflicting pair is the lexicographically first (k1, k2) and the
-    coordinate is the first position where those two differ.
+    coordinate is the first position where those two differ. That pair is
+    always (0, k) for the first group k differing from group 0: were every
+    group equal to group 0, all would agree. So one scan against group 0
+    finds it.
     """
     if not responses:
         raise ValueError("need at least one group response")
-    m = len(responses)
-    for k1 in range(m):
-        for k2 in range(k1 + 1, m):
-            a, b = responses[k1], responses[k2]
-            for coord, (x, y) in enumerate(zip(a, b)):
-                if x != y:
-                    return Conflict(k1, k2, coord)
-    return Agreement(tuple(responses[0]))
+    first = responses[0]
+    for k, other in enumerate(responses[1:], 1):
+        for coord, (x, y) in enumerate(zip(first, other)):
+            if x != y:
+                return Conflict(0, k, coord)
+    return Agreement(tuple(first))
 
 
 def pack_responses(ctx: CodeContext, cols: Sequence[Sequence[int]]) -> list[int]:

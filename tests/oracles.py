@@ -16,11 +16,32 @@ from byzgrad.errors import (
     ProtocolInvariantViolation,
     SingularMatrixError,
 )
-from byzgrad.field import PrimeField
-from byzgrad.linalg import Matrix, solve_linear, vandermonde
+from byzgrad.linalg import solve_linear, vandermonde
+from byzgrad.protocol import Agreement, Conflict
 
 
-def vandermonde_inverse_last_column(field: PrimeField, points: Sequence[int]) -> list[int]:
+def transpose(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
+
+
+def columns(rows: Sequence[Sequence[int]], idx: Sequence[int]) -> list[list[int]]:
+    """The rows restricted to the column indices idx, in that order."""
+    return [[row[j] for j in idx] for row in rows]
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int) -> list[list[int]]:
+    """The product a @ b mod q of two matrices given as int rows."""
+    if any(len(row) != len(b) for row in a):
+        raise DimensionError(f"every row of a must have {len(b)} entries, one per row of b")
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % q for col in cols] for row in a]
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def vandermonde_inverse_last_column(q: int, points: Sequence[int]) -> list[int]:
     """Closed-form combining coefficients for a set of distinct points.
 
     Entry j is 1 / prod_{m != j} (x_j - x_m). This is the last row of the
@@ -28,7 +49,6 @@ def vandermonde_inverse_last_column(field: PrimeField, points: Sequence[int]) ->
     the inverse of its transpose (the power-rows generator shape). Computed
     afresh for any point set, where the code caches its own points' weights.
     """
-    q = field.q
     pts = [x % q for x in points]
     if len(set(pts)) != len(pts):
         raise SingularMatrixError("evaluation points must be pairwise distinct")
@@ -42,9 +62,9 @@ def vandermonde_inverse_last_column(field: PrimeField, points: Sequence[int]) ->
     return out
 
 
-def generator_matrix(ctx: CodeContext) -> Matrix:
-    """The (r+1) x n generator F, entry [k][j] = eval_points[j]**k."""
-    return vandermonde(ctx.field, ctx.eval_points, ctx.r + 1).transpose()
+def generator_matrix(ctx: CodeContext) -> list[list[int]]:
+    """The (r+1) x n generator F as rows, entry [k][j] = eval_points[j]**k."""
+    return transpose(vandermonde(ctx.eval_points, ctx.field.q, ctx.r + 1))
 
 
 def solve_encoding_matrix(
@@ -55,15 +75,14 @@ def solve_encoding_matrix(
     Requires each sample to be missing from exactly r workers, which is what
     a regular assignment with replication s+u guarantees.
     """
-    field = ctx.field
-    q = field.q
+    q = ctx.field.q
     n, r = ctx.n, ctx.r
     p = a_mat.p
     if a_mat.n != n:
         raise AssignmentMismatchError(f"assignment has {a_mat.n} workers, code has {n}")
     if len(a) != p:
         raise DimensionError(f"query vector length {len(a)} != p = {p}")
-    f_rows = generator_matrix(ctx).to_rows()  # r+1 rows of length n
+    f_rows = generator_matrix(ctx)  # r+1 rows of length n
     unit_cache: dict[tuple[int, ...], list[int]] = {}
     w_rows: list[list[int]] = []
     for i in range(p):
@@ -84,17 +103,15 @@ def solve_encoding_matrix(
             if unit is None:
                 # Solve the a_i = 1 instance once per zero pattern; the
                 # constraints are linear in a_i, so other values just scale it.
-                top_t = Matrix.from_rows(
-                    field, [[f_rows[k][j] for k in range(r)] for j in zero_set]
-                )
-                rhs = Matrix.column(field, [-f_rows[r][j] for j in zero_set])
-                out = solve_linear(top_t, rhs)
+                top_t = [[f_rows[k][j] for k in range(r)] for j in zero_set]
+                rhs = [[-f_rows[r][j]] for j in zero_set]
+                out = solve_linear(top_t, rhs, q)
                 if out.kind != "unique":
                     raise ProtocolInvariantViolation(
                         "zero-constraint system is not uniquely solvable; "
                         "Vandermonde block should be invertible"
                     )
-                unit = [out.solution.at(k, 0) for k in range(r)]
+                unit = [row[0] for row in out.solution]
                 unit_cache[zero_set] = unit
             qi = [ai * v % q for v in unit]
         row = []
@@ -118,7 +135,8 @@ def exhaustive_ecc_decode(
     column block, and accept iff the re-encoded codeword matches every
     remaining column. This costs up to C(n', <= u-1) Gaussian solves.
     """
-    z = Matrix.from_rows(ctx.field, z)
+    q = ctx.field.q
+    z = [[v % q for v in row] for row in z]
     erased = set(identified)
     avail = [j for j in range(ctx.n) if j not in erased]
     k = ctx.r + 1
@@ -131,13 +149,13 @@ def exhaustive_ecc_decode(
                 continue
             info_set = keep[:k]
             out = solve_linear(
-                f.take_columns(info_set).transpose(), z.take_columns(info_set).transpose()
+                transpose(columns(f, info_set)), transpose(columns(z, info_set)), q
             )
             if out.kind != "unique":
                 raise ProtocolInvariantViolation("generator block must be invertible")
-            c = out.solution.transpose()  # d x (r+1)
-            if c * f.take_columns(keep) == z.take_columns(keep):
-                return c.col_values(k - 1)
+            c = transpose(out.solution)  # d x (r+1)
+            if mat_mul(c, columns(f, keep), q) == columns(z, keep):
+                return [row[k - 1] for row in c]
     raise DecodeFailureError(
         f"no codeword within {budget} errors over {len(avail)} available workers"
     )
@@ -204,7 +222,7 @@ def _lagrange_basis(
     for x in xs:
         g0 = [(lo - x * hi) % q for lo, hi in zip([0] + g0, g0 + [0])]
     basis = []
-    for xj, w in zip(xs, vandermonde_inverse_last_column(PrimeField(q), xs)):
+    for xj, w in zip(xs, vandermonde_inverse_last_column(q, xs)):
         # Synthetic division of g0 by (x - x_j), highest coefficient first.
         quo = [0] * (len(g0) - 1)
         acc = 0
@@ -329,3 +347,42 @@ def dense_group_response(
     """One group's claim: received (d rows of n) times the combining vector, row by row."""
     q = ctx.field.q
     return [sum(map(mul, row, b)) % q for row in received]
+
+
+def forney_values(
+    locator: Sequence[int], syndromes: Sequence[int], roots: Sequence[int], q: int
+) -> list[int]:
+    """Error values c_j on the locator's roots x_j, with S_m = sum_j c_j x_j**m.
+
+    Forney's formula: c_j = x_j^(L-1) O(1/x_j) / prod_{i != j} (x_j - x_i),
+    with the evaluator O = S * locator mod x^L and L = len(roots). Needs
+    len(S) >= L.
+    """
+    size = len(locator) - 1
+    omega = [sum(map(mul, locator[: m + 1], syndromes[m::-1])) % q for m in range(size)]
+    out = []
+    for j, x in enumerate(roots):
+        acc = 0
+        for coef in omega:  # x^(L-1) * O(1/x)
+            acc = (acc * x + coef) % q
+        den = 1
+        for i, y in enumerate(roots):
+            if i != j:
+                den = den * (x - y) % q
+        out.append(acc * pow(den, -1, q) % q)
+    return out
+
+
+def pairwise_contradiction(responses: Sequence[Sequence[int]]) -> Agreement | Conflict:
+    """The lowest differing pair by trying every pair (k1, k2) in lexicographic order.
+
+    The scan byzgrad.protocol.detect_contradiction replaced; the coordinate
+    is the first position where the pair differs.
+    """
+    m = len(responses)
+    for k1 in range(m):
+        for k2 in range(k1 + 1, m):
+            for coord, (x, y) in enumerate(zip(responses[k1], responses[k2])):
+                if x != y:
+                    return Conflict(k1, k2, coord)
+    return Agreement(tuple(responses[0]))

@@ -1,7 +1,9 @@
 """Syndrome errors-and-erasures decoder against the Gao and exhaustive oracles."""
 
+import inspect
 import random
 import time
+from itertools import combinations, product
 
 import pytest
 
@@ -17,7 +19,7 @@ from byzgrad.errors import DecodeFailureError
 from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import SimulationConfig, replay_transcript, run_simulation, write_transcript
 
-from oracles import exhaustive_ecc_decode, gao_ecc_decode
+from oracles import exhaustive_ecc_decode, forney_values, gao_ecc_decode
 
 
 def decode_or_failure(decoder, ctx, received, identified):
@@ -256,11 +258,21 @@ def test_scale_probes_full_depth_matches():
 
 
 def test_protocol_path_does_no_linear_solve(tmp_path, monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise RuntimeError("linear solve on the protocol path")
+    # The run path computes in closed form: every linalg function, and the
+    # solver at the names the tracer wraps it by, raises if called.
+    def no_linalg(*args, **kwargs):
+        raise RuntimeError("dense linear algebra on the protocol path")
 
-    for module in (linalg, coding, adversary):
-        monkeypatch.setattr(module, "solve_linear", no_solve)
+    public = [
+        name
+        for name, obj in vars(linalg).items()
+        if inspect.isfunction(obj) and obj.__module__ == linalg.__name__ and name[0] != "_"
+    ]
+    assert "solve_linear" in public and "invert" in public
+    for name in public:
+        monkeypatch.setattr(linalg, name, no_linalg)
+    for module in (coding, adversary):
+        monkeypatch.setattr(module, "solve_linear", no_linalg)
     # tau = 3: s = u-1, so the decode corrects the liars without a match.
     corrected = run_simulation(
         SimulationConfig(n=12, s=3, u=4, p=12, d=3, adversary="random-always", seed=3)
@@ -273,12 +285,51 @@ def test_protocol_path_does_no_linear_solve(tmp_path, monkeypatch):
     attacked = run_simulation(
         SimulationConfig(n=8, s=2, u=1, p=8, d=3, adversary="symmetrization", seed=2)
     )
+    symmetrized = run_simulation(
+        SimulationConfig(n=7, s=2, u=1, p=9, d=2, adversary="symmetrization", seed=2)
+    )
     assert erased.result.eliminated and attacked.result.eliminated
     for out in (corrected, erased):
         assert out.result.outcome == "ecc"
-    for out in (corrected, erased, attacked):
+    for out in (corrected, erased, attacked, symmetrized):
         assert out.result.gradient == out.truth
     for name, out in (("erased", erased), ("attacked", attacked)):
         path = tmp_path / f"{name}.jsonl"
         write_transcript(out.result, str(path))
         assert replay_transcript(str(path)) == out.truth
+
+
+def test_located_patterns_lie_within_the_radius_with_nonzero_values():
+    # Every nonzero syndrome word over q = 7, of every length up to N, on
+    # every set of N = 2..4 available points. Berlekamp-Massey returns the
+    # shortest generator, so no located pattern has a zero Forney value.
+    q = 7
+    words = located = 0
+    for size in range(2, 5):
+        avail = list(range(1, 2 * size, 2))
+        for xs in combinations(range(1, q), size):
+            for length in range(1, size + 1):
+                for syndromes in product(range(q), repeat=length):
+                    if not any(syndromes):
+                        continue
+                    words += 1
+                    found = coding._located_pattern(avail, xs, syndromes, q)
+                    if found is None:
+                        continue
+                    located += 1
+                    roots, share = found
+                    points = list(roots.values())
+                    locator = coding._berlekamp_massey(syndromes, q)
+                    assert len(locator) - 1 == len(roots) and 2 * len(roots) <= length
+                    assert all(x == xs[avail.index(j)] for j, x in roots.items())
+                    for x in points:  # x^L * locator(1/x)
+                        at = [c * pow(x, len(roots) - i, q) for i, c in enumerate(locator)]
+                        assert sum(at) % q == 0
+                    values = forney_values(locator, syndromes, points, q)
+                    assert all(values), (xs, syndromes)
+                    pattern = [
+                        sum(c * pow(x, m, q) for c, x in zip(values, points)) % q
+                        for m in range(length + 1)
+                    ]
+                    assert pattern == [*syndromes, share], (xs, syndromes)
+    assert (words, located) == (50670, 5220)

@@ -7,6 +7,8 @@ wrap point. Package __init__ modules import to re-export and are skipped.
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,10 +68,10 @@ def linalg_imports(source: str) -> list[str]:
 
 def test_linalg_imports_are_found():
     source = (
-        "from .linalg import Matrix\nfrom byzgrad.linalg import invert\n"
+        "from .linalg import vandermonde\nfrom byzgrad.linalg import invert\n"
         "from . import linalg, field\nimport byzgrad.linalg\nfrom .field import PrimeField\n"
     )
-    assert linalg_imports(source) == ["Matrix", "invert", "linalg", "linalg"]
+    assert linalg_imports(source) == ["vandermonde", "invert", "linalg", "linalg"]
 
 
 def test_run_path_takes_no_matrices_from_linalg():
@@ -86,3 +88,15 @@ def test_run_path_takes_no_matrices_from_linalg():
     for stem, names in allowed.items():
         source = (ROOT / "src" / "byzgrad" / f"{stem}.py").read_text(encoding="utf-8")
         assert set(linalg_imports(source)) <= names, stem
+
+
+def test_importing_the_package_leaves_the_checks_unloaded():
+    # The certificates load when asked for, not with every run.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import byzgrad; "
+        "print(byzgrad.__file__, 'byzgrad.checks' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    path, loaded = out.stdout.split()
+    assert Path(path).resolve() == (ROOT / "src" / "byzgrad" / "__init__.py").resolve()
+    assert loaded == "False"
