@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from byzgrad import coding, protocol
 from byzgrad.adversary import AdversaryStrategy, honest, random_corruption, tournament_liar
 from byzgrad.assignment import (
     assignment_to_text,
@@ -569,3 +570,39 @@ def test_transcript_structure():
     for ev in events:
         if ev["event"] == "elimination":
             assert all(w >= 1 for w in ev["workers"])
+
+
+def test_protocol_path_does_no_dense_product(tmp_path, monkeypatch):
+    # Honest responses come from response_matrix's packed class sums and
+    # claims from group_response's packed dot product: the per-worker dense
+    # product G @ W[:, j] raises at every name it is reachable by.
+    def no_product(*args, **kwargs):
+        raise RuntimeError("dense per-worker product on the protocol path")
+
+    calls = []
+    packed = protocol.response_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return packed(*args, **kwargs)
+
+    for module in (coding, protocol):
+        monkeypatch.setattr(module, "worker_response", no_product)
+    monkeypatch.setattr(protocol, "response_matrix", counted)
+    liar = run_simulation(
+        SimulationConfig(n=8, s=2, u=1, p=8, d=3, adversary="tournament-liar", seed=1)
+    )
+    # tau = 3: s = u-1, so the decode corrects the liars without a match.
+    corrected = run_simulation(
+        SimulationConfig(n=12, s=3, u=4, p=12, d=3, adversary="random-always", seed=3)
+    )
+    symmetrized = run_simulation(
+        SimulationConfig(n=7, s=2, u=1, p=9, d=2, adversary="symmetrization", seed=2)
+    )
+    assert len(calls) == 3
+    assert liar.result.eliminated and corrected.result.outcome == "ecc"
+    for out in (liar, corrected, symmetrized):
+        assert out.result.gradient == out.truth
+    path = tmp_path / "liar.jsonl"
+    write_transcript(liar.result, str(path))
+    assert replay_transcript(str(path)) == liar.truth
