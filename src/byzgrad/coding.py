@@ -16,7 +16,9 @@ next. One big-integer dot product of packed rows with field elements then
 does a whole row's products inside CPython's integer arithmetic, and unpack
 reads each lane off and reduces it mod q. Each class row of W is packed
 across the workers, so a coordinate's n responses are one dot product with
-its class sums.
+its class sums. Each sample's row is packed too, the samples of a class
+sharing one int, in lanes wide enough for all p samples, so that a running
+sum of G[c][i] times those rows holds every worker's prefix sum at once.
 Any r+1 workers suffice to recover the combination via a closed-form
 combining vector: member j's entry is w_j times the product of x_j - x_m
 over the non-members m, with the weights w_j = 1 / prod_{m != j} (x_j - x_m)
@@ -104,11 +106,6 @@ class EncodingMatrix:
     w: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """W's n columns: columns[j][i] is W[i][j]."""
-        return tuple(zip(*self.w))
-
-    @cached_property
     def row_classes(self) -> tuple[tuple[int, ...], ...]:
         """Samples grouped by equal nonzero rows of W.
 
@@ -138,6 +135,26 @@ class EncodingMatrix:
             width = lane_bytes(q, len(classes))
             packed = tuple([pack(w[c[0]], width) for c in classes])
             lanes = self.__dict__["_lanes"] = (q, width, packed)
+        return lanes[1], lanes[2]
+
+    def sample_lanes(self, q: int) -> tuple[int, tuple[int, ...]]:
+        """(width, rows): each sample's row of W as one int of n lanes, worker 0's on top.
+
+        width is lane_bytes(q, p), so a sum over any samples of their packed
+        rows times elements of [0, q) fills every lane without a carry. The
+        samples of a class share their class's int; an all-zero row is 0.
+        Kept with the encoding for the modulus last asked.
+        """
+        lanes = self.__dict__.get("_sample_lanes")
+        if lanes is None or lanes[0] != q:
+            w = self.w
+            width = lane_bytes(q, len(w))
+            rows = [0] * len(w)
+            for c in self.row_classes:
+                packed = pack(w[c[0]], width)
+                for i in c:
+                    rows[i] = packed
+            lanes = self.__dict__["_sample_lanes"] = (q, width, tuple(rows))
         return lanes[1], lanes[2]
 
 
@@ -292,7 +309,7 @@ def worker_response(
     """Honest response of worker j: G @ W[:, j], a length-d vector."""
     if any(len(row) != len(enc.w) for row in gradients):
         raise DimensionError("gradient matrix width must equal sample count")
-    q, col = ctx.field.q, enc.columns[j]
+    q, col = ctx.field.q, [row[j] for row in enc.w]
     return [sum(map(mul, row, col)) % q for row in gradients]
 
 
@@ -396,7 +413,9 @@ def _located_pattern(
     available points; None otherwise. Every error value is then nonzero:
     values on L roots with one zero would make the other L-1 points generate
     S, and Berlekamp-Massey returns the shortest such locator (Massey, IEEE
-    Trans. IT 1969).
+    Trans. IT 1969). The locator generates S by construction, so no window
+    needs checking, and the share is the next term of its recurrence,
+    -sum_{k=1..L} C[k] * S[N-k] for N = len(S).
     """
     locator = _berlekamp_massey(syndromes, q)
     size = len(locator) - 1
@@ -408,8 +427,7 @@ def _located_pattern(
     roots = {j: x for j, x, v in zip(avail, xs, values) if not v}
     if len(roots) != size:
         return None
-    share = _pattern_share(list(roots.values()), syndromes, q)
-    return None if share is None else (roots, share)
+    return roots, -sum(map(mul, locator[1:], syndromes[: -size - 1 : -1])) % q
 
 
 def ecc_decode(

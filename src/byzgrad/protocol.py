@@ -214,13 +214,16 @@ class SimulatedResponder:
     """Worker answers of a simulated run: honest values through the adversary.
 
     The gradients are d rows of p. truth(i), the main node's local
-    computation of sample i, is column i of the gradients reduced mod q. A
-    worker's honest match answer for coordinate c is a difference of two
-    entries of its prefix sums over samples of G[c][i]·W[i][j], built the
-    first time the run disputes c and asks that worker, so every later
-    level and round costs O(1) per worker. bind() starts a run and drops
-    the previous run's sums: they hold at most d·n·(p+1) integers, in
-    practice only those of the disputed coordinates.
+    computation of sample i, is column i of the gradients reduced mod q.
+    Honest match answers for coordinate c come from one packed prefix P,
+    built the first time the run disputes c: P[k] sums (G[c][i] mod q)
+    times sample i's packed row of W (EncodingMatrix.sample_lanes) over
+    samples i < k, so lane j of P[hi] - P[lo] is worker j's answer before
+    its reduction mod q. No lane ever decreases as k grows, so the
+    difference borrows nothing, and every later level and round costs one
+    subtraction and a lane read per worker. bind() starts a run and drops the previous run's
+    prefixes: they hold at most d·(p+1) packed ints, in practice only
+    those of the disputed coordinates.
     """
 
     def __init__(self, gradients: Sequence[Sequence[int]], adversary):
@@ -232,7 +235,7 @@ class SimulatedResponder:
         if any(len(row) != a_mat.p for row in self.gradients):
             raise InfeasibleStateError("assignment and gradients disagree on shape")
         self.ctx, self.q, self.enc = ctx, ctx.field.q, enc
-        self._prefix: dict[tuple[int, int], list[int]] = {}
+        self._prefix: dict[int, list[int]] = {}
         self.adversary.bind(ctx, a_mat, enc)
 
     def initial(self) -> list[list[int]]:
@@ -256,17 +259,19 @@ class SimulatedResponder:
 
     def match(self, query: Query, workers: Sequence[int]) -> dict[int, int]:
         """One field symbol per competing worker: its share of the queried interval."""
-        adversary, q, prefix = self.adversary, self.q, self._prefix
+        adversary, q = self.adversary, self.q
         lo, hi = query.mask
         c = query.coordinate
+        width, rows = self.enc.sample_lanes(q)
+        sums = self._prefix.get(c)
+        if sums is None:
+            grow = [g % q for g in self.gradients[c]]
+            sums = self._prefix[c] = [0, *accumulate(map(mul, grow, rows))]
+        diff, shift = sums[hi] - sums[lo], 8 * width
+        mask, top = (1 << shift) - 1, self.ctx.n - 1
         out: dict[int, int] = {}
         for j in workers:
-            sums = prefix.get((c, j))
-            if sums is None:
-                # sums[k] adds G[c][i]·W[i][j] over samples i < k.
-                grow, wcol = self.gradients[c], self.enc.columns[j]
-                sums = prefix[c, j] = [0, *accumulate(map(mul, grow, wcol))]
-            honest = (sums[hi] - sums[lo]) % q
+            honest = (diff >> shift * (top - j) & mask) % q
             if j in adversary.controlled:
                 out[j] = adversary.match_response(j, query, honest) % q
             else:

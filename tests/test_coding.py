@@ -570,10 +570,6 @@ def test_encoding_rows_are_shared_tuples_and_columns_are_cached():
     assert enc.w[0] is enc.w[6] and enc.w[5] is enc.w[11]  # one base tuple per zero set
     assert enc.w[7] is enc.w[8] is enc.w[9] and not any(enc.w[7])  # one zero tuple
     assert enc.w[10] == tuple(5 * v % 101 for v in enc.w[4])
-    columns = enc.columns
-    assert enc.columns is columns
-    assert all(type(col) is tuple for col in columns)
-    assert [[col[i] for col in columns] for i in range(12)] == [list(row) for row in enc.w]
 
 
 def test_fig_instance_pairwise_decodable():

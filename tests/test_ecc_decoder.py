@@ -332,4 +332,7 @@ def test_located_patterns_lie_within_the_radius_with_nonzero_values():
                         for m in range(length + 1)
                     ]
                     assert pattern == [*syndromes, share], (xs, syndromes)
+                    # The share is the next term of the locator's recurrence.
+                    tail = syndromes[length - len(roots) :][::-1]
+                    assert share == -sum(c * v for c, v in zip(locator[1:], tail)) % q
     assert (words, located) == (50670, 5220)

@@ -14,7 +14,12 @@ from byzgrad.assignment import (
     make_fractional,
     make_random_regular,
 )
-from byzgrad.coding import build_code_context, build_encoding_matrix, combining_vector
+from byzgrad.coding import (
+    EncodingMatrix,
+    build_code_context,
+    build_encoding_matrix,
+    combining_vector,
+)
 from byzgrad.errors import (
     AdversaryBudgetExceededError,
     DimensionError,
@@ -372,6 +377,42 @@ def test_prefix_match_answers_equal_strided_slice():
     assert checked == 3 * 70 - 1  # all but the cyclic layout at n=4, p=2
 
 
+@pytest.mark.parametrize("q", [7, 2**61 - 1, 2**64 + 13], ids=["7", "2^61-1", "2^64+13"])
+def test_prefix_match_answers_cover_moduli_and_unreduced_gradients(q):
+    # Entries in [-2q, 3q): the prefix must reduce each gradient row mod q
+    # first, or a negative entry borrows and a large one carries across lanes.
+    s, u, n = 1, 1, 4
+    ctx = build_code_context(n, s, u, q)
+    rng = random.Random(q)
+    for p in (5, 8, 13, 33):
+        g = [[rng.randrange(-2 * q, 3 * q) for _ in range(p)] for _ in range(3)]
+        g[0][:2] = [-1, q]
+        responder = SimulatedResponder(g, honest())
+        for build in (make_cyclic, make_fractional):
+            a_mat = build(n, p, s + u)
+            enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+            responder.bind(ctx, a_mat, enc)
+            assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
+
+
+@pytest.mark.parametrize("q", [7, 2**61 - 1, 2**64 + 13], ids=["7", "2^61-1", "2^64+13"])
+def test_prefix_match_answers_fill_the_lane_at_every_q_minus_one(q):
+    # Every entry of W and of the gradient is q-1 (as q-1, -1 and 2q-1), so
+    # the root query sums p·(q-1)² in every lane: the most a lane of
+    # lane_bytes(q, p) bytes must hold, and more than a byte narrower holds.
+    n = 4
+    ctx = build_code_context(n, 1, 1, q)
+    for p in (7, 8, 255, 256, 257, 300):
+        enc = EncodingMatrix((1,) * p, ((q - 1,) * n,) * p)
+        width, _ = enc.sample_lanes(q)
+        if width > 1:
+            assert p * (q - 1) ** 2 >= 1 << 8 * (width - 1)
+        g = [[q - 1] * p, [-1] * p, [2 * q - 1] * p]
+        responder = SimulatedResponder(g, honest())
+        responder.bind(ctx, make_cyclic(n, p, 2), enc)
+        assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
+
+
 def test_match_golden_digest():
     # Match-heavy runs: small fields put conflicts on several coordinates,
     # and p = 256 runs every match to full depth.
@@ -586,12 +627,25 @@ def test_protocol_path_does_no_dense_product(tmp_path, monkeypatch):
         calls.append(1)
         return packed(*args, **kwargs)
 
+    # Match answers come from one packed prefix per disputed coordinate,
+    # never from one per worker.
+    prefixes = []
+    accumulate = protocol.accumulate
+
+    def counted_prefix(*args):
+        prefixes.append(1)
+        return accumulate(*args)
+
     for module in (coding, protocol):
         monkeypatch.setattr(module, "worker_response", no_product)
     monkeypatch.setattr(protocol, "response_matrix", counted)
+    monkeypatch.setattr(protocol, "accumulate", counted_prefix)
     liar = run_simulation(
         SimulationConfig(n=8, s=2, u=1, p=8, d=3, adversary="tournament-liar", seed=1)
     )
+    events = liar.result.transcript.events
+    disputed = {ev["coordinate"] for ev in events if ev["event"] == "conflict"}
+    assert disputed and len(prefixes) == len(disputed)
     # tau = 3: s = u-1, so the decode corrects the liars without a match.
     corrected = run_simulation(
         SimulationConfig(n=12, s=3, u=4, p=12, d=3, adversary="random-always", seed=3)
