@@ -38,8 +38,10 @@ def _parse_int_list(text: str) -> list[int]:
         tok = tok.strip()
         try:
             if "-" in tok[1:]:
-                lo, hi = tok.split("-", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, tok.split("-", 1))
+                if hi < lo:
+                    raise ValueError(f"descending range {tok}")
+                out.extend(range(lo, hi + 1))
             elif tok:
                 out.append(int(tok))
         except ValueError as e:
@@ -135,6 +137,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise InvalidParamsError(f"need --seeds >= 1, got {args.seeds}")
     us: object = "auto"
     if args.u and args.u != "auto":
         us = _parse_int_list(args.u)

@@ -416,7 +416,7 @@ def grid_configs(
     for n in ns:
         for s in ss:
             if us == "auto":
-                u_list = list(range(1, min(s + 1, n - s) + 1))
+                u_list = list(range(1, min(s + 1, n - s) + 1)) or [1]  # no feasible u: skip u = 1
             else:
                 u_list = list(us)
             for u in u_list:

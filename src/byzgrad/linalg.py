@@ -5,10 +5,11 @@ function takes the modulus as an int q; any matrix returned is a list of
 int rows reduced mod q. Gaussian elimination serves only the certificates
 in checks and the test oracles: a protocol run computes its combining
 weights in closed form, and the symmetrization strategy solves its diagonal
-system directly. Elimination uses first-nonzero pivoting; over an exact
-field no magnitude pivoting is needed. Includes the determinant of a
-Cauchy-like block with an appended all-one column, which backs the
-grouping-soundness argument.
+system directly. solve_linear, invert and determinant share one
+Gauss-Jordan core with first-nonzero pivoting; over an exact field no
+magnitude pivoting is needed. Includes the determinant of a Cauchy-like
+block with an appended all-one column, which backs the grouping-soundness
+argument.
 """
 
 from __future__ import annotations
@@ -30,6 +31,37 @@ def _reduced(rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
 def _check_square(rows: Sequence[Sequence[int]], what: str) -> None:
     if any(len(row) != len(rows) for row in rows):
         raise DimensionError(f"{what} requires a square matrix")
+
+
+def _eliminate(aug: list[list[int]], cols: int, q: int) -> tuple[list[int], int]:
+    """Gauss-Jordan in place on the first cols columns of the reduced rows aug.
+
+    Returns the pivot columns and, when aug has cols rows, the determinant of
+    those columns: the product of the pivots, negated per row swap.
+    """
+    pivots: list[int] = []
+    det = 1
+    for col in range(cols):
+        rank = len(pivots)
+        for piv in range(rank, len(aug)):
+            if aug[piv][col]:
+                break
+        else:
+            det = 0
+            continue
+        if piv != rank:
+            aug[rank], aug[piv] = aug[piv], aug[rank]
+            det = -det
+        pval = aug[rank][col]
+        det = det * pval % q
+        inv = pow(pval, -1, q)
+        prow = aug[rank] = [v * inv % q for v in aug[rank]]
+        for rr, row in enumerate(aug):
+            f = row[col]
+            if f and rr != rank:
+                aug[rr] = [(a - f * b) % q for a, b in zip(row, prow)]
+        pivots.append(col)
+    return pivots, det
 
 
 @dataclass(frozen=True)
@@ -55,37 +87,17 @@ def solve_linear(
     if len(coeffs) != len(rhs):
         raise DimensionError("coefficient and right-hand side row counts differ")
     left, right = _reduced(coeffs, q), _reduced(rhs, q)
-    m = len(left)
-    k = len(left[0]) if m else 0
+    k = len(left[0]) if left else 0
     aug = [a + b for a, b in zip(left, right)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(k):
-        piv = None
-        for rr in range(rank, m):
-            if aug[rr][col]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][col], -1, q)
-        aug[rank] = [v * inv % q for v in aug[rank]]
-        prow = aug[rank]
-        for rr in range(m):
-            if rr != rank and aug[rr][col]:
-                f = aug[rr][col]
-                row = aug[rr]
-                aug[rr] = [(a - f * b) % q for a, b in zip(row, prow)]
-        pivots.append(col)
-        rank += 1
+    pivots, _ = _eliminate(aug, k, q)
+    rank = len(pivots)
     # Rows below the rank have an all-zero coefficient part; any nonzero
     # augmented entry there is a pivot in the augmented block.
-    if any(any(aug[rr][k:]) for rr in range(rank, m)):
+    if any(any(row[k:]) for row in aug[rank:]):
         return LinearSolveOutcome("inconsistent", None)
-    sol = [[0] * len(right[0]) for _ in range(k)]  # k > 0 implies m > 0
-    for idx, col in enumerate(pivots):
-        sol[col] = aug[idx][k:]
+    sol = [[0] * len(right[0]) for _ in range(k)]  # k > 0 implies rows exist
+    for row, col in zip(aug, pivots):
+        sol[col] = row[k:]
     kind = "unique" if rank == k else "underdetermined"
     return LinearSolveOutcome(kind, sol)
 
@@ -93,38 +105,15 @@ def solve_linear(
 def invert(rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
     _check_square(rows, "inversion")
     n = len(rows)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    out = solve_linear(rows, identity, q)
-    if out.kind != "unique":
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(_reduced(rows, q))]
+    if not _eliminate(aug, n, q)[1]:
         raise SingularMatrixError("matrix is singular")
-    return out.solution
+    return [row[n:] for row in aug]
 
 
 def determinant(rows: Sequence[Sequence[int]], q: int) -> int:
     _check_square(rows, "determinant")
-    rows = _reduced(rows, q)
-    n = len(rows)
-    det = 1
-    for col in range(n):
-        piv = None
-        for rr in range(col, n):
-            if rows[rr][col]:
-                piv = rr
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det % q
-        pval = rows[col][col]
-        det = det * pval % q
-        inv = pow(pval, -1, q)
-        prow = rows[col]
-        for rr in range(col + 1, n):
-            if rows[rr][col]:
-                f = rows[rr][col] * inv % q
-                rows[rr] = [(a - f * b) % q for a, b in zip(rows[rr], prow)]
-    return det
+    return _eliminate(_reduced(rows, q), len(rows), q)[1]
 
 
 def vandermonde(points: Sequence[int], q: int, ncols: int | None = None) -> list[list[int]]:

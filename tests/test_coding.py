@@ -511,8 +511,8 @@ def test_response_matrix_lanes_at_the_carry_boundary():
                 z = response_matrix(ctx, g, enc)
                 assert z == dense_response_matrix(ctx, g, enc)
                 assert z[0][0] == classes * (q - 1) ** 2 % q
-            width = enc.class_lanes(q)[0]
-            assert width == lane_bytes(q, classes)
+            width = enc.sample_lanes(q)[0]
+            assert width == lane_bytes(q, len(enc.w))  # one sample per class here
             assert classes * (q - 1) ** 2 >= 1 << 8 * (width - 1)  # one byte less carries
 
 
@@ -553,10 +553,10 @@ def test_row_classes_are_immutable_and_leave_the_fields_alone():
         assert type(part) is tuple
     with pytest.raises(TypeError):
         samples[0][0] = 5
-    width, packed = enc.class_lanes(101)
-    assert type(packed) is tuple and enc.class_lanes(101)[1] is packed  # packed once
-    assert width == lane_bytes(101, len(samples))
-    assert enc.class_lanes(2**61 - 1)[0] > width  # another modulus packs afresh
+    width, packed = enc.sample_lanes(101)
+    assert type(packed) is tuple and enc.sample_lanes(101)[1] is packed  # packed once
+    assert width == lane_bytes(101, len(enc.w))
+    assert enc.sample_lanes(2**61 - 1)[0] > width  # another modulus packs afresh
     assert [f.name for f in dataclasses.fields(enc)] == ["a", "w"]
     assert enc == twin and hash(enc) == hash(twin)
 

@@ -336,3 +336,40 @@ def test_located_patterns_lie_within_the_radius_with_nonzero_values():
                     tail = syndromes[length - len(roots) :][::-1]
                     assert share == -sum(c * v for c, v in zip(locator[1:], tail)) % q
     assert (words, located) == (50670, 5220)
+
+
+def test_pooled_share_is_the_located_share():
+    # ecc_decode tries the workers pooled at earlier coordinates before
+    # Berlekamp-Massey. Whenever a pool of at most len(S)/2 points yields a
+    # share, Berlekamp-Massey finds the same share with its roots in the pool:
+    # two patterns within the radius with equal syndromes differ by a
+    # codeword of weight at most N-k, which is zero.
+    rng = random.Random(19)
+    seen = {"in pool": 0, "anywhere": 0, "random": 0}  # syndromes with a pooled share
+    for q in (7, 11, 13, 101):
+        for _ in range(1500):
+            size = rng.randrange(3, min(9, q - 1) + 1)
+            avail = sorted(rng.sample(range(12), size))
+            xs = rng.sample(range(1, q), size)
+            length = rng.randrange(2, size)  # len(S) = N - k with k >= 1
+            pool = rng.sample(range(size), rng.randrange(1, length // 2 + 1))
+            kind = rng.choice(list(seen))
+            if kind == "random":
+                syndromes = [rng.randrange(q) for _ in range(length)]
+            else:
+                support = pool if kind == "in pool" else range(size)
+                errs = rng.sample(support, rng.randrange(1, min(len(support), length // 2) + 1))
+                values = [rng.randrange(q) for _ in errs]
+                syndromes = [
+                    sum(c * pow(xs[i], m, q) for c, i in zip(values, errs)) % q
+                    for m in range(length)
+                ]
+            points = [xs[i] for i in pool]
+            share = coding._pattern_share(points, syndromes, q)
+            if share is None:
+                continue
+            seen[kind] += 1
+            roots, located = coding._located_pattern(avail, xs, syndromes, q)
+            assert located == share, (q, xs, points, syndromes)
+            assert set(roots.values()) <= set(points), (q, xs, points, syndromes)
+    assert seen == {"in pool": 2019, "anywhere": 468, "random": 71}

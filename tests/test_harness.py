@@ -12,6 +12,7 @@ from byzgrad.errors import InvalidParamsError, TranscriptReplayError
 from byzgrad.harness import (
     METRICS_HEADER,
     SimulationConfig,
+    SkippedRow,
     _draw_below,
     assignment_feasible,
     grid_configs,
@@ -209,6 +210,18 @@ def test_explicit_u_out_of_range_flagged():
     assert len(items) == 1
     assert not isinstance(items[0], SimulationConfig)
     assert "u <= s+1" in items[0].reason
+
+
+def test_auto_u_without_a_feasible_value_flagged():
+    # n <= s leaves no u in 1..min(s+1, n-s): the combination is skipped, not dropped.
+    items = list(grid_configs(
+        ns=[3, 4], ss=[3], us="auto", ps=[4], ds=[1],
+        assignments=["cyclic"], adversaries=["honest"], seeds=1, q=101,
+    ))
+    assert [type(item) for item in items] == [SkippedRow, SimulationConfig]
+    assert items[0].params == {"n": 3, "s": 3, "u": 1}
+    assert "n >= s+u" in items[0].reason
+    assert (items[1].n, items[1].u) == (4, 1)
 
 
 # transcripts and replay ------------------------------------------------------------
@@ -589,8 +602,12 @@ def test_cli_reports_unwritable_output(tmp_path, capsys, monkeypatch, argv):
         (["--q", "4"], "q must be prime, got 4"),
         (["--grouping", "bogus"], "unknown grouping mode 'bogus'"),
         (["--assignments", "cyclic,file"], "assignment 'file' needs assignment_path"),
+        (["--n", "8-4"], "bad integer list '8-4': descending range 8-4"),
+        (["--seeds", "0"], "need --seeds >= 1, got 0"),
+        (["--seeds", "-3"], "need --seeds >= 1, got -3"),
     ],
-    ids=["adversary", "d", "q", "grouping", "assignment"],
+    ids=["adversary", "d", "q", "grouping", "assignment", "descending-range", "no-seeds",
+         "negative-seeds"],
 )
 def test_cli_sweep_rejects_bad_grid_before_writing(tmp_path, capsys, monkeypatch, flags, message):
     def no_run(config):

@@ -660,3 +660,24 @@ def test_protocol_path_does_no_dense_product(tmp_path, monkeypatch):
     path = tmp_path / "liar.jsonl"
     write_transcript(liar.result, str(path))
     assert replay_transcript(str(path)) == liar.truth
+
+
+def test_a_run_packs_each_class_of_w_once(monkeypatch):
+    # The initial responses and the match answers read one packing of W:
+    # response_matrix takes each class row from the per-sample lanes.
+    calls = []
+    pack = coding.pack
+
+    def counted(*args):
+        calls.append(1)
+        return pack(*args)
+
+    monkeypatch.setattr(coding, "pack", counted)
+    ctx = build_code_context(8, 2, 1, 101)
+    a_mat = make_cyclic(8, 16, 3)
+    enc = build_encoding_matrix(ctx, a_mat, [1] * 16)
+    g = make_gradients(ctx, 16, 3, seed=4)
+    res = run_protocol(ctx, a_mat, g, tournament_liar([0, 5], "consistent", seed=4), enc=enc)
+    assert res.gradient == full_sum(ctx, g) and res.eliminated == (0, 5)
+    assert any(ev["event"] == "match_level" for ev in res.transcript.events)
+    assert len(calls) == len(enc.row_classes) == 8
