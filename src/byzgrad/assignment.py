@@ -35,13 +35,18 @@ class AssignmentMatrix:
 
 
 def validate_regular(a: AssignmentMatrix, rho: int) -> bool:
-    """True iff every column sums to rho and every row sums to >= 1."""
-    if any(len(row) != a.p for row in a.bits) or len(a.bits) != a.n:
+    """True iff every column sums to rho and every row sums to >= 1.
+
+    Columns are summed in one pass over zip(*bits), and a row of 0/1 bits
+    sums to at least 1 iff any bit is set. With no rows every column sums
+    to 0, which zip cannot see, so that case is decided apart.
+    """
+    bits = a.bits
+    if any(len(row) != a.p for row in bits) or len(bits) != a.n:
         return False
-    for i in range(a.p):
-        if a.column_sum(i) != rho:
-            return False
-    return all(a.row_sum(j) >= 1 for j in range(a.n))
+    if not bits:
+        return a.p == 0 or rho == 0
+    return set(map(sum, zip(*bits))) <= {rho} and all(map(any, bits))
 
 
 def _finish(n: int, p: int, rho: int, bits: list[list[int]], kind: str) -> AssignmentMatrix:

@@ -166,15 +166,33 @@ def unpack(x: int, width: int, count: int, q: int) -> list[int]:
     return out
 
 
+def sample_row(ctx: CodeContext, column: Sequence[int]) -> tuple[int, ...]:
+    """A sample's row of the all-one W from its assignment column, in closed form.
+
+    Entry j is prod_{m not holding the sample} (x_j - x_m) mod q at each
+    holder j, which is nonzero, the points being distinct, and 0 elsewhere.
+    """
+    q, pts = ctx.field.q, ctx.eval_points
+    roots = [x for x, held in zip(pts, column) if not held]
+    row = []
+    for xj, held in zip(pts, column):
+        acc = 0
+        if held:
+            acc = 1
+            for xm in roots:
+                acc *= xj - xm
+        row.append(acc % q)
+    return tuple(row)
+
+
 def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence[int]) -> EncodingMatrix:
     """W[i][j] = a_i * prod_{m in Z_i} (x_j - x_m), in closed form.
 
     Row i of W = (Q | a) F evaluates a polynomial of degree at most r with
     leading coefficient a_i at every worker's point; vanishing on the r
     workers Z_i that do not hold sample i pins it to a_i times the monic
-    polynomial with those roots. One base row is built per distinct zero
-    pattern and scaled by a_i; its entries are products only at the s+u
-    holders, since the product vanishes on Z_i. Requires each sample to be
+    polynomial with those roots. One base row (sample_row) is built per
+    distinct zero pattern and scaled by a_i. Requires each sample to be
     missing from exactly r workers, which is what a regular assignment with
     replication s+u guarantees.
     """
@@ -185,7 +203,6 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence
         raise AssignmentMismatchError(f"assignment has {a_mat.n} workers, code has {n}")
     if len(a) != p:
         raise DimensionError(f"query vector length {len(a)} != p = {p}")
-    pts = ctx.eval_points
     zeros = (0,) * n
     bases: dict[tuple[int, ...], tuple[int, ...]] = {}
     rows: list[tuple[int, ...]] = []
@@ -193,20 +210,12 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence
     for i, column in enumerate(zip(*a_mat.bits)):
         base = bases.get(column)
         if base is None:
-            zero_set = [j for j, held in enumerate(column) if not held]
-            if len(zero_set) != r:
+            missing = column.count(0)
+            if missing != r:
                 raise AssignmentMismatchError(
-                    f"sample {i + 1} is missing from {len(zero_set)} workers, expected r={r}"
+                    f"sample {i + 1} is missing from {missing} workers, expected r={r}"
                 )
-            roots = [pts[m] for m in zero_set]
-            row = list(zeros)
-            for j, xj in enumerate(pts):
-                if column[j]:
-                    acc = 1
-                    for xm in roots:
-                        acc *= xj - xm
-                    row[j] = acc % q
-            base = bases[column] = tuple(row)
+            base = bases[column] = sample_row(ctx, column)
         ai = a[i] % q
         if ai == 1:
             rows.append(base)

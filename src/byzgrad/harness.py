@@ -545,7 +545,7 @@ class RecordedResponder:
         self._answers = iter([ev.get("values") for ev in events if ev["event"] == "response_set"])
         self._truths = iter([ev.get("value") for ev in events if ev["event"] == "local_compute"])
 
-    def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix, enc: EncodingMatrix) -> None:
+    def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix) -> None:
         self.n, self.q = ctx.n, ctx.field.q
 
     def _symbols(self, value, length: int) -> list[int]:
@@ -559,8 +559,8 @@ class RecordedResponder:
             raise TranscriptReplayError(f"initial responses must come from {self.n} workers")
         return [self._symbols(col, self.d) for col in cols]
 
-    def match(self, query, workers) -> dict[int, int]:
-        return dict(zip(workers, self._symbols(next(self._answers, None), len(workers))))
+    def match(self, query, workers) -> list[int]:
+        return self._symbols(next(self._answers, None), len(workers))
 
     def truth(self, i: int) -> list[int]:
         return self._symbols(next(self._truths, None), self.d)
@@ -596,11 +596,14 @@ _REPLAY_ERRORS = (
 def replay_transcript(path: str) -> list[int]:
     """Re-run the protocol engine on the answers recorded in a transcript.
 
-    Rebuilds the code, the assignment and W from the start event, runs
-    ProtocolRun with the recorded worker answers and local computations (and,
-    for shuffled grouping, the recorded group order), and requires the
-    regenerated event list to equal the recorded one. Returns the gradient;
-    a malformed or tampered transcript raises TranscriptReplayError.
+    Rebuilds the code and the assignment from the start event and requires
+    the assignment to be regular with replication s+u, since the main node's
+    leaf check reads W's rows from that closed form; W itself is never
+    built. Runs ProtocolRun with the recorded worker answers and local
+    computations (and, for shuffled grouping, the recorded group order), and
+    requires the regenerated event list to equal the recorded one. Returns
+    the gradient; a malformed or tampered transcript raises
+    TranscriptReplayError.
     """
     events = read_events(path)
     hdr = events[0] if events else {}
@@ -619,6 +622,8 @@ def replay_transcript(path: str) -> list[int]:
         a_mat, rho = assignment_from_text(hdr["assignment"])
         if rho != ctx.s + ctx.u:
             raise TranscriptReplayError("assignment replication disagrees with header")
+        if not validate_regular(a_mat, rho):
+            raise TranscriptReplayError(f"assignment is not regular with replication {rho}")
         result = ProtocolRun(
             ctx, a_mat, RecordedResponder(events, hdr["d"]),
             grouping_rng=RecordedGroupOrder(events) if hdr.get("grouping") == "shuffled" else None,

@@ -33,6 +33,7 @@ from .coding import (
     ecc_decode,
     pack,
     response_matrix,
+    sample_row,
     unpack,
 )
 from .errors import (
@@ -224,16 +225,24 @@ class SimulatedResponder:
     subtraction and a lane read per worker. bind() starts a run and drops the previous run's
     prefixes: they hold at most d·(p+1) packed ints, in practice only
     those of the disputed coordinates.
+    The workers' encoding W is the responder's alone: the one given, or
+    else the all-one encoding that each bind() builds for its assignment.
     """
 
-    def __init__(self, gradients: Sequence[Sequence[int]], adversary):
+    def __init__(
+        self, gradients: Sequence[Sequence[int]], adversary, enc: Optional[EncodingMatrix] = None
+    ):
         self.gradients = gradients
         self.adversary = adversary
         self.d = len(gradients)
+        self._given_enc = enc
 
-    def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix, enc: EncodingMatrix) -> None:
+    def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix) -> None:
         if any(len(row) != a_mat.p for row in self.gradients):
             raise InfeasibleStateError("assignment and gradients disagree on shape")
+        enc = self._given_enc
+        if enc is None:
+            enc = build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
         self.ctx, self.q, self.enc = ctx, ctx.field.q, enc
         self._prefix: dict[int, list[int]] = {}
         self.adversary.bind(ctx, a_mat, enc)
@@ -257,8 +266,8 @@ class SimulatedResponder:
                 cols.append(honest)
         return cols
 
-    def match(self, query: Query, workers: Sequence[int]) -> dict[int, int]:
-        """One field symbol per competing worker: its share of the queried interval."""
+    def match(self, query: Query, workers: Sequence[int]) -> list[int]:
+        """One field symbol per competing worker, in the order of workers: its share of the interval."""
         adversary, q = self.adversary, self.q
         lo, hi = query.mask
         c = query.coordinate
@@ -269,13 +278,12 @@ class SimulatedResponder:
             sums = self._prefix[c] = [0, *accumulate(map(mul, grow, rows))]
         diff, shift = sums[hi] - sums[lo], 8 * width
         mask, top = (1 << shift) - 1, self.ctx.n - 1
-        out: dict[int, int] = {}
+        out = []
         for j in workers:
             honest = (diff >> shift * (top - j) & mask) % q
             if j in adversary.controlled:
-                out[j] = adversary.match_response(j, query, honest) % q
-            else:
-                out[j] = honest
+                honest = adversary.match_response(j, query, honest) % q
+            out.append(honest)
         return out
 
     def truth(self, i: int) -> list[int]:
@@ -295,10 +303,14 @@ def local_compute(responder, i: int) -> list[int]:
 class ProtocolRun:
     """The main node's state machine, fed worker answers by a responder.
 
-    A responder has bind(ctx, a_mat, enc), initial(), match(query,
-    workers), truth(i) and the gradient dimension d: SimulatedResponder, or
-    the answers a transcript recorded when it is replayed. Groups come from
-    the lowest-index active workers, or from grouping_rng's shuffle when given.
+    A responder has bind(ctx, a_mat), initial(), match(query, workers) (a
+    list in the order of workers), truth(i) and the gradient dimension d:
+    SimulatedResponder, or the answers a transcript recorded when it is
+    replayed. Groups come from the lowest-index active workers, or from
+    grouping_rng's shuffle when given. The main node holds no encoding
+    matrix: its one use of W, the leaf check, reads the leaf's row from
+    the closed form (coding.sample_row), so the assignment must be regular
+    with replication s+u.
     """
 
     def __init__(
@@ -309,7 +321,6 @@ class ProtocolRun:
         *,
         grouping_rng: Optional[random.Random] = None,
         meta: Optional[dict] = None,
-        enc: Optional[EncodingMatrix] = None,
     ):
         if a_mat.n != ctx.n:
             raise InfeasibleStateError("code and assignment disagree on shape")
@@ -321,7 +332,6 @@ class ProtocolRun:
         self.a_mat = a_mat
         self.responder = responder
         self.grouping_rng = grouping_rng
-        self.enc = enc if enc is not None else build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
         self.transcript = Transcript()
         self.active = list(range(ctx.n))
         self.eliminated: list[int] = []
@@ -344,8 +354,8 @@ class ProtocolRun:
 
     def _query_match(
         self, t: int, level: int, lo: int, hi: int, coord: int, workers: Sequence[int]
-    ) -> dict[int, int]:
-        """One tournament query: each competing worker sends one field symbol."""
+    ) -> list[int]:
+        """One tournament query: each competing worker sends one field symbol, in order."""
         out = self.responder.match(Query(level, (lo, hi), coord), workers)
         self.transcript.comm_overhead += len(workers)
         self.transcript.downlink_bits += 1
@@ -356,7 +366,7 @@ class ProtocolRun:
         )
         self.transcript.add(
             "response_set", t=t, kind="match", level=level,
-            workers=ids, values=[out[j] for j in workers],
+            workers=ids, values=out,
         )
         return out
 
@@ -369,6 +379,7 @@ class ProtocolRun:
         conflict: Conflict,
         initial: Sequence[Sequence[int]],
         group_claims: Sequence[Sequence[int]],
+        vectors: Sequence[Sequence[int]],
     ) -> tuple[int, ...]:
         """Binary-search the dispute between two groups down to one sample.
 
@@ -377,18 +388,21 @@ class ProtocolRun:
         the parent commitment. At the leaf each worker's committed symbol is
         checked against truth times its known coefficient, which is a proof
         of deviation whenever it fails. Returns the workers proven to lie.
+        Commitments and both groups' combining vectors (vectors, the
+        round's) are lists over the union of the two groups, a vector being
+        0 at the other group's satellite, so a level's two claims are two
+        dot products.
         """
-        ctx = self.ctx
-        q = ctx.field.q
+        q = self.ctx.field.q
         coord = conflict.coordinate
         g1 = plan.groups[conflict.first]
         g2 = plan.groups[conflict.second]
         union = sorted(set(g1) | set(g2))
-        b1 = combining_vector(ctx, g1)
-        b2 = combining_vector(ctx, g2)
+        b1 = [vectors[conflict.first][j] for j in union]
+        b2 = [vectors[conflict.second][j] for j in union]
         # Per-worker commitments for the current interval, seeded by the initial
         # responses at the disputed coordinate.
-        commit = {j: initial[j][coord] for j in union}
+        commit = [initial[j][coord] for j in union]
         label1 = group_claims[conflict.first][coord]
         label2 = group_claims[conflict.second][coord]
         if label1 == label2:
@@ -399,14 +413,13 @@ class ProtocolRun:
             levels += 1
             mid = split(lo, hi)
             resp = self._query_match(t, levels, lo, mid, coord, union)
-            lc1 = sum(resp[j] * b1[j] for j in g1) % q
-            lc2 = sum(resp[j] * b2[j] for j in g2) % q
+            lc1 = sum(map(mul, resp, b1)) % q
+            lc2 = sum(map(mul, resp, b2)) % q
             rc1 = (label1 - lc1) % q
             rc2 = (label2 - lc2) % q
             if lc1 != lc2:
                 descend = "left"
-                for j in union:
-                    commit[j] = resp[j]
+                commit = resp
                 label1, label2 = lc1, lc2
                 nxt = lo, mid
             else:
@@ -415,8 +428,7 @@ class ProtocolRun:
                         "groups agree on both children of a disputed node"
                     )
                 descend = "right"
-                for j in union:
-                    commit[j] = (commit[j] - resp[j]) % q
+                commit = [(c - v) % q for c, v in zip(commit, resp)]
                 label1, label2 = rc1, rc2
                 nxt = mid, hi
             self.transcript.add(
@@ -432,21 +444,22 @@ class ProtocolRun:
         self.transcript.local_computations += 1
         self.transcript.add("local_compute", t=t, sample=leaf + 1, value=truth_vec)
         truth = truth_vec[coord]
-        w_leaf = self.enc.w[leaf]
+        column = [row[leaf] for row in self.a_mat.bits]
+        w_leaf = sample_row(self.ctx, column)
         malicious = []
-        for j in union:
+        for j, committed in zip(union, commit):
             wij = w_leaf[j]
-            if self.a_mat.bits[j][leaf] and wij == 0:
+            if column[j] and wij == 0:
                 raise ProtocolInvariantViolation(
                     f"assigned worker {j + 1} has zero coefficient for sample {leaf + 1}"
                 )
-            if commit[j] != truth * wij % q:
+            if committed != truth * wij % q:
                 malicious.append(j)
         if not malicious:
             raise ProtocolInvariantViolation("match reached a leaf but found no liar")
         self.transcript.add(
             "elimination", t=t, leaf=leaf + 1,
-            claims=[[j + 1, commit[j]] for j in union],
+            claims=[[j + 1, committed] for j, committed in zip(union, commit)],
             truth_coordinate=truth,
             workers=[j + 1 for j in malicious],
         )
@@ -456,7 +469,7 @@ class ProtocolRun:
 
     def run(self) -> ProtocolResult:
         ctx = self.ctx
-        self.responder.bind(ctx, self.a_mat, self.enc)
+        self.responder.bind(ctx, self.a_mat)
         initial = self._transmit_initial()
         packed = None  # the responses in lanes, packed when the first round starts
         d = self.responder.d
@@ -487,9 +500,8 @@ class ProtocolRun:
             plan = form_groups(self.active, ctx.r, s_t, order)
             if packed is None:
                 packed = pack_responses(ctx, initial)
-            claims = [
-                group_response(ctx, packed, combining_vector(ctx, g), d) for g in plan.groups
-            ]
+            vectors = [combining_vector(ctx, g) for g in plan.groups]
+            claims = [group_response(ctx, packed, b, d) for b in vectors]
             self.transcript.rounds += 1
             self.transcript.add(
                 "decode", t=t,
@@ -505,7 +517,7 @@ class ProtocolRun:
                 first=outcome.first + 1, second=outcome.second + 1,
                 coordinate=outcome.coordinate + 1,
             )
-            for j in self.run_match(t, plan, outcome, initial, claims):
+            for j in self.run_match(t, plan, outcome, initial, claims, vectors):
                 self.active.remove(j)
                 self.eliminated.append(j)
             t += 1
@@ -535,7 +547,7 @@ def run_protocol(
 ) -> ProtocolResult:
     """Run one full protocol instance and return gradient plus transcript."""
     run = ProtocolRun(
-        ctx, a_mat, SimulatedResponder(gradients, adversary),
-        grouping_rng=grouping_rng, meta=meta, enc=enc,
+        ctx, a_mat, SimulatedResponder(gradients, adversary, enc),
+        grouping_rng=grouping_rng, meta=meta,
     )
     return run.run()

@@ -62,6 +62,16 @@ def vandermonde_inverse_last_column(q: int, points: Sequence[int]) -> list[int]:
     return out
 
 
+def validate_regular_by_columns(a: AssignmentMatrix, rho: int) -> bool:
+    """True iff every column sums to rho and every row sums to >= 1, one column at a time."""
+    if any(len(row) != a.p for row in a.bits) or len(a.bits) != a.n:
+        return False
+    for i in range(a.p):
+        if a.column_sum(i) != rho:
+            return False
+    return all(a.row_sum(j) >= 1 for j in range(a.n))
+
+
 def generator_matrix(ctx: CodeContext) -> list[list[int]]:
     """The (r+1) x n generator F as rows, entry [k][j] = eval_points[j]**k."""
     return transpose(vandermonde(ctx.eval_points, ctx.field.q, ctx.r + 1))

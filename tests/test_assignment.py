@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from byzgrad.assignment import (
@@ -10,6 +12,7 @@ from byzgrad.assignment import (
     validate_regular,
 )
 from byzgrad.errors import InvalidParamsError
+from oracles import validate_regular_by_columns
 
 
 def test_cyclic_three_workers_two_replicas():
@@ -51,6 +54,37 @@ def test_validate_regular_cases():
     assert not validate_regular(fig, 3)
     idle = AssignmentMatrix(3, 2, ((1, 1), (1, 1), (0, 0)))
     assert not validate_regular(idle, 2)
+
+
+def test_validate_regular_equals_the_column_oracle():
+    # Every 0/1 matrix with n, p <= 3 against every rho in 0..n+1, then the
+    # shapes a single zip over the rows gets wrong: no rows (whose columns
+    # sum to 0), no columns, and rows that disagree with n, p or each other.
+    cases = []
+    for n, p in product(range(4), repeat=2):
+        for flat in product((0, 1), repeat=n * p):
+            bits = tuple(tuple(flat[j * p : (j + 1) * p]) for j in range(n))
+            cases += [(AssignmentMatrix(n, p, bits), rho) for rho in range(n + 2)]
+    for p in (0, 1, 3):
+        cases += [(AssignmentMatrix(0, p, ()), rho) for rho in (0, 1, 2)]
+    for n, p, bits in (
+        (2, 2, ((1, 1), (1,))),
+        (2, 2, ((1,), (1, 1))),
+        (2, 1, ((1, 1), (1, 1))),
+        (2, 3, ((1, 1), (1, 1))),
+        (3, 2, ((1, 1), (1, 1))),
+        (1, 2, ((1, 1), (1, 1))),
+        (0, 2, ((1, 1),)),
+        (1, 0, ((),)),
+        (2, 0, ((), ())),
+    ):
+        cases += [(AssignmentMatrix(n, p, bits), rho) for rho in (0, 1, 2)]
+    for a, rho in cases:
+        assert validate_regular(a, rho) == validate_regular_by_columns(a, rho), (a, rho)
+    results = [validate_regular(a, rho) for a, rho in cases]
+    assert any(results) and not all(results)
+    assert not validate_regular(AssignmentMatrix(0, 1, ()), 1)
+    assert validate_regular(AssignmentMatrix(0, 0, ()), 1)
 
 
 def test_fractional_two_groups():

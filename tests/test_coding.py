@@ -7,6 +7,7 @@ import pytest
 
 from byzgrad.assignment import (
     AssignmentMatrix,
+    assignment_from_text,
     make_cyclic,
     make_fractional,
     make_random_regular,
@@ -21,6 +22,7 @@ from byzgrad.coding import (
     lane_bytes,
     response_matrix,
     restrict_encoding,
+    sample_row,
     worker_response,
 )
 from byzgrad.errors import (
@@ -150,6 +152,34 @@ def test_encoding_rejects_wrong_replication():
     for build in (build_encoding_matrix, solve_encoding_matrix):
         with pytest.raises(AssignmentMismatchError, match=message):
             build(ctx, mixed, [1] * 5)
+
+
+# A file assignment written by hand: every sample on 3 of 6 workers, no two
+# samples on the same three.
+HAND_ASSIGNMENT = "6 5 3\n11001\n10110\n01101\n01010\n10010\n00101\n"
+
+
+@pytest.mark.parametrize("q", [7, 101, 2**31 - 1, 2**64 + 13], ids=["7", "101", "2^31-1", "2^64+13"])
+def test_sample_row_equals_the_encoding_rows(q):
+    # The main node's leaf check reads sample_row; the workers answer from
+    # build_encoding_matrix's W. The two must agree on every sample, and with
+    # the zero-constraint solve, which shares no code with either.
+    hand, rho = assignment_from_text(HAND_ASSIGNMENT)
+    assert rho == 3
+    for points in (None, (3, 1, 6, 2, 5, 4)):
+        ctx = build_code_context(6, 2, 1, q, points)
+        for a_mat in (
+            make_cyclic(6, 12, 3),
+            make_fractional(6, 12, 3),
+            make_random_regular(6, 12, 3, seed=q % 997),
+            hand,
+        ):
+            w = build_encoding_matrix(ctx, a_mat, [1] * a_mat.p).w
+            solved = solve_encoding_matrix(ctx, a_mat, [1] * a_mat.p).w
+            for i, column in enumerate(zip(*a_mat.bits)):
+                row = sample_row(ctx, column)
+                assert row == w[i] == tuple(solved[i]), (q, points, a_mat, i)
+                assert all(v != 0 for v, held in zip(row, column) if held)
 
 
 def test_encoding_rejects_shape_mismatches():

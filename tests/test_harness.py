@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from byzgrad import harness
+from byzgrad import coding, harness, protocol
+from byzgrad.assignment import AssignmentMatrix, assignment_from_text, validate_regular
 from byzgrad.cli import main as cli_main
 from byzgrad.errors import InvalidParamsError, TranscriptReplayError
 from byzgrad.harness import (
@@ -255,6 +256,53 @@ def test_replay_covers_shuffled_grouping(tmp_path):
         path = tmp_path / f"shuffled{seed}.jsonl"
         write_transcript(out.result, str(path))
         assert replay_transcript(str(path)) == out.result.gradient
+
+
+def test_replay_builds_no_encoding_matrix(tmp_path, monkeypatch):
+    # The main node's leaf check reads W's row from the closed form, so
+    # replay, which runs only the main node, never builds W.
+    outs = {
+        "liar": run_simulation(cfg(adversary="tournament-liar", seed=2)),
+        "shuffled": run_simulation(
+            cfg(adversary="tournament-liar", grouping="shuffled", seed=1)
+        ),
+        "ecc": run_simulation(cfg(n=6, s=2, u=3, p=4, adversary="random-always")),
+    }
+    kinds = {name: {ev["event"] for ev in out.result.transcript.events} for name, out in outs.items()}
+    assert "match_level" in kinds["liar"] and "match_level" in kinds["shuffled"]
+    assert outs["ecc"].result.outcome == "ecc"
+    for name, out in outs.items():
+        write_transcript(out.result, str(tmp_path / f"{name}.jsonl"))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("replay built the encoding matrix")
+
+    for module in (coding, protocol, harness):
+        monkeypatch.setattr(module, "build_encoding_matrix", no_build)
+    for name, out in outs.items():
+        assert replay_transcript(str(tmp_path / f"{name}.jsonl")) == out.result.gradient
+
+
+def test_replay_rejects_an_assignment_with_an_idle_worker(tmp_path):
+    # Moving each of worker 6's samples to the lowest worker without it keeps
+    # every column at s+u = 3 holders but leaves worker 6 idle. No leaf is
+    # checked on an honest run, so only the regularity check can refuse it.
+    out = run_simulation(cfg(n=6, s=2, u=1, p=12, d=2, seed=5))
+    events = copy.deepcopy(out.result.transcript.events)
+    a_mat, rho = assignment_from_text(events[0]["assignment"])
+    bits = [list(row) for row in a_mat.bits]
+    for i in range(a_mat.p):
+        if bits[5][i]:
+            lowest = next(j for j in range(5) if not bits[j][i])
+            bits[lowest][i], bits[5][i] = 1, 0
+    moved = AssignmentMatrix(a_mat.n, a_mat.p, tuple(map(tuple, bits)))
+    assert all(moved.column_sum(i) == rho for i in range(moved.p))
+    assert moved.row_sum(5) == 0 and not validate_regular(moved, rho)
+    events[0]["assignment"] = harness.assignment_to_text(moved, rho)
+    path = tmp_path / "idle.jsonl"
+    path.write_text("".join(json.dumps(ev, separators=(",", ":")) + "\n" for ev in events))
+    with pytest.raises(TranscriptReplayError, match="assignment is not regular"):
+        replay_transcript(str(path))
 
 
 def test_replay_detects_tampering(tmp_path):

@@ -282,7 +282,8 @@ def test_simulated_responder_truth_is_sample_column():
     ctx = build_code_context(3, 1, 1, 7)
     a_mat = make_cyclic(3, 3, 2)
     responder = SimulatedResponder([[2, 3, 4], [5, 6, 0]], honest())
-    responder.bind(ctx, a_mat, build_encoding_matrix(ctx, a_mat, [1] * 3))
+    responder.bind(ctx, a_mat)
+    assert responder.enc == build_encoding_matrix(ctx, a_mat, [1] * 3)
     assert responder.truth(1) == [3, 6]
     assert local_compute(responder, 0) == [2, 5]
     assert local_compute(responder, 2) == [4, 0]
@@ -342,13 +343,17 @@ def test_protocol_rejects_gradients_without_coordinates(tmp_path):
 
 def assert_match_answers_equal_slice(ctx, responder, gradients, enc, coords):
     # Coordinates alternate within every interval, so a table keyed by the
-    # worker alone answers some coordinate from another's sums.
+    # worker alone answers some coordinate from another's sums. Each node is
+    # also asked of a shuffled subset of the workers, so an answer placed
+    # by worker index instead of by query position differs.
     n, p = ctx.n, len(gradients[0])
+    rng = random.Random(p)
     for (lo, hi), c in product(match_tree_nodes(p), coords):
-        out = responder.match(Query(1, (lo, hi), c), range(n))
-        assert out == {
-            j: match_answer_slice(ctx, gradients, enc, c, lo, hi, j) for j in range(n)
-        }, (p, lo, hi, c)
+        for workers in (range(n), rng.sample(range(n), rng.randrange(2, n + 1))):
+            out = responder.match(Query(1, (lo, hi), c), workers)
+            assert out == [
+                match_answer_slice(ctx, gradients, enc, c, lo, hi, j) for j in workers
+            ], (p, lo, hi, c, workers)
 
 
 def test_prefix_match_answers_equal_strided_slice():
@@ -371,7 +376,7 @@ def test_prefix_match_answers_equal_strided_slice():
                 continue
             a_mat = build(n, p)
             enc = build_encoding_matrix(ctx, a_mat, [1] * p)
-            responder.bind(ctx, a_mat, enc)
+            responder.bind(ctx, a_mat)
             assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
             checked += 1
     assert checked == 3 * 70 - 1  # all but the cyclic layout at n=4, p=2
@@ -391,7 +396,7 @@ def test_prefix_match_answers_cover_moduli_and_unreduced_gradients(q):
         for build in (make_cyclic, make_fractional):
             a_mat = build(n, p, s + u)
             enc = build_encoding_matrix(ctx, a_mat, [1] * p)
-            responder.bind(ctx, a_mat, enc)
+            responder.bind(ctx, a_mat)
             assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
 
 
@@ -408,8 +413,8 @@ def test_prefix_match_answers_fill_the_lane_at_every_q_minus_one(q):
         if width > 1:
             assert p * (q - 1) ** 2 >= 1 << 8 * (width - 1)
         g = [[q - 1] * p, [-1] * p, [2 * q - 1] * p]
-        responder = SimulatedResponder(g, honest())
-        responder.bind(ctx, make_cyclic(n, p, 2), enc)
+        responder = SimulatedResponder(g, honest(), enc)
+        responder.bind(ctx, make_cyclic(n, p, 2))
         assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
 
 
