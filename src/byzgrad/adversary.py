@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .assignment import AssignmentMatrix
 from .coding import CodeContext, EncodingMatrix, combining_vector
 from .errors import InvalidParamsError, ProtocolInvariantViolation
+from .field import draw_below
 from .protocol import Query, form_groups, leaf_depths
 
 # Not used here: perfbench/tracing.py wraps solve_linear at its adversary name.
@@ -52,12 +53,13 @@ class AdversaryStrategy:
     def _nonzero_vector(self, d: int) -> list[int]:
         q = self.ctx.field.q
         while True:
-            v = [self.rng.randrange(q) for _ in range(d)]
+            v = draw_below(self.rng, q, d)
             if any(v):
                 return v
 
     def _nonzero_scalar(self) -> int:
-        return self.rng.randrange(1, self.ctx.field.q)
+        """rng.randrange(1, q): one draw below q-1, shifted up by one."""
+        return 1 + draw_below(self.rng, self.ctx.field.q - 1, 1)[0]
 
 
 def honest() -> AdversaryStrategy:

@@ -20,16 +20,6 @@ class AssignmentMatrix:
     p: int
     bits: tuple[tuple[int, ...], ...]  # bits[j][i] == 1 iff sample i is on worker j
 
-    def column_sum(self, i: int) -> int:
-        return sum(row[i] for row in self.bits)
-
-    def row_sum(self, j: int) -> int:
-        return sum(self.bits[j])
-
-    def zero_set(self, i: int) -> list[int]:
-        """Workers that do not hold sample i."""
-        return [j for j in range(self.n) if not self.bits[j][i]]
-
     def samples_of(self, j: int) -> list[int]:
         return [i for i in range(self.p) if self.bits[j][i]]
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterable
 
 from .adversary import LIE_PLANS
 from .checks import CHECKS
@@ -55,6 +56,27 @@ def _default_seed() -> int:
         return int(text)
     except ValueError as e:
         raise InvalidParamsError(f"BYZGRAD_SEED must be an integer, got {text!r}") from e
+
+
+def _print_lines(lines: Iterable[str]) -> None:
+    """Print each line to stdout; a reader that closes it early ends the output quietly.
+
+    The lines are flushed here, so a closed pipe (`byzgrad sweep ... | head`)
+    raises here or nowhere. Its descriptor then points at /dev/null, so the
+    flush at exit cannot fail again, and the command keeps its exit status.
+    """
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+            return  # no descriptor behind this stdout: nothing is left to flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def _add_instance_flags(sp: argparse.ArgumentParser) -> None:
@@ -125,9 +147,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 fh.write(out.result.transcript.events[0]["assignment"])
     except OSError as e:
         raise InvalidParamsError(f"cannot write output: {e}") from e
-    print(METRICS_HEADER)
-    print(out.metrics.csv_row())
-    print(f"transcript: {transcript_path}")
+    _print_lines([METRICS_HEADER, out.metrics.csv_row(), f"transcript: {transcript_path}"])
     violations = out.metrics.bound_violations()
     for v in violations:
         print(f"bound violation: {v}", file=sys.stderr)
@@ -173,10 +193,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fh.write(METRICS_HEADER + "\n")
         for m in report.rows:
             fh.write(m.csv_row() + "\n")
-    for sk in report.skipped:
-        print(f"skipped {sk.params}: {sk.reason}")
-    print(report.summary())
-    print(f"metrics: {csv_path}")
+    skipped = (f"skipped {sk.params}: {sk.reason}" for sk in report.skipped)
+    _print_lines([*skipped, report.summary(), f"metrics: {csv_path}"])
     bad = report.violations()
     for m, v in bad[:20]:
         print(f"violation: {m.csv_row()}: {v}", file=sys.stderr)
@@ -188,7 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = True
     for name in names:
         result = CHECKS[name]()
-        print(result.report())
+        _print_lines([result.report()])
         ok = ok and result.passed
     return 0 if ok else 1
 
@@ -199,7 +217,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except (OSError, TranscriptReplayError) as e:
         print(f"replay failed: {e}", file=sys.stderr)
         return 1
-    print(f"replayed gradient: {gradient}")
+    _print_lines([f"replayed gradient: {gradient}"])
     return 0
 
 

@@ -28,7 +28,10 @@ polynomial of degree at most r whose coefficient of x^r is the gradient.
 Once few enough liars remain, the errors-and-erasures decoder erases the
 identified workers and reads every coordinate's syndromes and gradient off
 one cached table of parity checks over the N available points, whose
-weights come from the same closed form; it corrects at most
+weights come from the same closed form. The table is packed too: one column
+per available point, its lanes the point's parity-check entries, so a
+coordinate's symbols, which must be elements of [0, q), take one dot
+product with the columns and one unpack. It corrects at most
 tau = min(u-1, (N-(r+1))//2) errors, pooled across coordinates, with
 Berlekamp-Massey and never interpolates.
 """
@@ -336,22 +339,32 @@ def response_matrix(
 @lru_cache(maxsize=16)
 def _syndrome_table(
     eval_points: tuple[int, ...], avail: tuple[int, ...], q: int, k: int
-) -> tuple[tuple[int, ...], ...]:
-    """Rows m = 0..N-k of v_j * x_j**m over the N available points x_j.
+) -> tuple[int, int, tuple[int, ...]]:
+    """(width, count, columns): one packed column per available point x_j.
 
-    v_j = 1 / prod_{i != j} (x_j - x_i) over the available points, from the
-    code's weights (_member_weights). Row m dotted with a word is the
-    coefficient of x^(N-1) in the interpolant of x^m times the word. On a
-    codeword f of degree below k it is 0 for m < N-k, so those rows are
-    parity checks, and f's coefficient of x^(k-1) for m = N-k. Tuples,
-    because the cache hands them to every caller.
+    Column j holds v_j * x_j**m mod q for m = 0..N-k, count = N-k+1 lanes
+    of width = lane_bytes(q, N) bytes, m = 0 on top, where
+    v_j = 1 / prod_{i != j} (x_j - x_i) over the N available points, from
+    the code's weights (_member_weights). A word of N elements of [0, q)
+    dotted with the columns sums N products per lane without a carry, and
+    lane m is the coefficient of x^(N-1) in the interpolant of x^m times the
+    word. On a codeword f of degree below k it is 0 for m < N-k, so those
+    lanes are parity checks, and f's coefficient of x^(k-1) for m = N-k.
+    Built in one pass, with no rows; ints and a tuple, so the cache hands
+    every caller the same immutable table.
     """
-    xs = [eval_points[j] for j in avail]
+    count, width = len(avail) - k + 1, lane_bytes(q, len(avail))
+    shift = 8 * width
     weights = _member_weights(q, eval_points, avail)
-    rows = [tuple(weights[j] for j in avail)]
-    for _ in range(len(xs) - k):
-        rows.append(tuple(w * x % q for w, x in zip(rows[-1], xs)))
-    return tuple(rows)
+    columns = []
+    for j in avail:
+        x = eval_points[j]
+        acc = v = weights[j]
+        for _ in range(count - 1):
+            v = v * x % q
+            acc = acc << shift | v
+        columns.append(acc)
+    return width, count, tuple(columns)
 
 
 def _berlekamp_massey(syndromes: Sequence[int], q: int) -> list[int]:
@@ -381,18 +394,24 @@ def _berlekamp_massey(syndromes: Sequence[int], q: int) -> list[int]:
     return c
 
 
-def _pattern_share(points: Sequence[int], syndromes: Sequence[int], q: int) -> int | None:
-    """sum_j c_j x_j**len(S) for the values c_j on the points with S_m = sum_j c_j x_j**m.
-
-    Such values exist, the points being distinct, exactly when the locator
-    prod_j (1 - x_j x) generates the syndromes: sum_i locator[i] * S[m-i] = 0
-    for L <= m < len(S). Its recurrence then gives the next term, the
-    pattern's share of the gradient row. None if some window fails.
-    """
-    rev = [1]  # prod_j (x - x_j) lowest first, the locator's coefficients reversed
+def _pool_locator(points: Iterable[int], q: int) -> list[int]:
+    """prod_j (x - x_j) lowest first: the locator prod_j (1 - x_j x) of the points, reversed."""
+    rev = [1]
     for x in points:
         rev = [(lo - x * hi) % q for lo, hi in zip([0] + rev, rev + [0])]
-    size = len(points)
+    return rev
+
+
+def _pattern_share(rev: Sequence[int], syndromes: Sequence[int], q: int) -> int | None:
+    """sum_j c_j x_j**len(S) for the values c_j on the points with S_m = sum_j c_j x_j**m.
+
+    rev is the points' _pool_locator. Such values exist, the points being
+    distinct, exactly when the locator prod_j (1 - x_j x) generates the
+    syndromes: sum_i locator[i] * S[m-i] = 0 for L <= m < len(S). Its
+    recurrence then gives the next term, the pattern's share of the gradient
+    row. None if some window fails.
+    """
+    size = len(rev) - 1
     for m in range(size, len(syndromes)):
         if sum(map(mul, rev, syndromes[m - size : m + 1])) % q:
             return None
@@ -430,18 +449,21 @@ def ecc_decode(
 ) -> list[int]:
     """Recover the full gradient from the all-one responses z, d rows of n.
 
-    Identified workers are erased. Among the N available ones, k = r+1
-    symbols fix a codeword, so at most tau = min(u-1, (N-k)//2) errors are
-    corrected: u-1 is the protocol's residual budget and (N-k)//2 the
-    unique-decoding radius of the punctured code. Each coordinate is dotted
-    with one cached table: N-k parity checks, all zero exactly on a codeword,
-    and a row giving its coefficient of x^r, the gradient. A nonzero syndrome
-    fails when tau = 0. Else error values are solved for on the workers
-    pooled in error at earlier coordinates, if at most (N-k)/2, or else
-    Berlekamp-Massey locates the errors. The pattern must reproduce every
-    syndrome, so the codeword is the unique one within (N-k)//2, and the
-    gradient is the last row less the pattern's share; with no such pattern
-    the coordinate fails. More than tau pooled workers is a failure too.
+    Every symbol must be an element of [0, q), as group_response requires:
+    the packed table's lanes are sized for reduced symbols. Identified
+    workers are erased. Among the N available ones, k = r+1 symbols fix a
+    codeword, so at most tau = min(u-1, (N-k)//2) errors are corrected: u-1
+    is the protocol's residual budget and (N-k)//2 the unique-decoding
+    radius of the punctured code. Each coordinate takes one dot product with
+    the cached packed columns, whose lanes are N-k parity checks, all zero
+    exactly on a codeword, and its coefficient of x^r, the gradient. A
+    nonzero syndrome fails when tau = 0. Else error values are solved for on
+    the workers pooled in error at earlier coordinates, whose locator is
+    built when the pool grows, if at most (N-k)/2, or else Berlekamp-Massey
+    locates the errors. The pattern must reproduce every syndrome, so the
+    codeword is the unique one within (N-k)//2, and the gradient is the last
+    lane less the pattern's share; with no such pattern the coordinate
+    fails. More than tau pooled workers is a failure too.
     """
     erased = set(identified)
     avail = [j for j in range(ctx.n) if j not in erased]
@@ -451,22 +473,24 @@ def ecc_decode(
         raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
     q = ctx.field.q
     xs = tuple(ctx.eval_points[j] for j in avail)
-    *checks, last = _syndrome_table(ctx.eval_points, tuple(avail), q, k)
+    width, count, columns = _syndrome_table(ctx.eval_points, tuple(avail), q, k)
     errors: dict[int, int] = {}  # pooled worker -> its evaluation point
+    pooled = [1]  # _pool_locator of the pooled points
     gradient = []
     for t, row in enumerate(z):
-        ys = [row[j] for j in avail]
-        moment = sum(map(mul, ys, last))
-        syndromes = [sum(map(mul, ys, check)) % q for check in checks]
+        packed = sum(map(mul, [row[j] for j in avail], columns))
+        *syndromes, moment = unpack(packed, width, count, q)
         if any(syndromes):
             share = None
             # Berlekamp-Massey alone finds the same share but cut ecc_cliff runs/s by ~20 %.
-            if tau and errors and 2 * len(errors) <= len(checks):
-                share = _pattern_share(list(errors.values()), syndromes, q)
+            if tau and errors and 2 * len(errors) <= len(syndromes):
+                share = _pattern_share(pooled, syndromes, q)
             located = tau and share is None and _located_pattern(avail, xs, syndromes, q)
             if located:
                 roots, share = located
-                errors.update(roots)
+                if not roots.keys() <= errors.keys():
+                    errors.update(roots)
+                    pooled = _pool_locator(errors.values(), q)
             if share is None:
                 raise DecodeFailureError(
                     f"coordinate {t + 1} has no codeword within {tau} errors over "

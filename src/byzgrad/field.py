@@ -7,6 +7,7 @@ done inline by its callers, never floating point.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 from .errors import InvalidParamsError
@@ -41,6 +42,23 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def draw_below(rng: random.Random, q: int, count: int) -> list[int]:
+    """count draws of rng.randrange(q), the same values from the same rng state.
+
+    randrange(q) takes getrandbits(q.bit_length()) until the draw is below q;
+    this is that loop without randrange's per-call argument handling.
+    """
+    k = q.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        v = getrandbits(k)
+        while v >= q:
+            v = getrandbits(k)
+        out.append(v)
+    return out
 
 
 class PrimeField:

@@ -46,7 +46,7 @@ from .errors import (
     ProtocolInvariantViolation,
     TranscriptReplayError,
 )
-from .field import DEFAULT_MODULUS, is_prime
+from .field import DEFAULT_MODULUS, draw_below, is_prime
 from .protocol import ProtocolResult, ProtocolRun, run_protocol
 
 # Not used here: perfbench/tracing.py wraps these at their harness names.
@@ -236,23 +236,6 @@ def _cached_instance(
     return ctx, a_mat, enc, assignment_to_text(a_mat, s + u)
 
 
-def _draw_below(rng: random.Random, q: int, count: int) -> list[int]:
-    """count draws of rng.randrange(q), the same values from the same rng state.
-
-    randrange(q) takes getrandbits(q.bit_length()) until the draw is below q;
-    this is that loop without randrange's per-call argument handling.
-    """
-    k = q.bit_length()
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        v = getrandbits(k)
-        while v >= q:
-            v = getrandbits(k)
-        out.append(v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -320,7 +303,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
             config.n, config.s, config.u, config.q, config.p, config.assignment, aseed
         )
     grad_rng = random.Random(f"{config.seed}:gradients")
-    gradients = [_draw_below(grad_rng, config.q, config.p) for _ in range(config.d)]
+    gradients = [draw_below(grad_rng, config.q, config.p) for _ in range(config.d)]
     strategy = make_adversary(config)
     grouping_rng = (
         random.Random(f"{config.seed}:grouping") if config.grouping == "shuffled" else None

@@ -8,7 +8,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from byzgrad.assignment import AssignmentMatrix
-from byzgrad.coding import CodeContext, EncodingMatrix
+from byzgrad.coding import CodeContext, EncodingMatrix, _located_pattern, _member_weights
 from byzgrad.errors import (
     AssignmentMismatchError,
     DecodeFailureError,
@@ -62,14 +62,29 @@ def vandermonde_inverse_last_column(q: int, points: Sequence[int]) -> list[int]:
     return out
 
 
+def column_sum(a: AssignmentMatrix, i: int) -> int:
+    """How many workers hold sample i."""
+    return sum(row[i] for row in a.bits)
+
+
+def row_sum(a: AssignmentMatrix, j: int) -> int:
+    """How many samples worker j holds."""
+    return sum(a.bits[j])
+
+
+def zero_set(a: AssignmentMatrix, i: int) -> list[int]:
+    """Workers that do not hold sample i."""
+    return [j for j in range(a.n) if not a.bits[j][i]]
+
+
 def validate_regular_by_columns(a: AssignmentMatrix, rho: int) -> bool:
     """True iff every column sums to rho and every row sums to >= 1, one column at a time."""
     if any(len(row) != a.p for row in a.bits) or len(a.bits) != a.n:
         return False
     for i in range(a.p):
-        if a.column_sum(i) != rho:
+        if column_sum(a, i) != rho:
             return False
-    return all(a.row_sum(j) >= 1 for j in range(a.n))
+    return all(row_sum(a, j) >= 1 for j in range(a.n))
 
 
 def generator_matrix(ctx: CodeContext) -> list[list[int]]:
@@ -96,10 +111,10 @@ def solve_encoding_matrix(
     unit_cache: dict[tuple[int, ...], list[int]] = {}
     w_rows: list[list[int]] = []
     for i in range(p):
-        zero_set = tuple(a_mat.zero_set(i))
-        if len(zero_set) != r:
+        zeros = tuple(zero_set(a_mat, i))
+        if len(zeros) != r:
             raise AssignmentMismatchError(
-                f"sample {i + 1} is missing from {len(zero_set)} workers, expected r={r}"
+                f"sample {i + 1} is missing from {len(zeros)} workers, expected r={r}"
             )
         ai = a[i] % q
         if ai == 0:
@@ -109,12 +124,12 @@ def solve_encoding_matrix(
         if r == 0:
             qi: list[int] = []
         else:
-            unit = unit_cache.get(zero_set)
+            unit = unit_cache.get(zeros)
             if unit is None:
                 # Solve the a_i = 1 instance once per zero pattern; the
                 # constraints are linear in a_i, so other values just scale it.
-                top_t = [[f_rows[k][j] for k in range(r)] for j in zero_set]
-                rhs = [[-f_rows[r][j]] for j in zero_set]
+                top_t = [[f_rows[k][j] for k in range(r)] for j in zeros]
+                rhs = [[-f_rows[r][j]] for j in zeros]
                 out = solve_linear(top_t, rhs, q)
                 if out.kind != "unique":
                     raise ProtocolInvariantViolation(
@@ -122,7 +137,7 @@ def solve_encoding_matrix(
                         "Vandermonde block should be invertible"
                     )
                 unit = [row[0] for row in out.solution]
-                unit_cache[zero_set] = unit
+                unit_cache[zeros] = unit
             qi = [ai * v % q for v in unit]
         row = []
         for j in range(n):
@@ -169,6 +184,97 @@ def exhaustive_ecc_decode(
     raise DecodeFailureError(
         f"no codeword within {budget} errors over {len(avail)} available workers"
     )
+
+
+@lru_cache(maxsize=16)
+def _row_syndrome_table(
+    eval_points: tuple[int, ...], avail: tuple[int, ...], q: int, k: int
+) -> tuple[tuple[int, ...], ...]:
+    """Rows m = 0..N-k of v_j * x_j**m over the N available points x_j.
+
+    v_j = 1 / prod_{i != j} (x_j - x_i) over the available points, from the
+    code's weights (_member_weights). Row m dotted with a word is the
+    coefficient of x^(N-1) in the interpolant of x^m times the word. On a
+    codeword f of degree below k it is 0 for m < N-k, so those rows are
+    parity checks, and f's coefficient of x^(k-1) for m = N-k. Tuples,
+    because the cache hands them to every caller.
+    """
+    xs = [eval_points[j] for j in avail]
+    weights = _member_weights(q, eval_points, avail)
+    rows = [tuple(weights[j] for j in avail)]
+    for _ in range(len(xs) - k):
+        rows.append(tuple(w * x % q for w, x in zip(rows[-1], xs)))
+    return tuple(rows)
+
+
+def points_pattern_share(points: Sequence[int], syndromes: Sequence[int], q: int) -> int | None:
+    """sum_j c_j x_j**len(S) for the values c_j on the points with S_m = sum_j c_j x_j**m.
+
+    Such values exist, the points being distinct, exactly when the locator
+    prod_j (1 - x_j x) generates the syndromes: sum_i locator[i] * S[m-i] = 0
+    for L <= m < len(S). Its recurrence then gives the next term, the
+    pattern's share of the gradient row. None if some window fails. Builds
+    the locator from the points on every call.
+    """
+    rev = [1]  # prod_j (x - x_j) lowest first, the locator's coefficients reversed
+    for x in points:
+        rev = [(lo - x * hi) % q for lo, hi in zip([0] + rev, rev + [0])]
+    size = len(points)
+    for m in range(size, len(syndromes)):
+        if sum(map(mul, rev, syndromes[m - size : m + 1])) % q:
+            return None
+    return -sum(map(mul, rev, syndromes[len(syndromes) - size :])) % q
+
+
+def row_table_ecc_decode(
+    ctx: CodeContext, z: Sequence[Sequence[int]], identified: Iterable[int]
+) -> list[int]:
+    """Errors-and-erasures decoding with one dot product per syndrome row.
+
+    The decoder byzgrad.coding.ecc_decode replaced with packed columns; it
+    must give the same gradient or the same DecodeFailureError message, and
+    takes symbols of any size. Each coordinate is dotted with every row of
+    one cached table: N-k parity checks, all zero exactly on a codeword, and
+    a row giving its coefficient of x^r, the gradient. A nonzero syndrome
+    fails when tau = 0. Else error values are solved for on the workers
+    pooled in error at earlier coordinates, if at most (N-k)/2, or else
+    Berlekamp-Massey locates the errors. The gradient is the last row less
+    the pattern's share; with no such pattern the coordinate fails. More
+    than tau pooled workers is a failure too.
+    """
+    erased = set(identified)
+    avail = [j for j in range(ctx.n) if j not in erased]
+    k = ctx.r + 1
+    tau = min(ctx.u - 1, (len(avail) - k) // 2)
+    if tau < 0:
+        raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
+    q = ctx.field.q
+    xs = tuple(ctx.eval_points[j] for j in avail)
+    *checks, last = _row_syndrome_table(ctx.eval_points, tuple(avail), q, k)
+    errors: dict[int, int] = {}  # pooled worker -> its evaluation point
+    gradient = []
+    for t, row in enumerate(z):
+        ys = [row[j] for j in avail]
+        moment = sum(map(mul, ys, last))
+        syndromes = [sum(map(mul, ys, check)) % q for check in checks]
+        if any(syndromes):
+            share = None
+            if tau and errors and 2 * len(errors) <= len(checks):
+                share = points_pattern_share(list(errors.values()), syndromes, q)
+            located = tau and share is None and _located_pattern(avail, xs, syndromes, q)
+            if located:
+                roots, share = located
+                errors.update(roots)
+            if share is None:
+                raise DecodeFailureError(
+                    f"coordinate {t + 1} has no codeword within {tau} errors over "
+                    f"{len(avail)} available workers"
+                )
+            moment -= share
+        gradient.append(moment % q)
+    if len(errors) > tau:
+        raise DecodeFailureError(f"{len(errors)} workers in error exceed the budget of {tau}")
+    return gradient
 
 
 def _trim(poly: list[int]) -> list[int]:

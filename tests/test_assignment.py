@@ -12,7 +12,7 @@ from byzgrad.assignment import (
     validate_regular,
 )
 from byzgrad.errors import InvalidParamsError
-from oracles import validate_regular_by_columns
+from oracles import column_sum, row_sum, validate_regular_by_columns, zero_set
 
 
 def test_cyclic_three_workers_two_replicas():
@@ -31,8 +31,8 @@ def test_cyclic_replication_one_is_permutation():
 
 def test_cyclic_column_and_row_sums():
     a = make_cyclic(5, 7, 3)
-    assert all(a.column_sum(i) == 3 for i in range(7))
-    assert all(a.row_sum(j) >= 1 for j in range(5))
+    assert all(column_sum(a, i) == 3 for i in range(7))
+    assert all(row_sum(a, j) >= 1 for j in range(5))
     assert validate_regular(a, 3)
 
 
@@ -106,7 +106,7 @@ def test_fractional_pad_rule():
     assert validate_regular(a, 3)
     sizes = {len(a.samples_of(j)) for j in range(6)}
     assert sizes == {4, 5}
-    assert all(a.column_sum(i) == 3 for i in range(9))
+    assert all(column_sum(a, i) == 3 for i in range(9))
 
 
 def test_fractional_requires_divisibility():
@@ -154,7 +154,7 @@ def test_zero_set_size_is_n_minus_rho():
         a = maker(*args)
         rho = 3
         for i in range(a.p):
-            assert len(a.zero_set(i)) == a.n - rho
+            assert len(zero_set(a, i)) == a.n - rho
 
 
 def test_text_round_trip_bit_exact():

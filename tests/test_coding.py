@@ -23,6 +23,7 @@ from byzgrad.coding import (
     response_matrix,
     restrict_encoding,
     sample_row,
+    unpack,
     worker_response,
 )
 from byzgrad.errors import (
@@ -41,6 +42,7 @@ from oracles import (
     mat_mul,
     solve_encoding_matrix,
     vandermonde_inverse_last_column,
+    zero_set,
 )
 
 
@@ -358,32 +360,33 @@ def test_cached_syndrome_table_is_immutable():
     avail = (0, 2, 3, 4, 6)  # workers 2 and 6 erased
     xs = [points[j] for j in avail]
     table = _syndrome_table(points, avail, q, k)
-    assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+    width, count, cols = table
+    assert isinstance(cols, tuple) and all(isinstance(col, int) for col in cols)
     with pytest.raises(TypeError):
-        table[0][0] = 1
+        cols[0] = 1
     assert table == _syndrome_table.__wrapped__(points, avail, q, k)
-    assert len(table) == len(xs) - k + 1
-    # Row m is w_j * x_j**m with the barycentric weight w_j over the available points.
-    for j, xj in enumerate(xs):
+    assert (width, count, len(cols)) == (lane_bytes(q, len(xs)), len(xs) - k + 1, len(xs))
+    # Lane m of column j is w_j * x_j**m with the barycentric weight w_j over the available points.
+    for xj, col in zip(xs, cols):
         w = 1
         for xm in xs:
             if xm != xj:
                 w = w * (xj - xm) % q
         w = pow(w, -1, q)
-        for m, row in enumerate(table):
-            assert row[j] == w * pow(xj, m, q) % q
-    # On any polynomial of degree below k the first len(xs)-k rows vanish and
-    # the last reads off its coefficient of x^(k-1).
+        assert unpack(col, width, count, q) == [w * pow(xj, m, q) % q for m in range(count)]
+        assert col < 1 << 8 * width * count  # no bits above the top lane
+    # On any polynomial of degree below k the first len(xs)-k lanes of a
+    # word's dot product vanish and the last reads off its coefficient of x^(k-1).
     rng = random.Random(3)
     for _ in range(20):
         f = [rng.randrange(q) for _ in range(k)]
         word = [sum(c * pow(x, i, q) for i, c in enumerate(f)) % q for x in xs]
-        dots = [sum(a * b for a, b in zip(word, row)) % q for row in table]
+        dots = unpack(sum(map(mul, word, cols)), width, count, q)
         assert dots == [0] * (len(xs) - k) + [f[k - 1]]
 
 
 def test_syndrome_weights_from_code_weights_match_fresh_inverse():
-    """The weight row derived from the code's weights is the available points' own."""
+    """The weight lane derived from the code's weights is the available points' own."""
     rng = random.Random(11)
     for q in (11, 101, DEFAULT_MODULUS, 2**64 + 13):
         for _ in range(30):
@@ -393,7 +396,8 @@ def test_syndrome_weights_from_code_weights_match_fresh_inverse():
             k = rng.randrange(1, len(avail) + 1)
             xs = [points[j] for j in avail]
             fresh = vandermonde_inverse_last_column(q, xs)
-            assert list(_syndrome_table(points, avail, q, k)[0]) == fresh
+            width, count, cols = _syndrome_table(points, avail, q, k)
+            assert [unpack(col, width, count, q)[0] for col in cols] == fresh
 
 
 # decoding matrix --------------------------------------------------------------
@@ -567,7 +571,7 @@ def test_row_class_counts():
         enc = build_encoding_matrix(build_code_context(n, s, u), frac, [1] * 60)
         assert len(enc.row_classes) == n // rho
     rand = make_random_regular(24, 256, 7, seed=1)
-    assert len({tuple(rand.zero_set(i)) for i in range(256)}) == 256  # all patterns distinct
+    assert len({tuple(zero_set(rand, i)) for i in range(256)}) == 256  # all patterns distinct
     enc = build_encoding_matrix(build_code_context(24, 6, 1), rand, [1] * 256)
     assert len(enc.row_classes) == 256
 

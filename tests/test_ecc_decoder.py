@@ -19,7 +19,12 @@ from byzgrad.errors import DecodeFailureError
 from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import SimulationConfig, replay_transcript, run_simulation, write_transcript
 
-from oracles import exhaustive_ecc_decode, forney_values, gao_ecc_decode
+from oracles import (
+    exhaustive_ecc_decode,
+    forney_values,
+    gao_ecc_decode,
+    row_table_ecc_decode,
+)
 
 
 def decode_or_failure(decoder, ctx, received, identified):
@@ -93,15 +98,15 @@ def test_gao_matches_exhaustive_oracle():
     assert all(counts.values()), counts
 
 
-def random_case(rng):
+def random_case(rng, moduli=(11, 13, 101, DEFAULT_MODULUS)):
     """A random code, a corrupted all-one response and the identified workers.
 
-    q is one of 11, 13, 101 and 2^31-1 and n <= 16. Up to s+2 workers are
-    identified or corrupted, so instances run from clean words to beyond the
-    unique radius; a few leave fewer than r+1 workers available.
+    q is one of the moduli and n <= 16. Up to s+2 workers are identified or
+    corrupted, so instances run from clean words to beyond the unique
+    radius; a few leave fewer than r+1 workers available.
     """
     while True:
-        q = rng.choice((11, 13, 101, DEFAULT_MODULUS))
+        q = rng.choice(moduli)
         n = rng.randint(2, min(16, q - 1))
         s = rng.randint(1, min(5, n - 1))
         u = rng.randint(1, min(s + 1, n - s))
@@ -164,6 +169,40 @@ def test_syndrome_decoder_matches_gao_oracle(monkeypatch):
     assert all(regimes.values()), regimes
 
 
+@pytest.mark.parametrize("q", [11, 13, 101, DEFAULT_MODULUS, 2**61 - 1, 2**64 + 13])
+def test_packed_decoder_matches_row_table_oracle(q):
+    # One dot product with the packed columns gives every syndrome and the
+    # moment that the row table's N-k+1 dot products give.
+    rng = random.Random(q)
+    outcomes = {"decoded": 0, "failed": 0}
+    for _ in range(300):
+        ctx, received, identified = random_case(rng, (q,))
+        new = decode_or_message(ecc_decode, ctx, received, identified)
+        assert new == decode_or_message(row_table_ecc_decode, ctx, received, identified)
+        outcomes["decoded" if isinstance(new, list) else "failed"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_packed_decoder_at_the_carry_boundary():
+    # Every symbol q-1 fills each lane with N products of elements of [0, q)
+    # as near its width as a word can: a lane one byte short would carry.
+    rng = random.Random(7)
+    fields = (2, 3, 11, 13, 257, DEFAULT_MODULUS, 2**61 - 1, 2**64 + 13)
+    decoded = 0
+    for q in fields:
+        for n in range(1, min(q - 1, 16) + 1):
+            for s in range(1, n):
+                for u in range(1, min(s + 1, n - s) + 1):
+                    ctx = build_code_context(n, s, u, q)
+                    identified = rng.sample(range(n), rng.randint(0, s))
+                    received = [[q - 1] * n, [rng.choice((0, q - 1)) for _ in range(n)]]
+                    new = decode_or_message(ecc_decode, ctx, received, identified)
+                    old = decode_or_message(row_table_ecc_decode, ctx, received, identified)
+                    assert new == old, (q, n, s, u, identified)
+                    decoded += isinstance(new, list)
+    assert decoded
+
+
 def test_over_budget_beyond_tau_fails_where_oracle_misdecodes():
     # n=7, s=3, u=2: r=2, k=3. Three identified workers (> s-u+1 = 2) leave
     # n'=4 available, so tau = min(1, (4-3)//2) = 0, and one more corrupted
@@ -202,6 +241,29 @@ def test_shared_locator_pools_errors_across_coordinates():
     received[0][4] = (received[0][4] + 1) % 101
     with pytest.raises(DecodeFailureError):
         ecc_decode(ctx, received, [])
+
+
+def test_pool_locator_covers_every_pooled_worker(monkeypatch):
+    # Worker 2 errs at coordinate 1, worker 6 at 2 and worker 2 again at 3.
+    # Berlekamp-Massey locates the first two; the third is the pooled share
+    # over both workers, which a locator of the last located roots alone misses.
+    ctx = build_code_context(9, 3, 3, 101)
+    enc = build_encoding_matrix(ctx, make_random_regular(9, 6, 6, seed=7), [1] * 6)
+    rng = random.Random(6)
+    g = [[rng.randrange(101) for _ in range(6)] for _ in range(3)]
+    received = response_matrix(ctx, g, enc)
+    for t, j in ((0, 2), (1, 6), (2, 2)):
+        received[t][j] = (received[t][j] + 5) % 101
+    located = []
+    real = coding._located_pattern
+
+    def count_located(*args):
+        located.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coding, "_located_pattern", count_located)
+    assert ecc_decode(ctx, received, []) == [sum(row) % 101 for row in g]
+    assert len(located) == 2
 
 
 def test_pooled_errors_capped_by_unique_radius():
@@ -365,7 +427,7 @@ def test_pooled_share_is_the_located_share():
                     for m in range(length)
                 ]
             points = [xs[i] for i in pool]
-            share = coding._pattern_share(points, syndromes, q)
+            share = coding._pattern_share(coding._pool_locator(points, q), syndromes, q)
             if share is None:
                 continue
             seen[kind] += 1

@@ -1,20 +1,25 @@
 import copy
 import dataclasses
+import io
 import json
 import os
 import random
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
-from byzgrad import coding, harness, protocol
+from byzgrad import adversary, coding, harness, protocol
 from byzgrad.assignment import AssignmentMatrix, assignment_from_text, validate_regular
 from byzgrad.cli import main as cli_main
 from byzgrad.errors import InvalidParamsError, TranscriptReplayError
+from byzgrad.field import PrimeField, draw_below
 from byzgrad.harness import (
     METRICS_HEADER,
     SimulationConfig,
     SkippedRow,
-    _draw_below,
     assignment_feasible,
     grid_configs,
     read_events,
@@ -23,6 +28,10 @@ from byzgrad.harness import (
     run_sweep,
     write_transcript,
 )
+
+from oracles import column_sum, row_sum
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def cfg(**kw):
@@ -296,8 +305,8 @@ def test_replay_rejects_an_assignment_with_an_idle_worker(tmp_path):
             lowest = next(j for j in range(5) if not bits[j][i])
             bits[lowest][i], bits[5][i] = 1, 0
     moved = AssignmentMatrix(a_mat.n, a_mat.p, tuple(map(tuple, bits)))
-    assert all(moved.column_sum(i) == rho for i in range(moved.p))
-    assert moved.row_sum(5) == 0 and not validate_regular(moved, rho)
+    assert all(column_sum(moved, i) == rho for i in range(moved.p))
+    assert row_sum(moved, 5) == 0 and not validate_regular(moved, rho)
     events[0]["assignment"] = harness.assignment_to_text(moved, rho)
     path = tmp_path / "idle.jsonl"
     path.write_text("".join(json.dumps(ev, separators=(",", ":")) + "\n" for ev in events))
@@ -507,13 +516,25 @@ def test_replay_mutation_fuzz(tmp_path):
 # CLI --------------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("q", [2, 5, 7, 257, 2**31 - 1])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 257, 2**31 - 1, 2**61 - 1, 2**64 + 13])
 def test_gradient_draw_matches_randrange(q):
+    # The gradient draw and both adversary draws give randrange's values and
+    # leave the rng in randrange's state.
     for seed in range(3):
         ref = random.Random(f"{seed}:gradients")
         rng = random.Random(f"{seed}:gradients")
-        assert _draw_below(rng, q, 500) == [ref.randrange(q) for _ in range(500)]
+        assert draw_below(rng, q, 500) == [ref.randrange(q) for _ in range(500)]
         assert rng.getstate() == ref.getstate()
+        strategy = adversary.AdversaryStrategy(seed=seed)
+        strategy.ctx = types.SimpleNamespace(field=PrimeField(q))  # the draws read only q
+        ref = random.Random(f"{seed}:adversary")
+        for d in (1, 3, 1, 8):
+            want = [0] * d
+            while not any(want):
+                want = [ref.randrange(q) for _ in range(d)]
+            assert strategy._nonzero_vector(d) == want
+            assert strategy._nonzero_scalar() == ref.randrange(1, q)
+        assert strategy.rng.getstate() == ref.getstate()
 
 
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
@@ -721,3 +742,86 @@ def test_cli_seed_env_default(tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert capsys.readouterr().err == "error: BYZGRAD_SEED must be an integer, got 'abc'\n"
     assert not bad_out.exists()
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone, as under `| head`: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("violated", [False, True])
+def test_cli_sweep_exits_quietly_on_a_closed_stdout(tmp_path, capsys, monkeypatch, violated):
+    # p=1 leaves workers idle at n=5..8, so the sweep prints skipped rows first.
+    argv = [
+        "sweep", "--n", "4-8", "--s", "1-2", "--u", "auto", "--p", "1,4", "--d", "1",
+        "--assignments", "cyclic", "--adversaries", "honest", "--seeds", "1", "--jobs", "1",
+    ]
+    if violated:  # the exit status a failed bound gives must survive the closed pipe
+        monkeypatch.setattr(
+            harness.SweepReport, "violations", lambda self: [(self.rows[0], "forced")]
+        )
+    rc_open = cli_main([*argv, "--out", str(tmp_path / "open")])
+    assert "skipped" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    rc = cli_main([*argv, "--out", str(tmp_path / "closed")])
+    assert rc == rc_open == (1 if violated else 0)
+    err = capsys.readouterr().err
+    assert all(line.startswith("violation: ") for line in err.splitlines())
+    sweeps = [(tmp_path / out / "sweep.csv").read_bytes() for out in ("open", "closed")]
+    assert sweeps[0] == sweeps[1]
+
+
+def run_cli(*argv, hash_seed, **popen):
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "byzgrad.cli", *argv], env=env, **popen)
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate", "replay", "verify"])
+def test_cli_into_a_closed_pipe_exits_zero(tmp_path, command):
+    # The reader closes before the command prints: the child's write fails, its
+    # stdout is pointed at /dev/null, and the exit flush does not fail again.
+    simulate = [
+        "simulate", "--n", "5", "--s", "1", "--u", "1", "--p", "4", "--q", "101",
+        "--out", str(tmp_path), "--transcript", str(tmp_path / "run.jsonl"),
+    ]
+    argv = {
+        "sweep": [
+            "sweep", "--n", "4-8", "--s", "1-2", "--u", "auto", "--p", "1", "--d", "1",
+            "--adversaries", "honest", "--seeds", "1", "--jobs", "1", "--out", str(tmp_path),
+        ],
+        "simulate": simulate,
+        "replay": ["replay", str(tmp_path / "run.jsonl")],
+        "verify": ["verify", "lemma3"],
+    }[command]
+    if command == "replay":
+        assert cli_main(simulate) == 0
+    proc = run_cli(*argv, hash_seed=0, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_cli_sweep_csv_is_byte_identical_across_hash_seeds_and_jobs(tmp_path):
+    # Shuffled grouping, every adversary family and all three assignment kinds.
+    grid = [
+        "sweep", "--n", "4-6", "--s", "1-2", "--u", "auto", "--p", "1,4,9", "--d", "1,2",
+        "--assignments", "cyclic,fractional,random", "--seeds", "2", "--q", "101",
+        "--adversaries", "honest,random-always,random-coin,tournament-liar,symmetrization",
+        "--grouping", "shuffled",
+    ]
+    runs = {}
+    for hash_seed in (0, 123):
+        for jobs in (1, 2):
+            out = tmp_path / f"h{hash_seed}-j{jobs}"
+            proc = run_cli(*grid, "--jobs", str(jobs), "--out", str(out),
+                           hash_seed=hash_seed, stdout=subprocess.DEVNULL)
+            assert proc.wait(timeout=120) == 0
+            runs[hash_seed, jobs] = (out / "sweep.csv").read_bytes()
+    first = runs[0, 1]
+    assert first.count(b"\n") == 1461
+    assert all(csv == first for csv in runs.values())
