@@ -31,9 +31,8 @@ from .coding import (
     ecc_decode,
     response_matrix,
     restrict_encoding,
-    worker_response,
 )
-from .field import DEFAULT_MODULUS, PrimeField, is_prime
+from .field import DEFAULT_MODULUS, is_prime
 from .harness import (
     METRICS_HEADER,
     RunMetrics,
@@ -45,15 +44,9 @@ from .harness import (
     run_sweep,
     write_transcript,
 )
-from .linalg import (
-    LinearSolveOutcome,
-    solve_linear,
-    vandermonde,
-)
 from .protocol import (
     Agreement,
     Conflict,
-    GroupingPlan,
     ProtocolResult,
     ProtocolRun,
     Query,
@@ -62,8 +55,6 @@ from .protocol import (
     detect_contradiction,
     form_groups,
     group_response,
-    local_compute,
-    pack_responses,
     run_protocol,
 )
 

@@ -51,7 +51,7 @@ class AdversaryStrategy:
     # helpers shared by subclasses
 
     def _nonzero_vector(self, d: int) -> list[int]:
-        q = self.ctx.field.q
+        q = self.ctx.q
         while True:
             v = draw_below(self.rng, q, d)
             if any(v):
@@ -59,7 +59,7 @@ class AdversaryStrategy:
 
     def _nonzero_scalar(self) -> int:
         """rng.randrange(1, q): one draw below q-1, shifted up by one."""
-        return 1 + draw_below(self.rng, self.ctx.field.q - 1, 1)[0]
+        return 1 + draw_below(self.rng, self.ctx.q - 1, 1)[0]
 
 
 def honest() -> AdversaryStrategy:
@@ -111,7 +111,7 @@ class RandomCorruption(AdversaryStrategy):
         if self.persistence == "per_query_coin" and self.rng.random() < 0.5:
             return list(honest)
         err = self._nonzero_vector(len(honest))
-        q = self.ctx.field.q
+        q = self.ctx.q
         return [(h + e) % q for h, e in zip(honest, err)]
 
     def match_response(self, j, query, honest):
@@ -121,7 +121,7 @@ class RandomCorruption(AdversaryStrategy):
             return honest
         if self.lie_levels is not None and query.level not in self.lie_levels:
             return honest
-        return (honest + self._nonzero_scalar()) % self.ctx.field.q
+        return (honest + self._nonzero_scalar()) % self.ctx.q
 
 
 def random_corruption(
@@ -154,7 +154,7 @@ class TournamentLiar(AdversaryStrategy):
         # Offsets are drawn lazily once the gradient dimension is known.
         if j not in self._offsets:
             self._offsets[j] = self._nonzero_vector(len(honest))
-        q = self.ctx.field.q
+        q = self.ctx.q
         wij = self.enc.w[self._targets[j]][j]
         return [(h + wij * e) % q for h, e in zip(honest, self._offsets[j])]
 
@@ -163,7 +163,7 @@ class TournamentLiar(AdversaryStrategy):
         lo, hi = query.mask
         if lo <= target < hi:
             wij = self.enc.w[target][j]
-            return (honest + wij * self._offsets[j][query.coordinate]) % self.ctx.field.q
+            return (honest + wij * self._offsets[j][query.coordinate]) % self.ctx.q
         return honest
 
 
@@ -208,8 +208,8 @@ class SymmetrizationStrategy(AdversaryStrategy):
 
     def bind(self, ctx, a_mat, enc):
         super().bind(ctx, a_mat, enc)
-        q = ctx.field.q
-        groups = form_groups(range(ctx.n), ctx.r, ctx.s).groups
+        q = ctx.q
+        groups = form_groups(range(ctx.n), ctx.r, ctx.s)
         support = pick_attack_support(groups[: ctx.s])
         error = [0] * ctx.n
         for g in groups[: ctx.s]:
@@ -229,7 +229,7 @@ class SymmetrizationStrategy(AdversaryStrategy):
         self.controlled = frozenset(support)
 
     def initial_response(self, j, honest):
-        q = self.ctx.field.q
+        q = self.ctx.q
         e = self.error[j]
         return [(h + e) % q for h in honest]
 

@@ -169,19 +169,13 @@ def symmetrization_attack(
     support = sorted(set(controlled))
     vectors = [combining_vector(ctx, g) for g in groups]
     coeffs = [[b[j] for j in support] for b in vectors]
-    out = solve_linear(coeffs, [[1]] * len(vectors), ctx.field.q)
+    out = solve_linear(coeffs, [[1]] * len(vectors), ctx.q)
     if out.kind == "inconsistent":
         return None
     err = [0] * ctx.n
     for j, (e,) in zip(support, out.solution):
         err[j] = e
     return err
-
-
-def _grouping_instance(n, s, u, q):
-    ctx = build_code_context(n, s, u, q)
-    plan = form_groups(range(n), ctx.r, s)
-    return ctx, plan
 
 
 def check_grouping_agreement_sound(instances=((5, 2, 1), (6, 2, 2)), q=101) -> CheckResult:
@@ -193,10 +187,11 @@ def check_grouping_agreement_sound(instances=((5, 2, 1), (6, 2, 2)), q=101) -> C
     """
     res = CheckResult("unanimous groups cannot all be corrupted")
     for n, s, u in instances:
-        ctx, plan = _grouping_instance(n, s, u, q)
+        ctx = build_code_context(n, s, u, q)
+        groups = form_groups(range(n), ctx.r, s)
         for bad in combinations(range(n), s):
             res.cases += 1
-            if symmetrization_attack(ctx, plan.groups, bad) is not None:
+            if symmetrization_attack(ctx, groups, bad) is not None:
                 res.failures.append(f"n={n} s={s} u={u} malicious={bad}")
     return res
 
@@ -214,8 +209,8 @@ def check_fewer_groups_attackable(
     res = CheckResult("one fewer group admits a unanimous lie")
     rng = random.Random(seed)
     for n, s, u in instances:
-        ctx, plan = _grouping_instance(n, s, u, q)
-        groups = plan.groups[:s]
+        ctx = build_code_context(n, s, u, q)
+        groups = form_groups(range(n), ctx.r, s)[:s]
         support = pick_attack_support(groups)
         res.cases += 1
         err = symmetrization_attack(ctx, groups, support)
@@ -239,7 +234,7 @@ def check_fewer_groups_attackable(
         for trial in range(shuffled_trials):
             order = list(range(n))
             rng.shuffle(order)
-            shuffled = form_groups(range(n), ctx.r, s, order).groups[:s]
+            shuffled = form_groups(range(n), ctx.r, s, order)[:s]
             sresp = [group_response(ctx, packed, combining_vector(ctx, g), d) for g in shuffled]
             unanimous = all(r == sresp[0] for r in sresp[1:]) and sresp[0] != truth
             hits += unanimous

@@ -110,15 +110,8 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
         if not isinstance(loaded, dict):
             raise InvalidParamsError(f"config {args.config} must hold a JSON object")
         values.update(loaded)
-    overrides = {
-        "n": args.n, "s": args.s, "u": args.u, "p": args.p, "d": args.d,
-        "q": args.q, "assignment": args.assignment,
-        "assignment_path": args.assignment_path,
-        "adversary": args.adversary, "seed": args.seed,
-        "grouping": args.grouping, "controlled": args.controlled,
-        "lie_plan": args.lie_plan,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    fields = SimulationConfig.__dataclass_fields__
+    values.update({k: v for k, v in vars(args).items() if k in fields and v is not None})
     values.setdefault("seed", _default_seed())
     missing = [k for k in ("n", "s", "u", "p") if k not in values]
     if missing:

@@ -50,7 +50,8 @@ from .errors import (
     DimensionError,
     InvalidParamsError,
 )
-from .field import DEFAULT_MODULUS, PrimeField
+from . import field
+from .field import DEFAULT_MODULUS
 
 # Not used here: perfbench/tracing.py wraps solve_linear at its coding name.
 from .linalg import solve_linear  # noqa: F401
@@ -58,19 +59,19 @@ from .linalg import solve_linear  # noqa: F401
 
 @dataclass(frozen=True)
 class CodeContext:
-    """Shared code parameters: n workers, s malicious, u redundancy, r = n-(s+u)."""
+    """Shared code parameters: n workers, s malicious, u redundancy, r = n-(s+u), prime q."""
 
     n: int
     s: int
     u: int
     r: int
-    field: PrimeField
+    q: int
     eval_points: tuple[int, ...]
 
     @cached_property
     def response_lanes(self) -> int:
         """Lane width for one symbol per worker: a dot product over the n workers cannot carry."""
-        return lane_bytes(self.field.q, self.n)
+        return lane_bytes(self.q, self.n)
 
 
 def build_code_context(
@@ -84,7 +85,8 @@ def build_code_context(
         raise InvalidParamsError(f"need 1 <= u <= s+1, got s={s}, u={u}")
     if n < s + u:
         raise InvalidParamsError(f"need n >= s+u, got n={n}, s={s}, u={u}")
-    field = PrimeField(q)
+    if not field.is_prime(q):
+        raise InvalidParamsError(f"modulus must be prime, got {q}")
     if q <= n:
         raise InvalidParamsError(f"modulus must exceed worker count, got q={q}, n={n}")
     if eval_points is None:
@@ -95,7 +97,7 @@ def build_code_context(
         raise InvalidParamsError("need one evaluation point per worker")
     if 0 in eval_points or len(set(eval_points)) != n:
         raise InvalidParamsError("evaluation points must be distinct and nonzero")
-    return CodeContext(n, s, u, n - (s + u), field, eval_points)
+    return CodeContext(n, s, u, n - (s + u), q, eval_points)
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ def sample_row(ctx: CodeContext, column: Sequence[int]) -> tuple[int, ...]:
     Entry j is prod_{m not holding the sample} (x_j - x_m) mod q at each
     holder j, which is nonzero, the points being distinct, and 0 elsewhere.
     """
-    q, pts = ctx.field.q, ctx.eval_points
+    q, pts = ctx.q, ctx.eval_points
     roots = [x for x, held in zip(pts, column) if not held]
     row = []
     for xj, held in zip(pts, column):
@@ -199,7 +201,7 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence
     missing from exactly r workers, which is what a regular assignment with
     replication s+u guarantees.
     """
-    q = ctx.field.q
+    q = ctx.q
     n, r = ctx.n, ctx.r
     p = a_mat.p
     if a_mat.n != n:
@@ -252,7 +254,7 @@ def combining_vector(ctx: CodeContext, group: Sequence[int]) -> list[int]:
     entries outside the group are zero. Each call returns a fresh list built
     from a per-(code, group) cache.
     """
-    return list(_combining_vector(ctx.field.q, ctx.eval_points, ctx.r, tuple(group)))
+    return list(_combining_vector(ctx.q, ctx.eval_points, ctx.r, tuple(group)))
 
 
 @lru_cache(maxsize=16)
@@ -306,7 +308,7 @@ def worker_response(
     """Honest response of worker j: G @ W[:, j], a length-d vector."""
     if any(len(row) != len(enc.w) for row in gradients):
         raise DimensionError("gradient matrix width must equal sample count")
-    q, col = ctx.field.q, [row[j] for row in enc.w]
+    q, col = ctx.q, [row[j] for row in enc.w]
     return [sum(map(mul, row, col)) % q for row in gradients]
 
 
@@ -324,7 +326,7 @@ def response_matrix(
     """
     if any(len(row) != len(enc.w) for row in gradients):
         raise DimensionError("gradient matrix width must equal sample count")
-    q, n = ctx.field.q, len(enc.w[0])
+    q, n = ctx.q, len(enc.w[0])
     samples = enc.row_classes
     width, rows = enc.sample_lanes(q)
     packed = [rows[c[0]] for c in samples]
@@ -471,7 +473,7 @@ def ecc_decode(
     tau = min(ctx.u - 1, (len(avail) - k) // 2)
     if tau < 0:
         raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
-    q = ctx.field.q
+    q = ctx.q
     xs = tuple(ctx.eval_points[j] for j in avail)
     width, count, columns = _syndrome_table(ctx.eval_points, tuple(avail), q, k)
     errors: dict[int, int] = {}  # pooled worker -> its evaluation point

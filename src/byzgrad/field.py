@@ -1,8 +1,9 @@
 """The prime modulus of the field F_q.
 
-Elements are plain Python ints in [0, q); the field object carries the shared
-modulus, checked prime. All arithmetic is exact modular integer arithmetic,
-done inline by its callers, never floating point.
+There is no field object: the modulus is a plain int q, which is_prime
+checks, and elements are plain Python ints in [0, q). All arithmetic is
+exact modular integer arithmetic, done inline by its callers with the
+modulus they hold, never floating point.
 """
 
 from __future__ import annotations
@@ -15,12 +16,20 @@ from .errors import InvalidParamsError
 # Mersenne prime; large enough that any desk-scale n, p stay below it.
 DEFAULT_MODULUS = 2**31 - 1
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the prime bases 2..41 is exact below psi_13, the least odd
+# composite that is a strong pseudoprime to all thirteen of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24; memoised per n."""
+    """Deterministic Miller-Rabin, exact for n < psi_13 (about 3.3e24); memoised per n.
+
+    Raises InvalidParamsError for n >= psi_13, which these bases cannot decide.
+    """
+    if n >= _MR_BOUND:
+        raise InvalidParamsError(f"primality is decided only below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -59,23 +68,3 @@ def draw_below(rng: random.Random, q: int, count: int) -> list[int]:
             v = getrandbits(k)
         out.append(v)
     return out
-
-
-class PrimeField:
-    """The field F_q for prime q; its elements are int residues modulo q."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        if not is_prime(q):
-            raise InvalidParamsError(f"modulus must be prime, got {q}")
-        self.q = q
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and self.q == other.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.q})"

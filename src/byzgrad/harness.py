@@ -529,7 +529,7 @@ class RecordedResponder:
         self._truths = iter([ev.get("value") for ev in events if ev["event"] == "local_compute"])
 
     def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix) -> None:
-        self.n, self.q = ctx.n, ctx.field.q
+        self.n, self.q = ctx.n, ctx.q
 
     def _symbols(self, value, length: int) -> list[int]:
         if not _is_int_list(value, length, self.q):

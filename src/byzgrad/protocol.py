@@ -78,22 +78,15 @@ def leaf_depths(p: int) -> tuple[int, ...]:
 # Grouping and contradiction detection
 
 
-@dataclass(frozen=True)
-class GroupingPlan:
-    root: tuple[int, ...]
-    satellites: tuple[int, ...]
-    groups: tuple[tuple[int, ...], ...]
-
-
 def form_groups(
     active: Sequence[int], r: int, s_t: int, order: Sequence[int] | None = None
-) -> GroupingPlan:
+) -> tuple[tuple[int, ...], ...]:
     """Pick r root workers plus s_t + 1 satellites from the active set.
 
-    Group k is the root together with satellite k, so any two groups overlap
-    in exactly the root. By default the lowest-index active workers are used;
-    an explicit order exercises other choices and must name distinct active
-    workers.
+    Returns the groups: group k is the root together with satellite k, so
+    any two groups overlap in exactly the root. By default the lowest-index
+    active workers are used; an explicit order exercises other choices and
+    must name distinct active workers.
     """
     if order is None:
         pool = sorted(active)
@@ -107,9 +100,7 @@ def form_groups(
             f"need {need} active workers to form groups, have {len(pool)}"
         )
     root = tuple(pool[:r])
-    satellites = tuple(pool[r : r + s_t + 1])
-    groups = tuple(tuple(sorted(root + (sat,))) for sat in satellites)
-    return GroupingPlan(root, satellites, groups)
+    return tuple(tuple(sorted(root + (sat,))) for sat in pool[r : r + s_t + 1])
 
 
 @dataclass(frozen=True)
@@ -164,7 +155,7 @@ def group_response(
     n = ctx.n
     if len(b) != n or len(packed) != n:
         raise DimensionError(f"need {n} responses and coefficients, got {len(packed)}, {len(b)}")
-    return unpack(sum(map(mul, packed, b)), ctx.response_lanes, d, ctx.field.q)
+    return unpack(sum(map(mul, packed, b)), ctx.response_lanes, d, ctx.q)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +234,7 @@ class SimulatedResponder:
         enc = self._given_enc
         if enc is None:
             enc = build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
-        self.ctx, self.q, self.enc = ctx, ctx.field.q, enc
+        self.ctx, self.q, self.enc = ctx, ctx.q, enc
         self._prefix: dict[int, list[int]] = {}
         self.adversary.bind(ctx, a_mat, enc)
 
@@ -337,7 +328,7 @@ class ProtocolRun:
         self.eliminated: list[int] = []
         self.transcript.add(
             "start", n=ctx.n, s=ctx.s, u=ctx.u, r=ctx.r, p=a_mat.p, d=responder.d,
-            q=ctx.field.q, eval_points=list(ctx.eval_points),
+            q=ctx.q, eval_points=list(ctx.eval_points),
             grouping="lowest" if grouping_rng is None else "shuffled", **(meta or {}),
         )
 
@@ -375,7 +366,7 @@ class ProtocolRun:
     def run_match(
         self,
         t: int,
-        plan: GroupingPlan,
+        groups: Sequence[Sequence[int]],
         conflict: Conflict,
         initial: Sequence[Sequence[int]],
         group_claims: Sequence[Sequence[int]],
@@ -393,10 +384,10 @@ class ProtocolRun:
         0 at the other group's satellite, so a level's two claims are two
         dot products.
         """
-        q = self.ctx.field.q
+        q = self.ctx.q
         coord = conflict.coordinate
-        g1 = plan.groups[conflict.first]
-        g2 = plan.groups[conflict.second]
+        g1 = groups[conflict.first]
+        g2 = groups[conflict.second]
         union = sorted(set(g1) | set(g2))
         b1 = [vectors[conflict.first][j] for j in union]
         b2 = [vectors[conflict.second][j] for j in union]
@@ -497,15 +488,15 @@ class ProtocolRun:
             if self.grouping_rng is not None:
                 order = list(self.active)
                 self.grouping_rng.shuffle(order)
-            plan = form_groups(self.active, ctx.r, s_t, order)
+            groups = form_groups(self.active, ctx.r, s_t, order)
             if packed is None:
                 packed = pack_responses(ctx, initial)
-            vectors = [combining_vector(ctx, g) for g in plan.groups]
+            vectors = [combining_vector(ctx, g) for g in groups]
             claims = [group_response(ctx, packed, b, d) for b in vectors]
             self.transcript.rounds += 1
             self.transcript.add(
                 "decode", t=t,
-                groups=[[j + 1 for j in g] for g in plan.groups],
+                groups=[[j + 1 for j in g] for g in groups],
                 values=claims,
             )
             outcome = detect_contradiction(claims)
@@ -517,7 +508,7 @@ class ProtocolRun:
                 first=outcome.first + 1, second=outcome.second + 1,
                 coordinate=outcome.coordinate + 1,
             )
-            for j in self.run_match(t, plan, outcome, initial, claims, vectors):
+            for j in self.run_match(t, groups, outcome, initial, claims, vectors):
                 self.active.remove(j)
                 self.eliminated.append(j)
             t += 1

@@ -89,7 +89,7 @@ def validate_regular_by_columns(a: AssignmentMatrix, rho: int) -> bool:
 
 def generator_matrix(ctx: CodeContext) -> list[list[int]]:
     """The (r+1) x n generator F as rows, entry [k][j] = eval_points[j]**k."""
-    return transpose(vandermonde(ctx.eval_points, ctx.field.q, ctx.r + 1))
+    return transpose(vandermonde(ctx.eval_points, ctx.q, ctx.r + 1))
 
 
 def solve_encoding_matrix(
@@ -100,7 +100,7 @@ def solve_encoding_matrix(
     Requires each sample to be missing from exactly r workers, which is what
     a regular assignment with replication s+u guarantees.
     """
-    q = ctx.field.q
+    q = ctx.q
     n, r = ctx.n, ctx.r
     p = a_mat.p
     if a_mat.n != n:
@@ -160,7 +160,7 @@ def exhaustive_ecc_decode(
     column block, and accept iff the re-encoded codeword matches every
     remaining column. This costs up to C(n', <= u-1) Gaussian solves.
     """
-    q = ctx.field.q
+    q = ctx.q
     z = [[v % q for v in row] for row in z]
     erased = set(identified)
     avail = [j for j in range(ctx.n) if j not in erased]
@@ -248,7 +248,7 @@ def row_table_ecc_decode(
     tau = min(ctx.u - 1, (len(avail) - k) // 2)
     if tau < 0:
         raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
-    q = ctx.field.q
+    q = ctx.q
     xs = tuple(ctx.eval_points[j] for j in avail)
     *checks, last = _row_syndrome_table(ctx.eval_points, tuple(avail), q, k)
     errors: dict[int, int] = {}  # pooled worker -> its evaluation point
@@ -395,7 +395,7 @@ def gao_ecc_decode(
     tau = min(ctx.u - 1, (len(avail) - k) // 2)
     if tau < 0:
         raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
-    q = ctx.field.q
+    q = ctx.q
     xs = tuple(ctx.eval_points[j] for j in avail)
     g0, columns = _lagrange_basis(xs, q)
     errors: set[int] = set()
@@ -445,14 +445,14 @@ def match_answer_slice(
     Reads entry j of W's rows lo..hi-1 directly, recomputed for every query.
     """
     grow = gradients[coord][lo:hi]
-    return sum(g * row[j] for g, row in zip(grow, enc.w[lo:hi])) % ctx.field.q
+    return sum(g * row[j] for g, row in zip(grow, enc.w[lo:hi])) % ctx.q
 
 
 def dense_response_matrix(
     ctx: CodeContext, gradients: Sequence[Sequence[int]], enc: EncodingMatrix
 ) -> list[list[int]]:
     """Z = G @ W by one dot product per coordinate and worker over W's columns."""
-    q = ctx.field.q
+    q = ctx.q
     columns = list(zip(*enc.w))
     return [[sum(map(mul, row, col)) % q for col in columns] for row in gradients]
 
@@ -461,7 +461,7 @@ def dense_group_response(
     ctx: CodeContext, received: Sequence[Sequence[int]], b: Sequence[int]
 ) -> list[int]:
     """One group's claim: received (d rows of n) times the combining vector, row by row."""
-    q = ctx.field.q
+    q = ctx.q
     return [sum(map(mul, row, b)) % q for row in received]
 
 

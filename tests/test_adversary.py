@@ -38,11 +38,11 @@ from oracles import leaf_depth_walk
 
 def make_gradients(ctx, p, d, seed):
     rng = random.Random(seed)
-    return [[rng.randrange(ctx.field.q) for _ in range(p)] for _ in range(d)]
+    return [[rng.randrange(ctx.q) for _ in range(p)] for _ in range(d)]
 
 
 def full_sum(ctx, g):
-    return [sum(row) % ctx.field.q for row in g]
+    return [sum(row) % ctx.q for row in g]
 
 
 # baseline strategies ------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_adversary_catalogue_golden_digest():
 
 def test_attack_single_group_always_works():
     ctx = build_code_context(5, 2, 1, 101)
-    groups = form_groups(range(5), ctx.r, ctx.s).groups[:1]
+    groups = form_groups(range(5), ctx.r, ctx.s)[:1]
     # A lone group has no root to avoid: the support is its first member.
     member = groups[0][0]
     assert pick_attack_support(groups) == [member]
@@ -223,8 +223,7 @@ def test_attack_single_group_always_works():
 def test_attack_on_fewer_groups_fools_them():
     for n, s, u in ((5, 2, 1), (6, 2, 2), (7, 3, 1)):
         ctx = build_code_context(n, s, u, 101)
-        plan = form_groups(range(n), ctx.r, s)
-        groups = plan.groups[:s]
+        groups = form_groups(range(n), ctx.r, s)[:s]
         support = pick_attack_support(groups)
         assert len(support) <= s
         err = symmetrization_attack(ctx, groups, support)
@@ -235,7 +234,7 @@ def test_attack_on_fewer_groups_fools_them():
         enc = build_encoding_matrix(ctx, a_mat, [1] * p)
         g = make_gradients(ctx, p, 1, seed=0)
         z = response_matrix(ctx, g, enc)
-        corrupted = [[(v + e) % ctx.field.q for v in col] for col, e in zip(zip(*z), err)]
+        corrupted = [[(v + e) % ctx.q for v in col] for col, e in zip(zip(*z), err)]
         packed = pack_responses(ctx, corrupted)
         responses = [group_response(ctx, packed, combining_vector(ctx, gr), 1) for gr in groups]
         assert all(resp == responses[0] for resp in responses)
@@ -245,9 +244,9 @@ def test_attack_on_fewer_groups_fools_them():
 def test_attack_infeasible_against_full_grouping_exhaustive():
     for n, s, u in ((5, 2, 1), (6, 2, 2)):
         ctx = build_code_context(n, s, u, 101)
-        plan = form_groups(range(n), ctx.r, s)
+        groups = form_groups(range(n), ctx.r, s)
         for support in combinations(range(n), s):
-            assert symmetrization_attack(ctx, plan.groups, support) is None
+            assert symmetrization_attack(ctx, groups, support) is None
 
 
 def test_symmetrization_closed_form_matches_the_solved_attack():
@@ -266,7 +265,7 @@ def test_symmetrization_closed_form_matches_the_solved_attack():
                         assert strat.error == [0] * n
                     else:
                         strat.bind(ctx, None, None)  # the attack reads only the code
-                    groups = form_groups(range(n), ctx.r, s).groups
+                    groups = form_groups(range(n), ctx.r, s)
                     support = pick_attack_support(groups[:s])
                     assert sorted(strat.controlled) == support
                     assert strat.error == symmetrization_attack(ctx, groups[:s], support)
@@ -289,7 +288,7 @@ def _patched_vectors(monkeypatch, swap):
 
 def test_symmetrization_bind_rejects_an_attackable_full_grouping(monkeypatch):
     ctx = build_code_context(5, 2, 1, 101)
-    groups = form_groups(range(5), ctx.r, ctx.s).groups
+    groups = form_groups(range(5), ctx.r, ctx.s)
     # The last group reads the first one's vector, so b_last . e = 1.
     _patched_vectors(monkeypatch, {groups[-1]: combining_vector(ctx, groups[0])})
     with pytest.raises(ProtocolInvariantViolation, match="full grouping admits"):
@@ -298,7 +297,7 @@ def test_symmetrization_bind_rejects_an_attackable_full_grouping(monkeypatch):
 
 def test_symmetrization_bind_rejects_a_group_with_two_support_workers(monkeypatch):
     ctx = build_code_context(5, 2, 1, 101)
-    groups = form_groups(range(5), ctx.r, ctx.s).groups
+    groups = form_groups(range(5), ctx.r, ctx.s)
     # An all-one vector reaches both satellites: the system is no longer diagonal.
     _patched_vectors(monkeypatch, {groups[1]: [1] * ctx.n})
     with pytest.raises(ProtocolInvariantViolation, match="attack against one fewer group"):

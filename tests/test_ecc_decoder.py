@@ -41,7 +41,7 @@ def corrupt_instance(rng, ctx, p, d, identified_count, corrupt_count):
     corrupted or identified worker errs on a random non-empty subset of the
     d coordinates.
     """
-    n, q = ctx.n, ctx.field.q
+    n, q = ctx.n, ctx.q
     a_mat = make_random_regular(n, p, ctx.s + ctx.u, rng.randrange(2**31))
     enc = build_encoding_matrix(ctx, a_mat, [1] * p)
     g = [[rng.randrange(q) for _ in range(p)] for _ in range(d)]

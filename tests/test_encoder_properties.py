@@ -40,7 +40,7 @@ def encoders(draw):
 @given(encoders())
 def test_encoder_zero_pattern_and_group_span(case):
     ctx, a_mat, a, group = case
-    q = ctx.field.q
+    q = ctx.q
     w = build_encoding_matrix(ctx, a_mat, a).w
     for i in range(a_mat.p):
         for j in range(ctx.n):

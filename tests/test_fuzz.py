@@ -46,7 +46,7 @@ class ChaosStrategy(AdversaryStrategy):
         self.sent: dict[int, list[int]] = {j: [] for j in controlled}
 
     def _twist(self, j: int, honest: int) -> int:
-        q = self.ctx.field.q
+        q = self.ctx.q
         mode = self.rng.randrange(5)
         if mode == 0:
             value = honest

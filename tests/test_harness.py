@@ -15,7 +15,7 @@ from byzgrad import adversary, coding, harness, protocol
 from byzgrad.assignment import AssignmentMatrix, assignment_from_text, validate_regular
 from byzgrad.cli import main as cli_main
 from byzgrad.errors import InvalidParamsError, TranscriptReplayError
-from byzgrad.field import PrimeField, draw_below
+from byzgrad.field import draw_below
 from byzgrad.harness import (
     METRICS_HEADER,
     SimulationConfig,
@@ -526,7 +526,7 @@ def test_gradient_draw_matches_randrange(q):
         assert draw_below(rng, q, 500) == [ref.randrange(q) for _ in range(500)]
         assert rng.getstate() == ref.getstate()
         strategy = adversary.AdversaryStrategy(seed=seed)
-        strategy.ctx = types.SimpleNamespace(field=PrimeField(q))  # the draws read only q
+        strategy.ctx = types.SimpleNamespace(q=q)  # the draws read only q
         ref = random.Random(f"{seed}:adversary")
         for d in (1, 3, 1, 8):
             want = [0] * d
@@ -549,6 +549,26 @@ def test_cli_simulate_writes_outputs(tmp_path, capsys):
     files = os.listdir(tmp_path)
     assert any(f.endswith(".jsonl") for f in files)
     assert any(f.endswith(".csv") for f in files)
+
+
+def test_cli_simulate_has_a_flag_for_every_config_field(monkeypatch):
+    # _build_config reads the argparse values named after SimulationConfig
+    # fields, so each field needs a simulate flag with that destination.
+    from byzgrad import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args) or 0)
+    want = {
+        name: i + 2 if name in harness._INT_FIELDS else f"v{i}"
+        for i, name in enumerate(SimulationConfig.__dataclass_fields__)
+    }
+    argv = ["simulate"]
+    for name, value in want.items():
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    assert cli_main(argv) == 0
+    (args,) = seen
+    assert {name: getattr(args, name) for name in want} == want
+    assert dataclasses.asdict(cli._build_config(args)) == want
 
 
 def test_cli_simulate_config_file_with_overrides(tmp_path):

@@ -69,7 +69,7 @@ def linalg_imports(source: str) -> list[str]:
 def test_linalg_imports_are_found():
     source = (
         "from .linalg import vandermonde\nfrom byzgrad.linalg import invert\n"
-        "from . import linalg, field\nimport byzgrad.linalg\nfrom .field import PrimeField\n"
+        "from . import linalg, field\nimport byzgrad.linalg\nfrom .field import is_prime\n"
     )
     assert linalg_imports(source) == ["vandermonde", "invert", "linalg", "linalg"]
 

@@ -66,11 +66,11 @@ WIDE_DIGEST = "4de8e923a95395f472d09c58b4c503e9430859472a089d3559f585c119fff5d8"
 
 def make_gradients(ctx, p, d, seed):
     rng = random.Random(seed)
-    return [[rng.randrange(ctx.field.q) for _ in range(p)] for _ in range(d)]
+    return [[rng.randrange(ctx.q) for _ in range(p)] for _ in range(d)]
 
 
 def full_sum(ctx, g):
-    return [sum(row) % ctx.field.q for row in g]
+    return [sum(row) % ctx.q for row in g]
 
 
 # match tree -------------------------------------------------------------------
@@ -136,33 +136,28 @@ def test_leftmost_leaf_is_deepest():
 
 
 def test_form_groups_small_example():
-    plan = form_groups([0, 1, 2], r=1, s_t=1)
-    assert plan.root == (0,)
-    assert plan.satellites == (1, 2)
-    assert plan.groups == ((0, 1), (0, 2))
+    # root (0,), satellites 1 and 2
+    assert form_groups([0, 1, 2], r=1, s_t=1) == ((0, 1), (0, 2))
 
 
 def test_form_groups_no_budget_single_group():
-    plan = form_groups([0, 1, 2, 3], r=1, s_t=0)
-    assert plan.groups == ((0, 1),)
+    assert form_groups([0, 1, 2, 3], r=1, s_t=0) == ((0, 1),)
 
 
 def test_form_groups_shared_root_structure():
     # n=7, s=2, u=1 gives r=4: 3 groups of size 5 sharing 4 workers
-    plan = form_groups(range(7), r=4, s_t=2)
-    assert len(plan.groups) == 3
-    for g in plan.groups:
+    groups = form_groups(range(7), r=4, s_t=2)
+    assert len(groups) == 3
+    for g in groups:
         assert len(g) == 5
     for i in range(3):
         for j in range(i + 1, 3):
-            shared = set(plan.groups[i]) & set(plan.groups[j])
-            assert shared == set(plan.root)
+            assert set(groups[i]) & set(groups[j]) == {0, 1, 2, 3}
 
 
 def test_form_groups_respects_order():
-    plan = form_groups([0, 1, 2, 3], r=1, s_t=1, order=[3, 1, 0, 2])
-    assert plan.root == (3,)
-    assert plan.groups == ((1, 3), (0, 3))
+    # root (3,), satellites 1 and 0
+    assert form_groups([0, 1, 2, 3], r=1, s_t=1, order=[3, 1, 0, 2]) == ((1, 3), (0, 3))
 
 
 def test_form_groups_rejects_bad_order():
@@ -170,8 +165,7 @@ def test_form_groups_rejects_bad_order():
         form_groups([0, 1, 2, 3], r=1, s_t=1, order=[3, 1, 3, 0])  # 3 named twice
     with pytest.raises(InfeasibleStateError):
         form_groups([0, 1, 3], r=1, s_t=1, order=[3, 1, 2])  # 2 is not active
-    plan = form_groups([0, 1, 3], r=1, s_t=1, order=[3, 1, 0])
-    assert plan.groups == ((1, 3), (0, 3))
+    assert form_groups([0, 1, 3], r=1, s_t=1, order=[3, 1, 0]) == ((1, 3), (0, 3))
 
 
 def test_form_groups_infeasible():
