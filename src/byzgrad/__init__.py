@@ -16,10 +16,9 @@ from .assignment import (
 )
 from .adversary import (
     AdversaryStrategy,
-    honest,
+    RandomCorruption,
+    SymmetrizationStrategy,
     pick_attack_support,
-    random_corruption,
-    symmetrization,
     tournament_liar,
 )
 from .coding import (
@@ -45,8 +44,6 @@ from .harness import (
     write_transcript,
 )
 from .protocol import (
-    Agreement,
-    Conflict,
     ProtocolResult,
     ProtocolRun,
     Query,

@@ -62,10 +62,6 @@ class AdversaryStrategy:
         return 1 + draw_below(self.rng, self.ctx.q - 1, 1)[0]
 
 
-def honest() -> AdversaryStrategy:
-    return AdversaryStrategy()
-
-
 _PERSISTENCES = ("always", "initial_only", "per_query_coin")
 
 # Lie plans besides per-level scripts, each with the RandomCorruption
@@ -122,12 +118,6 @@ class RandomCorruption(AdversaryStrategy):
         if self.lie_levels is not None and query.level not in self.lie_levels:
             return honest
         return (honest + self._nonzero_scalar()) % self.ctx.q
-
-
-def random_corruption(
-    controlled: Iterable[int], seed: int = 0, persistence: str = "always"
-) -> RandomCorruption:
-    return RandomCorruption(controlled, seed, persistence)
 
 
 class TournamentLiar(AdversaryStrategy):
@@ -232,7 +222,3 @@ class SymmetrizationStrategy(AdversaryStrategy):
         q = self.ctx.q
         e = self.error[j]
         return [(h + e) % q for h in honest]
-
-
-def symmetrization(seed: int = 0) -> SymmetrizationStrategy:
-    return SymmetrizationStrategy(seed)

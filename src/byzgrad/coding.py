@@ -102,13 +102,14 @@ def build_code_context(
 
 @dataclass(frozen=True)
 class EncodingMatrix:
-    """Query coefficients a together with the worker coefficient matrix W (p x n).
+    """Query coefficients a together with the worker coefficient matrix W (p x n) over F_q.
 
     W is a tuple of p row tuples; samples with equal rows share one tuple.
     """
 
     a: tuple[int, ...]
     w: tuple[tuple[int, ...], ...]
+    q: int
 
     @cached_property
     def row_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -127,25 +128,23 @@ class EncodingMatrix:
                 index.setdefault(row, []).append(i)
         return tuple(map(tuple, index.values()))
 
-    def sample_lanes(self, q: int) -> tuple[int, tuple[int, ...]]:
+    @cached_property
+    def sample_lanes(self) -> tuple[int, tuple[int, ...]]:
         """(width, rows): each sample's row of W as one int of n lanes, worker 0's on top.
 
         width is lane_bytes(q, p), so a sum over any samples of their packed
         rows times elements of [0, q) fills every lane without a carry. The
         samples of a class share their class's int, packed once; an all-zero
-        row is 0. Kept with the encoding for the modulus last asked.
+        row is 0.
         """
-        lanes = self.__dict__.get("_sample_lanes")
-        if lanes is None or lanes[0] != q:
-            w = self.w
-            width = lane_bytes(q, len(w))
-            rows = [0] * len(w)
-            for c in self.row_classes:
-                packed = pack(w[c[0]], width)
-                for i in c:
-                    rows[i] = packed
-            lanes = self.__dict__["_sample_lanes"] = (q, width, tuple(rows))
-        return lanes[1], lanes[2]
+        w = self.w
+        width = lane_bytes(self.q, len(w))
+        rows = [0] * len(w)
+        for c in self.row_classes:
+            packed = pack(w[c[0]], width)
+            for i in c:
+                rows[i] = packed
+        return width, tuple(rows)
 
 
 def lane_bytes(q: int, terms: int) -> int:
@@ -228,7 +227,7 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence
             rows.append(zeros)
         else:
             rows.append(tuple(ai * v % q for v in base))
-    return EncodingMatrix(tuple(v % q for v in a), tuple(rows))
+    return EncodingMatrix(tuple(v % q for v in a), tuple(rows), q)
 
 
 def restrict_encoding(enc: EncodingMatrix, mask: Iterable[int]) -> EncodingMatrix:
@@ -242,7 +241,7 @@ def restrict_encoding(enc: EncodingMatrix, mask: Iterable[int]) -> EncodingMatri
     keep = set(mask)
     zeros = (0,) * len(enc.w[0])
     w = tuple(row if i in keep else zeros for i, row in enumerate(enc.w))
-    return EncodingMatrix(tuple(1 if i in keep else 0 for i in range(len(w))), w)
+    return EncodingMatrix(tuple(1 if i in keep else 0 for i in range(len(w))), w, enc.q)
 
 
 def combining_vector(ctx: CodeContext, group: Sequence[int]) -> list[int]:
@@ -328,7 +327,7 @@ def response_matrix(
         raise DimensionError("gradient matrix width must equal sample count")
     q, n = ctx.q, len(enc.w[0])
     samples = enc.row_classes
-    width, rows = enc.sample_lanes(q)
+    width, rows = enc.sample_lanes
     packed = [rows[c[0]] for c in samples]
     out = []
     for row in gradients:

@@ -57,21 +57,21 @@ METRICS_HEADER = "n,s,u,p,d,q,assignment,adversary,seed,correct,c,C_oh,rounds,do
 
 
 def _random(persistence: str):
-    return lambda config: adv.random_corruption(
+    return lambda config: adv.RandomCorruption(
         resolve_controlled(config), config.seed, persistence
     )
 
 
 # Adversary name -> its strategy for a validated config.
 _ADVERSARIES = {
-    "honest": lambda config: adv.honest(),
+    "honest": lambda config: adv.AdversaryStrategy(),
     "random-always": _random("always"),
     "random-initial-only": _random("initial_only"),
     "random-coin": _random("per_query_coin"),
     "tournament-liar": lambda config: adv.tournament_liar(
         resolve_controlled(config), config.lie_plan, config.seed
     ),
-    "symmetrization": lambda config: adv.symmetrization(config.seed),
+    "symmetrization": lambda config: adv.SymmetrizationStrategy(config.seed),
 }
 ADVERSARY_NAMES = tuple(_ADVERSARIES)
 
@@ -280,7 +280,6 @@ class RunMetrics:
 
 @dataclass
 class SimulationOutput:
-    config: SimulationConfig
     metrics: RunMetrics
     result: ProtocolResult
     truth: list[int]
@@ -334,7 +333,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         downlink_bits=tr.downlink_bits,
         eliminated=tuple(j + 1 for j in result.eliminated),
     )
-    return SimulationOutput(config, metrics, result, truth)
+    return SimulationOutput(metrics, result, truth)
 
 
 # ---------------------------------------------------------------------------

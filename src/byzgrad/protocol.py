@@ -103,26 +103,13 @@ def form_groups(
     return tuple(tuple(sorted(root + (sat,))) for sat in pool[r : r + s_t + 1])
 
 
-@dataclass(frozen=True)
-class Agreement:
-    value: tuple[int, ...]
+def detect_contradiction(responses: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    """None if all group responses match; else (k, coordinate) for group 0 against group k.
 
-
-@dataclass(frozen=True)
-class Conflict:
-    first: int
-    second: int
-    coordinate: int
-
-
-def detect_contradiction(responses: Sequence[Sequence[int]]) -> Agreement | Conflict:
-    """Agreement if all group responses match; else the lowest differing pair.
-
-    The conflicting pair is the lexicographically first (k1, k2) and the
-    coordinate is the first position where those two differ. That pair is
-    always (0, k) for the first group k differing from group 0: were every
-    group equal to group 0, all would agree. So one scan against group 0
-    finds it.
+    k is the first group that differs from group 0 and coordinate the first
+    position where they differ. (0, k) is the lexicographically first
+    differing pair: were every group equal to group 0, all would agree. So
+    one scan against group 0 finds it.
     """
     if not responses:
         raise ValueError("need at least one group response")
@@ -130,8 +117,8 @@ def detect_contradiction(responses: Sequence[Sequence[int]]) -> Agreement | Conf
     for k, other in enumerate(responses[1:], 1):
         for coord, (x, y) in enumerate(zip(first, other)):
             if x != y:
-                return Conflict(0, k, coord)
-    return Agreement(tuple(first))
+                return k, coord
+    return None
 
 
 def pack_responses(ctx: CodeContext, cols: Sequence[Sequence[int]]) -> list[int]:
@@ -216,8 +203,9 @@ class SimulatedResponder:
     subtraction and a lane read per worker. bind() starts a run and drops the previous run's
     prefixes: they hold at most d·(p+1) packed ints, in practice only
     those of the disputed coordinates.
-    The workers' encoding W is the responder's alone: the one given, or
-    else the all-one encoding that each bind() builds for its assignment.
+    The workers' encoding W is the responder's alone: the one given, which
+    must be over the code's field, or else the all-one encoding that each
+    bind() builds for its assignment.
     """
 
     def __init__(
@@ -234,6 +222,8 @@ class SimulatedResponder:
         enc = self._given_enc
         if enc is None:
             enc = build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
+        elif enc.q != ctx.q:
+            raise InfeasibleStateError(f"encoding is over F_{enc.q}, the code over F_{ctx.q}")
         self.ctx, self.q, self.enc = ctx, ctx.q, enc
         self._prefix: dict[int, list[int]] = {}
         self.adversary.bind(ctx, a_mat, enc)
@@ -262,7 +252,7 @@ class SimulatedResponder:
         adversary, q = self.adversary, self.q
         lo, hi = query.mask
         c = query.coordinate
-        width, rows = self.enc.sample_lanes(q)
+        width, rows = self.enc.sample_lanes
         sums = self._prefix.get(c)
         if sums is None:
             grow = [g % q for g in self.gradients[c]]
@@ -367,15 +357,16 @@ class ProtocolRun:
         self,
         t: int,
         groups: Sequence[Sequence[int]],
-        conflict: Conflict,
+        conflict: tuple[int, int],
         initial: Sequence[Sequence[int]],
         group_claims: Sequence[Sequence[int]],
         vectors: Sequence[Sequence[int]],
     ) -> tuple[int, ...]:
-        """Binary-search the dispute between two groups down to one sample.
+        """Binary-search the dispute between groups 0 and k down to one sample.
 
-        Every level halves the current interval [lo, hi) and queries its first
-        half; the unqueried half's per-worker commitment follows by subtracting from
+        conflict is detect_contradiction's (k, coordinate). Every level
+        halves the current interval [lo, hi) and queries its first half; the
+        unqueried half's per-worker commitment follows by subtracting from
         the parent commitment. At the leaf each worker's committed symbol is
         checked against truth times its known coefficient, which is a proof
         of deviation whenever it fails. Returns the workers proven to lie.
@@ -385,17 +376,15 @@ class ProtocolRun:
         dot products.
         """
         q = self.ctx.q
-        coord = conflict.coordinate
-        g1 = groups[conflict.first]
-        g2 = groups[conflict.second]
-        union = sorted(set(g1) | set(g2))
-        b1 = [vectors[conflict.first][j] for j in union]
-        b2 = [vectors[conflict.second][j] for j in union]
+        k, coord = conflict
+        union = sorted(set(groups[0]) | set(groups[k]))
+        b1 = [vectors[0][j] for j in union]
+        b2 = [vectors[k][j] for j in union]
         # Per-worker commitments for the current interval, seeded by the initial
         # responses at the disputed coordinate.
         commit = [initial[j][coord] for j in union]
-        label1 = group_claims[conflict.first][coord]
-        label2 = group_claims[conflict.second][coord]
+        label1 = group_claims[0][coord]
+        label2 = group_claims[k][coord]
         if label1 == label2:
             raise ProtocolInvariantViolation("match started without a dispute")
         lo, hi = 0, self.a_mat.p
@@ -499,16 +488,13 @@ class ProtocolRun:
                 groups=[[j + 1 for j in g] for g in groups],
                 values=claims,
             )
-            outcome = detect_contradiction(claims)
-            if isinstance(outcome, Agreement):
-                self.transcript.add("agreement", t=t, value=list(outcome.value))
-                return self._finish("agreement", list(outcome.value))
-            self.transcript.add(
-                "conflict", t=t,
-                first=outcome.first + 1, second=outcome.second + 1,
-                coordinate=outcome.coordinate + 1,
-            )
-            for j in self.run_match(t, groups, outcome, initial, claims, vectors):
+            conflict = detect_contradiction(claims)
+            if conflict is None:
+                self.transcript.add("agreement", t=t, value=list(claims[0]))
+                return self._finish("agreement", list(claims[0]))
+            k, coord = conflict
+            self.transcript.add("conflict", t=t, first=1, second=k + 1, coordinate=coord + 1)
+            for j in self.run_match(t, groups, conflict, initial, claims, vectors):
                 self.active.remove(j)
                 self.eliminated.append(j)
             t += 1

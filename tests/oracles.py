@@ -17,7 +17,6 @@ from byzgrad.errors import (
     SingularMatrixError,
 )
 from byzgrad.linalg import solve_linear, vandermonde
-from byzgrad.protocol import Agreement, Conflict
 
 
 def transpose(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -146,7 +145,7 @@ def solve_encoding_matrix(
                 acc += qi[k] * f_rows[k][j]
             row.append(acc % q)
         w_rows.append(row)
-    return EncodingMatrix(tuple(v % q for v in a), tuple(map(tuple, w_rows)))
+    return EncodingMatrix(tuple(v % q for v in a), tuple(map(tuple, w_rows)), q)
 
 
 def exhaustive_ecc_decode(
@@ -489,16 +488,19 @@ def forney_values(
     return out
 
 
-def pairwise_contradiction(responses: Sequence[Sequence[int]]) -> Agreement | Conflict:
+def pairwise_contradiction(
+    responses: Sequence[Sequence[int]],
+) -> tuple[int, int, int] | None:
     """The lowest differing pair by trying every pair (k1, k2) in lexicographic order.
 
-    The scan byzgrad.protocol.detect_contradiction replaced; the coordinate
-    is the first position where the pair differs.
+    The scan byzgrad.protocol.detect_contradiction replaced: None if all
+    agree, else (k1, k2, coordinate) with the first position where the pair
+    differs.
     """
     m = len(responses)
     for k1 in range(m):
         for k2 in range(k1 + 1, m):
             for coord, (x, y) in enumerate(zip(responses[k1], responses[k2])):
                 if x != y:
-                    return Conflict(k1, k2, coord)
-    return Agreement(tuple(responses[0]))
+                    return k1, k2, coord
+    return None

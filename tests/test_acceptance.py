@@ -17,7 +17,7 @@ from byzgrad.checks import (
     check_vandermonde_closed_form,
 )
 from byzgrad.coding import build_code_context
-from byzgrad.harness import grid_configs, run_simulation, run_sweep, SimulationConfig
+from byzgrad.harness import ceil_log2, grid_configs, run_simulation, run_sweep, SimulationConfig
 from byzgrad.protocol import Query, run_protocol
 
 
@@ -82,17 +82,36 @@ def test_criterion_2_bound_suite_full_grid():
     elapsed = time.monotonic() - t0
     incorrect = sum(not m.correct for m in report.rows)
     violations = [v for m in report.rows for v in m.bound_violations()]
+    # The bounds are tight: per shape (n, s, u, p), the consistent tournament
+    # liar's runs reach s+1-u local computations and rounds and the full C_oh.
+    peaks: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for m in report.rows:
+        cfg = m.config
+        if cfg.adversary == "tournament-liar":
+            shape = cfg.n, cfg.s, cfg.u, cfg.p
+            peaks[shape] = tuple(map(max, peaks.get(shape, (0, 0, 0)), (m.c, m.rounds, m.c_oh)))
+    unattained, c_tight, oh_tight = [], 0, 0
+    for (n, s, u, p), (c, rounds, c_oh) in sorted(peaks.items()):
+        budget = s + 1 - u
+        overhead = (n - (s + u) + 2) * budget * ceil_log2(p)
+        if (c, rounds, c_oh) != (budget, budget, overhead):
+            unattained.append((n, s, u, p))
+        c_tight += budget > 0 and c == rounds == budget
+        oh_tight += overhead > 0 and c_oh == overhead
     ok = (
         len(report.rows) > 0
         and incorrect == 0
         and not violations
+        and not unattained
         and elapsed < 120.0
     )
     _report(
         2,
         ok,
         f"{len(report.rows)} runs ({len(report.skipped)} infeasible combos flagged), "
-        f"incorrect={incorrect}, bound violations={len(violations)}, {elapsed:.1f}s (<120s)",
+        f"incorrect={incorrect}, bound violations={len(violations)}, "
+        f"{len(peaks)} shapes: c and rounds budget reached in {c_tight}, C_oh bound in "
+        f"{oh_tight}, unattained={unattained}, {elapsed:.1f}s (<120s)",
     )
 
 

@@ -7,12 +7,11 @@ import pytest
 
 from byzgrad import adversary as adv
 from byzgrad.adversary import (
+    AdversaryStrategy,
     RandomCorruption,
+    SymmetrizationStrategy,
     TournamentLiar,
-    honest,
     pick_attack_support,
-    random_corruption,
-    symmetrization,
     tournament_liar,
 )
 from byzgrad.assignment import make_cyclic, make_random_regular
@@ -52,7 +51,7 @@ def test_honest_strategy_is_transparent():
     ctx = build_code_context(4, 1, 1, 101)
     a_mat = make_cyclic(4, 4, 2)
     g = make_gradients(ctx, 4, 1, seed=0)
-    res = run_protocol(ctx, a_mat, g, honest())
+    res = run_protocol(ctx, a_mat, g, AdversaryStrategy())
     tr = res.transcript
     assert (tr.local_computations, tr.comm_overhead) == (0, 0)
     assert res.eliminated == ()
@@ -63,11 +62,11 @@ def test_rng_is_seeded_on_first_use():
     ctx = build_code_context(6, 2, 2, 101)
     a_mat = make_cyclic(6, 6, 4)
     g = make_gradients(ctx, 6, 3, seed=2)
-    for strategy in (honest(), symmetrization(seed=5)):
+    for strategy in (AdversaryStrategy(), SymmetrizationStrategy(seed=5)):
         run_protocol(ctx, a_mat, g, strategy)
         assert "rng" not in vars(strategy)
     # A drawing policy draws what an rng seeded at construction would.
-    strategy = random_corruption([2], seed=9)
+    strategy = RandomCorruption([2], seed=9)
     assert "rng" not in vars(strategy)
     strategy.bind(ctx, a_mat, build_encoding_matrix(ctx, a_mat, [1] * 6))
     expected = random.Random("9:adversary")
@@ -84,7 +83,7 @@ def test_empty_controlled_set_behaves_honestly():
     ctx = build_code_context(4, 1, 1, 101)
     a_mat = make_cyclic(4, 4, 2)
     g = make_gradients(ctx, 4, 1, seed=1)
-    res = run_protocol(ctx, a_mat, g, random_corruption([], seed=1))
+    res = run_protocol(ctx, a_mat, g, RandomCorruption([], seed=1))
     assert res.eliminated == ()
     assert res.transcript.comm_overhead == 0
 
@@ -94,7 +93,7 @@ def test_persistent_corruption_identified_within_budget():
         ctx = build_code_context(6, 2, 1, 101)
         a_mat = make_cyclic(6, 6, 3)
         g = make_gradients(ctx, 6, 1, seed=seed)
-        strat = random_corruption([0, 3], seed=seed, persistence="always")
+        strat = RandomCorruption([0, 3], seed=seed, persistence="always")
         res = run_protocol(ctx, a_mat, g, strat)
         assert res.gradient == full_sum(ctx, g)
         assert res.transcript.rounds <= ctx.s - (ctx.u - 1)
@@ -103,7 +102,7 @@ def test_persistent_corruption_identified_within_budget():
 
 def test_bad_persistence_rejected():
     with pytest.raises(InvalidParamsError):
-        random_corruption([0], seed=0, persistence="sometimes")
+        RandomCorruption([0], seed=0, persistence="sometimes")
 
 
 def test_initial_only_corruption_pinned_by_commitments():
@@ -114,7 +113,7 @@ def test_initial_only_corruption_pinned_by_commitments():
         ctx = build_code_context(4, 1, 1, 101)
         a_mat = make_cyclic(4, 6, 2)
         g = make_gradients(ctx, 6, 1, seed=seed)
-        strat = random_corruption([0], seed=seed, persistence="initial_only")
+        strat = RandomCorruption([0], seed=seed, persistence="initial_only")
         res = run_protocol(ctx, a_mat, g, strat)
         assert res.gradient == full_sum(ctx, g)
         assert set(res.eliminated) <= {0}
@@ -257,7 +256,7 @@ def test_symmetrization_closed_form_matches_the_solved_attack():
             for s in range(n):
                 for u in range(1, min(s + 1, n - s) + 1):
                     ctx = build_code_context(n, s, u, q)
-                    strat = symmetrization()
+                    strat = SymmetrizationStrategy()
                     if s == 0:
                         g = make_gradients(ctx, n, 1, seed=n)
                         res = run_protocol(ctx, make_cyclic(n, n, 1), g, strat)
@@ -292,7 +291,7 @@ def test_symmetrization_bind_rejects_an_attackable_full_grouping(monkeypatch):
     # The last group reads the first one's vector, so b_last . e = 1.
     _patched_vectors(monkeypatch, {groups[-1]: combining_vector(ctx, groups[0])})
     with pytest.raises(ProtocolInvariantViolation, match="full grouping admits"):
-        symmetrization().bind(ctx, None, None)
+        SymmetrizationStrategy().bind(ctx, None, None)
 
 
 def test_symmetrization_bind_rejects_a_group_with_two_support_workers(monkeypatch):
@@ -301,7 +300,7 @@ def test_symmetrization_bind_rejects_a_group_with_two_support_workers(monkeypatc
     # An all-one vector reaches both satellites: the system is no longer diagonal.
     _patched_vectors(monkeypatch, {groups[1]: [1] * ctx.n})
     with pytest.raises(ProtocolInvariantViolation, match="attack against one fewer group"):
-        symmetrization().bind(ctx, None, None)
+        SymmetrizationStrategy().bind(ctx, None, None)
 
 
 def test_symmetrization_strategy_never_corrupts_output():
@@ -310,7 +309,7 @@ def test_symmetrization_strategy_never_corrupts_output():
         a_mat = make_cyclic(n, p, s + u)
         for seed in range(5):
             g = make_gradients(ctx, p, 1, seed=seed)
-            strat = symmetrization(seed=seed)
+            strat = SymmetrizationStrategy(seed=seed)
             res = run_protocol(ctx, a_mat, g, strat)
             assert res.gradient == full_sum(ctx, g)
             assert set(res.eliminated) <= set(strat.controlled)
@@ -320,7 +319,7 @@ def test_symmetrization_hides_from_targeted_groups_round_one():
     ctx = build_code_context(5, 2, 1, 101)
     a_mat = make_cyclic(5, 6, 3)
     g = make_gradients(ctx, 6, 1, seed=7)
-    strat = symmetrization(seed=7)
+    strat = SymmetrizationStrategy(seed=7)
     res = run_protocol(ctx, a_mat, g, strat)
     decode = next(ev for ev in res.transcript.events if ev["event"] == "decode")
     values = decode["values"]

@@ -539,13 +539,13 @@ def test_response_matrix_lanes_at_the_carry_boundary():
             ctx = build_code_context(n, 1, 1, q)
             # Distinct rows, each q-1 everywhere but in the last worker.
             w = tuple((q - 1,) * (n - 1) + (c + 1,) for c in range(classes))
-            enc = EncodingMatrix((1,) * classes, w)
+            enc = EncodingMatrix((1,) * classes, w, q)
             assert len(enc.row_classes) == classes
             for g in ([[q - 1] * classes], [[-1] * classes, [2 * q - 1] * classes]):
                 z = response_matrix(ctx, g, enc)
                 assert z == dense_response_matrix(ctx, g, enc)
                 assert z[0][0] == classes * (q - 1) ** 2 % q
-            width = enc.sample_lanes(q)[0]
+            width = enc.sample_lanes[0]
             assert width == lane_bytes(q, len(enc.w))  # one sample per class here
             assert classes * (q - 1) ** 2 >= 1 << 8 * (width - 1)  # one byte less carries
 
@@ -587,11 +587,10 @@ def test_row_classes_are_immutable_and_leave_the_fields_alone():
         assert type(part) is tuple
     with pytest.raises(TypeError):
         samples[0][0] = 5
-    width, packed = enc.sample_lanes(101)
-    assert type(packed) is tuple and enc.sample_lanes(101)[1] is packed  # packed once
+    width, packed = enc.sample_lanes
+    assert type(packed) is tuple and enc.sample_lanes[1] is packed  # packed once
     assert width == lane_bytes(101, len(enc.w))
-    assert enc.sample_lanes(2**61 - 1)[0] > width  # another modulus packs afresh
-    assert [f.name for f in dataclasses.fields(enc)] == ["a", "w"]
+    assert [f.name for f in dataclasses.fields(enc)] == ["a", "w", "q"]
     assert enc == twin and hash(enc) == hash(twin)
 
 

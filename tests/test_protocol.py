@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from byzgrad import coding, protocol
-from byzgrad.adversary import AdversaryStrategy, honest, random_corruption, tournament_liar
+from byzgrad.adversary import AdversaryStrategy, RandomCorruption, tournament_liar
 from byzgrad.assignment import (
     assignment_to_text,
     make_cyclic,
@@ -36,8 +36,6 @@ from byzgrad.harness import (
     write_transcript,
 )
 from byzgrad.protocol import (
-    Agreement,
-    Conflict,
     Query,
     SimulatedResponder,
     detect_contradiction,
@@ -177,21 +175,15 @@ def test_form_groups_infeasible():
 
 
 def test_detect_agreement():
-    out = detect_contradiction([[1, 2], [1, 2], [1, 2]])
-    assert isinstance(out, Agreement)
-    assert out.value == (1, 2)
+    assert detect_contradiction([[1, 2], [1, 2], [1, 2]]) is None
 
 
 def test_detect_conflict_lowest_pair():
-    out = detect_contradiction([[1, 2], [1, 2], [9, 2]])
-    assert isinstance(out, Conflict)
-    assert (out.first, out.second) == (0, 2)
-    assert out.coordinate == 0
+    assert detect_contradiction([[1, 2], [1, 2], [9, 2]]) == (2, 0)
 
 
 def test_detect_conflict_first_coordinate():
-    out = detect_contradiction([[1, 2, 3], [1, 5, 9]])
-    assert (out.first, out.second, out.coordinate) == (0, 1, 1)
+    assert detect_contradiction([[1, 2, 3], [1, 5, 9]]) == (1, 1)
 
 
 def test_detect_scan_against_group_zero_matches_pairwise_oracle():
@@ -201,9 +193,15 @@ def test_detect_scan_against_group_zero_matches_pairwise_oracle():
         for m in range(1, 5):
             for responses in product(claims, repeat=m):
                 out = detect_contradiction(responses)
-                assert out == pairwise_contradiction(responses), responses
-                cases[type(out).__name__] += 1
-    assert cases == {"Agreement": 48, "Conflict": 7452}
+                pair = pairwise_contradiction(responses)
+                if pair is None:
+                    assert out is None, responses
+                    cases["agreement"] += 1
+                else:
+                    # All groups share the root, so the lowest pair starts at group 0.
+                    assert pair[0] == 0 and out == pair[1:], responses
+                    cases["conflict"] += 1
+    assert cases == {"agreement": 48, "conflict": 7452}
 
 
 def test_group_response_exact_product():
@@ -275,12 +273,25 @@ def test_simulated_responder_truth_is_sample_column():
 
     ctx = build_code_context(3, 1, 1, 7)
     a_mat = make_cyclic(3, 3, 2)
-    responder = SimulatedResponder([[2, 3, 4], [5, 6, 0]], honest())
+    responder = SimulatedResponder([[2, 3, 4], [5, 6, 0]], AdversaryStrategy())
     responder.bind(ctx, a_mat)
     assert responder.enc == build_encoding_matrix(ctx, a_mat, [1] * 3)
     assert responder.truth(1) == [3, 6]
     assert local_compute(responder, 0) == [2, 5]
     assert local_compute(responder, 2) == [4, 0]
+
+
+def test_an_encoding_over_another_field_is_rejected():
+    # Unchecked, the encoding over F_103 gave the gradient [56] with no error.
+    ctx = build_code_context(5, 1, 2, 101)
+    a_mat = make_cyclic(5, 5, 3)
+    g = [[10, 20, 30, 40, 50]]
+    own = build_encoding_matrix(ctx, a_mat, [1] * 5)
+    assert run_protocol(ctx, a_mat, g, AdversaryStrategy(), enc=own).gradient == [150 % 101]
+    other = build_encoding_matrix(build_code_context(5, 1, 2, 103), a_mat, [1] * 5)
+    assert other.q == 103
+    with pytest.raises(InfeasibleStateError, match="F_103"):
+        run_protocol(ctx, a_mat, g, AdversaryStrategy(), enc=other)
 
 
 def test_unreduced_gradients_give_field_element_local_computations(tmp_path):
@@ -318,10 +329,10 @@ def test_protocol_rejects_gradients_without_coordinates(tmp_path):
     ctx = build_code_context(3, 1, 1, 7)
     a_mat = make_cyclic(3, 3, 2)
     with pytest.raises(ValueError, match="need at least one gradient coordinate"):
-        run_protocol(ctx, a_mat, [], honest())
+        run_protocol(ctx, a_mat, [], AdversaryStrategy())
     # The transcript a 0-row run would have written, derived from a 1-row one.
     meta = {"assignment": assignment_to_text(a_mat, 2)}
-    events = run_protocol(ctx, a_mat, [[2, 3, 4]], honest(), meta=meta).transcript.events
+    events = run_protocol(ctx, a_mat, [[2, 3, 4]], AdversaryStrategy(), meta=meta).transcript.events
     assert [ev["event"] for ev in events] == [
         "start", "query", "response_set", "decode", "agreement", "final",
     ]
@@ -364,7 +375,7 @@ def test_prefix_match_answers_equal_strided_slice():
         n = 4 if p > 1 else 2  # one sample keeps at most s+u workers busy
         ctx = build_code_context(n, s, u, DEFAULT_MODULUS)
         g = make_gradients(ctx, p, 3, seed=p)
-        responder = SimulatedResponder(g, honest())
+        responder = SimulatedResponder(g, AdversaryStrategy())
         for kind, build in builders.items():
             if not assignment_feasible(kind, n, p, s + u)[0]:
                 continue
@@ -386,7 +397,7 @@ def test_prefix_match_answers_cover_moduli_and_unreduced_gradients(q):
     for p in (5, 8, 13, 33):
         g = [[rng.randrange(-2 * q, 3 * q) for _ in range(p)] for _ in range(3)]
         g[0][:2] = [-1, q]
-        responder = SimulatedResponder(g, honest())
+        responder = SimulatedResponder(g, AdversaryStrategy())
         for build in (make_cyclic, make_fractional):
             a_mat = build(n, p, s + u)
             enc = build_encoding_matrix(ctx, a_mat, [1] * p)
@@ -402,12 +413,12 @@ def test_prefix_match_answers_fill_the_lane_at_every_q_minus_one(q):
     n = 4
     ctx = build_code_context(n, 1, 1, q)
     for p in (7, 8, 255, 256, 257, 300):
-        enc = EncodingMatrix((1,) * p, ((q - 1,) * n,) * p)
-        width, _ = enc.sample_lanes(q)
+        enc = EncodingMatrix((1,) * p, ((q - 1,) * n,) * p, q)
+        width, _ = enc.sample_lanes
         if width > 1:
             assert p * (q - 1) ** 2 >= 1 << 8 * (width - 1)
         g = [[q - 1] * p, [-1] * p, [2 * q - 1] * p]
-        responder = SimulatedResponder(g, honest(), enc)
+        responder = SimulatedResponder(g, AdversaryStrategy(), enc)
         responder.bind(ctx, make_cyclic(n, p, 2))
         assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
 
@@ -489,7 +500,7 @@ def test_honest_run_costs_nothing():
     ctx = build_code_context(5, 2, 1, 101)
     a_mat = make_cyclic(5, 6, 3)
     g = make_gradients(ctx, 6, 2, seed=0)
-    res = run_protocol(ctx, a_mat, g, honest())
+    res = run_protocol(ctx, a_mat, g, AdversaryStrategy())
     assert res.outcome == "agreement"
     assert res.gradient == full_sum(ctx, g)
     assert res.eliminated == ()
@@ -503,7 +514,7 @@ def test_full_redundancy_skips_interaction():
     ctx = build_code_context(6, 2, 3, 101)
     a_mat = make_random_regular(6, 4, 5, seed=3)
     g = make_gradients(ctx, 4, 1, seed=3)
-    strat = random_corruption([1, 4], seed=3, persistence="always")
+    strat = RandomCorruption([1, 4], seed=3, persistence="always")
     res = run_protocol(ctx, a_mat, g, strat)
     assert res.outcome == "ecc"
     assert res.gradient == full_sum(ctx, g)
@@ -515,7 +526,7 @@ def test_single_sample_match_needs_no_communication():
     ctx = build_code_context(2, 1, 1, 11)
     a_mat = make_cyclic(2, 1, 2)
     g = [[5]]
-    strat = random_corruption([0], seed=3, persistence="always")
+    strat = RandomCorruption([0], seed=3, persistence="always")
     res = run_protocol(ctx, a_mat, g, strat)
     assert res.gradient == [5]
     assert res.eliminated == (0,)
@@ -553,7 +564,7 @@ def test_soundness_and_progress_many_runs():
         g = make_gradients(ctx, p, rng.choice([1, 2]), seed=trial)
         controlled = rng.sample(range(n), s)
         kind = rng.choice(["always", "initial_only", "per_query_coin"])
-        strat = random_corruption(controlled, seed=trial, persistence=kind)
+        strat = RandomCorruption(controlled, seed=trial, persistence=kind)
         res = run_protocol(ctx, a_mat, g, strat)
         assert res.gradient == full_sum(ctx, g)
         assert set(res.eliminated) <= set(controlled)
@@ -573,7 +584,7 @@ def test_shuffled_grouping_still_sound():
     a_mat = make_cyclic(6, 6, 3)
     for seed in range(20):
         g = make_gradients(ctx, 6, 1, seed=seed)
-        strat = random_corruption([1, 4], seed=seed, persistence="always")
+        strat = RandomCorruption([1, 4], seed=seed, persistence="always")
         res = run_protocol(
             ctx, a_mat, g, strat, grouping_rng=random.Random(seed),
         )
@@ -585,7 +596,7 @@ def test_budget_exceeded_detected():
     ctx = build_code_context(3, 1, 1, 101)
     a_mat = make_cyclic(3, 3, 2)
     g = [[7, 8, 9]]
-    strat = random_corruption([1, 2], seed=0, persistence="always")
+    strat = RandomCorruption([1, 2], seed=0, persistence="always")
     with pytest.raises(AdversaryBudgetExceededError):
         run_protocol(ctx, a_mat, g, strat)
 
