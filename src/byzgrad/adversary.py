@@ -30,7 +30,6 @@ class AdversaryStrategy:
         self.controlled = frozenset(controlled)
         self.seed = seed
         self.ctx: Optional[CodeContext] = None
-        self.enc: Optional[EncodingMatrix] = None
 
     @cached_property
     def rng(self) -> random.Random:
@@ -38,9 +37,8 @@ class AdversaryStrategy:
         return random.Random(f"{self.seed}:adversary")
 
     def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix, enc: EncodingMatrix) -> None:
-        """Called once before the initial responses; the code is public."""
+        """Called once before the initial responses; the code and W are public."""
         self.ctx = ctx
-        self.enc = enc
 
     def initial_response(self, j: int, honest: Sequence[int]) -> list[int]:
         return list(honest)
@@ -133,26 +131,27 @@ class TournamentLiar(AdversaryStrategy):
         super().__init__(controlled, seed)
         self._offsets: dict[int, list[int]] = {}
         self._targets: dict[int, int] = {}
+        self._coefficients: dict[int, int] = {}  # worker j's W entry at its target
 
     def bind(self, ctx, a_mat, enc):
         super().bind(ctx, a_mat, enc)
         depth = leaf_depths(a_mat.p)
         for j in sorted(self.controlled):
-            self._targets[j] = max(a_mat.samples_of(j), key=depth.__getitem__)
+            target = self._targets[j] = max(a_mat.samples_of(j), key=depth.__getitem__)
+            self._coefficients[j] = enc.w[target][j]
 
     def initial_response(self, j, honest):
         # Offsets are drawn lazily once the gradient dimension is known.
         if j not in self._offsets:
             self._offsets[j] = self._nonzero_vector(len(honest))
         q = self.ctx.q
-        wij = self.enc.w[self._targets[j]][j]
+        wij = self._coefficients[j]
         return [(h + wij * e) % q for h, e in zip(honest, self._offsets[j])]
 
     def match_response(self, j, query, honest):
-        target = self._targets[j]
         lo, hi = query.mask
-        if lo <= target < hi:
-            wij = self.enc.w[target][j]
+        if lo <= self._targets[j] < hi:
+            wij = self._coefficients[j]
             return (honest + wij * self._offsets[j][query.coordinate]) % self.ctx.q
         return honest
 

@@ -126,15 +126,16 @@ def make_random_regular(n: int, p: int, rho: int, seed: int) -> AssignmentMatrix
     return _finish(n, p, rho, bits, "random-regular")
 
 
+# Maps the characters "0" and "1" to the bytes 0 and 1 and back, so a row is one C-level pass.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def assignment_to_text(a: AssignmentMatrix, rho: int) -> str:
     """Plain-text form: header "n p rho", then n rows of p '0'/'1' characters."""
     lines = [f"{a.n} {a.p} {rho}"]
-    lines.extend("".join(map(str, row)) for row in a.bits)
+    lines.extend(bytes(row).translate(_TEXT).decode() for row in a.bits)
     return "\n".join(lines) + "\n"
-
-
-# Maps the characters "0" and "1" to the bytes 0 and 1, so a row is one C-level pass.
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def assignment_from_text(text: str) -> tuple[AssignmentMatrix, int]:

@@ -33,12 +33,7 @@ from .assignment import (
     make_random_regular,
     validate_regular,
 )
-from .coding import (
-    CodeContext,
-    EncodingMatrix,
-    build_code_context,
-    build_encoding_matrix,
-)
+from .coding import CodeContext, build_code_context
 from .errors import (
     AdversaryBudgetExceededError,
     InfeasibleStateError,
@@ -50,7 +45,7 @@ from .field import DEFAULT_MODULUS, draw_below, is_prime
 from .protocol import ProtocolResult, ProtocolRun, run_protocol
 
 # Not used here: perfbench/tracing.py wraps these at their harness names.
-from .coding import combining_vector, ecc_decode  # noqa: F401
+from .coding import build_encoding_matrix, combining_vector, ecc_decode  # noqa: F401
 from .protocol import detect_contradiction, group_response  # noqa: F401
 
 METRICS_HEADER = "n,s,u,p,d,q,assignment,adversary,seed,correct,c,C_oh,rounds,downlink_bits,eliminated"
@@ -228,12 +223,11 @@ def make_adversary(config: SimulationConfig):
 @lru_cache(maxsize=256)
 def _cached_instance(
     n: int, s: int, u: int, q: int, p: int, kind: str, seed: int
-) -> tuple[CodeContext, AssignmentMatrix, EncodingMatrix, str]:
-    """Code, assignment, all-one encoding and the assignment's text."""
+) -> tuple[CodeContext, AssignmentMatrix, str]:
+    """Code, assignment and the assignment's text."""
     ctx = build_code_context(n, s, u, q)
     a_mat = _make_assignment(kind, n, p, s + u, seed)
-    enc = build_encoding_matrix(ctx, a_mat, [1] * p)
-    return ctx, a_mat, enc, assignment_to_text(a_mat, s + u)
+    return ctx, a_mat, assignment_to_text(a_mat, s + u)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +285,13 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
     if config.assignment == "file":
         ctx = build_code_context(config.n, config.s, config.u, config.q)
         a_mat = build_assignment(config)
-        enc = build_encoding_matrix(ctx, a_mat, [1] * config.p)
         text = assignment_to_text(a_mat, config.rho)
     else:
         ok, reason = assignment_feasible(config.assignment, config.n, config.p, config.rho)
         if not ok:
             raise InvalidParamsError(reason)
         aseed = config.seed if config.assignment == "random" else 0
-        ctx, a_mat, enc, text = _cached_instance(
+        ctx, a_mat, text = _cached_instance(
             config.n, config.s, config.u, config.q, config.p, config.assignment, aseed
         )
     grad_rng = random.Random(f"{config.seed}:gradients")
@@ -313,15 +306,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         "adversary": config.adversary,
         "seed": config.seed,
     }
-    result = run_protocol(
-        ctx,
-        a_mat,
-        gradients,
-        strategy,
-        grouping_rng=grouping_rng,
-        meta=meta,
-        enc=enc,
-    )
+    result = run_protocol(ctx, a_mat, gradients, strategy, grouping_rng=grouping_rng, meta=meta)
     truth = [sum(row) % config.q for row in gradients]
     tr = result.transcript
     metrics = RunMetrics(

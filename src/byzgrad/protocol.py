@@ -189,6 +189,12 @@ class ProtocolResult:
 # Worker answers
 
 
+@lru_cache(maxsize=256)
+def _all_one_encoding(ctx: CodeContext, a_mat: AssignmentMatrix) -> EncodingMatrix:
+    """W of the code and assignment: fixed by both, so equal pairs share one build."""
+    return build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
+
+
 class SimulatedResponder:
     """Worker answers of a simulated run: honest values through the adversary.
 
@@ -203,30 +209,21 @@ class SimulatedResponder:
     subtraction and a lane read per worker. bind() starts a run and drops the previous run's
     prefixes: they hold at most d·(p+1) packed ints, in practice only
     those of the disputed coordinates.
-    The workers' encoding W is the responder's alone: the one given, which
-    must be over the code's field, or else the all-one encoding that each
-    bind() builds for its assignment.
+    The workers' encoding W is the responder's alone: the all-one encoding
+    of the code and assignment it is bound to, built once per pair.
     """
 
-    def __init__(
-        self, gradients: Sequence[Sequence[int]], adversary, enc: Optional[EncodingMatrix] = None
-    ):
+    def __init__(self, gradients: Sequence[Sequence[int]], adversary):
         self.gradients = gradients
         self.adversary = adversary
         self.d = len(gradients)
-        self._given_enc = enc
 
     def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix) -> None:
         if any(len(row) != a_mat.p for row in self.gradients):
             raise InfeasibleStateError("assignment and gradients disagree on shape")
-        enc = self._given_enc
-        if enc is None:
-            enc = build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
-        elif enc.q != ctx.q:
-            raise InfeasibleStateError(f"encoding is over F_{enc.q}, the code over F_{ctx.q}")
-        self.ctx, self.q, self.enc = ctx, ctx.q, enc
+        self.ctx, self.q, self.enc = ctx, ctx.q, _all_one_encoding(ctx, a_mat)
         self._prefix: dict[int, list[int]] = {}
-        self.adversary.bind(ctx, a_mat, enc)
+        self.adversary.bind(ctx, a_mat, self.enc)
 
     def initial(self) -> list[list[int]]:
         """Every worker's coded d-vector, as one list per worker."""
@@ -520,11 +517,10 @@ def run_protocol(
     *,
     grouping_rng: Optional[random.Random] = None,
     meta: Optional[dict] = None,
-    enc: Optional[EncodingMatrix] = None,
 ) -> ProtocolResult:
     """Run one full protocol instance and return gradient plus transcript."""
     run = ProtocolRun(
-        ctx, a_mat, SimulatedResponder(gradients, adversary, enc),
+        ctx, a_mat, SimulatedResponder(gradients, adversary),
         grouping_rng=grouping_rng, meta=meta,
     )
     return run.run()

@@ -162,6 +162,33 @@ def test_assignment_file_kind(tmp_path):
     assert out.metrics.correct
 
 
+def test_an_instance_builds_its_encoding_once(tmp_path, monkeypatch):
+    # W is fixed by the code and the assignment, so runs of one instance,
+    # read from a file or generated, share one build.
+    from byzgrad.assignment import assignment_to_text, make_cyclic
+
+    builds = []
+    build = coding.build_encoding_matrix
+
+    def counted(*args):
+        builds.append(1)
+        return build(*args)
+
+    for module in (coding, protocol, harness):
+        monkeypatch.setattr(module, "build_encoding_matrix", counted)
+    protocol._all_one_encoding.cache_clear()
+    path = tmp_path / "a.txt"
+    path.write_text(assignment_to_text(make_cyclic(5, 6, 3), 3))
+    file_config = cfg(assignment="file", assignment_path=str(path), adversary="tournament-liar")
+    for seed in range(5):
+        assert run_simulation(dataclasses.replace(file_config, seed=seed)).metrics.correct
+    assert len(builds) == 1
+    builds.clear()
+    for seed in range(2):
+        assert run_simulation(cfg(n=6, adversary="tournament-liar", seed=seed)).metrics.correct
+    assert len(builds) == 1
+
+
 def test_grid_skips_infeasible_rows():
     items = list(
         grid_configs(

@@ -36,6 +36,7 @@ from byzgrad.harness import (
     write_transcript,
 )
 from byzgrad.protocol import (
+    ProtocolRun,
     Query,
     SimulatedResponder,
     detect_contradiction,
@@ -281,17 +282,28 @@ def test_simulated_responder_truth_is_sample_column():
     assert local_compute(responder, 2) == [4, 0]
 
 
-def test_an_encoding_over_another_field_is_rejected():
-    # Unchecked, the encoding over F_103 gave the gradient [56] with no error.
-    ctx = build_code_context(5, 1, 2, 101)
-    a_mat = make_cyclic(5, 5, 3)
-    g = [[10, 20, 30, 40, 50]]
-    own = build_encoding_matrix(ctx, a_mat, [1] * 5)
-    assert run_protocol(ctx, a_mat, g, AdversaryStrategy(), enc=own).gradient == [150 % 101]
-    other = build_encoding_matrix(build_code_context(5, 1, 2, 103), a_mat, [1] * 5)
-    assert other.q == 103
-    with pytest.raises(InfeasibleStateError, match="F_103"):
-        run_protocol(ctx, a_mat, g, AdversaryStrategy(), enc=other)
+def test_each_bind_reads_the_encoding_of_its_own_code_and_assignment():
+    # Two assignments of one shape, and two codes that differ only in the
+    # order of their points, take turns: a W cached under a coarser key
+    # than the whole code and assignment answers for the wrong pair, and
+    # the leaf check then eliminates honest workers.
+    ctx = build_code_context(6, 2, 1, 101)
+    permuted = build_code_context(6, 2, 1, 101, eval_points=ctx.eval_points[::-1])
+    assert permuted != ctx
+    instances = [
+        (code, a_mat)
+        for code in (ctx, permuted)
+        for a_mat in (make_cyclic(6, 6, 3), make_random_regular(6, 6, 3, 4))
+    ]
+    assert instances[0][1] != instances[1][1]
+    g = [[1, 2, 3, 4, 5, 6]]
+    for seed in range(5):
+        for code, a_mat in instances:
+            responder = SimulatedResponder(g, tournament_liar([0, 3], seed=seed))
+            res = ProtocolRun(code, a_mat, responder).run()
+            assert responder.enc == build_encoding_matrix(code, a_mat, [1] * 6)
+            assert res.gradient == full_sum(code, g)
+            assert set(res.eliminated) <= {0, 3}
 
 
 def test_unreduced_gradients_give_field_element_local_computations(tmp_path):
@@ -406,10 +418,11 @@ def test_prefix_match_answers_cover_moduli_and_unreduced_gradients(q):
 
 
 @pytest.mark.parametrize("q", [7, 2**61 - 1, 2**64 + 13], ids=["7", "2^61-1", "2^64+13"])
-def test_prefix_match_answers_fill_the_lane_at_every_q_minus_one(q):
+def test_prefix_match_answers_fill_the_lane_at_every_q_minus_one(q, monkeypatch):
     # Every entry of W and of the gradient is q-1 (as q-1, -1 and 2q-1), so
     # the root query sums p·(q-1)² in every lane: the most a lane of
     # lane_bytes(q, p) bytes must hold, and more than a byte narrower holds.
+    # The hand-made W takes the place of the responder's own.
     n = 4
     ctx = build_code_context(n, 1, 1, q)
     for p in (7, 8, 255, 256, 257, 300):
@@ -418,8 +431,10 @@ def test_prefix_match_answers_fill_the_lane_at_every_q_minus_one(q):
         if width > 1:
             assert p * (q - 1) ** 2 >= 1 << 8 * (width - 1)
         g = [[q - 1] * p, [-1] * p, [2 * q - 1] * p]
-        responder = SimulatedResponder(g, AdversaryStrategy(), enc)
+        monkeypatch.setattr(protocol, "_all_one_encoding", lambda ctx, a_mat: enc)
+        responder = SimulatedResponder(g, AdversaryStrategy())
         responder.bind(ctx, make_cyclic(n, p, 2))
+        assert responder.enc is enc
         assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
 
 
@@ -682,12 +697,14 @@ def test_a_run_packs_each_class_of_w_once(monkeypatch):
         calls.append(1)
         return pack(*args)
 
+    # A W cached by an earlier test would come packed already.
+    protocol._all_one_encoding.cache_clear()
     monkeypatch.setattr(coding, "pack", counted)
     ctx = build_code_context(8, 2, 1, 101)
     a_mat = make_cyclic(8, 16, 3)
     enc = build_encoding_matrix(ctx, a_mat, [1] * 16)
     g = make_gradients(ctx, 16, 3, seed=4)
-    res = run_protocol(ctx, a_mat, g, tournament_liar([0, 5], "consistent", seed=4), enc=enc)
+    res = run_protocol(ctx, a_mat, g, tournament_liar([0, 5], "consistent", seed=4))
     assert res.gradient == full_sum(ctx, g) and res.eliminated == (0, 5)
     assert any(ev["event"] == "match_level" for ev in res.transcript.events)
     assert len(calls) == len(enc.row_classes) == 8
