@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import GenerationFailedError, InvalidParamsError
 
@@ -20,8 +21,16 @@ class AssignmentMatrix:
     p: int
     bits: tuple[tuple[int, ...], ...]  # bits[j][i] == 1 iff sample i is on worker j
 
+    def __hash__(self) -> int:
+        # Tuples do not cache their hash, and every simulated run looks its
+        # assignment up in the encoding cache: hash the n x p bits once.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.n, self.p, self.bits))
+        return h
+
     def samples_of(self, j: int) -> list[int]:
-        return [i for i in range(self.p) if self.bits[j][i]]
+        return list(compress(range(self.p), self.bits[j]))
 
 
 def validate_regular(a: AssignmentMatrix, rho: int) -> bool:

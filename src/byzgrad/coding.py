@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -152,8 +153,20 @@ def lane_bytes(q: int, terms: int) -> int:
     return max(1, ((q - 1) ** 2 * terms).bit_length() + 7 >> 3)
 
 
-def pack(values: Iterable[int], width: int) -> int:
-    """Elements of [0, q) side by side in lanes of width bytes, the first on top."""
+# Lane counts from which pack and unpack go through bytes, in time linear in
+# the count; below them the shift loops, quadratic in it, are the faster.
+_PACK_BYTES_FROM = 64
+_UNPACK_BYTES_FROM = 128
+
+
+def pack(values: Sequence[int], width: int) -> int:
+    """Elements of [0, q) side by side in lanes of width bytes, the first on top.
+
+    From _PACK_BYTES_FROM values on the lanes are joined as bytes, and a
+    value that is negative or wider than a lane raises OverflowError.
+    """
+    if len(values) >= _PACK_BYTES_FROM:
+        return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width), repeat("big"))), "big")
     shift, acc = 8 * width, 0
     for v in values:
         acc = acc << shift | v
@@ -161,13 +174,26 @@ def pack(values: Iterable[int], width: int) -> int:
 
 
 def unpack(x: int, width: int, count: int, q: int) -> list[int]:
-    """The count lanes of x, width bytes each, top lane first, each reduced mod q."""
+    """The count lanes of x, width bytes each, top lane first, each reduced mod q.
+
+    From _UNPACK_BYTES_FROM lanes on they are read from x's bytes, and an x
+    that is negative or wider than count lanes raises OverflowError.
+    """
+    if count >= _UNPACK_BYTES_FROM:
+        return _unpack_bytes(x, width, count, q)
     shift = 8 * width
     mask = (1 << shift) - 1
     out = []  # a loop, not a comprehension: cheaper for the few lanes of a small run
     for k in range(shift * (count - 1), -1, -shift):
         out.append((x >> k & mask) % q)
     return out
+
+
+def _unpack_bytes(x: int, width: int, count: int, q: int) -> list[int]:
+    # Apart from unpack: a comprehension there would make q a cell variable,
+    # which slows the shift loop that every run uses.
+    view, from_bytes = memoryview(x.to_bytes(width * count, "big")), int.from_bytes
+    return [from_bytes(view[k : k + width], "big") % q for k in range(0, width * count, width)]
 
 
 def sample_row(ctx: CodeContext, column: Sequence[int]) -> tuple[int, ...]:

@@ -9,6 +9,8 @@ modulus they hold, never floating point.
 from __future__ import annotations
 
 import random
+import struct
+import sys
 from functools import lru_cache
 
 from .errors import InvalidParamsError
@@ -53,15 +55,44 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Below this many draws the per-call loop is the faster one.
+_BULK_DRAWS = 64
+# A bulk draw reads its 32-bit words through a memoryview in native order.
+_WORDS_READ_NATIVELY = sys.byteorder == "little" and struct.calcsize("I") == 4
+_REJECTED = b"\xff" * 4
+
+
 def draw_below(rng: random.Random, q: int, count: int) -> list[int]:
     """count draws of rng.randrange(q), the same values from the same rng state.
 
-    randrange(q) takes getrandbits(q.bit_length()) until the draw is below q;
-    this is that loop without randrange's per-call argument handling.
+    randrange(q) takes getrandbits(k), k = q.bit_length(), until the draw
+    is below q. For k <= 32 each getrandbits(k) is the top k bits of one
+    32-bit Mersenne Twister word, and getrandbits(32 * m) packs the next m
+    words, the first lowest. So for k <= 31 and at least _BULK_DRAWS draws,
+    one call draws a batch of words: a shift and a per-word mask leave each
+    word's top k bits in its lane, and adding 2**k - q to every lane carries
+    into bit k exactly in the lanes at or above q. Those lanes are set to
+    all ones and cut out of the batch's bytes: a kept lane is below 2**31,
+    so its top byte is not 0xff, and every run of four 0xff bytes found
+    starts a lane. The next batch draws as many words as are still missing,
+    and the loop below draws the last ones once fewer than _BULK_DRAWS are.
+    So the words consumed are the loop's, no more, in the same order.
     """
     k = q.bit_length()
+    out: list[int] = []
+    if count >= _BULK_DRAWS and k <= 31 and _WORDS_READ_NATIVELY:
+        drop, excess = 32 - k, (1 << k) - q
+        while count >= _BULK_DRAWS:
+            ones = int.from_bytes(b"\x01\x00\x00\x00" * count, "little")  # 1 in every lane
+            words = rng.getrandbits(32 * count) >> drop & (ones << k) - ones
+            rejected = (words + excess * ones) >> k & ones
+            if rejected:
+                words |= rejected * 0xFFFFFFFF
+            raw = words.to_bytes(4 * count, "little").replace(_REJECTED, b"")
+            kept = memoryview(raw).cast("I").tolist()
+            out += kept
+            count -= len(kept)
     getrandbits = rng.getrandbits
-    out = []
     for _ in range(count):
         v = getrandbits(k)
         while v >= q:

@@ -295,7 +295,9 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
             config.n, config.s, config.u, config.q, config.p, config.assignment, aseed
         )
     grad_rng = random.Random(f"{config.seed}:gradients")
-    gradients = [draw_below(grad_rng, config.q, config.p) for _ in range(config.d)]
+    # One draw of all d·p values, row after row, equals d draws of a row each.
+    flat = draw_below(grad_rng, config.q, config.d * config.p)
+    gradients = [flat[i : i + config.p] for i in range(0, len(flat), config.p)]
     strategy = make_adversary(config)
     grouping_rng = (
         random.Random(f"{config.seed}:grouping") if config.grouping == "shuffled" else None

@@ -206,11 +206,15 @@ class SimulatedResponder:
     samples i < k, so lane j of P[hi] - P[lo] is worker j's answer before
     its reduction mod q. No lane ever decreases as k grows, so the
     difference borrows nothing, and every later level and round costs one
-    subtraction and a lane read per worker. bind() starts a run and drops the previous run's
-    prefixes: they hold at most d·(p+1) packed ints, in practice only
-    those of the disputed coordinates.
-    The workers' encoding W is the responder's alone: the all-one encoding
-    of the code and assignment it is bound to, built once per pair.
+    subtraction and, in one loop over the competing workers, a lane read
+    per worker, with the adversary's answer in place of a controlled
+    worker's. Each worker's lane shift is computed with the run's first
+    prefix, so a run that never plays a match computes none. bind()
+    starts a run and drops the previous run's prefixes: they hold at most
+    d·(p+1) packed ints, in practice only those of the disputed
+    coordinates. The workers' encoding W is the responder's alone: the
+    all-one encoding of the code and assignment it is bound to, built once
+    per pair.
     """
 
     def __init__(self, gradients: Sequence[Sequence[int]], adversary):
@@ -249,24 +253,35 @@ class SimulatedResponder:
         adversary, q = self.adversary, self.q
         lo, hi = query.mask
         c = query.coordinate
-        width, rows = self.enc.sample_lanes
         sums = self._prefix.get(c)
         if sums is None:
+            width, rows = self.enc.sample_lanes
+            if not self._prefix:
+                # Worker j's lane sits shift * (n-1-j) bits up.
+                shift = 8 * width
+                self._lanes = (1 << shift) - 1, list(range(shift * (self.ctx.n - 1), -1, -shift))
             grow = [g % q for g in self.gradients[c]]
             sums = self._prefix[c] = [0, *accumulate(map(mul, grow, rows))]
-        diff, shift = sums[hi] - sums[lo], 8 * width
-        mask, top = (1 << shift) - 1, self.ctx.n - 1
+        mask, shifts = self._lanes
+        diff = sums[hi] - sums[lo]
+        controlled = adversary.controlled
         out = []
         for j in workers:
-            honest = (diff >> shift * (top - j) & mask) % q
-            if j in adversary.controlled:
-                honest = adversary.match_response(j, query, honest) % q
-            out.append(honest)
+            v = (diff >> shifts[j] & mask) % q
+            if j in controlled:
+                v = adversary.match_response(j, query, v) % q
+            out.append(v)
         return out
 
     def truth(self, i: int) -> list[int]:
         q = self.q
         return [row[i] % q for row in self.gradients]
+
+
+@lru_cache(maxsize=1024)
+def _leaf_row(ctx: CodeContext, column: tuple[int, ...]) -> tuple[int, ...]:
+    """sample_row of a leaf's assignment column, computed once per code and column."""
+    return sample_row(ctx, column)
 
 
 def local_compute(responder, i: int) -> list[int]:
@@ -287,8 +302,8 @@ class ProtocolRun:
     replayed. Groups come from the lowest-index active workers, or from
     grouping_rng's shuffle when given. The main node holds no encoding
     matrix: its one use of W, the leaf check, reads the leaf's row from
-    the closed form (coding.sample_row), so the assignment must be regular
-    with replication s+u.
+    the closed form (coding.sample_row, cached per code and column), so
+    the assignment must be regular with replication s+u.
     """
 
     def __init__(
@@ -331,13 +346,17 @@ class ProtocolRun:
         return cols
 
     def _query_match(
-        self, t: int, level: int, lo: int, hi: int, coord: int, workers: Sequence[int]
+        self, t: int, level: int, lo: int, hi: int, coord: int,
+        workers: Sequence[int], ids: list[int],
     ) -> list[int]:
-        """One tournament query: each competing worker sends one field symbol, in order."""
+        """One tournament query: each competing worker sends one field symbol, in order.
+
+        ids are the workers' 1-based ids, which the transcript records.
+        """
         out = self.responder.match(Query(level, (lo, hi), coord), workers)
         self.transcript.comm_overhead += len(workers)
         self.transcript.downlink_bits += 1
-        ids = [j + 1 for j in workers]
+        ids = ids[:]  # a copy per level, so no two levels' events share a list
         self.transcript.add(
             "query", t=t, kind="match", level=level,
             mask=[lo + 1, hi], coordinate=coord + 1, workers=ids,
@@ -375,6 +394,7 @@ class ProtocolRun:
         q = self.ctx.q
         k, coord = conflict
         union = sorted(set(groups[0]) | set(groups[k]))
+        ids = [j + 1 for j in union]
         b1 = [vectors[0][j] for j in union]
         b2 = [vectors[k][j] for j in union]
         # Per-worker commitments for the current interval, seeded by the initial
@@ -389,7 +409,7 @@ class ProtocolRun:
         while hi - lo > 1:
             levels += 1
             mid = split(lo, hi)
-            resp = self._query_match(t, levels, lo, mid, coord, union)
+            resp = self._query_match(t, levels, lo, mid, coord, union, ids)
             lc1 = sum(map(mul, resp, b1)) % q
             lc2 = sum(map(mul, resp, b2)) % q
             rc1 = (label1 - lc1) % q
@@ -421,8 +441,8 @@ class ProtocolRun:
         self.transcript.local_computations += 1
         self.transcript.add("local_compute", t=t, sample=leaf + 1, value=truth_vec)
         truth = truth_vec[coord]
-        column = [row[leaf] for row in self.a_mat.bits]
-        w_leaf = sample_row(self.ctx, column)
+        column = tuple([row[leaf] for row in self.a_mat.bits])
+        w_leaf = _leaf_row(self.ctx, column)
         malicious = []
         for j, committed in zip(union, commit):
             wij = w_leaf[j]
@@ -436,7 +456,7 @@ class ProtocolRun:
             raise ProtocolInvariantViolation("match reached a leaf but found no liar")
         self.transcript.add(
             "elimination", t=t, leaf=leaf + 1,
-            claims=[[j + 1, committed] for j, committed in zip(union, commit)],
+            claims=[[i, committed] for i, committed in zip(ids, commit)],
             truth_coordinate=truth,
             workers=[j + 1 for j in malicious],
         )

@@ -504,3 +504,39 @@ def pairwise_contradiction(
                 if x != y:
                     return k1, k2, coord
     return None
+
+
+def loop_draw_below(rng, q: int, count: int) -> list[int]:
+    """count draws of rng.randrange(q), one getrandbits(q.bit_length()) call per try.
+
+    The loop byzgrad.field.draw_below runs below its bulk cutover, and in
+    full where it has none.
+    """
+    k = q.bit_length()
+    out = []
+    for _ in range(count):
+        v = rng.getrandbits(k)
+        while v >= q:
+            v = rng.getrandbits(k)
+        out.append(v)
+    return out
+
+
+def loop_pack(values: Iterable[int], width: int) -> int:
+    """Lanes of width bytes, the first value on top, by one shift of the accumulator per value."""
+    shift, acc = 8 * width, 0
+    for v in values:
+        acc = acc << shift | v
+    return acc
+
+
+def loop_unpack(x: int, width: int, count: int, q: int) -> list[int]:
+    """The count lanes of x, top lane first, mod q, by one shift of x per lane."""
+    shift = 8 * width
+    mask = (1 << shift) - 1
+    return [(x >> k & mask) % q for k in range(shift * (count - 1), -1, -shift)]
+
+
+def samples_by_bit_scan(a: AssignmentMatrix, j: int) -> list[int]:
+    """The samples worker j holds, testing every bit of its row."""
+    return [i for i in range(a.p) if a.bits[j][i]]

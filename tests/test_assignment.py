@@ -12,7 +12,13 @@ from byzgrad.assignment import (
     validate_regular,
 )
 from byzgrad.errors import InvalidParamsError
-from oracles import column_sum, row_sum, validate_regular_by_columns, zero_set
+from oracles import (
+    column_sum,
+    row_sum,
+    samples_by_bit_scan,
+    validate_regular_by_columns,
+    zero_set,
+)
 
 
 def test_cyclic_three_workers_two_replicas():
@@ -155,6 +161,15 @@ def test_zero_set_size_is_n_minus_rho():
         rho = 3
         for i in range(a.p):
             assert len(zero_set(a, i)) == a.n - rho
+
+
+def test_samples_of_equals_a_bit_scan():
+    for a in (
+        make_cyclic(5, 7, 3), make_cyclic(24, 256, 7), make_fractional(6, 9, 3),
+        make_random_regular(6, 8, 3, 7), make_random_regular(12, 40, 2, 3),
+    ):
+        for j in range(a.n):
+            assert a.samples_of(j) == samples_by_bit_scan(a, j)
 
 
 def test_text_round_trip_bit_exact():

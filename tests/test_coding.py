@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 
+from byzgrad import coding
 from byzgrad.assignment import (
     AssignmentMatrix,
     assignment_from_text,
@@ -20,6 +21,7 @@ from byzgrad.coding import (
     combining_vector,
     ecc_decode,
     lane_bytes,
+    pack,
     response_matrix,
     restrict_encoding,
     sample_row,
@@ -39,6 +41,8 @@ from oracles import (
     columns,
     dense_response_matrix,
     generator_matrix,
+    loop_pack,
+    loop_unpack,
     mat_mul,
     solve_encoding_matrix,
     vandermonde_inverse_last_column,
@@ -548,6 +552,41 @@ def test_response_matrix_lanes_at_the_carry_boundary():
             width = enc.sample_lanes[0]
             assert width == lane_bytes(q, len(enc.w))  # one sample per class here
             assert classes * (q - 1) ** 2 >= 1 << 8 * (width - 1)  # one byte less carries
+
+
+def test_pack_and_unpack_equal_the_shift_loops_at_both_cutovers():
+    # Lane counts on both sides of both cutovers and far past them, with
+    # random elements and with every lane filled to terms * (q-1)^2, the
+    # most it holds: a lane one byte short would carry into the next.
+    rng = random.Random(3)
+    counts = sorted({1, 4096} | {
+        cut + step for cut in (coding._PACK_BYTES_FROM, coding._UNPACK_BYTES_FROM)
+        for step in (-1, 0, 1)
+    })
+    for q in (2, 7, DEFAULT_MODULUS, 2**61 - 1):
+        for terms in (1, 256):
+            width = lane_bytes(q, terms)
+            for count in counts:
+                row = [rng.randrange(q) for _ in range(count)]
+                x = pack(row, width)
+                assert x == loop_pack(row, width)
+                assert unpack(x, width, count, q) == loop_unpack(x, width, count, q) == row
+                full = terms * (q - 1) * pack([q - 1] * count, width)
+                assert full == terms * (q - 1) * loop_pack([q - 1] * count, width)
+                peak = [terms * (q - 1) ** 2 % q] * count
+                assert unpack(full, width, count, q) == loop_unpack(full, width, count, q) == peak
+
+
+def test_bytes_lanes_reject_what_a_lane_cannot_hold():
+    # From the cutovers on, a negative or over-wide value raises where the
+    # shift loops would spill it into the next lane.
+    count = coding._UNPACK_BYTES_FROM
+    for bad in (-1, 256):
+        with pytest.raises(OverflowError):
+            pack([0] * (count - 1) + [bad], 1)
+    for bad in (-1, 1 << 8 * count):
+        with pytest.raises(OverflowError):
+            unpack(bad, 1, count, 7)
 
 
 def test_response_matrix_rejects_mismatches():

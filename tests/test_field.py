@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
+from byzgrad import field
 from byzgrad.coding import build_code_context
 from byzgrad.errors import InvalidParamsError
-from byzgrad.field import DEFAULT_MODULUS, is_prime
+from byzgrad.field import DEFAULT_MODULUS, draw_below, is_prime
 from byzgrad.harness import SimulationConfig
+
+from oracles import loop_draw_below
 
 # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the bases
 # 2..37; psi_13 is one to 2..41 as well.
@@ -54,3 +59,20 @@ def test_primality_above_the_exact_bound_raises():
     for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
         with pytest.raises(InvalidParamsError, match=f"only below {PSI_13}"):
             is_prime(n)
+
+
+# 2^31-2 is the adversary's q-1, 2^30+1 rejects about half the words, 13
+# about a fifth; 2^32-5 and 2^61-1 are too wide for a bulk draw.
+DRAW_MODULI = (2**31 - 1, 2**31 - 2, 2**30 + 1, 13, 2**32 - 5, 2**61 - 1)
+
+
+@pytest.mark.parametrize("q", DRAW_MODULI, ids=["2^31-1", "2^31-2", "2^30+1", "13", "2^32-5", "2^61-1"])
+def test_bulk_draw_equals_the_per_call_loop(q):
+    # On both sides of the cutover and far above it, one draw after another
+    # from one rng: the same values, and the rng left in the same state.
+    cut = field._BULK_DRAWS
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for count in (cut - 1, cut, cut + 1, 4096, 1):
+            assert draw_below(rng, q, count) == loop_draw_below(ref, q, count)
+            assert rng.getstate() == ref.getstate()

@@ -29,7 +29,7 @@ from byzgrad.harness import (
     write_transcript,
 )
 
-from oracles import column_sum, row_sum
+from oracles import column_sum, dense_response_matrix, loop_draw_below, row_sum, transpose
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -562,6 +562,22 @@ def test_gradient_draw_matches_randrange(q):
             assert strategy._nonzero_vector(d) == want
             assert strategy._nonzero_scalar() == ref.randrange(1, q)
         assert strategy.rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("p,d", [(6, 1), (16, 3), (16, 4), (64, 5), (4, 4096)])
+def test_one_gradient_draw_equals_a_draw_per_row(p, d):
+    # run_simulation draws all d·p values at once, below and above the bulk
+    # cutover: the rows are those of d draws of p values in turn, as the
+    # honest initial responses G @ W and the true gradient show.
+    config = SimulationConfig(n=5, s=2, u=1, p=p, d=d, seed=11)
+    out = run_simulation(config)
+    ref = random.Random(f"{config.seed}:gradients")
+    rows = [loop_draw_below(ref, config.q, p) for _ in range(d)]
+    ctx = coding.build_code_context(5, 2, 1, config.q)
+    enc = coding.build_encoding_matrix(ctx, harness.make_cyclic(5, p, 3), [1] * p)
+    initial = next(ev for ev in out.result.transcript.events if ev["event"] == "response_set")
+    assert initial["values"] == transpose(dense_response_matrix(ctx, rows, enc))
+    assert out.truth == [sum(row) % config.q for row in rows] == out.result.gradient
 
 
 def test_cli_simulate_writes_outputs(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from byzgrad import coding, protocol
 from byzgrad.adversary import AdversaryStrategy, RandomCorruption, tournament_liar
 from byzgrad.assignment import (
+    assignment_from_text,
     assignment_to_text,
     make_cyclic,
     make_fractional,
@@ -19,6 +20,7 @@ from byzgrad.coding import (
     build_code_context,
     build_encoding_matrix,
     combining_vector,
+    sample_row,
 )
 from byzgrad.errors import (
     AdversaryBudgetExceededError,
@@ -227,14 +229,16 @@ def test_group_response_matches_dense_oracle():
             group = rng.sample(range(n), ctx.r + 1)
             for b in (combining_vector(ctx, group), [rng.randrange(q) for _ in range(n)]):
                 assert group_response(ctx, packed, b, d) == dense_group_response(ctx, received, b)
-        # Every symbol and coefficient at q-1 fills each lane to n * (q-1)^2.
+        # Every symbol and coefficient at q-1 fills each lane to n * (q-1)^2,
+        # with d lanes on both sides of the pack and unpack cutovers.
         for n in {2, min(q - 1, 30)}:
             ctx = build_code_context(n, 1, 1, q)
-            received = [[q - 1] * n] * 3
-            packed = pack_responses(ctx, [[q - 1] * 3] * n)
-            claims = group_response(ctx, packed, [q - 1] * n, 3)
-            assert claims == dense_group_response(ctx, received, [q - 1] * n)
-            assert claims == [n * (q - 1) ** 2 % q] * 3
+            for d in (1, 3, 64, 65, 4096):
+                received = [[q - 1] * n] * d
+                packed = pack_responses(ctx, [[q - 1] * d] * n)
+                claims = group_response(ctx, packed, [q - 1] * n, d)
+                assert claims == dense_group_response(ctx, received, [q - 1] * n)
+                assert claims == [n * (q - 1) ** 2 % q] * d
 
 
 def test_group_response_rejects_wrong_lengths():
@@ -397,6 +401,21 @@ def test_prefix_match_answers_equal_strided_slice():
             assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
             checked += 1
     assert checked == 3 * 70 - 1  # all but the cyclic layout at n=4, p=2
+
+
+def test_a_rebound_responder_reads_the_lanes_of_its_new_code():
+    # The lane shifts come with a run's first prefix: bound in turn to codes
+    # of other lane widths and worker counts, one responder reads each new
+    # W's lanes.
+    p = 9
+    g = make_gradients(build_code_context(4, 1, 1, 7), p, 2, seed=1)
+    responder = SimulatedResponder(g, AdversaryStrategy())
+    for n, q in ((4, 7), (6, DEFAULT_MODULUS), (4, 2**61 - 1), (6, 7)):
+        ctx = build_code_context(n, 1, 1, q)
+        a_mat = make_cyclic(n, p, 2)
+        responder.bind(ctx, a_mat)
+        enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+        assert_match_answers_equal_slice(ctx, responder, g, enc, range(2))
 
 
 @pytest.mark.parametrize("q", [7, 2**61 - 1, 2**64 + 13], ids=["7", "2^61-1", "2^64+13"])
@@ -685,6 +704,26 @@ def test_protocol_path_does_no_dense_product(tmp_path, monkeypatch):
     path = tmp_path / "liar.jsonl"
     write_transcript(liar.result, str(path))
     assert replay_transcript(str(path)) == liar.truth
+
+
+def test_an_assignment_and_its_text_round_trip_share_one_encoding():
+    # Built apart, equal assignments are equal, hash equal (each computes
+    # its hash once) and find one entry of the responder's encoding cache.
+    ctx = build_code_context(6, 2, 1, 101)
+    for a in (make_cyclic(6, 9, 3), make_fractional(6, 9, 3), make_random_regular(6, 9, 3, 5)):
+        b, _ = assignment_from_text(assignment_to_text(a, 3))
+        assert b == a and b is not a and hash(b) == hash(a)
+        assert protocol._all_one_encoding(ctx, b) is protocol._all_one_encoding(ctx, a)
+
+
+def test_leaf_row_cache_equals_sample_row():
+    # The main node's leaf rows come from a cache keyed on the code and the
+    # leaf's column; two fields give two rows for one column.
+    for q in (101, DEFAULT_MODULUS):
+        ctx = build_code_context(6, 2, 1, q)
+        for a in (make_cyclic(6, 9, 3), make_fractional(6, 9, 3), make_random_regular(6, 9, 3, 5)):
+            for column in zip(*a.bits):
+                assert protocol._leaf_row(ctx, column) == sample_row(ctx, column)
 
 
 def test_a_run_packs_each_class_of_w_once(monkeypatch):
