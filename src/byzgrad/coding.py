@@ -69,6 +69,16 @@ class CodeContext:
     q: int
     eval_points: tuple[int, ...]
 
+    def __hash__(self) -> int:
+        # Caches keyed on the code look it up on every run: hash the
+        # evaluation points once, as AssignmentMatrix hashes its bits.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.n, self.s, self.u, self.r, self.q, self.eval_points)
+            )
+        return h
+
     @cached_property
     def response_lanes(self) -> int:
         """Lane width for one symbol per worker: a dot product over the n workers cannot carry."""
@@ -499,8 +509,11 @@ def ecc_decode(
     if tau < 0:
         raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
     q = ctx.q
-    xs = tuple(ctx.eval_points[j] for j in avail)
     width, count, columns = _syndrome_table(ctx.eval_points, tuple(avail), q, k)
+    if count == 1:
+        # N = k: no parity checks and tau = 0; the one lane is the gradient.
+        return [sum(map(mul, [row[j] for j in avail], columns)) % q for row in z]
+    xs = tuple(ctx.eval_points[j] for j in avail)
     errors: dict[int, int] = {}  # pooled worker -> its evaluation point
     pooled = [1]  # _pool_locator of the pooled points
     gradient = []

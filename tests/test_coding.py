@@ -76,6 +76,15 @@ def test_context_small():
     assert build_code_context(5, 2, 2, 101).r == 1
 
 
+def test_context_hash_agrees_with_equality():
+    # The hash is computed once and kept; equal codes still hash alike.
+    a, b = build_code_context(6, 2, 1, 101), build_code_context(6, 2, 1, 101)
+    assert a == b and a is not b and hash(a) == hash(b) == hash(a)
+    assert {a: 1}[b] == 1
+    other = build_code_context(6, 2, 1, 101, eval_points=[1, 2, 3, 4, 5, 7])
+    assert other != a and {a: 1}.get(other) is None
+
+
 def test_context_rejects_bad_params():
     with pytest.raises(InvalidParamsError):
         build_code_context(3, 1, 1, 3)  # q <= n

@@ -203,6 +203,38 @@ def test_packed_decoder_at_the_carry_boundary():
     assert decoded
 
 
+def test_one_lane_table_matches_the_row_table_oracle():
+    # u = 1 with s workers erased leaves N = k = r+1 available: the table has
+    # no parity checks and one lane, as in every tournament_deep final decode.
+    # Any word is then a codeword; honest words give the true gradient.
+    rng = random.Random(27)
+    cases = 0
+    for q in (11, 257, DEFAULT_MODULUS, 2**61 - 1):
+        for n in (2, 3, 5, 8, 13, 24):
+            if n >= q:
+                continue
+            for s in sorted({1, n // 2, n - 1}):
+                ctx = build_code_context(n, s, 1, q)
+                identified = rng.sample(range(n), s)
+                for d in (1, 2, 7):
+                    p = rng.randint(-(-n // (s + 1)), n + 2)  # no idle worker
+                    a_mat = make_random_regular(n, p, s + 1, rng.randrange(2**31))
+                    g = [[rng.randrange(q) for _ in range(p)] for _ in range(d)]
+                    honest = response_matrix(ctx, g, build_encoding_matrix(ctx, a_mat, [1] * p))
+                    truth = [sum(row) % q for row in g]
+                    assert ecc_decode(ctx, honest, identified) == truth
+                    noise = [[rng.randrange(q) for _ in range(n)] for _ in range(d)]
+                    for z in (honest, noise):
+                        want = row_table_ecc_decode(ctx, z, identified)
+                        assert ecc_decode(ctx, z, identified) == want
+                    assert coding._syndrome_table(
+                        ctx.eval_points, tuple(j for j in range(n) if j not in identified), q,
+                        ctx.r + 1,
+                    )[1] == 1
+                    cases += 1
+    assert cases > 100
+
+
 def test_over_budget_beyond_tau_fails_where_oracle_misdecodes():
     # n=7, s=3, u=2: r=2, k=3. Three identified workers (> s-u+1 = 2) leave
     # n'=4 available, so tau = min(1, (4-3)//2) = 0, and one more corrupted

@@ -51,3 +51,31 @@ def test_build_code_context_is_prime_call_is_traced():
     finally:
         tracer.uninstall()
     assert [span[3] for span in tracer.spans] == ["field.is_prime"]
+
+
+def test_a_replayed_header_builds_its_instance_once(tmp_path):
+    # The first replay of a header builds and checks its code and assignment;
+    # a second replay of the same file takes both from the cache.
+    tracing = load_tracing()
+    mods = package_modules(tracing)
+    harness = mods["harness"]
+    out = harness.run_simulation(harness.SimulationConfig(
+        n=5, s=2, u=1, p=6, d=2, q=101, adversary="tournament-liar", seed=1,
+    ))
+    path = str(tmp_path / "t.jsonl")
+    harness.write_transcript(out.result, path)
+    harness._replay_instance.cache_clear()
+    harness._code.cache_clear()
+    layers = ("assignment.from_text", "coding.build_code_context", "field.is_prime")
+    counts = []
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(mods)
+        for _ in range(2):
+            start = len(tracer.spans)
+            assert harness.replay_transcript(path) == out.result.gradient
+            spans = [span[3] for span in tracer.spans[start:]]
+            counts.append([spans.count(layer) for layer in layers])
+    finally:
+        tracer.uninstall()
+    assert counts == [[1, 1, 1], [0, 0, 0]]
