@@ -3,7 +3,9 @@
 An assignment is an n x p binary matrix with every column summing to exactly
 rho (each sample replicated rho times) and every row summing to at least 1
 (no idle worker). Workers and samples are 0-indexed in memory; logs and the
-text format are 1-indexed.
+text format are 1-indexed. A row is held as bytes, one 0 or 1 per sample, so
+reading it from text, summing it and hashing it run in C; code that reads
+rows needs only indexing and iteration, which give ints as a tuple would.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from .errors import GenerationFailedError, InvalidParamsError
 class AssignmentMatrix:
     n: int
     p: int
-    bits: tuple[tuple[int, ...], ...]  # bits[j][i] == 1 iff sample i is on worker j
+    bits: tuple[bytes, ...]  # bits[j][i] == 1 iff sample i is on worker j
 
     def __hash__(self) -> int:
         # Tuples do not cache their hash, and every simulated run looks its
-        # assignment up in the encoding cache: hash the n x p bits once.
+        # assignment up in the encoding cache: hash the n rows once.
         h = self.__dict__.get("_hash")
         if h is None:
             h = self.__dict__["_hash"] = hash((self.n, self.p, self.bits))
@@ -36,20 +38,29 @@ class AssignmentMatrix:
 def validate_regular(a: AssignmentMatrix, rho: int) -> bool:
     """True iff every column sums to rho and every row sums to >= 1.
 
-    Columns are summed in one pass over zip(*bits), and a row of 0/1 bits
-    sums to at least 1 iff any bit is set. With no rows every column sums
-    to 0, which zip cannot see, so that case is decided apart.
+    Each row of 0/1 bits is read as one integer with a lane per sample,
+    wide enough for a column sum of up to n, so the rows add up column by
+    column with no carry: every column sums to rho iff the total is rho
+    times the all-one row. A row sums to at least 1 iff any bit is set.
+    With no rows every column sums to 0, which is decided apart.
     """
     bits = a.bits
     if any(len(row) != a.p for row in bits) or len(bits) != a.n:
         return False
     if not bits:
         return a.p == 0 or rho == 0
-    return set(map(sum, zip(*bits))) <= {rho} and all(map(any, bits))
+    width = (a.n.bit_length() + 7) // 8
+    lanes = bytearray(width * a.p)
+    total = 0
+    for row in bits:
+        lanes[::width] = row
+        total += int.from_bytes(lanes, "little")
+    lanes[::width] = b"\x01" * a.p
+    return total == rho * int.from_bytes(lanes, "little") and all(map(any, bits))
 
 
 def _finish(n: int, p: int, rho: int, bits: list[list[int]], kind: str) -> AssignmentMatrix:
-    a = AssignmentMatrix(n, p, tuple(tuple(row) for row in bits))
+    a = AssignmentMatrix(n, p, tuple(map(bytes, bits)))
     if not validate_regular(a, rho):
         raise InvalidParamsError(
             f"{kind} layout with n={n}, p={p}, rho={rho} leaves some worker idle"
@@ -159,7 +170,8 @@ def assignment_from_text(text: str) -> tuple[AssignmentMatrix, int]:
         raise InvalidParamsError(f"expected {n} matrix rows, got {len(lines) - 1}")
     bits = []
     for ln in lines[1:]:
-        if len(ln) != p or set(ln) - {"0", "1"}:
+        # An ASCII row holds only 0 and 1 iff deleting them leaves nothing.
+        if len(ln) != p or not ln.isascii() or ln.encode().translate(None, b"01"):
             raise InvalidParamsError(f"bad assignment row: {ln!r}")
-        bits.append(tuple(ln.encode().translate(_BITS)))
+        bits.append(ln.encode().translate(_BITS))
     return AssignmentMatrix(n, p, tuple(bits)), rho

@@ -509,11 +509,8 @@ def ecc_decode(
     if tau < 0:
         raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
     q = ctx.q
-    width, count, columns = _syndrome_table(ctx.eval_points, tuple(avail), q, k)
-    if count == 1:
-        # N = k: no parity checks and tau = 0; the one lane is the gradient.
-        return [sum(map(mul, [row[j] for j in avail], columns)) % q for row in z]
     xs = tuple(ctx.eval_points[j] for j in avail)
+    width, count, columns = _syndrome_table(ctx.eval_points, tuple(avail), q, k)
     errors: dict[int, int] = {}  # pooled worker -> its evaluation point
     pooled = [1]  # _pool_locator of the pooled points
     gradient = []

@@ -221,21 +221,11 @@ def make_adversary(config: SimulationConfig):
 
 
 @lru_cache(maxsize=256)
-def _code(n: int, s: int, u: int, q: int, eval_points: tuple[int, ...]) -> CodeContext:
-    """The one code of these parameters, shared by simulations and replays.
-
-    Every cache keyed on a code then meets the same object, whose hash is
-    computed once and which a dict lookup matches by identity.
-    """
-    return build_code_context(n, s, u, q, eval_points)
-
-
-@lru_cache(maxsize=256)
 def _cached_instance(
     n: int, s: int, u: int, q: int, p: int, kind: str, seed: int
 ) -> tuple[CodeContext, AssignmentMatrix, str]:
     """Code, assignment and the assignment's text."""
-    ctx = _code(n, s, u, q, tuple(range(1, n + 1)))
+    ctx = build_code_context(n, s, u, q)
     a_mat = _make_assignment(kind, n, p, s + u, seed)
     return ctx, a_mat, assignment_to_text(a_mat, s + u)
 
@@ -293,7 +283,7 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
     """Build the instance from the config, run the protocol, collect metrics."""
     config.validate()
     if config.assignment == "file":
-        ctx = _code(config.n, config.s, config.u, config.q, tuple(range(1, config.n + 1)))
+        ctx = build_code_context(config.n, config.s, config.u, config.q)
         a_mat = build_assignment(config)
         text = assignment_to_text(a_mat, config.rho)
     else:
@@ -465,7 +455,6 @@ def _no_float(text: str):
 # while parsing (and booleans after) keeps 2.0 or true from standing in for
 # an equal int, which Python's == would let through the event comparison.
 _DECODER = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float)
-_JSON_SPACE = json.decoder.WHITESPACE.match
 
 
 def _has_bool(value) -> bool:
@@ -489,68 +478,19 @@ def read_events(path: str) -> list[dict]:
     """
     with open(path, "r", encoding="ascii") as fh:
         try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            fh.seek(0)
-            text = _read_by_lines(fh)
-    lines, events = _scan_lines(text)
+            lines = [line for line in fh if line.strip()]
+            events = [_DECODER.decode(line) for line in lines]
+        # JSONDecodeError and UnicodeDecodeError alike, and nesting deeper
+        # than the decoder's recursion limit.
+        except (ValueError, RecursionError) as e:
+            raise TranscriptReplayError(f"unreadable transcript: {e}") from e
     if not all(type(ev) is dict and type(ev.get("event")) is str for ev in events):
         raise TranscriptReplayError("every line must be a JSON object with an event name")
-    if ("true" in text or "false" in text) and any(
+    if any(
         ("true" in line or "false" in line) and _has_bool(ev) for line, ev in zip(lines, events)
     ):
         raise TranscriptReplayError("transcripts hold no true/false values")
     return events
-
-
-def _read_by_lines(fh) -> str:
-    """The file's text, read line by line as the file iterator reads it.
-
-    The codec then counts a non-ASCII byte's position from the start of the
-    chunk it was handed, not of the file; the message keeps that count.
-    """
-    try:
-        return "".join(fh)
-    except UnicodeDecodeError as e:
-        raise TranscriptReplayError(f"unreadable transcript: {e}") from e
-
-
-def _decode_lines(lines: list[str]) -> tuple[list[str], list]:
-    """The non-blank lines and their values, each line through JSONDecoder.decode."""
-    lines = [line for line in lines if line.strip()]
-    try:
-        return lines, [_DECODER.decode(line) for line in lines]
-    # JSONDecodeError, and nesting deeper than the decoder's recursion limit.
-    except (ValueError, RecursionError) as e:
-        raise TranscriptReplayError(f"unreadable transcript: {e}") from e
-
-
-def _scan_lines(text: str) -> tuple[list[str], list]:
-    """The non-blank lines of text and their values, as _decode_lines finds them.
-
-    Each line is scanned as JSONDecoder.decode scans it: JSON whitespace,
-    one value, JSON whitespace. A line that fails sends the whole text to
-    _decode_lines with every line's newline kept, so each message counts
-    lines and columns as decode does on the line the file gave.
-    """
-    lines = [line for line in text.split("\n") if line.strip()]
-    scan, space = _DECODER.scan_once, _JSON_SPACE
-    events: list = []
-    append = events.append
-    try:
-        for line in lines:
-            # JSON whitespace is at most " ": a line that starts above it,
-            # or whose value ends it, needs no search for whitespace there.
-            ev, end = scan(line, 0 if line[0] > " " else space(line).end())
-            if end != len(line) and space(line, end).end() != len(line):
-                break
-            append(ev)
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    if len(events) < len(lines):
-        *ended, last = text.split("\n")
-        return _decode_lines([line + "\n" for line in ended] + [last])
-    return lines, events
 
 
 def _is_int_list(value, length: int | None = None, q: int | None = None) -> bool:
@@ -622,39 +562,17 @@ _REPLAY_ERRORS = (
 )
 
 
-# At most 8 headers keep their instance: at n = 32, p = 262,144 one entry
-# holds about 72 MB (64 MB of assignment bits and an 8 MB text).
-@lru_cache(maxsize=8)
-def _replay_instance(
-    n: int, s: int, u: int, q: int, eval_points: tuple[int, ...], text: str
-) -> tuple[CodeContext, AssignmentMatrix]:
-    """The code and the assignment a start event names, checked.
-
-    The assignment must be regular with replication s+u. A header that
-    fails a check raises and leaves no entry, so it is checked in full again
-    on every replay.
-    """
-    ctx = _code(n, s, u, q, eval_points)
-    a_mat, rho = assignment_from_text(text)
-    if rho != ctx.s + ctx.u:
-        raise TranscriptReplayError("assignment replication disagrees with header")
-    if not validate_regular(a_mat, rho):
-        raise TranscriptReplayError(f"assignment is not regular with replication {rho}")
-    return ctx, a_mat
-
-
 def replay_transcript(path: str) -> list[int]:
     """Re-run the protocol engine on the answers recorded in a transcript.
 
     Rebuilds the code and the assignment from the start event and requires
     the assignment to be regular with replication s+u, since the main node's
     leaf check reads W's rows from that closed form; W itself is never
-    built. The checked code and assignment are kept for the last 8 headers
-    seen, so transcripts of one instance share them. Runs ProtocolRun with
-    the recorded worker answers and local computations (and, for shuffled
-    grouping, the recorded group order), and requires the regenerated event
-    list to equal the recorded one. Returns the gradient; a malformed or
-    tampered transcript raises TranscriptReplayError.
+    built. Runs ProtocolRun with the recorded worker answers and local
+    computations (and, for shuffled grouping, the recorded group order), and
+    requires the regenerated event list to equal the recorded one. Returns
+    the gradient; a malformed or tampered transcript raises
+    TranscriptReplayError.
     """
     events = read_events(path)
     hdr = events[0] if events else {}
@@ -669,9 +587,12 @@ def replay_transcript(path: str) -> list[int]:
             "start needs integers n, s, u, p, d, q and eval_points, and the assignment text"
         )
     try:
-        ctx, a_mat = _replay_instance(
-            hdr["n"], hdr["s"], hdr["u"], hdr["q"], tuple(hdr["eval_points"]), hdr["assignment"]
-        )
+        ctx = build_code_context(hdr["n"], hdr["s"], hdr["u"], hdr["q"], hdr["eval_points"])
+        a_mat, rho = assignment_from_text(hdr["assignment"])
+        if rho != ctx.s + ctx.u:
+            raise TranscriptReplayError("assignment replication disagrees with header")
+        if not validate_regular(a_mat, rho):
+            raise TranscriptReplayError(f"assignment is not regular with replication {rho}")
         result = ProtocolRun(
             ctx, a_mat, RecordedResponder(events, hdr["d"]),
             grouping_rng=RecordedGroupOrder(events) if hdr.get("grouping") == "shuffled" else None,

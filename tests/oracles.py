@@ -15,9 +15,7 @@ from byzgrad.errors import (
     DimensionError,
     ProtocolInvariantViolation,
     SingularMatrixError,
-    TranscriptReplayError,
 )
-from byzgrad.harness import _DECODER, _has_bool
 from byzgrad.linalg import solve_linear, vandermonde
 
 
@@ -542,25 +540,3 @@ def loop_unpack(x: int, width: int, count: int, q: int) -> list[int]:
 def samples_by_bit_scan(a: AssignmentMatrix, j: int) -> list[int]:
     """The samples worker j holds, testing every bit of its row."""
     return [i for i in range(a.p) if a.bits[j][i]]
-
-
-def line_read_events(path: str) -> list[dict]:
-    """A transcript's events, read with the file iterator and decoded line by line.
-
-    The reader byzgrad.harness.read_events replaced with one read and the
-    decoder's scan_once; it must give the same events or raise
-    TranscriptReplayError with the same message.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            lines = [line for line in fh if line.strip()]
-            events = [_DECODER.decode(line) for line in lines]
-        except (ValueError, RecursionError) as e:
-            raise TranscriptReplayError(f"unreadable transcript: {e}") from e
-    if not all(type(ev) is dict and type(ev.get("event")) is str for ev in events):
-        raise TranscriptReplayError("every line must be a JSON object with an event name")
-    if any(
-        ("true" in line or "false" in line) and _has_bool(ev) for line, ev in zip(lines, events)
-    ):
-        raise TranscriptReplayError("transcripts hold no true/false values")
-    return events

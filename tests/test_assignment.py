@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -64,8 +65,8 @@ def test_validate_regular_cases():
 
 def test_validate_regular_equals_the_column_oracle():
     # Every 0/1 matrix with n, p <= 3 against every rho in 0..n+1, then the
-    # shapes a single zip over the rows gets wrong: no rows (whose columns
-    # sum to 0), no columns, and rows that disagree with n, p or each other.
+    # edge shapes: no rows (whose columns sum to 0), no columns, and rows
+    # that disagree with n, p or each other.
     cases = []
     for n, p in product(range(4), repeat=2):
         for flat in product((0, 1), repeat=n * p):
@@ -91,6 +92,41 @@ def test_validate_regular_equals_the_column_oracle():
     assert any(results) and not all(results)
     assert not validate_regular(AssignmentMatrix(0, 1, ()), 1)
     assert validate_regular(AssignmentMatrix(0, 0, ()), 1)
+
+
+def test_validate_regular_lanes_hold_a_column_sum_of_n():
+    # Column 0 held by all 257 workers, column 1 by none: with one-byte lanes
+    # the 257 would carry into column 1 and fake two columns of rho = 1.
+    bits = (b"\x01\x00",) * 257
+    a = AssignmentMatrix(257, 2, bits)
+    assert not validate_regular(a, 1)
+    assert validate_regular_by_columns(a, 1) is False
+    assert validate_regular(AssignmentMatrix(257, 1, (b"\x01",) * 257), 257)
+    # Random 0/1 matrices around the one-byte lane limit, against the oracle.
+    rng = random.Random(7)
+    for n in (255, 256, 257, 300):
+        for _ in range(20):
+            p = rng.randint(1, 6)
+            rho = rng.choice((1, 2, n // 2, n - 1, n))
+            rows = [bytes(int(rng.random() < rho / n) for _ in range(p)) for _ in range(n)]
+            for i in range(p):  # make some columns sum to rho exactly
+                if rng.random() < 0.8:
+                    holders = set(rng.sample(range(n), rho))
+                    for j in range(n):
+                        row = bytearray(rows[j])
+                        row[i] = j in holders
+                        rows[j] = bytes(row)
+            a = AssignmentMatrix(n, p, tuple(rows))
+            assert validate_regular(a, rho) == validate_regular_by_columns(a, rho)
+    assert validate_regular(make_cyclic(300, 300, 150), 150)
+    assert not validate_regular(make_cyclic(300, 300, 150), 150 + 256)
+
+
+def test_rows_are_bytes():
+    for a in (make_cyclic(6, 9, 3), make_fractional(6, 9, 3), make_random_regular(6, 9, 3, 1),
+              assignment_from_text("2 3 1\n101\n010\n")[0]):
+        assert all(type(row) is bytes and set(row) <= {0, 1} for row in a.bits)
+        assert len(a.bits) == a.n and all(len(row) == a.p for row in a.bits)
 
 
 def test_fractional_two_groups():
@@ -129,7 +165,7 @@ def test_random_regular_is_regular():
 
 def test_random_regular_forced_single_column():
     a = make_random_regular(3, 1, 3, seed=0)
-    assert a.bits == ((1,), (1,), (1,))
+    assert a.bits == (b"\x01", b"\x01", b"\x01")
 
 
 def test_random_regular_deterministic_under_seed():
@@ -192,3 +228,5 @@ def test_text_rejects_malformed():
         assignment_from_text("2 2 1\n1x\n01\n")
     with pytest.raises(InvalidParamsError):
         assignment_from_text("2 2 1\n1\u0661\n01\n")  # a non-ASCII digit one
+    with pytest.raises(InvalidParamsError):
+        assignment_from_text("2 2 1\n1 \n01\n")  # an ASCII space in a row
