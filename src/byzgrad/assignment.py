@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import GenerationFailedError, InvalidParamsError
+from .field import draw_samples
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ def make_random_regular(n: int, p: int, rho: int, seed: int) -> AssignmentMatrix
         )
     rng = random.Random(seed)
     bits = [[0] * p for _ in range(n)]
-    for i in range(p):
-        for j in rng.sample(range(n), rho):
+    for i, holders in enumerate(draw_samples(rng, n, rho, p)):  # rng.sample per column
+        for j in holders:
             bits[j][i] = 1
     for _ in range(1000):
         empty = [j for j in range(n) if not any(bits[j])]

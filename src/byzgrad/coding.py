@@ -41,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import mul
-from typing import Iterable, Sequence
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Sequence
 
 from .assignment import AssignmentMatrix
 from .errors import (
@@ -130,8 +130,9 @@ class EncodingMatrix:
         of its first sample; classes are ordered by first sample. Row i
         depends only on a_i and the zero set Z_i, so a regular all-one
         encoding has few classes: n for cyclic, n/rho for fractional.
-        All-zero rows join no class. Derived from W itself, so it holds for
-        any encoding; tuples, because every caller shares the cached value.
+        All-zero rows join no class. build_encoding_matrix records them in
+        the pass that builds W; an encoding made from a given W reads them
+        off W here. Tuples, because every caller shares the cached value.
         """
         index: dict[tuple[int, ...], list[int]] = {}
         for i, row in enumerate(self.w):
@@ -156,6 +157,24 @@ class EncodingMatrix:
             for i in c:
                 rows[i] = packed
         return width, tuple(rows)
+
+    @cached_property
+    def class_gatherers(self) -> tuple[Callable[[Sequence[int]], Sequence[int]], ...]:
+        """Per class, a C-level gatherer of its samples' entries from a row of p values.
+
+        A class whose samples step evenly, as every cyclic and fractional
+        class does, is gathered as a slice, any other by its indices. Either
+        way a gatherer returns a sequence: a lone sample is a slice of one,
+        since itemgetter of a single index returns the bare value.
+        """
+        out = []
+        for c in self.row_classes:
+            step = c[1] - c[0] if len(c) > 1 else 1
+            if c == tuple(range(c[0], c[-1] + 1, step)):
+                out.append(itemgetter(slice(c[0], c[-1] + 1, step)))
+            else:
+                out.append(itemgetter(*c))
+        return tuple(out)
 
 
 def lane_bytes(q: int, terms: int) -> int:
@@ -244,26 +263,37 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence
     if len(a) != p:
         raise DimensionError(f"query vector length {len(a)} != p = {p}")
     zeros = (0,) * n
-    bases: dict[tuple[int, ...], tuple[int, ...]] = {}
-    rows: list[tuple[int, ...]] = []
     # Samples with equal assignment columns share a zero set and a base row.
+    # Row i is nonzero iff a_i is, with sample i's holders as its support, so
+    # two nonzero rows are equal iff their samples share a column and a_i:
+    # each column keeps its classes by a_i, and classes lists them in order
+    # of first sample.
+    bases: dict[tuple[int, ...], tuple[tuple[int, ...], dict[int, list[int]]]] = {}
+    classes: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for i, column in enumerate(zip(*a_mat.bits)):
-        base = bases.get(column)
-        if base is None:
+        entry = bases.get(column)
+        if entry is None:
             missing = column.count(0)
             if missing != r:
                 raise AssignmentMismatchError(
                     f"sample {i + 1} is missing from {missing} workers, expected r={r}"
                 )
-            base = bases[column] = sample_row(ctx, column)
+            entry = bases[column] = sample_row(ctx, column), {}
+        base, by_scale = entry
         ai = a[i] % q
-        if ai == 1:
-            rows.append(base)
-        elif ai == 0:
+        if ai == 0:
             rows.append(zeros)
-        else:
-            rows.append(tuple(ai * v % q for v in base))
-    return EncodingMatrix(tuple(v % q for v in a), tuple(rows), q)
+            continue
+        members = by_scale.get(ai)
+        if members is None:
+            members = by_scale[ai] = []
+            classes.append(members)
+        members.append(i)
+        rows.append(base if ai == 1 else tuple(ai * v % q for v in base))
+    enc = EncodingMatrix(tuple(v % q for v in a), tuple(rows), q)
+    enc.__dict__["row_classes"] = tuple(map(tuple, classes))
+    return enc
 
 
 def restrict_encoding(enc: EncodingMatrix, mask: Iterable[int]) -> EncodingMatrix:
@@ -354,7 +384,8 @@ def response_matrix(
 
     Equal rows of W form one class (EncodingMatrix.row_classes), so
     Z[t][j] = sum over classes c of S[t][c] * W[c][j], where S[t][c] is the
-    sum of G[t][i] over the samples i in c, reduced mod q. Class c's row is
+    sum of G[t][i] over the samples i in c, reduced mod q, which c's
+    gatherer (EncodingMatrix.class_gatherers) picks out. Class c's row is
     its samples' packed int (EncodingMatrix.sample_lanes), with lanes for p
     terms, at least one per class; so per coordinate the class sums take one
     dot product with the class rows, and its n lanes mod q are the responses.
@@ -362,13 +393,12 @@ def response_matrix(
     if any(len(row) != len(enc.w) for row in gradients):
         raise DimensionError("gradient matrix width must equal sample count")
     q, n = ctx.q, len(enc.w[0])
-    samples = enc.row_classes
+    gatherers = enc.class_gatherers
     width, rows = enc.sample_lanes
-    packed = [rows[c[0]] for c in samples]
+    packed = [rows[c[0]] for c in enc.row_classes]
     out = []
     for row in gradients:
-        get = row.__getitem__
-        sums = [get(c[0]) % q if len(c) == 1 else sum(map(get, c)) % q for c in samples]
+        sums = [sum(gather(row)) % q for gather in gatherers]
         out.append(unpack(sum(map(mul, sums, packed)), width, n, q))
     return out
 

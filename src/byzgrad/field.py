@@ -12,6 +12,7 @@ import random
 import struct
 import sys
 from functools import lru_cache
+from math import ceil, log
 
 from .errors import InvalidParamsError
 
@@ -98,4 +99,50 @@ def draw_below(rng: random.Random, q: int, count: int) -> list[int]:
         while v >= q:
             v = getrandbits(k)
         out.append(v)
+    return out
+
+
+def draw_samples(rng: random.Random, n: int, k: int, count: int) -> list[list[int]]:
+    """count successive rng.sample(range(n), k), the same lists from the same rng state.
+
+    CPython's sample draws each index with _randbelow(m), which takes
+    getrandbits(m.bit_length()) until the value is below m. While a list of
+    n is smaller than a set of k (n <= setsize) it walks a pool: it draws
+    below n - i, takes that pool entry and moves the pool's last live entry
+    into its place. Otherwise it draws below n and draws again for an index
+    already chosen. Both branches run here with getrandbits called directly,
+    in sample's order and with its widths, so the words consumed are
+    sample's, no more. tests/test_field.py pins this against rng.sample, so
+    an interpreter whose sample draws otherwise fails there.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    setsize = 21  # sample's own choice between its branches
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    out = []
+    if n <= setsize:
+        widths = [m.bit_length() for m in range(n, n - k, -1)]
+        for _ in range(count):
+            pool, picked, m = list(range(n)), [], n
+            for width in widths:
+                j = getrandbits(width)
+                while j >= m:
+                    j = getrandbits(width)
+                picked.append(pool[j])
+                m -= 1
+                pool[j] = pool[m]
+            out.append(picked)
+        return out
+    width = n.bit_length()
+    for _ in range(count):
+        picked, chosen = [], set()
+        for _ in range(k):
+            j = getrandbits(width)
+            while j >= n or j in chosen:
+                j = getrandbits(width)
+            chosen.add(j)
+            picked.append(j)
+        out.append(picked)
     return out

@@ -41,7 +41,7 @@ from .errors import (
     ProtocolInvariantViolation,
     TranscriptReplayError,
 )
-from .field import DEFAULT_MODULUS, draw_below, is_prime
+from .field import DEFAULT_MODULUS, draw_below, draw_samples, is_prime
 from .protocol import ProtocolResult, ProtocolRun, run_protocol
 
 # Not used here: perfbench/tracing.py wraps these at their harness names.
@@ -192,7 +192,7 @@ def resolve_controlled(config: SimulationConfig) -> tuple[int, ...]:
     rule = config.controlled
     if rule == "random":
         rng = random.Random(f"{config.seed}:controlled")
-        return tuple(sorted(rng.sample(range(config.n), config.s)))
+        return tuple(sorted(draw_samples(rng, config.n, config.s, 1)[0]))
     if rule == "first":
         return tuple(range(config.s))
     if rule == "last":
@@ -497,9 +497,10 @@ def _is_int_list(value, length: int | None = None, q: int | None = None) -> bool
     """A list of ints, optionally of the given length and all in [0, q)."""
     if type(value) is not list or (length is not None and len(value) != length):
         return False
-    return not value or (
-        set(map(type, value)) == {int} and (q is None or 0 <= min(value) and max(value) < q)
-    )
+    for v in value:
+        if type(v) is not int or q is not None and not 0 <= v < q:
+            return False
+    return True
 
 
 class RecordedResponder:

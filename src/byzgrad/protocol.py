@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .assignment import AssignmentMatrix
 from .coding import (
@@ -150,7 +150,11 @@ def group_response(
 
 
 class Transcript:
-    """Ordered event log plus the run totals used as figures of merit."""
+    """Ordered event log plus the run totals used as figures of merit.
+
+    Each event is a dict whose first key, "event", names it; the engine
+    appends them, and the key order is the order a transcript file writes.
+    """
 
     def __init__(self):
         self.events: list[dict] = []
@@ -159,17 +163,12 @@ class Transcript:
         self.downlink_bits = 0
         self.rounds = 0
 
-    def add(self, event: str, /, **fields) -> None:
-        """Append an event; its fields may carry any name, "self" included."""
-        self.events.append({"event": event, **fields})
-
 
 # ---------------------------------------------------------------------------
 # Queries seen by the adversary
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     """A match query of the main node; the adversary sees these in causal order."""
 
     level: int
@@ -328,11 +327,16 @@ class ProtocolRun:
         self.transcript = Transcript()
         self.active = list(range(ctx.n))
         self.eliminated: list[int] = []
-        self.transcript.add(
-            "start", n=ctx.n, s=ctx.s, u=ctx.u, r=ctx.r, p=a_mat.p, d=responder.d,
-            q=ctx.q, eval_points=list(ctx.eval_points),
-            grouping="lowest" if grouping_rng is None else "shuffled", **(meta or {}),
-        )
+        start = {
+            "event": "start", "n": ctx.n, "s": ctx.s, "u": ctx.u, "r": ctx.r, "p": a_mat.p,
+            "d": responder.d, "q": ctx.q, "eval_points": list(ctx.eval_points),
+            "grouping": "lowest" if grouping_rng is None else "shuffled",
+        }
+        if meta:
+            if not start.keys().isdisjoint(meta):
+                raise ValueError(f"meta may not reuse the start event's fields {list(start)}")
+            start.update(meta)
+        self.transcript.events.append(start)
 
     # -- queries ------------------------------------------------------------
 
@@ -341,31 +345,13 @@ class ProtocolRun:
         n, p = self.ctx.n, self.a_mat.p
         cols = self.responder.initial()
         workers = list(range(1, n + 1))
-        self.transcript.add("query", t=1, kind="initial", mask=[1, p], coordinate=None, workers=workers)
-        self.transcript.add("response_set", t=1, kind="initial", workers=workers, values=cols)
+        self.transcript.events += (
+            {"event": "query", "t": 1, "kind": "initial", "mask": [1, p], "coordinate": None,
+             "workers": workers},
+            {"event": "response_set", "t": 1, "kind": "initial", "workers": workers,
+             "values": cols},
+        )
         return cols
-
-    def _query_match(
-        self, t: int, level: int, lo: int, hi: int, coord: int,
-        workers: Sequence[int], ids: list[int],
-    ) -> list[int]:
-        """One tournament query: each competing worker sends one field symbol, in order.
-
-        ids are the workers' 1-based ids, which the transcript records.
-        """
-        out = self.responder.match(Query(level, (lo, hi), coord), workers)
-        self.transcript.comm_overhead += len(workers)
-        self.transcript.downlink_bits += 1
-        ids = ids[:]  # a copy per level, so no two levels' events share a list
-        self.transcript.add(
-            "query", t=t, kind="match", level=level,
-            mask=[lo + 1, hi], coordinate=coord + 1, workers=ids,
-        )
-        self.transcript.add(
-            "response_set", t=t, kind="match", level=level,
-            workers=ids, values=out,
-        )
-        return out
 
     # -- tournament ---------------------------------------------------------
 
@@ -389,9 +375,13 @@ class ProtocolRun:
         Commitments and both groups' combining vectors (vectors, the
         round's) are lists over the union of the two groups, a vector being
         0 at the other group's satellite, so a level's two claims are two
-        dot products.
+        dot products. Each level is one query: every competing worker sends
+        one field symbol, in the order of union, and the transcript records
+        their 1-based ids.
         """
         q = self.ctx.q
+        tr, match = self.transcript, self.responder.match
+        events = tr.events
         k, coord = conflict
         union = sorted(set(groups[0]) | set(groups[k]))
         ids = [j + 1 for j in union]
@@ -409,7 +399,16 @@ class ProtocolRun:
         while hi - lo > 1:
             levels += 1
             mid = split(lo, hi)
-            resp = self._query_match(t, levels, lo, mid, coord, union, ids)
+            resp = match(Query(levels, (lo, mid), coord), union)
+            tr.comm_overhead += len(union)
+            tr.downlink_bits += 1
+            workers = ids[:]  # a copy per level, so no two levels' events share a list
+            events += (
+                {"event": "query", "t": t, "kind": "match", "level": levels,
+                 "mask": [lo + 1, mid], "coordinate": coord + 1, "workers": workers},
+                {"event": "response_set", "t": t, "kind": "match", "level": levels,
+                 "workers": workers, "values": resp},
+            )
             lc1 = sum(map(mul, resp, b1)) % q
             lc2 = sum(map(mul, resp, b2)) % q
             rc1 = (label1 - lc1) % q
@@ -428,18 +427,16 @@ class ProtocolRun:
                 commit = [(c - v) % q for c, v in zip(commit, resp)]
                 label1, label2 = rc1, rc2
                 nxt = mid, hi
-            self.transcript.add(
-                "match_level", t=t, level=levels,
-                node=[lo + 1, hi],
-                queried=[lo + 1, mid],
-                left_claims=[lc1, lc2], right_claims=[rc1, rc2],
-                descend=descend,
-            )
+            events.append({
+                "event": "match_level", "t": t, "level": levels, "node": [lo + 1, hi],
+                "queried": [lo + 1, mid], "left_claims": [lc1, lc2], "right_claims": [rc1, rc2],
+                "descend": descend,
+            })
             lo, hi = nxt
         leaf = lo
         truth_vec = local_compute(self.responder, leaf)
-        self.transcript.local_computations += 1
-        self.transcript.add("local_compute", t=t, sample=leaf + 1, value=truth_vec)
+        tr.local_computations += 1
+        events.append({"event": "local_compute", "t": t, "sample": leaf + 1, "value": truth_vec})
         truth = truth_vec[coord]
         column = tuple([row[leaf] for row in self.a_mat.bits])
         w_leaf = _leaf_row(self.ctx, column)
@@ -454,18 +451,18 @@ class ProtocolRun:
                 malicious.append(j)
         if not malicious:
             raise ProtocolInvariantViolation("match reached a leaf but found no liar")
-        self.transcript.add(
-            "elimination", t=t, leaf=leaf + 1,
-            claims=[[i, committed] for i, committed in zip(ids, commit)],
-            truth_coordinate=truth,
-            workers=[j + 1 for j in malicious],
-        )
+        events.append({
+            "event": "elimination", "t": t, "leaf": leaf + 1,
+            "claims": [[i, committed] for i, committed in zip(ids, commit)],
+            "truth_coordinate": truth, "workers": [j + 1 for j in malicious],
+        })
         return tuple(malicious)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> ProtocolResult:
-        ctx = self.ctx
+        ctx, tr = self.ctx, self.transcript
+        events = tr.events
         self.responder.bind(ctx, self.a_mat)
         initial = self._transmit_initial()
         packed = None  # the responses in lanes, packed when the first round starts
@@ -484,11 +481,10 @@ class ProtocolRun:
                     raise AdversaryBudgetExceededError(
                         "errors-and-erasures decoding failed; corruption exceeds budget"
                     ) from e
-                self.transcript.add(
-                    "ecc_decode",
-                    identified=[j + 1 for j in sorted(self.eliminated)],
-                    gradient=gradient,
-                )
+                events.append({
+                    "event": "ecc_decode", "identified": [j + 1 for j in sorted(self.eliminated)],
+                    "gradient": gradient,
+                })
                 return self._finish("ecc", gradient)
             order = None
             if self.grouping_rng is not None:
@@ -499,18 +495,19 @@ class ProtocolRun:
                 packed = pack_responses(ctx, initial)
             vectors = [combining_vector(ctx, g) for g in groups]
             claims = [group_response(ctx, packed, b, d) for b in vectors]
-            self.transcript.rounds += 1
-            self.transcript.add(
-                "decode", t=t,
-                groups=[[j + 1 for j in g] for g in groups],
-                values=claims,
-            )
+            tr.rounds += 1
+            events.append({
+                "event": "decode", "t": t, "groups": [[j + 1 for j in g] for g in groups],
+                "values": claims,
+            })
             conflict = detect_contradiction(claims)
             if conflict is None:
-                self.transcript.add("agreement", t=t, value=list(claims[0]))
+                events.append({"event": "agreement", "t": t, "value": list(claims[0])})
                 return self._finish("agreement", list(claims[0]))
             k, coord = conflict
-            self.transcript.add("conflict", t=t, first=1, second=k + 1, coordinate=coord + 1)
+            events.append(
+                {"event": "conflict", "t": t, "first": 1, "second": k + 1, "coordinate": coord + 1}
+            )
             for j in self.run_match(t, groups, conflict, initial, claims, vectors):
                 self.active.remove(j)
                 self.eliminated.append(j)
@@ -518,14 +515,12 @@ class ProtocolRun:
 
     def _finish(self, outcome: str, gradient: list[int]) -> ProtocolResult:
         tr = self.transcript
-        tr.add(
-            "final", outcome=outcome, gradient=gradient,
-            local_computations=tr.local_computations,
-            comm_overhead=tr.comm_overhead,
-            rounds=tr.rounds,
-            downlink_bits=tr.downlink_bits,
-            eliminated=[j + 1 for j in self.eliminated],
-        )
+        tr.events.append({
+            "event": "final", "outcome": outcome, "gradient": gradient,
+            "local_computations": tr.local_computations, "comm_overhead": tr.comm_overhead,
+            "rounds": tr.rounds, "downlink_bits": tr.downlink_bits,
+            "eliminated": [j + 1 for j in self.eliminated],
+        })
         return ProtocolResult(gradient, tr, tuple(self.eliminated), outcome)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from operator import mul
@@ -540,3 +541,60 @@ def loop_unpack(x: int, width: int, count: int, q: int) -> list[int]:
 def samples_by_bit_scan(a: AssignmentMatrix, j: int) -> list[int]:
     """The samples worker j holds, testing every bit of its row."""
     return [i for i in range(a.p) if a.bits[j][i]]
+
+
+def stdlib_samples(rng, n: int, k: int, count: int) -> list[list[int]]:
+    """count successive rng.sample(range(n), k): what byzgrad.field.draw_samples must equal."""
+    return [rng.sample(range(n), k) for _ in range(count)]
+
+
+def sample_per_column_random_regular(n: int, p: int, rho: int, seed: int) -> AssignmentMatrix:
+    """A copy of make_random_regular that draws each column with its own rng.sample call."""
+    rng = random.Random(seed)
+    bits = [[0] * p for _ in range(n)]
+    for i in range(p):
+        for j in rng.sample(range(n), rho):
+            bits[j][i] = 1
+    for _ in range(1000):
+        empty = [j for j in range(n) if not any(bits[j])]
+        if not empty:
+            break
+        j = empty[0]
+        candidates = [
+            (jj, i)
+            for jj in range(n)
+            if sum(bits[jj]) >= 2
+            for i in range(p)
+            if bits[jj][i] and not bits[j][i]
+        ]
+        jj, i = rng.choice(candidates)
+        bits[jj][i] = 0
+        bits[j][i] = 1
+    else:
+        raise AssertionError("row repair did not converge within 1000 passes")
+    return AssignmentMatrix(n, p, tuple(map(bytes, bits)))
+
+
+def row_classes_of_w(w: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Samples grouped by equal nonzero rows of W, ordered by first sample, read off W.
+
+    The derivation EncodingMatrix.row_classes makes for an encoding given
+    its W; build_encoding_matrix records its classes as it builds W instead.
+    """
+    index: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(w):
+        if any(row):
+            index.setdefault(tuple(row), []).append(i)
+    return tuple(map(tuple, index.values()))
+
+
+def set_is_int_list(value, length: int | None = None, q: int | None = None) -> bool:
+    """A list of ints, optionally of the given length and all in [0, q), by its set of types.
+
+    The form byzgrad.harness._is_int_list had before its one early-exit loop.
+    """
+    if type(value) is not list or (length is not None and len(value) != length):
+        return False
+    return not value or (
+        set(map(type, value)) == {int} and (q is None or 0 <= min(value) and max(value) < q)
+    )

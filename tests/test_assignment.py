@@ -16,7 +16,9 @@ from byzgrad.errors import InvalidParamsError
 from oracles import (
     column_sum,
     row_sum,
+    sample_per_column_random_regular,
     samples_by_bit_scan,
+    stdlib_samples,
     validate_regular_by_columns,
     zero_set,
 )
@@ -185,6 +187,29 @@ def test_random_regular_repairs_empty_rows_many_seeds():
     for seed in range(50):
         a = make_random_regular(7, 4, 2, seed=seed)
         assert validate_regular(a, 2)
+
+
+def test_random_regular_equals_a_sample_per_column():
+    # Every (n, rho) of the acceptance grid (n 4-8, s 1-3, u up to
+    # min(s+1, n-s)) at its p of 1, 4, 9 and 16, and p up to 64, against a
+    # copy of the generator that draws each column with rng.sample. Small p
+    # with rho*p near n leaves a worker idle, and the repair loop then draws
+    # from the same rng.
+    shapes = [
+        (n, p, rho, seed)
+        for n in range(4, 9)
+        for rho in sorted({s + u for s in range(1, 4) for u in range(1, min(s + 1, n - s) + 1)})
+        for p in (1, 2, 3, 4, 5, 9, 16, 17, 32, 64)
+        if rho * p >= n
+        for seed in range(4)
+    ]
+    for shape in shapes:
+        assert make_random_regular(*shape) == sample_per_column_random_regular(*shape), shape
+    idle = sum(
+        len({j for column in stdlib_samples(random.Random(seed), n, rho, p) for j in column}) < n
+        for n, p, rho, seed in shapes
+    )
+    assert len(shapes) > 800 and idle > 50, (len(shapes), idle)
 
 
 def test_zero_set_size_is_n_minus_rho():

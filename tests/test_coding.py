@@ -39,6 +39,7 @@ from byzgrad.linalg import determinant, solve_linear
 
 from oracles import (
     columns,
+    row_classes_of_w,
     dense_response_matrix,
     generator_matrix,
     loop_pack,
@@ -478,6 +479,44 @@ def _check_row_classes(enc):
         assert all(w[i] == w[c[0]] for i in c)
     reps = [w[c[0]] for c in samples]
     assert len(set(reps)) == len(reps)
+    assert samples == row_classes_of_w(w)
+
+
+# Worker rows of a 4-worker file assignment with rho = 2: samples 0, 1 and 3
+# share a column, which no slice gathers, and so do samples 2 and 5.
+FILE_ASSIGNMENT = "4 6 2\n110110\n110100\n001001\n001011\n"
+
+
+def test_recorded_row_classes_equal_the_w_oracle():
+    # build_encoding_matrix records its classes while it builds W; they must
+    # be W's equal nonzero rows, and each class's gatherer must pick exactly
+    # its samples out of a row of p values, as a list or a tuple.
+    rng = random.Random(5)
+    file_mat, _ = assignment_from_text(FILE_ASSIGNMENT)
+    instances = [
+        ("cyclic", build_code_context(8, 2, 1), make_cyclic(8, 16, 3)),
+        ("cyclic", build_code_context(24, 6, 1), make_cyclic(24, 256, 7)),
+        ("fractional", build_code_context(8, 2, 2), make_fractional(8, 16, 4)),
+        ("fractional", build_code_context(9, 2, 1), make_fractional(9, 20, 3)),
+        ("random", build_code_context(8, 2, 1), make_random_regular(8, 16, 3, seed=4)),
+        ("random", build_code_context(5, 1, 1), make_random_regular(5, 40, 2, seed=9)),
+        ("file", build_code_context(4, 1, 1, 101), file_mat),
+    ]
+    forms = set()
+    for kind, ctx, a_mat in instances:
+        p = a_mat.p
+        for a in ([1] * p, [rng.choice((0, 1, 1, -1, 5)) for _ in range(p)]):
+            enc = build_encoding_matrix(ctx, a_mat, a)
+            assert enc.row_classes == row_classes_of_w(enc.w), (kind, a)
+            assert len(enc.class_gatherers) == len(enc.row_classes)
+            row = [rng.randrange(ctx.q) for _ in range(p)]
+            for c, gather in zip(enc.row_classes, enc.class_gatherers):
+                want = [row[i] for i in c]
+                assert list(gather(row)) == want and list(gather(tuple(row))) == want
+                forms.add(type(gather(row)))
+    classes = build_encoding_matrix(instances[-1][1], file_mat, [1] * 6).row_classes
+    assert classes == ((0, 1, 3), (2, 5), (4,))
+    assert forms == {list, tuple}  # slices, and the indices of a class that no slice gathers
 
 
 def test_response_matrix_matches_dense_product():

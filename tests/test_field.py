@@ -1,14 +1,15 @@
 import random
+from math import ceil, log
 
 import pytest
 
 from byzgrad import field
 from byzgrad.coding import build_code_context
 from byzgrad.errors import InvalidParamsError
-from byzgrad.field import DEFAULT_MODULUS, draw_below, is_prime
+from byzgrad.field import DEFAULT_MODULUS, draw_below, draw_samples, is_prime
 from byzgrad.harness import SimulationConfig
 
-from oracles import loop_draw_below
+from oracles import loop_draw_below, stdlib_samples
 
 # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the bases
 # 2..37; psi_13 is one to 2..41 as well.
@@ -76,3 +77,34 @@ def test_bulk_draw_equals_the_per_call_loop(q):
         for count in (cut - 1, cut, cut + 1, 4096, 1):
             assert draw_below(rng, q, count) == loop_draw_below(ref, q, count)
             assert rng.getstate() == ref.getstate()
+
+
+def test_draw_samples_equals_the_stdlib_sample():
+    # The same lists as rng.sample(range(n), k), two in a row, and the same
+    # rng state after them. sample walks a pool while n <= setsize and keeps
+    # a set of chosen indices above it; every n <= 40 reaches both.
+    branches = {"pool": 0, "set": 0}
+    for n in range(41):
+        for k in range(n + 1):
+            setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+            branches["pool" if n <= setsize else "set"] += 1
+            for seed in range(10):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert draw_samples(rng, n, k, 2) == stdlib_samples(ref, n, k, 2), (n, k, seed)
+                assert rng.getstate() == ref.getstate(), (n, k, seed)
+    assert branches["set"] >= 50 and branches["pool"] >= 50, branches
+    # Past five draws setsize grows with k: 85 for k = 6..21, 277 for
+    # k = 22..85. Both sides of those edges.
+    for n, k in ((85, 6), (86, 6), (85, 21), (86, 21), (277, 22), (278, 22), (278, 85)):
+        for seed in range(3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert draw_samples(rng, n, k, 2) == stdlib_samples(ref, n, k, 2), (n, k, seed)
+            assert rng.getstate() == ref.getstate(), (n, k, seed)
+
+
+def test_draw_samples_rejects_what_sample_rejects():
+    for n, k in ((3, 4), (3, -1), (0, 1)):
+        with pytest.raises(ValueError):
+            random.Random(0).sample(range(n), k)
+        with pytest.raises(ValueError):
+            draw_samples(random.Random(0), n, k, 1)

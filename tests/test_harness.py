@@ -29,7 +29,14 @@ from byzgrad.harness import (
     write_transcript,
 )
 
-from oracles import column_sum, dense_response_matrix, loop_draw_below, row_sum, transpose
+from oracles import (
+    column_sum,
+    dense_response_matrix,
+    loop_draw_below,
+    row_sum,
+    set_is_int_list,
+    transpose,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -527,11 +534,21 @@ def _mutate(rng, events):
     return events, (kind, path[0])
 
 
-def test_replay_mutation_fuzz(tmp_path):
+def test_replay_mutation_fuzz(tmp_path, monkeypatch):
     rng = random.Random(2024)
     path = tmp_path / "m.jsonl"
     outcomes = {"rejected": 0, "accepted": 0}
     touched = set()
+    # Every int-list check replay makes must agree with the set-and-min/max form.
+    is_int_list, verdicts = harness._is_int_list, []
+
+    def compared(value, length=None, q=None):
+        verdict = is_int_list(value, length, q)
+        assert verdict == set_is_int_list(value, length, q), (value, length, q)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(harness, "_is_int_list", compared)
     # One run per ending: two liars end in the errors-and-erasures decode,
     # one liar in a second-round agreement; 1,000 mutations of each.
     for controlled in ("random", "1"):
@@ -555,6 +572,42 @@ def test_replay_mutation_fuzz(tmp_path):
         "local_compute", "elimination", "ecc_decode", "agreement", "final",
     }
     assert outcomes["rejected"] > 1500 and outcomes["accepted"] > 0
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 10_000
+
+
+Q = 101
+INT_LIST_CASES = [
+    ([1, 2, 3], None, None, True),
+    ([], None, None, True),
+    ([], 0, Q, True),
+    ([], 1, Q, False),
+    ([0, Q - 1], 2, Q, True),
+    ([0, Q], 2, Q, False),
+    ([-1, 5], 2, Q, False),
+    ([-1, 5], 2, None, True),
+    ([Q, 10**30], None, None, True),
+    ([1, True], 2, Q, False),
+    ([False], None, None, False),
+    ([1, 2.0], 2, Q, False),
+    ([1.0], None, None, False),
+    ([[1], 2], 2, Q, False),
+    ([[1, 2]], None, None, False),
+    ([1, "2"], 2, Q, False),
+    ([1, None], None, None, False),
+    ((1, 2), 2, Q, False),
+    ("12", None, None, False),
+    (None, None, None, False),
+    ([1, 2, 3], 2, Q, False),
+    ([Q - 1] * 19, 19, Q, True),
+    ([0] * 18 + [Q], 19, Q, False),
+    ([0] * 18 + [True], 19, None, False),
+]
+
+
+@pytest.mark.parametrize("value,length,q,verdict", INT_LIST_CASES)
+def test_is_int_list_edge_values(value, length, q, verdict):
+    assert harness._is_int_list(value, length, q) is verdict
+    assert set_is_int_list(value, length, q) is verdict
 
 
 START, FINAL = b'{"event":"start","n":5}', b'{"event":"final","rounds":2}'

@@ -341,6 +341,28 @@ def test_initial_response_of_the_wrong_length_is_rejected(change):
         run_protocol(ctx, make_cyclic(4, 4, 2), g, WrongLength([1]))
 
 
+def test_query_is_an_immutable_value():
+    query = Query(1, (0, 2), 0)
+    assert query == Query(1, (0, 2), 0) == (1, (0, 2), 0)
+    assert hash(query) == hash((1, (0, 2), 0))
+    assert (query.level, query.mask, query.coordinate) == (1, (0, 2), 0)
+    with pytest.raises(AttributeError):
+        query.level = 2
+
+
+def test_meta_labels_follow_the_start_fields_and_may_not_reuse_them():
+    ctx = build_code_context(3, 1, 1, 7)
+    a_mat = make_cyclic(3, 3, 2)
+    start = run_protocol(ctx, a_mat, [[2, 3, 4]], AdversaryStrategy(),
+                         meta={"seed": 4, "label": "x"}).transcript.events[0]
+    assert list(start) == [
+        "event", "n", "s", "u", "r", "p", "d", "q", "eval_points", "grouping", "seed", "label",
+    ]
+    for name in ("event", "n", "grouping"):
+        with pytest.raises(ValueError, match="may not reuse"):
+            run_protocol(ctx, a_mat, [[2, 3, 4]], AdversaryStrategy(), meta={name: 1})
+
+
 def test_protocol_rejects_gradients_without_coordinates(tmp_path):
     ctx = build_code_context(3, 1, 1, 7)
     a_mat = make_cyclic(3, 3, 2)
