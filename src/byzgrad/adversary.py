@@ -56,13 +56,8 @@ class AdversaryStrategy:
                 return v
 
     def _nonzero_scalar(self) -> int:
-        """rng.randrange(1, q): one draw below q-1, as draw_below's loop takes it, plus one."""
-        below = self.ctx.q - 1
-        width, getrandbits = below.bit_length(), self.rng.getrandbits
-        v = getrandbits(width)
-        while v >= below:
-            v = getrandbits(width)
-        return 1 + v
+        """rng.randrange(1, q): one draw below q-1, shifted up by one."""
+        return 1 + draw_below(self.rng, self.ctx.q - 1, 1)[0]
 
 
 _PERSISTENCES = ("always", "initial_only", "per_query_coin")

@@ -130,9 +130,8 @@ class EncodingMatrix:
         of its first sample; classes are ordered by first sample. Row i
         depends only on a_i and the zero set Z_i, so a regular all-one
         encoding has few classes: n for cyclic, n/rho for fractional.
-        All-zero rows join no class. build_encoding_matrix records them in
-        the pass that builds W; an encoding made from a given W reads them
-        off W here. Tuples, because every caller shares the cached value.
+        All-zero rows join no class. Derived from W itself, so it holds for
+        any encoding; tuples, because every caller shares the cached value.
         """
         index: dict[tuple[int, ...], list[int]] = {}
         for i, row in enumerate(self.w):
@@ -263,37 +262,26 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence
     if len(a) != p:
         raise DimensionError(f"query vector length {len(a)} != p = {p}")
     zeros = (0,) * n
-    # Samples with equal assignment columns share a zero set and a base row.
-    # Row i is nonzero iff a_i is, with sample i's holders as its support, so
-    # two nonzero rows are equal iff their samples share a column and a_i:
-    # each column keeps its classes by a_i, and classes lists them in order
-    # of first sample.
-    bases: dict[tuple[int, ...], tuple[tuple[int, ...], dict[int, list[int]]]] = {}
-    classes: list[list[int]] = []
+    bases: dict[tuple[int, ...], tuple[int, ...]] = {}
     rows: list[tuple[int, ...]] = []
+    # Samples with equal assignment columns share a zero set and a base row.
     for i, column in enumerate(zip(*a_mat.bits)):
-        entry = bases.get(column)
-        if entry is None:
+        base = bases.get(column)
+        if base is None:
             missing = column.count(0)
             if missing != r:
                 raise AssignmentMismatchError(
                     f"sample {i + 1} is missing from {missing} workers, expected r={r}"
                 )
-            entry = bases[column] = sample_row(ctx, column), {}
-        base, by_scale = entry
+            base = bases[column] = sample_row(ctx, column)
         ai = a[i] % q
-        if ai == 0:
+        if ai == 1:
+            rows.append(base)
+        elif ai == 0:
             rows.append(zeros)
-            continue
-        members = by_scale.get(ai)
-        if members is None:
-            members = by_scale[ai] = []
-            classes.append(members)
-        members.append(i)
-        rows.append(base if ai == 1 else tuple(ai * v % q for v in base))
-    enc = EncodingMatrix(tuple(v % q for v in a), tuple(rows), q)
-    enc.__dict__["row_classes"] = tuple(map(tuple, classes))
-    return enc
+        else:
+            rows.append(tuple(ai * v % q for v in base))
+    return EncodingMatrix(tuple(v % q for v in a), tuple(rows), q)
 
 
 def restrict_encoding(enc: EncodingMatrix, mask: Iterable[int]) -> EncodingMatrix:

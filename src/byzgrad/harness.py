@@ -41,7 +41,7 @@ from .errors import (
     ProtocolInvariantViolation,
     TranscriptReplayError,
 )
-from .field import DEFAULT_MODULUS, draw_below, draw_samples, is_prime
+from .field import DEFAULT_MODULUS, draw_below, is_prime
 from .protocol import ProtocolResult, ProtocolRun, run_protocol
 
 # Not used here: perfbench/tracing.py wraps these at their harness names.
@@ -192,7 +192,7 @@ def resolve_controlled(config: SimulationConfig) -> tuple[int, ...]:
     rule = config.controlled
     if rule == "random":
         rng = random.Random(f"{config.seed}:controlled")
-        return tuple(sorted(draw_samples(rng, config.n, config.s, 1)[0]))
+        return tuple(sorted(rng.sample(range(config.n), config.s)))
     if rule == "first":
         return tuple(range(config.s))
     if rule == "last":

@@ -578,8 +578,8 @@ def sample_per_column_random_regular(n: int, p: int, rho: int, seed: int) -> Ass
 def row_classes_of_w(w: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Samples grouped by equal nonzero rows of W, ordered by first sample, read off W.
 
-    The derivation EncodingMatrix.row_classes makes for an encoding given
-    its W; build_encoding_matrix records its classes as it builds W instead.
+    The derivation EncodingMatrix.row_classes makes, kept apart here so that
+    a faster derivation there is checked against this one.
     """
     index: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(w):

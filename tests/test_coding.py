@@ -487,10 +487,10 @@ def _check_row_classes(enc):
 FILE_ASSIGNMENT = "4 6 2\n110110\n110100\n001001\n001011\n"
 
 
-def test_recorded_row_classes_equal_the_w_oracle():
-    # build_encoding_matrix records its classes while it builds W; they must
-    # be W's equal nonzero rows, and each class's gatherer must pick exactly
-    # its samples out of a row of p values, as a list or a tuple.
+def test_row_classes_and_gatherers_equal_the_oracles():
+    # The classes of an encoding build_encoding_matrix made must be W's
+    # equal nonzero rows, and each class's gatherer must pick exactly its
+    # samples out of a row of p values, as a list or a tuple.
     rng = random.Random(5)
     file_mat, _ = assignment_from_text(FILE_ASSIGNMENT)
     instances = [
