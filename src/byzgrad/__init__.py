@@ -29,7 +29,6 @@ from .coding import (
     combining_vector,
     ecc_decode,
     response_matrix,
-    restrict_encoding,
 )
 from .field import DEFAULT_MODULUS, is_prime
 from .harness import (

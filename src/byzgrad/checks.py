@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .adversary import pick_attack_support
-from .assignment import make_random_regular
+from .assignment import AssignmentMatrix, make_random_regular
 from .coding import (
     CodeContext,
     _point_weights,
@@ -22,7 +22,7 @@ from .coding import (
     combining_vector,
     ecc_decode,
     response_matrix,
-    restrict_encoding,
+    sample_row,
 )
 from .linalg import cauchy_like_det, invert, solve_linear, vandermonde
 from .protocol import form_groups, group_response, pack_responses
@@ -94,12 +94,27 @@ def check_cauchy_determinant(
     return res
 
 
-def check_encoding_matrix(trials=60, q=101, seed=0) -> CheckResult:
-    """Zero pattern and group-span property of the encoding matrix.
+def _query_rows(
+    ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Rows of W = (Q | a) F for a general query a: sample i's all-one row times a_i.
 
-    For random small instances: W vanishes wherever the assignment does, and
-    for every group of r+1 workers the combining vector recovers the queried
-    coefficients exactly.
+    Row i must vanish off sample i's holders and have leading coefficient
+    a_i, which scaling the monic all-one row (coding.sample_row) gives.
+    """
+    q = ctx.q
+    return tuple(
+        tuple(ai * v % q for v in sample_row(ctx, column))
+        for ai, column in zip(a, zip(*a_mat.bits))
+    )
+
+
+def check_encoding_matrix(trials=60, q=101, seed=0) -> CheckResult:
+    """Zero pattern and group-span property of a general query's encoding matrix.
+
+    For random small instances and queries a (W from _query_rows): W
+    vanishes wherever the assignment does, and for every group of r+1
+    workers the combining vector recovers the queried coefficients exactly.
     """
     res = CheckResult("encoding matrix zero pattern and span")
     rng = random.Random(seed)
@@ -114,15 +129,15 @@ def check_encoding_matrix(trials=60, q=101, seed=0) -> CheckResult:
         ctx = build_code_context(n, s, u, q)
         a_mat = make_random_regular(n, p, rho, rng.randrange(10**6))
         a = [rng.randrange(q) for _ in range(p)]
-        enc = build_encoding_matrix(ctx, a_mat, a)
+        w = _query_rows(ctx, a_mat, a)
         res.cases += 1
         for j in range(n):
             for i in range(p):
-                if a_mat.bits[j][i] == 0 and enc.w[i][j] != 0:
+                if a_mat.bits[j][i] == 0 and w[i][j] != 0:
                     res.failures.append(f"n={n} s={s} u={u} p={p}: W[{i},{j}] != 0")
         for group in combinations(range(n), ctx.r + 1):
             b = combining_vector(ctx, group)
-            got = [sum(row[j] * b[j] for j in group) % q for row in enc.w]
+            got = [sum(row[j] * b[j] for j in group) % q for row in w]
             if got != [v % q for v in a]:
                 res.failures.append(f"n={n} s={s} u={u} group={group}: span miss")
     return res
@@ -142,14 +157,13 @@ def check_restriction_equivalence(trials=500, q=101, seed=0) -> CheckResult:
             continue
         ctx = build_code_context(n, s, u, q)
         a_mat = make_random_regular(n, p, rho, rng.randrange(10**6))
-        enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+        w = build_encoding_matrix(ctx, a_mat).w
         mask = [i for i in range(p) if rng.random() < 0.5]
         res.cases += 1
-        restricted = restrict_encoding(enc, mask)
-        rebuilt = build_encoding_matrix(
-            ctx, a_mat, [1 if i in set(mask) else 0 for i in range(p)]
-        )
-        if restricted.w != rebuilt.w or restricted.a != rebuilt.a:
+        keep, zeros = set(mask), (0,) * n
+        restricted = tuple(row if i in keep else zeros for i, row in enumerate(w))
+        rebuilt = _query_rows(ctx, a_mat, [1 if i in keep else 0 for i in range(p)])
+        if restricted != rebuilt:
             res.failures.append(f"n={n} s={s} u={u} p={p} mask={mask}")
     return res
 
@@ -219,7 +233,7 @@ def check_fewer_groups_attackable(
             continue
         rho = s + u
         a_mat = make_random_regular(n, max(n // rho + 1, 2), rho, seed)
-        enc = build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
+        enc = build_encoding_matrix(ctx, a_mat)
         gradients = [[rng.randrange(q) for _ in range(a_mat.p)] for _ in range(d)]
         z = response_matrix(ctx, gradients, enc)
         corrupted = [[(v + e) % q for v in col] for col, e in zip(zip(*z), err)]
@@ -256,7 +270,7 @@ def check_errors_and_erasures(n=7, s=2, u=2, q=11, p=5, d=1, seed=0) -> CheckRes
     rng = random.Random(seed)
     ctx = build_code_context(n, s, u, q)
     a_mat = make_random_regular(n, p, s + u, seed)
-    enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+    enc = build_encoding_matrix(ctx, a_mat)
     gradients = [[rng.randrange(q) for _ in range(p)] for _ in range(d)]
     z = response_matrix(ctx, gradients, enc)
     truth = [sum(row) % q for row in gradients]

@@ -2,13 +2,15 @@
 
 The generator matrix F is a (r+1) x n Vandermonde on distinct nonzero
 evaluation points, so every r+1 columns form an invertible block (MDS).
-Worker j's coefficients for a queried combination a are column j of
-W = (Q | a) F: row i evaluates a polynomial of degree r with leading
-coefficient a_i that vanishes at the workers not holding sample i, which in
-closed form is W[i][j] = a_i * prod_{m in Z_i} (x_j - x_m). Row i thus
-depends only on a_i and Z_i, so a regular assignment has few distinct rows,
-and the honest responses G @ W are computed per class of equal rows from
-the sum of that class's gradient columns.
+Worker j's coefficients for the all-one query, the sum of every sample's
+gradient, are column j of W = (Q | 1) F: row i evaluates the monic
+polynomial of degree r that vanishes at the workers not holding sample i,
+which in closed form is W[i][j] = prod_{m in Z_i} (x_j - x_m). Row i thus
+depends only on Z_i, so a regular assignment has few distinct rows, and
+the honest responses G @ W are computed per class of equal rows from the
+sum of that class's gradient columns. The match's 0/1 interval queries
+are answered from prefix sums over this W, so no other query's W is
+built here.
 Dense products over F_q run on lanes: pack puts field elements side by side
 in one Python int, lane_bytes(q, terms) bytes each, so that a sum of terms
 products of two elements of [0, q) fits its lane without carrying into the
@@ -19,7 +21,7 @@ each sample's row across the workers, a class's samples sharing one int, in
 lanes wide enough for all p samples. A running sum of G[c][i] times those
 rows holds every worker's prefix sum, and a coordinate's n responses are
 one dot product of its class sums with the class rows.
-Any r+1 workers suffice to recover the combination via a closed-form
+Any r+1 workers suffice to recover the sum via a closed-form
 combining vector: member j's entry is w_j times the product of x_j - x_m
 over the non-members m, with the weights w_j = 1 / prod_{m != j} (x_j - x_m)
 over all n points computed once per code, and each vector cached per code
@@ -113,30 +115,28 @@ def build_code_context(
 
 @dataclass(frozen=True)
 class EncodingMatrix:
-    """Query coefficients a together with the worker coefficient matrix W (p x n) over F_q.
+    """The all-one query's worker coefficient matrix W (p x n) over F_q.
 
     W is a tuple of p row tuples; samples with equal rows share one tuple.
     """
 
-    a: tuple[int, ...]
     w: tuple[tuple[int, ...], ...]
     q: int
 
     @cached_property
     def row_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Samples grouped by equal nonzero rows of W.
+        """Samples grouped by equal rows of W.
 
         Class c holds, in increasing order, the samples whose rows equal that
         of its first sample; classes are ordered by first sample. Row i
-        depends only on a_i and the zero set Z_i, so a regular all-one
-        encoding has few classes: n for cyclic, n/rho for fractional.
-        All-zero rows join no class. Derived from W itself, so it holds for
-        any encoding; tuples, because every caller shares the cached value.
+        depends only on the zero set Z_i, so a regular encoding has few
+        classes: n for cyclic, n/rho for fractional. Derived from W itself,
+        so it holds for any W; tuples, because every caller shares the
+        cached value.
         """
         index: dict[tuple[int, ...], list[int]] = {}
         for i, row in enumerate(self.w):
-            if any(row):
-                index.setdefault(row, []).append(i)
+            index.setdefault(row, []).append(i)
         return tuple(map(tuple, index.values()))
 
     @cached_property
@@ -145,8 +145,7 @@ class EncodingMatrix:
 
         width is lane_bytes(q, p), so a sum over any samples of their packed
         rows times elements of [0, q) fills every lane without a carry. The
-        samples of a class share their class's int, packed once; an all-zero
-        row is 0.
+        samples of a class share their class's int, packed once.
         """
         w = self.w
         width = lane_bytes(self.q, len(w))
@@ -243,59 +242,33 @@ def sample_row(ctx: CodeContext, column: Sequence[int]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence[int]) -> EncodingMatrix:
-    """W[i][j] = a_i * prod_{m in Z_i} (x_j - x_m), in closed form.
+def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix) -> EncodingMatrix:
+    """The all-one encoding: W[i][j] = prod_{m in Z_i} (x_j - x_m), in closed form.
 
-    Row i of W = (Q | a) F evaluates a polynomial of degree at most r with
-    leading coefficient a_i at every worker's point; vanishing on the r
-    workers Z_i that do not hold sample i pins it to a_i times the monic
-    polynomial with those roots. One base row (sample_row) is built per
-    distinct zero pattern and scaled by a_i. Requires each sample to be
-    missing from exactly r workers, which is what a regular assignment with
-    replication s+u guarantees.
+    Row i of W = (Q | 1) F evaluates a monic polynomial of degree at most r
+    at every worker's point; vanishing on the r workers Z_i that do not hold
+    sample i pins it to the polynomial with those roots. One row
+    (sample_row) is built per distinct zero pattern. Requires each sample
+    to be missing from exactly r workers, which is what a regular
+    assignment with replication s+u guarantees.
     """
-    q = ctx.q
     n, r = ctx.n, ctx.r
-    p = a_mat.p
     if a_mat.n != n:
         raise AssignmentMismatchError(f"assignment has {a_mat.n} workers, code has {n}")
-    if len(a) != p:
-        raise DimensionError(f"query vector length {len(a)} != p = {p}")
-    zeros = (0,) * n
-    bases: dict[tuple[int, ...], tuple[int, ...]] = {}
+    by_column: dict[tuple[int, ...], tuple[int, ...]] = {}
     rows: list[tuple[int, ...]] = []
-    # Samples with equal assignment columns share a zero set and a base row.
+    # Samples with equal assignment columns share a zero set and a row.
     for i, column in enumerate(zip(*a_mat.bits)):
-        base = bases.get(column)
-        if base is None:
+        row = by_column.get(column)
+        if row is None:
             missing = column.count(0)
             if missing != r:
                 raise AssignmentMismatchError(
                     f"sample {i + 1} is missing from {missing} workers, expected r={r}"
                 )
-            base = bases[column] = sample_row(ctx, column)
-        ai = a[i] % q
-        if ai == 1:
-            rows.append(base)
-        elif ai == 0:
-            rows.append(zeros)
-        else:
-            rows.append(tuple(ai * v % q for v in base))
-    return EncodingMatrix(tuple(v % q for v in a), tuple(rows), q)
-
-
-def restrict_encoding(enc: EncodingMatrix, mask: Iterable[int]) -> EncodingMatrix:
-    """Encoding for a 0/1 sub-query: zero the rows outside the mask.
-
-    Only valid when enc was built for the all-one query; workers never solve
-    the coefficient system afresh mid-protocol.
-    """
-    if any(v != 1 for v in enc.a):
-        raise InvalidParamsError("restriction requires the all-one base encoding")
-    keep = set(mask)
-    zeros = (0,) * len(enc.w[0])
-    w = tuple(row if i in keep else zeros for i, row in enumerate(enc.w))
-    return EncodingMatrix(tuple(1 if i in keep else 0 for i in range(len(w))), w, enc.q)
+            row = by_column[column] = sample_row(ctx, column)
+        rows.append(row)
+    return EncodingMatrix(tuple(rows), ctx.q)
 
 
 def combining_vector(ctx: CodeContext, group: Sequence[int]) -> list[int]:

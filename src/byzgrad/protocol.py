@@ -191,7 +191,7 @@ class ProtocolResult:
 @lru_cache(maxsize=256)
 def _all_one_encoding(ctx: CodeContext, a_mat: AssignmentMatrix) -> EncodingMatrix:
     """W of the code and assignment: fixed by both, so equal pairs share one build."""
-    return build_encoding_matrix(ctx, a_mat, [1] * a_mat.p)
+    return build_encoding_matrix(ctx, a_mat)
 
 
 class SimulatedResponder:

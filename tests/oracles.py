@@ -146,7 +146,7 @@ def solve_encoding_matrix(
                 acc += qi[k] * f_rows[k][j]
             row.append(acc % q)
         w_rows.append(row)
-    return EncodingMatrix(tuple(v % q for v in a), tuple(map(tuple, w_rows)), q)
+    return EncodingMatrix(tuple(map(tuple, w_rows)), q)
 
 
 def exhaustive_ecc_decode(
@@ -576,15 +576,14 @@ def sample_per_column_random_regular(n: int, p: int, rho: int, seed: int) -> Ass
 
 
 def row_classes_of_w(w: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Samples grouped by equal nonzero rows of W, ordered by first sample, read off W.
+    """Samples grouped by equal rows of W, ordered by first sample, read off W.
 
     The derivation EncodingMatrix.row_classes makes, kept apart here so that
     a faster derivation there is checked against this one.
     """
     index: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(w):
-        if any(row):
-            index.setdefault(tuple(row), []).append(i)
+        index.setdefault(tuple(row), []).append(i)
     return tuple(map(tuple, index.values()))
 
 

@@ -68,7 +68,7 @@ def test_rng_is_seeded_on_first_use():
     # A drawing policy draws what an rng seeded at construction would.
     strategy = RandomCorruption([2], seed=9)
     assert "rng" not in vars(strategy)
-    strategy.bind(ctx, a_mat, build_encoding_matrix(ctx, a_mat, [1] * 6))
+    strategy.bind(ctx, a_mat, build_encoding_matrix(ctx, a_mat))
     expected = random.Random("9:adversary")
     errors = [expected.randrange(101) for _ in range(3)]
     assert any(errors)
@@ -230,7 +230,7 @@ def test_attack_on_fewer_groups_fools_them():
         assert len(err) == n and all(err[j] == 0 for j in range(n) if j not in support)
         p = max(2, n // (s + u) + 1)
         a_mat = make_random_regular(n, p, s + u, seed=0)
-        enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+        enc = build_encoding_matrix(ctx, a_mat)
         g = make_gradients(ctx, p, 1, seed=0)
         z = response_matrix(ctx, g, enc)
         corrupted = [[(v + e) % ctx.q for v in col] for col, e in zip(zip(*z), err)]

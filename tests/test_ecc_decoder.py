@@ -43,7 +43,7 @@ def corrupt_instance(rng, ctx, p, d, identified_count, corrupt_count):
     """
     n, q = ctx.n, ctx.q
     a_mat = make_random_regular(n, p, ctx.s + ctx.u, rng.randrange(2**31))
-    enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+    enc = build_encoding_matrix(ctx, a_mat)
     g = [[rng.randrange(q) for _ in range(p)] for _ in range(d)]
     received = response_matrix(ctx, g, enc)
     truth = [sum(row) % q for row in g]
@@ -220,7 +220,7 @@ def test_one_lane_table_matches_the_row_table_oracle():
                     p = rng.randint(-(-n // (s + 1)), n + 2)  # no idle worker
                     a_mat = make_random_regular(n, p, s + 1, rng.randrange(2**31))
                     g = [[rng.randrange(q) for _ in range(p)] for _ in range(d)]
-                    honest = response_matrix(ctx, g, build_encoding_matrix(ctx, a_mat, [1] * p))
+                    honest = response_matrix(ctx, g, build_encoding_matrix(ctx, a_mat))
                     truth = [sum(row) % q for row in g]
                     assert ecc_decode(ctx, honest, identified) == truth
                     noise = [[rng.randrange(q) for _ in range(n)] for _ in range(d)]
@@ -242,7 +242,7 @@ def test_over_budget_beyond_tau_fails_where_oracle_misdecodes():
     # columns, which always fit a codeword, so the exhaustive search returns
     # a wrong gradient; the unique decoder refuses.
     ctx = build_code_context(7, 3, 2, 11)
-    enc = build_encoding_matrix(ctx, make_random_regular(7, 5, 5, seed=4), [1] * 5)
+    enc = build_encoding_matrix(ctx, make_random_regular(7, 5, 5, seed=4))
     z = response_matrix(ctx, [[1, 2, 3, 4, 5]], enc)
     truth = [(1 + 2 + 3 + 4 + 5) % 11]
     data = list(z[0])
@@ -260,7 +260,7 @@ def test_over_budget_beyond_tau_fails_where_oracle_misdecodes():
 def test_shared_locator_pools_errors_across_coordinates():
     # Two workers each corrupt a different coordinate only; u-1 = 2 covers both.
     ctx = build_code_context(9, 3, 3, 101)
-    enc = build_encoding_matrix(ctx, make_random_regular(9, 6, 6, seed=7), [1] * 6)
+    enc = build_encoding_matrix(ctx, make_random_regular(9, 6, 6, seed=7))
     rng = random.Random(5)
     g = [[rng.randrange(101) for _ in range(6)] for _ in range(2)]
     received = response_matrix(ctx, g, enc)
@@ -280,7 +280,7 @@ def test_pool_locator_covers_every_pooled_worker(monkeypatch):
     # Berlekamp-Massey locates the first two; the third is the pooled share
     # over both workers, which a locator of the last located roots alone misses.
     ctx = build_code_context(9, 3, 3, 101)
-    enc = build_encoding_matrix(ctx, make_random_regular(9, 6, 6, seed=7), [1] * 6)
+    enc = build_encoding_matrix(ctx, make_random_regular(9, 6, 6, seed=7))
     rng = random.Random(6)
     g = [[rng.randrange(101) for _ in range(6)] for _ in range(3)]
     received = response_matrix(ctx, g, enc)
@@ -304,7 +304,7 @@ def test_pooled_errors_capped_by_unique_radius():
     # different coordinates are each within the radius per coordinate, but
     # together they are beyond it, where a codeword need not be unique.
     ctx = build_code_context(7, 3, 3, 101)
-    enc = build_encoding_matrix(ctx, make_random_regular(7, 4, 6, seed=2), [1] * 4)
+    enc = build_encoding_matrix(ctx, make_random_regular(7, 4, 6, seed=2))
     received = response_matrix(ctx, [[1, 2, 3, 4], [5, 6, 7, 8]], enc)
     received[0][3] = (received[0][3] + 9) % 101
     received[1][5] = (received[1][5] + 9) % 101

@@ -1,11 +1,18 @@
-"""Hypothesis properties of the closed-form encoder: zero pattern and group span."""
+"""Hypothesis properties of a general query's closed-form W: zero pattern and group span.
+
+The rows are the certificates' (checks._query_rows): the all-one rows scaled
+by the query, checked against the zero-constraint solve.
+"""
 
 import pytest
 
 from byzgrad.assignment import make_cyclic, make_fractional, make_random_regular
-from byzgrad.coding import build_code_context, build_encoding_matrix, combining_vector
+from byzgrad.checks import _query_rows
+from byzgrad.coding import build_code_context, combining_vector
 from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import assignment_feasible
+
+from oracles import solve_encoding_matrix
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -41,7 +48,8 @@ def encoders(draw):
 def test_encoder_zero_pattern_and_group_span(case):
     ctx, a_mat, a, group = case
     q = ctx.q
-    w = build_encoding_matrix(ctx, a_mat, a).w
+    w = _query_rows(ctx, a_mat, a)
+    assert w == solve_encoding_matrix(ctx, a_mat, a).w
     for i in range(a_mat.p):
         for j in range(ctx.n):
             assert (w[i][j] == 0) == (not a_mat.bits[j][i] or a[i] % q == 0)

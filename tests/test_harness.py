@@ -708,7 +708,7 @@ def test_one_gradient_draw_equals_a_draw_per_row(p, d):
     ref = random.Random(f"{config.seed}:gradients")
     rows = [loop_draw_below(ref, config.q, p) for _ in range(d)]
     ctx = coding.build_code_context(5, 2, 1, config.q)
-    enc = coding.build_encoding_matrix(ctx, harness.make_cyclic(5, p, 3), [1] * p)
+    enc = coding.build_encoding_matrix(ctx, harness.make_cyclic(5, p, 3))
     initial = next(ev for ev in out.result.transcript.events if ev["event"] == "response_set")
     assert initial["values"] == transpose(dense_response_matrix(ctx, rows, enc))
     assert out.truth == [sum(row) % config.q for row in rows] == out.result.gradient
@@ -914,11 +914,17 @@ def test_cli_save_assignment_writes_the_run_assignment(tmp_path, capsys):
 
 
 def test_cli_verify_subcommand(capsys):
-    for which in ("lemma3", "restriction"):
+    # The two certificates that build a general query's W report exactly this.
+    reports = {
+        "lemma2": "[PASS] encoding matrix zero pattern and span: 56 cases, 0 failures\n",
+        "restriction": "[PASS] mask restriction equals rebuilt encoding: 500 cases, 0 failures\n",
+    }
+    for which in ("lemma3", *reports):
         rc = cli_main(["verify", which])
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("[PASS]")
+        assert out == reports.get(which, out)
 
 
 def test_cli_seed_env_default(tmp_path, monkeypatch, capsys):

@@ -260,7 +260,7 @@ def test_corrupt_shared_worker_weighted_differently_per_group():
     g = [[2, 3, 4]]
     from byzgrad.coding import response_matrix
 
-    enc = build_encoding_matrix(ctx, a_mat, [1, 1, 1])
+    enc = build_encoding_matrix(ctx, a_mat)
     z = response_matrix(ctx, g, enc)
     truth = (2 + 3 + 4) % 7
     for err in range(1, 7):
@@ -280,7 +280,7 @@ def test_simulated_responder_truth_is_sample_column():
     a_mat = make_cyclic(3, 3, 2)
     responder = SimulatedResponder([[2, 3, 4], [5, 6, 0]], AdversaryStrategy())
     responder.bind(ctx, a_mat)
-    assert responder.enc == build_encoding_matrix(ctx, a_mat, [1] * 3)
+    assert responder.enc == build_encoding_matrix(ctx, a_mat)
     assert responder.truth(1) == [3, 6]
     assert local_compute(responder, 0) == [2, 5]
     assert local_compute(responder, 2) == [4, 0]
@@ -305,7 +305,7 @@ def test_each_bind_reads_the_encoding_of_its_own_code_and_assignment():
         for code, a_mat in instances:
             responder = SimulatedResponder(g, tournament_liar([0, 3], seed=seed))
             res = ProtocolRun(code, a_mat, responder).run()
-            assert responder.enc == build_encoding_matrix(code, a_mat, [1] * 6)
+            assert responder.enc == build_encoding_matrix(code, a_mat)
             assert res.gradient == full_sum(code, g)
             assert set(res.eliminated) <= {0, 3}
 
@@ -418,7 +418,7 @@ def test_prefix_match_answers_equal_strided_slice():
             if not assignment_feasible(kind, n, p, s + u)[0]:
                 continue
             a_mat = build(n, p)
-            enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+            enc = build_encoding_matrix(ctx, a_mat)
             responder.bind(ctx, a_mat)
             assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
             checked += 1
@@ -436,7 +436,7 @@ def test_a_rebound_responder_reads_the_lanes_of_its_new_code():
         ctx = build_code_context(n, 1, 1, q)
         a_mat = make_cyclic(n, p, 2)
         responder.bind(ctx, a_mat)
-        enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+        enc = build_encoding_matrix(ctx, a_mat)
         assert_match_answers_equal_slice(ctx, responder, g, enc, range(2))
 
 
@@ -453,7 +453,7 @@ def test_prefix_match_answers_cover_moduli_and_unreduced_gradients(q):
         responder = SimulatedResponder(g, AdversaryStrategy())
         for build in (make_cyclic, make_fractional):
             a_mat = build(n, p, s + u)
-            enc = build_encoding_matrix(ctx, a_mat, [1] * p)
+            enc = build_encoding_matrix(ctx, a_mat)
             responder.bind(ctx, a_mat)
             assert_match_answers_equal_slice(ctx, responder, g, enc, range(3))
 
@@ -467,7 +467,7 @@ def test_prefix_match_answers_fill_the_lane_at_every_q_minus_one(q, monkeypatch)
     n = 4
     ctx = build_code_context(n, 1, 1, q)
     for p in (7, 8, 255, 256, 257, 300):
-        enc = EncodingMatrix((1,) * p, ((q - 1,) * n,) * p, q)
+        enc = EncodingMatrix(((q - 1,) * n,) * p, q)
         width, _ = enc.sample_lanes
         if width > 1:
             assert p * (q - 1) ** 2 >= 1 << 8 * (width - 1)
@@ -763,7 +763,7 @@ def test_a_run_packs_each_class_of_w_once(monkeypatch):
     monkeypatch.setattr(coding, "pack", counted)
     ctx = build_code_context(8, 2, 1, 101)
     a_mat = make_cyclic(8, 16, 3)
-    enc = build_encoding_matrix(ctx, a_mat, [1] * 16)
+    enc = build_encoding_matrix(ctx, a_mat)
     g = make_gradients(ctx, 16, 3, seed=4)
     res = run_protocol(ctx, a_mat, g, tournament_liar([0, 5], "consistent", seed=4))
     assert res.gradient == full_sum(ctx, g) and res.eliminated == (0, 5)

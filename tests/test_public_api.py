@@ -24,7 +24,7 @@ PUBLIC = {
     "pick_attack_support", "tournament_liar",
     # coding
     "CodeContext", "EncodingMatrix", "build_code_context", "build_encoding_matrix",
-    "combining_vector", "ecc_decode", "response_matrix", "restrict_encoding",
+    "combining_vector", "ecc_decode", "response_matrix",
     # field
     "DEFAULT_MODULUS", "is_prime",
     # harness
