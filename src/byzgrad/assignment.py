@@ -20,17 +20,15 @@ from .field import draw_samples
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
+    """n workers' rows over p samples, one bytes row per worker.
+
+    The hash is the one the frozen dataclass generates: each bytes row
+    caches its own, so after the first lookup hashing costs n cached reads.
+    """
+
     n: int
     p: int
     bits: tuple[bytes, ...]  # bits[j][i] == 1 iff sample i is on worker j
-
-    def __hash__(self) -> int:
-        # Tuples do not cache their hash, and every simulated run looks its
-        # assignment up in the encoding cache: hash the n rows once.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.n, self.p, self.bits))
-        return h
 
     def samples_of(self, j: int) -> list[int]:
         return list(compress(range(self.p), self.bits[j]))
@@ -60,6 +58,31 @@ def validate_regular(a: AssignmentMatrix, rho: int) -> bool:
     return total == rho * int.from_bytes(lanes, "little") and all(map(any, bits))
 
 
+def assignment_feasible(kind: str, n: int, p: int, rho: int) -> tuple[bool, str]:
+    """Whether a regular assignment of this kind exists, and if not, why.
+
+    Each generator below raises InvalidParamsError with this reason. The
+    rule is exact: a cyclic worker j >= p holds a sample only if its window
+    of rho wraps past n, and the n/rho fractional groups each need a sample
+    of their own, which rho*p >= n already gives when rho divides n.
+    """
+    if not (1 <= rho <= n) or p < 1:
+        return False, f"need 1 <= rho <= n and p >= 1, got n={n}, p={p}, rho={rho}"
+    if rho * p < n:
+        return False, "rho*p < n leaves some worker idle"
+    if kind == "cyclic" and p + rho - 1 < n:
+        return False, "cyclic layout leaves some worker idle"
+    if kind == "fractional" and n % rho != 0:
+        return False, "fractional needs rho | n"
+    return True, ""
+
+
+def _require_feasible(kind: str, n: int, p: int, rho: int) -> None:
+    ok, reason = assignment_feasible(kind, n, p, rho)
+    if not ok:
+        raise InvalidParamsError(reason)
+
+
 def _finish(n: int, p: int, rho: int, bits: list[list[int]], kind: str) -> AssignmentMatrix:
     a = AssignmentMatrix(n, p, tuple(map(bytes, bits)))
     if not validate_regular(a, rho):
@@ -75,8 +98,7 @@ def make_cyclic(n: int, p: int, rho: int) -> AssignmentMatrix:
     Reproduces the usual staircase layout; with n = p = rho it degenerates to
     the all-one matrix.
     """
-    if not (1 <= rho <= n) or p < 1:
-        raise InvalidParamsError(f"need 1 <= rho <= n and p >= 1, got n={n}, p={p}, rho={rho}")
+    _require_feasible("cyclic", n, p, rho)
     bits = [[1 if (i - j) % n < rho else 0 for i in range(p)] for j in range(n)]
     return _finish(n, p, rho, bits, "cyclic")
 
@@ -87,15 +109,8 @@ def make_fractional(n: int, p: int, rho: int) -> AssignmentMatrix:
     When p is not divisible by the group count, remainder samples go to the
     first groups, keeping slice sizes within 1 of each other.
     """
-    if not (1 <= rho <= n) or p < 1:
-        raise InvalidParamsError(f"need 1 <= rho <= n and p >= 1, got n={n}, p={p}, rho={rho}")
-    if n % rho != 0:
-        raise InvalidParamsError(f"fractional repetition needs rho | n, got n={n}, rho={rho}")
+    _require_feasible("fractional", n, p, rho)
     groups = n // rho
-    if p < groups:
-        raise InvalidParamsError(
-            f"fractional repetition needs p >= n/rho groups, got p={p}, groups={groups}"
-        )
     base, extra = divmod(p, groups)
     bits = [[0] * p for _ in range(n)]
     start = 0
@@ -114,12 +129,7 @@ def make_random_regular(n: int, p: int, rho: int, seed: int) -> AssignmentMatrix
     Columns are sampled independently (rho workers each); empty rows are then
     repaired by moving a sample away from a worker that holds at least two.
     """
-    if not (1 <= rho <= n) or p < 1:
-        raise InvalidParamsError(f"need 1 <= rho <= n and p >= 1, got n={n}, p={p}, rho={rho}")
-    if rho * p < n:
-        raise InvalidParamsError(
-            f"no regular assignment exists with rho*p = {rho * p} < n = {n}"
-        )
+    _require_feasible("random", n, p, rho)
     rng = random.Random(seed)
     bits = [[0] * p for _ in range(n)]
     for i, holders in enumerate(draw_samples(rng, n, rho, p)):  # rng.sample per column

@@ -71,16 +71,6 @@ class CodeContext:
     q: int
     eval_points: tuple[int, ...]
 
-    def __hash__(self) -> int:
-        # Caches keyed on the code look it up on every run: hash the
-        # evaluation points once, as AssignmentMatrix hashes its bits.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(
-                (self.n, self.s, self.u, self.r, self.q, self.eval_points)
-            )
-        return h
-
     @cached_property
     def response_lanes(self) -> int:
         """Lane width for one symbol per worker: a dot product over the n workers cannot carry."""

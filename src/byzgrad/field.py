@@ -109,40 +109,30 @@ def draw_samples(rng: random.Random, n: int, k: int, count: int) -> list[list[in
     getrandbits(m.bit_length()) until the value is below m. While a list of
     n is smaller than a set of k (n <= setsize) it walks a pool: it draws
     below n - i, takes that pool entry and moves the pool's last live entry
-    into its place. Otherwise it draws below n and draws again for an index
-    already chosen. Both branches run here with getrandbits called directly,
+    into its place. That branch runs here with getrandbits called directly,
     in sample's order and with its widths, so the words consumed are
-    sample's, no more. tests/test_field.py pins this against rng.sample, so
-    an interpreter whose sample draws otherwise fails there.
+    sample's, no more; above setsize this calls sample itself.
+    tests/test_field.py pins this against rng.sample, so an interpreter
+    whose sample draws otherwise fails there.
     """
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
-    getrandbits = rng.getrandbits
     setsize = 21  # sample's own choice between its branches
     if k > 5:
         setsize += 4 ** ceil(log(k * 3, 4))
+    if n > setsize:
+        return [rng.sample(range(n), k) for _ in range(count)]
+    getrandbits = rng.getrandbits
+    widths = [m.bit_length() for m in range(n, n - k, -1)]
     out = []
-    if n <= setsize:
-        widths = [m.bit_length() for m in range(n, n - k, -1)]
-        for _ in range(count):
-            pool, picked, m = list(range(n)), [], n
-            for width in widths:
-                j = getrandbits(width)
-                while j >= m:
-                    j = getrandbits(width)
-                picked.append(pool[j])
-                m -= 1
-                pool[j] = pool[m]
-            out.append(picked)
-        return out
-    width = n.bit_length()
     for _ in range(count):
-        picked, chosen = [], set()
-        for _ in range(k):
+        pool, picked, m = list(range(n)), [], n
+        for width in widths:
             j = getrandbits(width)
-            while j >= n or j in chosen:
+            while j >= m:
                 j = getrandbits(width)
-            chosen.add(j)
-            picked.append(j)
+            picked.append(pool[j])
+            m -= 1
+            pool[j] = pool[m]
         out.append(picked)
     return out

@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 from . import adversary as adv
 from .assignment import (
     AssignmentMatrix,
+    assignment_feasible,
     assignment_from_text,
     assignment_to_text,
     make_cyclic,
@@ -144,22 +145,6 @@ class SimulationConfig:
         if unknown:
             raise InvalidParamsError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
-
-
-def assignment_feasible(kind: str, n: int, p: int, rho: int) -> tuple[bool, str]:
-    """Whether a regular assignment of this kind exists for the parameters."""
-    if rho > n:
-        return False, "rho exceeds n"
-    if rho * p < n:
-        return False, "rho*p < n leaves some worker idle"
-    if kind == "cyclic" and p + rho - 1 < n:
-        return False, "cyclic layout leaves some worker idle"
-    if kind == "fractional":
-        if n % rho != 0:
-            return False, "fractional needs rho | n"
-        if p < n // rho:
-            return False, "fractional needs p >= n/rho"
-    return True, ""
 
 
 def _make_assignment(kind: str, n: int, p: int, rho: int, seed: int) -> AssignmentMatrix:
@@ -287,9 +272,6 @@ def run_simulation(config: SimulationConfig) -> SimulationOutput:
         a_mat = build_assignment(config)
         text = assignment_to_text(a_mat, config.rho)
     else:
-        ok, reason = assignment_feasible(config.assignment, config.n, config.p, config.rho)
-        if not ok:
-            raise InvalidParamsError(reason)
         aseed = config.seed if config.assignment == "random" else 0
         ctx, a_mat, text = _cached_instance(
             config.n, config.s, config.u, config.q, config.p, config.assignment, aseed

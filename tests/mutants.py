@@ -1,0 +1,112 @@
+"""Mutants of src/byzgrad, each with the tests expected to kill it.
+
+Each entry names a module of src/byzgrad, a source snippet that occurs in
+it exactly once, the snippet's replacement, and the tests that fail once
+the replacement is made. tests/test_mutants.py checks in tier-1 that every
+snippet still occurs exactly once, so a refactor that rewrites a guarded
+line has to update its entry here.
+
+    python tests/mutants.py [name ...]
+
+copies the repository to a temporary directory, checks that the named
+tests pass there, then applies each mutant in turn, runs its tests with
+pytest -x -q and reports it killed or survived. With no names it runs every
+mutant. The exit status is nonzero if a mutant survives.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src") / "byzgrad"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # file name in src/byzgrad
+    snippet: str
+    replacement: str
+    killers: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "cyclic-rule-one-short",
+        "assignment.py",
+        'kind == "cyclic" and p + rho - 1 < n',
+        'kind == "cyclic" and p + rho < n',
+        ("tests/test_assignment.py::test_cyclic_feasible_exactly_when_windows_wrap",),
+    ),
+    Mutant(
+        "samples-by-pool-walk-for-every-n",
+        "field.py",
+        "if n > setsize:",
+        "if False:",
+        ("tests/test_field.py::test_draw_samples_equals_the_stdlib_sample",),
+    ),
+    Mutant(
+        "query-rows-unscaled",
+        "checks.py",
+        "tuple(ai * v % q for v in sample_row(ctx, column))",
+        "tuple(v for v in sample_row(ctx, column))",
+        (
+            "tests/test_coding.py::test_closed_form_encoder_matches_solve_oracle",
+            "tests/test_checks.py::test_encoding_check_runs_clean",
+        ),
+    ),
+    Mutant(
+        "sample-gets-previous-column-row",
+        "coding.py",
+        "for i, column in enumerate(zip(*a_mat.bits)):",
+        "for i, column in enumerate(zip(*(row[-1:] + row[:-1] for row in a_mat.bits))):",
+        (
+            "tests/test_coding.py::test_encoding_matrix_worked_instance",
+            "tests/test_coding.py::test_sample_row_equals_the_encoding_rows",
+        ),
+    ),
+)
+
+
+def _pytest(tree: Path, node_ids) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *node_ids]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(
+            ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis")
+        )
+        if _pytest(tree, sorted({k for m in chosen for k in m.killers})) != 0:
+            print("the killing tests fail on the unmutated tree", file=sys.stderr)
+            return 2
+        survived = 0
+        for m in chosen:
+            path = tree / PACKAGE / m.module
+            source = path.read_text(encoding="utf-8")
+            path.write_text(source.replace(m.snippet, m.replacement), encoding="utf-8")
+            code = _pytest(tree, m.killers)
+            path.write_text(source, encoding="utf-8")
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            survived += code != 1
+            print(f"{m.name}: {verdict}")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,7 +14,7 @@ from byzgrad.adversary import (
     pick_attack_support,
     tournament_liar,
 )
-from byzgrad.assignment import make_cyclic, make_random_regular
+from byzgrad.assignment import assignment_feasible, make_cyclic, make_random_regular
 from byzgrad.checks import symmetrization_attack
 from byzgrad.coding import (
     build_code_context,
@@ -23,7 +23,7 @@ from byzgrad.coding import (
     response_matrix,
 )
 from byzgrad.errors import InvalidParamsError, ProtocolInvariantViolation
-from byzgrad.harness import ADVERSARY_NAMES, SimulationConfig, assignment_feasible, run_simulation
+from byzgrad.harness import ADVERSARY_NAMES, SimulationConfig, run_simulation
 from byzgrad.protocol import (
     form_groups,
     group_response,

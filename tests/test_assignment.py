@@ -1,10 +1,12 @@
 import random
+import re
 from itertools import product
 
 import pytest
 
 from byzgrad.assignment import (
     AssignmentMatrix,
+    assignment_feasible,
     assignment_from_text,
     assignment_to_text,
     make_cyclic,
@@ -55,6 +57,60 @@ def test_cyclic_idle_worker_rejected():
         make_cyclic(5, 1, 2)
     with pytest.raises(InvalidParamsError):
         make_cyclic(3, 3, 4)  # rho > n
+
+
+def test_assignment_feasibility_rules():
+    assert assignment_feasible("cyclic", 5, 6, 3) == (True, "")
+    ok, reason = assignment_feasible("cyclic", 5, 1, 3)
+    assert not ok and "idle" in reason
+    ok, _ = assignment_feasible("fractional", 5, 6, 3)
+    assert not ok
+    ok, _ = assignment_feasible("random", 6, 1, 3)
+    assert not ok
+
+
+@pytest.mark.parametrize("n, rho", [(5, 1), (5, 2), (6, 3), (7, 7)])
+def test_cyclic_feasible_exactly_when_windows_wrap(n, rho):
+    # Worker p is the last to get a sample: its window of rho reaches
+    # sample 0 only by wrapping past n, so p + rho - 1 == n is the edge.
+    p = n - rho + 1
+    assert assignment_feasible("cyclic", n, p, rho) == (True, "")
+    assert validate_regular(make_cyclic(n, p, rho), rho)
+    if p > 1:
+        ok, reason = assignment_feasible("cyclic", n, p - 1, rho)
+        assert not ok and "idle" in reason
+
+
+@pytest.mark.parametrize(
+    "kind, make, args, reason",
+    [
+        ("cyclic", make_cyclic, (5, 3, 2), "cyclic layout leaves some worker idle"),
+        ("fractional", make_fractional, (5, 5, 2), "fractional needs rho | n"),
+        ("random", make_random_regular, (5, 1, 2, 0), "rho*p < n leaves some worker idle"),
+    ],
+)
+def test_generators_raise_the_feasibility_reason(kind, make, args, reason):
+    # The sweep prints these reasons for its skipped rows.
+    assert assignment_feasible(kind, *args[:3]) == (False, reason)
+    with pytest.raises(InvalidParamsError) as info:
+        make(*args)
+    assert str(info.value) == reason
+
+
+def test_feasibility_rule_equals_the_generators():
+    # Where the rule says feasible, each generator returns a regular
+    # assignment; every other shape it rejects with the rule's reason.
+    for kind, make in (
+        ("cyclic", make_cyclic), ("fractional", make_fractional), ("random", make_random_regular),
+    ):
+        for n, p, rho in product(range(1, 8), range(0, 8), range(0, 9)):
+            ok, reason = assignment_feasible(kind, n, p, rho)
+            args = (n, p, rho, 1) if kind == "random" else (n, p, rho)
+            if ok:
+                assert validate_regular(make(*args), rho), (kind, n, p, rho)
+            else:
+                with pytest.raises(InvalidParamsError, match=f"^{re.escape(reason)}$"):
+                    make(*args)
 
 
 def test_validate_regular_cases():
@@ -242,6 +298,13 @@ def test_text_round_trip_bit_exact():
     assert rho == 4
     assert b == a
     assert assignment_to_text(b, rho) == text
+
+
+@pytest.mark.parametrize("header", ["3 x 2", "3 4"])
+def test_text_rejects_a_bad_header(header):
+    with pytest.raises(InvalidParamsError) as info:
+        assignment_from_text(f"{header}\n110\n011\n101\n")
+    assert str(info.value) == f"bad assignment header: {header!r}"
 
 
 def test_text_rejects_malformed():

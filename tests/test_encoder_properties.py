@@ -6,11 +6,15 @@ by the query, checked against the zero-constraint solve.
 
 import pytest
 
-from byzgrad.assignment import make_cyclic, make_fractional, make_random_regular
+from byzgrad.assignment import (
+    assignment_feasible,
+    make_cyclic,
+    make_fractional,
+    make_random_regular,
+)
 from byzgrad.checks import _query_rows
 from byzgrad.coding import build_code_context, combining_vector
 from byzgrad.field import DEFAULT_MODULUS
-from byzgrad.harness import assignment_feasible
 
 from oracles import solve_encoding_matrix
 

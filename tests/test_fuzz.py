@@ -18,6 +18,7 @@ from byzgrad import harness
 from byzgrad.cli import _build_config
 from byzgrad.adversary import AdversaryStrategy
 from byzgrad.assignment import (
+    assignment_feasible,
     assignment_to_text,
     make_cyclic,
     make_fractional,
@@ -28,7 +29,6 @@ from byzgrad.errors import InvalidParamsError, TranscriptReplayError
 from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import (
     SimulationConfig,
-    assignment_feasible,
     replay_transcript,
     run_simulation,
     write_transcript,

@@ -12,7 +12,14 @@ from pathlib import Path
 import pytest
 
 from byzgrad import adversary, coding, harness, protocol
-from byzgrad.assignment import AssignmentMatrix, assignment_from_text, validate_regular
+from byzgrad.assignment import (
+    AssignmentMatrix,
+    assignment_feasible,
+    assignment_from_text,
+    assignment_to_text,
+    make_cyclic,
+    validate_regular,
+)
 from byzgrad.cli import main as cli_main
 from byzgrad.errors import InvalidParamsError, TranscriptReplayError
 from byzgrad.field import draw_below
@@ -20,7 +27,6 @@ from byzgrad.harness import (
     METRICS_HEADER,
     SimulationConfig,
     SkippedRow,
-    assignment_feasible,
     grid_configs,
     read_events,
     replay_transcript,
@@ -81,16 +87,6 @@ def test_config_validation_errors():
         for plan in ("lie,maybe", "always", "Consistent"):
             with pytest.raises(InvalidParamsError, match="bad lie plan"):
                 cfg(adversary=adversary, lie_plan=plan).validate()
-
-
-def test_assignment_feasibility_rules():
-    assert assignment_feasible("cyclic", 5, 6, 3) == (True, "")
-    ok, reason = assignment_feasible("cyclic", 5, 1, 3)
-    assert not ok and "idle" in reason
-    ok, _ = assignment_feasible("fractional", 5, 6, 3)
-    assert not ok
-    ok, _ = assignment_feasible("random", 6, 1, 3)
-    assert not ok
 
 
 def test_controlled_set_rules():
@@ -161,19 +157,48 @@ def test_csv_schema():
 
 
 def test_assignment_file_kind(tmp_path):
-    from byzgrad.assignment import assignment_to_text, make_cyclic
-
     path = tmp_path / "a.txt"
     path.write_text(assignment_to_text(make_cyclic(5, 6, 3), 3))
     out = run_simulation(cfg(assignment="file", assignment_path=str(path)))
     assert out.metrics.correct
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            assignment_to_text(make_cyclic(5, 7, 3), 3),
+            "assignment file disagrees with config dimensions",
+        ),
+        (
+            assignment_to_text(make_cyclic(5, 6, 2), 2),
+            "assignment file disagrees with config dimensions",
+        ),
+        ("5 6 3\n" + "111000\n" * 3 + "000111\n" * 2, "assignment file is not regular"),
+    ],
+    ids=["samples", "replication", "irregular"],
+)
+def test_assignment_file_must_fit_the_config(tmp_path, text, message):
+    path = tmp_path / "a.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidParamsError) as info:
+        run_simulation(cfg(assignment="file", assignment_path=str(path)))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind, p", [("cyclic", 2), ("fractional", 6), ("random", 1)])
+def test_simulation_raises_the_feasibility_reason(kind, p):
+    # The generator refuses the shape with the rule's reason (cfg: n=5, rho=3).
+    ok, reason = assignment_feasible(kind, 5, p, 3)
+    assert not ok
+    with pytest.raises(InvalidParamsError) as info:
+        run_simulation(cfg(assignment=kind, p=p))
+    assert str(info.value) == reason
+
+
 def test_an_instance_builds_its_encoding_once(tmp_path, monkeypatch):
     # W is fixed by the code and the assignment, so runs of one instance,
     # read from a file or generated, share one build.
-    from byzgrad.assignment import assignment_to_text, make_cyclic
-
     builds = []
     build = coding.build_encoding_matrix
 
@@ -299,6 +324,29 @@ def test_replay_covers_shuffled_grouping(tmp_path):
         path = tmp_path / f"shuffled{seed}.jsonl"
         write_transcript(out.result, str(path))
         assert replay_transcript(str(path)) == out.result.gradient
+
+
+@pytest.mark.parametrize("first", ["none", "query"])
+def test_replay_needs_a_start_event_first(tmp_path, first):
+    events = run_simulation(cfg(seed=1)).result.transcript.events
+    path = tmp_path / "headless.jsonl"
+    path.write_text("" if first == "none" else _jsonl(events[1:]))
+    with pytest.raises(TranscriptReplayError) as info:
+        replay_transcript(str(path))
+    assert str(info.value) == "transcript must begin with a start event"
+
+
+@pytest.mark.parametrize("groups", ["1;2", {"1": 2}, 3, None, []])
+def test_replay_rejects_shuffled_groups_that_are_not_a_list(tmp_path, groups):
+    events = copy.deepcopy(
+        run_simulation(cfg(adversary="random-always", grouping="shuffled")).result.transcript.events
+    )
+    next(ev for ev in events if ev["event"] == "decode")["groups"] = groups
+    path = tmp_path / "groups.jsonl"
+    path.write_text(_jsonl(events))
+    with pytest.raises(TranscriptReplayError) as info:
+        replay_transcript(str(path))
+    assert str(info.value) == "a shuffled round needs a decode event with its groups"
 
 
 def test_replay_builds_no_encoding_matrix(tmp_path, monkeypatch):
@@ -789,6 +837,19 @@ def test_cli_sweep_and_replay(tmp_path, capsys):
     rc = cli_main(["replay", str(tmp_path / "r.jsonl")])
     assert rc == 0
     assert "replayed gradient" in capsys.readouterr().out
+
+
+def test_cli_sweep_takes_an_explicit_u_list(tmp_path, capsys):
+    rc = cli_main([
+        "sweep", "--n", "4", "--s", "1", "--u", "1,2,3", "--p", "4", "--d", "1",
+        "--assignments", "cyclic", "--adversaries", "honest", "--seeds", "1",
+        "--q", "101", "--jobs", "1", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "skipped {'n': 4, 's': 1, 'u': 3}: parameters outside 1 <= u <= s+1" in out
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["4", "1", "1"], ["4", "1", "2"]]
 
 
 def test_cli_replay_reports_unreadable_path(tmp_path, capsys):

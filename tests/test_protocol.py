@@ -9,6 +9,8 @@ import pytest
 from byzgrad import coding, protocol
 from byzgrad.adversary import AdversaryStrategy, RandomCorruption, tournament_liar
 from byzgrad.assignment import (
+    AssignmentMatrix,
+    assignment_feasible,
     assignment_from_text,
     assignment_to_text,
     make_cyclic,
@@ -24,6 +26,7 @@ from byzgrad.coding import (
 )
 from byzgrad.errors import (
     AdversaryBudgetExceededError,
+    DecodeFailureError,
     DimensionError,
     InfeasibleStateError,
     ProtocolInvariantViolation,
@@ -32,7 +35,6 @@ from byzgrad.errors import (
 from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import (
     SimulationConfig,
-    assignment_feasible,
     replay_transcript,
     run_simulation,
     write_transcript,
@@ -179,6 +181,11 @@ def test_form_groups_infeasible():
 
 def test_detect_agreement():
     assert detect_contradiction([[1, 2], [1, 2], [1, 2]]) is None
+
+
+def test_detect_contradiction_needs_a_response():
+    with pytest.raises(ValueError, match="^need at least one group response$"):
+        detect_contradiction([])
 
 
 def test_detect_conflict_lowest_pair():
@@ -361,6 +368,27 @@ def test_meta_labels_follow_the_start_fields_and_may_not_reuse_them():
     for name in ("event", "n", "grouping"):
         with pytest.raises(ValueError, match="may not reuse"):
             run_protocol(ctx, a_mat, [[2, 3, 4]], AdversaryStrategy(), meta={name: 1})
+
+
+@pytest.mark.parametrize(
+    "a_mat, gradients, error, message",
+    [
+        (
+            make_cyclic(4, 4, 2), [[1] * 4],
+            InfeasibleStateError, "code and assignment disagree on shape",
+        ),
+        (
+            make_cyclic(3, 3, 2), [[1, 2]],
+            InfeasibleStateError, "assignment and gradients disagree on shape",
+        ),
+        (AssignmentMatrix(3, 0, (b"",) * 3), [[]], ValueError, "need at least one sample"),
+    ],
+)
+def test_protocol_rejects_mismatched_shapes(a_mat, gradients, error, message):
+    ctx = build_code_context(3, 1, 1, 7)
+    with pytest.raises(error) as info:
+        run_protocol(ctx, a_mat, gradients, AdversaryStrategy())
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_protocol_rejects_gradients_without_coordinates(tmp_path):
@@ -655,6 +683,20 @@ def test_budget_exceeded_detected():
     strat = RandomCorruption([1, 2], seed=0, persistence="always")
     with pytest.raises(AdversaryBudgetExceededError):
         run_protocol(ctx, a_mat, g, strat)
+
+
+def test_an_over_budget_decode_raises_budget_exceeded():
+    # s = 1 and u = 2 send the run straight to errors-and-erasures decoding,
+    # which two corrupted workers defeat: the decode failure surfaces as the
+    # budget error, chained from it.
+    ctx = build_code_context(4, 1, 2, 101)
+    a_mat = make_cyclic(4, 4, 3)
+    for seed in range(10):
+        g = make_gradients(ctx, 4, 4, seed)
+        with pytest.raises(AdversaryBudgetExceededError) as info:
+            run_protocol(ctx, a_mat, g, RandomCorruption((0, 1), 0, "always"))
+        assert str(info.value) == "errors-and-erasures decoding failed; corruption exceeds budget"
+        assert type(info.value.__cause__) is DecodeFailureError
 
 
 def test_transcript_structure():
