@@ -188,11 +188,12 @@ class SymmetrizationStrategy(AdversaryStrategy):
     and attacks all groups but the last: b_k . e = 1 for each one's combining
     vector b_k. Each holds one support worker j_k, so e[j_k] = 1 / b_k[j_k]
     is unique, and the full grouping must not read b . e = 1 too. The
-    corruption surfaces as a contradiction against the final group.
+    corruption surfaces as a contradiction against the final group. It
+    draws nothing, so it takes no seed.
     """
 
-    def __init__(self, seed: int = 0):
-        super().__init__((), seed)
+    def __init__(self):
+        super().__init__()
         self.error: Optional[list[int]] = None
 
     def bind(self, ctx, a_mat, enc):

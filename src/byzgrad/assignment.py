@@ -170,6 +170,7 @@ def assignment_to_text(a: AssignmentMatrix, rho: int) -> str:
 
 
 def assignment_from_text(text: str) -> tuple[AssignmentMatrix, int]:
+    """The matrix and rho that assignment_to_text wrote; the matrix must be regular with rho."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidParamsError("empty assignment text")
@@ -185,4 +186,7 @@ def assignment_from_text(text: str) -> tuple[AssignmentMatrix, int]:
         if len(ln) != p or not ln.isascii() or ln.encode().translate(None, b"01"):
             raise InvalidParamsError(f"bad assignment row: {ln!r}")
         bits.append(ln.encode().translate(_BITS))
-    return AssignmentMatrix(n, p, tuple(bits)), rho
+    a = AssignmentMatrix(n, p, tuple(bits))
+    if not validate_regular(a, rho):
+        raise InvalidParamsError(f"assignment is not regular with replication {rho}")
+    return a, rho

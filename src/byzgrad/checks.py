@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .adversary import pick_attack_support
-from .assignment import AssignmentMatrix, make_random_regular
+from .assignment import AssignmentMatrix, assignment_feasible, make_random_regular
 from .coding import (
     CodeContext,
     _point_weights,
@@ -47,9 +47,7 @@ class CheckResult:
         return "\n".join(lines)
 
 
-def check_vandermonde_closed_form(
-    qs=(101, 2**31 - 1), sizes=range(1, 9), trials=200, seed=0
-) -> CheckResult:
+def check_vandermonde_closed_form() -> CheckResult:
     """The code's per-point weights against full Gaussian inversion.
 
     For random distinct point sets, the weights must equal both the last row
@@ -57,10 +55,10 @@ def check_vandermonde_closed_form(
     inverse of its transpose.
     """
     res = CheckResult("vandermonde inverse closed form")
-    rng = random.Random(seed)
-    for q in qs:
-        for size in sizes:
-            for _ in range(trials):
+    rng = random.Random(0)
+    for q in (101, 2**31 - 1):
+        for size in range(1, 9):
+            for _ in range(200):
                 pts = rng.sample(range(1, q), size)
                 res.cases += 1
                 closed = list(_point_weights(q, tuple(pts)))
@@ -72,25 +70,25 @@ def check_vandermonde_closed_form(
     return res
 
 
-def check_cauchy_determinant(
-    random_trials=1000, random_q=10007, max_k=5, exhaustive_q=11, exhaustive_max_k=2, seed=0
-) -> CheckResult:
+def check_cauchy_determinant() -> CheckResult:
     """The bordered Cauchy block has a nonzero determinant for distinct inputs."""
     res = CheckResult("bordered Cauchy determinant nonzero")
-    rng = random.Random(seed)
-    for _ in range(random_trials):
-        k = rng.randrange(0, max_k + 1)
-        elems = rng.sample(range(random_q), 2 * k + 1)
+    rng = random.Random(0)
+    q = 10007
+    for _ in range(1000):
+        k = rng.randrange(0, 6)
+        elems = rng.sample(range(q), 2 * k + 1)
         zetas, deltas = elems[:k], elems[k:]
         res.cases += 1
-        if cauchy_like_det(random_q, zetas, deltas) == 0:
-            res.failures.append(f"q={random_q} zetas={zetas} deltas={deltas}")
-    for k in range(exhaustive_max_k + 1):
-        for elems in permutations(range(exhaustive_q), 2 * k + 1):
+        if cauchy_like_det(q, zetas, deltas) == 0:
+            res.failures.append(f"q={q} zetas={zetas} deltas={deltas}")
+    q = 11
+    for k in range(3):
+        for elems in permutations(range(q), 2 * k + 1):
             zetas, deltas = list(elems[:k]), list(elems[k:])
             res.cases += 1
-            if cauchy_like_det(exhaustive_q, zetas, deltas) == 0:
-                res.failures.append(f"q={exhaustive_q} zetas={zetas} deltas={deltas}")
+            if cauchy_like_det(q, zetas, deltas) == 0:
+                res.failures.append(f"q={q} zetas={zetas} deltas={deltas}")
     return res
 
 
@@ -109,7 +107,39 @@ def _query_rows(
     )
 
 
-def check_encoding_matrix(trials=60, q=101, seed=0) -> CheckResult:
+def _solved_rows(
+    ctx: CodeContext, a_mat: AssignmentMatrix, a: Sequence[int]
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Rows of W = (Q | a) F solved from their defining equations, or None.
+
+    F's row k holds every point's k-th power. Row i is (c_i | a_i) F, c_i
+    being row i of Q, and vanishes on the r workers that do not hold sample
+    i: r equations in the r unknowns c_i. None if one of these systems is
+    not uniquely solvable.
+    """
+    q, r, pts = ctx.q, ctx.r, ctx.eval_points
+    rows = []
+    for ai, column in zip(a, zip(*a_mat.bits)):
+        roots = [x for x, held in zip(pts, column) if not held]
+        coeffs = [[pow(x, k, q) for k in range(r)] for x in roots]
+        out = solve_linear(coeffs, [[-ai * pow(x, r, q)] for x in roots], q)
+        if out.kind != "unique":
+            return None
+        poly = [c for (c,) in out.solution] + [ai]
+        rows.append(tuple(sum(c * pow(x, k, q) for k, c in enumerate(poly)) % q for x in pts))
+    return tuple(rows)
+
+
+def _random_shape(rng: random.Random, max_n: int, max_p: int) -> Optional[tuple[int, ...]]:
+    """A random small (n, s, u, p), or None when no regular assignment fits it."""
+    n = rng.randrange(3, max_n + 1)
+    s = rng.randrange(1, n)
+    u = rng.randrange(1, min(s + 1, n - s) + 1)
+    p = rng.randrange(1, max_p + 1)
+    return (n, s, u, p) if assignment_feasible("random", n, p, s + u)[0] else None
+
+
+def check_encoding_matrix() -> CheckResult:
     """Zero pattern and group-span property of a general query's encoding matrix.
 
     For random small instances and queries a (W from _query_rows): W
@@ -117,17 +147,15 @@ def check_encoding_matrix(trials=60, q=101, seed=0) -> CheckResult:
     workers the combining vector recovers the queried coefficients exactly.
     """
     res = CheckResult("encoding matrix zero pattern and span")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        n = rng.randrange(3, 7)
-        s = rng.randrange(1, n)
-        u = rng.randrange(1, min(s + 1, n - s) + 1)
-        p = rng.randrange(1, 7)
-        rho = s + u
-        if rho * p < n:
+    rng = random.Random(0)
+    q = 101
+    for _ in range(60):
+        shape = _random_shape(rng, 6, 6)
+        if shape is None:
             continue
+        n, s, u, p = shape
         ctx = build_code_context(n, s, u, q)
-        a_mat = make_random_regular(n, p, rho, rng.randrange(10**6))
+        a_mat = make_random_regular(n, p, s + u, rng.randrange(10**6))
         a = [rng.randrange(q) for _ in range(p)]
         w = _query_rows(ctx, a_mat, a)
         res.cases += 1
@@ -143,26 +171,28 @@ def check_encoding_matrix(trials=60, q=101, seed=0) -> CheckResult:
     return res
 
 
-def check_restriction_equivalence(trials=500, q=101, seed=0) -> CheckResult:
-    """Zeroing rows of the all-one encoding equals rebuilding for the 0/1 query."""
+def check_restriction_equivalence() -> CheckResult:
+    """Zeroing rows of the all-one encoding equals rebuilding for the 0/1 query.
+
+    The rebuilt rows are solved from W's defining equations (_solved_rows),
+    not read from the closed form that builds the all-one encoding.
+    """
     res = CheckResult("mask restriction equals rebuilt encoding")
-    rng = random.Random(seed)
-    while res.cases < trials:
-        n = rng.randrange(3, 8)
-        s = rng.randrange(1, n)
-        u = rng.randrange(1, min(s + 1, n - s) + 1)
-        p = rng.randrange(1, 9)
-        rho = s + u
-        if rho * p < n:
+    rng = random.Random(0)
+    q = 101
+    while res.cases < 500:
+        shape = _random_shape(rng, 7, 8)
+        if shape is None:
             continue
+        n, s, u, p = shape
         ctx = build_code_context(n, s, u, q)
-        a_mat = make_random_regular(n, p, rho, rng.randrange(10**6))
+        a_mat = make_random_regular(n, p, s + u, rng.randrange(10**6))
         w = build_encoding_matrix(ctx, a_mat).w
         mask = [i for i in range(p) if rng.random() < 0.5]
         res.cases += 1
         keep, zeros = set(mask), (0,) * n
         restricted = tuple(row if i in keep else zeros for i, row in enumerate(w))
-        rebuilt = _query_rows(ctx, a_mat, [1 if i in keep else 0 for i in range(p)])
+        rebuilt = _solved_rows(ctx, a_mat, [1 if i in keep else 0 for i in range(p)])
         if restricted != rebuilt:
             res.failures.append(f"n={n} s={s} u={u} p={p} mask={mask}")
     return res
@@ -192,7 +222,11 @@ def symmetrization_attack(
     return err
 
 
-def check_grouping_agreement_sound(instances=((5, 2, 1), (6, 2, 2)), q=101) -> CheckResult:
+# The (n, s, u) codes over F_101 that both grouping certificates run on.
+_GROUPING_INSTANCES = ((5, 2, 1), (6, 2, 2))
+
+
+def check_grouping_agreement_sound() -> CheckResult:
     """With one more group than unidentified malicious workers, unanimity is honest.
 
     For every candidate malicious set of that size, the system asking all
@@ -200,8 +234,8 @@ def check_grouping_agreement_sound(instances=((5, 2, 1), (6, 2, 2)), q=101) -> C
     symmetrization attack finds no error.
     """
     res = CheckResult("unanimous groups cannot all be corrupted")
-    for n, s, u in instances:
-        ctx = build_code_context(n, s, u, q)
+    for n, s, u in _GROUPING_INSTANCES:
+        ctx = build_code_context(n, s, u, 101)
         groups = form_groups(range(n), ctx.r, s)
         for bad in combinations(range(n), s):
             res.cases += 1
@@ -210,9 +244,7 @@ def check_grouping_agreement_sound(instances=((5, 2, 1), (6, 2, 2)), q=101) -> C
     return res
 
 
-def check_fewer_groups_attackable(
-    instances=((5, 2, 1), (6, 2, 2)), q=101, d=2, seed=0, shuffled_trials=50
-) -> CheckResult:
+def check_fewer_groups_attackable() -> CheckResult:
     """With only s_t groups, one corruption can make them unanimous and wrong.
 
     Builds the attack, then recomputes every group's decoded response on the
@@ -221,8 +253,9 @@ def check_fewer_groups_attackable(
     grouping order is randomized, where no guarantee is claimed.
     """
     res = CheckResult("one fewer group admits a unanimous lie")
-    rng = random.Random(seed)
-    for n, s, u in instances:
+    rng = random.Random(0)
+    q, d, shuffled_trials = 101, 2, 50
+    for n, s, u in _GROUPING_INSTANCES:
         ctx = build_code_context(n, s, u, q)
         groups = form_groups(range(n), ctx.r, s)[:s]
         support = pick_attack_support(groups)
@@ -232,7 +265,7 @@ def check_fewer_groups_attackable(
             res.failures.append(f"n={n} s={s} u={u}: attack infeasible")
             continue
         rho = s + u
-        a_mat = make_random_regular(n, max(n // rho + 1, 2), rho, seed)
+        a_mat = make_random_regular(n, max(n // rho + 1, 2), rho, 0)
         enc = build_encoding_matrix(ctx, a_mat)
         gradients = [[rng.randrange(q) for _ in range(a_mat.p)] for _ in range(d)]
         z = response_matrix(ctx, gradients, enc)
@@ -259,7 +292,7 @@ def check_fewer_groups_attackable(
     return res
 
 
-def check_errors_and_erasures(n=7, s=2, u=2, q=11, p=5, d=1, seed=0) -> CheckResult:
+def check_errors_and_erasures() -> CheckResult:
     """Exhaustive single-error correction after one identification.
 
     For every pre-identified worker, every remaining error position and every
@@ -267,11 +300,12 @@ def check_errors_and_erasures(n=7, s=2, u=2, q=11, p=5, d=1, seed=0) -> CheckRes
     the exact gradient.
     """
     res = CheckResult("errors-and-erasures decoding, exhaustive")
-    rng = random.Random(seed)
+    rng = random.Random(0)
+    n, s, u, q, p = 7, 2, 2, 11, 5
     ctx = build_code_context(n, s, u, q)
-    a_mat = make_random_regular(n, p, s + u, seed)
+    a_mat = make_random_regular(n, p, s + u, 0)
     enc = build_encoding_matrix(ctx, a_mat)
-    gradients = [[rng.randrange(q) for _ in range(p)] for _ in range(d)]
+    gradients = [[rng.randrange(q) for _ in range(p)]]
     z = response_matrix(ctx, gradients, enc)
     truth = [sum(row) % q for row in gradients]
     for identified in range(n):

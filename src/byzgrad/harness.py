@@ -32,7 +32,6 @@ from .assignment import (
     make_cyclic,
     make_fractional,
     make_random_regular,
-    validate_regular,
 )
 from .coding import CodeContext, build_code_context
 from .errors import (
@@ -43,7 +42,7 @@ from .errors import (
     TranscriptReplayError,
 )
 from .field import DEFAULT_MODULUS, draw_below, is_prime
-from .protocol import ProtocolResult, ProtocolRun, run_protocol
+from .protocol import START_FIELDS, ProtocolResult, ProtocolRun, run_protocol
 
 # Not used here: perfbench/tracing.py wraps these at their harness names.
 from .coding import build_encoding_matrix, combining_vector, ecc_decode  # noqa: F401
@@ -67,7 +66,7 @@ _ADVERSARIES = {
     "tournament-liar": lambda config: adv.tournament_liar(
         resolve_controlled(config), config.lie_plan, config.seed
     ),
-    "symmetrization": lambda config: adv.SymmetrizationStrategy(config.seed),
+    "symmetrization": lambda config: adv.SymmetrizationStrategy(),
 }
 ADVERSARY_NAMES = tuple(_ADVERSARIES)
 
@@ -158,17 +157,14 @@ def _make_assignment(kind: str, n: int, p: int, rho: int, seed: int) -> Assignme
 
 def build_assignment(config: SimulationConfig) -> AssignmentMatrix:
     """The assignment read from a file config's assignment_path."""
-    rho = config.rho
     try:
         with open(config.assignment_path, "r", encoding="ascii") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise InvalidParamsError(f"cannot read assignment file: {e}") from e
     a_mat, file_rho = assignment_from_text(text)
-    if a_mat.n != config.n or a_mat.p != config.p or file_rho != rho:
+    if a_mat.n != config.n or a_mat.p != config.p or file_rho != config.rho:
         raise InvalidParamsError("assignment file disagrees with config dimensions")
-    if not validate_regular(a_mat, rho):
-        raise InvalidParamsError("assignment file is not regular")
     return a_mat
 
 
@@ -537,8 +533,6 @@ class RecordedGroupOrder:
         order[:] = [j - 1 for j in sorted(root)] + [j - 1 for g in groups for j in g if j not in root]
 
 
-# start-event fields that ProtocolRun writes itself; the rest are labels.
-_ENGINE_START_FIELDS = ("event", "n", "s", "u", "r", "p", "d", "q", "eval_points", "grouping")
 # What the code build or the engine raise on a malformed or tampered transcript.
 _REPLAY_ERRORS = (
     ValueError, InfeasibleStateError, ProtocolInvariantViolation, AdversaryBudgetExceededError,
@@ -574,12 +568,10 @@ def replay_transcript(path: str) -> list[int]:
         a_mat, rho = assignment_from_text(hdr["assignment"])
         if rho != ctx.s + ctx.u:
             raise TranscriptReplayError("assignment replication disagrees with header")
-        if not validate_regular(a_mat, rho):
-            raise TranscriptReplayError(f"assignment is not regular with replication {rho}")
         result = ProtocolRun(
             ctx, a_mat, RecordedResponder(events, hdr["d"]),
             grouping_rng=RecordedGroupOrder(events) if hdr.get("grouping") == "shuffled" else None,
-            meta={k: v for k, v in hdr.items() if k not in _ENGINE_START_FIELDS},
+            meta={k: v for k, v in hdr.items() if k not in START_FIELDS},
         ).run()
     except _REPLAY_ERRORS as e:
         raise TranscriptReplayError(f"transcript does not replay: {e}") from e

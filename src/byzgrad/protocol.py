@@ -292,6 +292,11 @@ def local_compute(responder, i: int) -> list[int]:
 # Protocol engine
 
 
+# The start event's fields, in order, that ProtocolRun writes itself; meta labels follow
+# them. Replay passes every other start field back as a label.
+START_FIELDS = ("event", "n", "s", "u", "r", "p", "d", "q", "eval_points", "grouping")
+
+
 class ProtocolRun:
     """The main node's state machine, fed worker answers by a responder.
 
@@ -333,8 +338,9 @@ class ProtocolRun:
             "grouping": "lowest" if grouping_rng is None else "shuffled",
         }
         if meta:
-            if not start.keys().isdisjoint(meta):
-                raise ValueError(f"meta may not reuse the start event's fields {list(start)}")
+            if not meta.keys().isdisjoint(START_FIELDS):
+                fields = list(START_FIELDS)
+                raise ValueError(f"meta may not reuse the start event's fields {fields}")
             start.update(meta)
         self.transcript.events.append(start)
 

@@ -59,7 +59,7 @@ MUTANTS = (
         "tuple(v for v in sample_row(ctx, column))",
         (
             "tests/test_coding.py::test_closed_form_encoder_matches_solve_oracle",
-            "tests/test_checks.py::test_encoding_check_runs_clean",
+            "tests/test_harness.py::test_cli_verify_subcommand",
         ),
     ),
     Mutant(
@@ -71,6 +71,62 @@ MUTANTS = (
             "tests/test_coding.py::test_encoding_matrix_worked_instance",
             "tests/test_coding.py::test_sample_row_equals_the_encoding_rows",
         ),
+    ),
+    Mutant(
+        "sample-row-drops-a-root",
+        "coding.py",
+        "roots = [x for x, held in zip(pts, column) if not held]",
+        "roots = [x for x, held in zip(pts, column) if not held][1:]",
+        ("tests/test_acceptance.py::test_criterion_8_mask_restriction_matches_rebuild",),
+    ),
+    Mutant(
+        "parser-skips-regularity",
+        "assignment.py",
+        'raise InvalidParamsError(f"assignment is not regular with replication {rho}")',
+        "pass",
+        (
+            "tests/test_assignment.py::test_text_rejects_an_irregular_matrix",
+            "tests/test_harness.py::test_assignment_file_must_fit_the_config",
+            "tests/test_harness.py::test_replay_rejects_an_assignment_with_an_idle_worker",
+        ),
+    ),
+    Mutant(
+        "certificate-feasibility-off-by-one",
+        "checks.py",
+        'assignment_feasible("random", n, p, s + u)',
+        'assignment_feasible("random", n - 1, p, s + u)',
+        (
+            "tests/test_acceptance.py::test_criterion_8_mask_restriction_matches_rebuild",
+            "tests/test_harness.py::test_cli_verify_subcommand",
+        ),
+    ),
+    Mutant(
+        "prefix-index-off-by-one",
+        "protocol.py",
+        "diff = sums[hi] - sums[lo]",
+        "diff = sums[hi] - sums[lo + 1]",
+        ("tests/test_protocol.py::test_prefix_match_answers_equal_strided_slice",),
+    ),
+    Mutant(
+        "is-prime-without-base-41",
+        "field.py",
+        "29, 31, 37, 41)",
+        "29, 31, 37)",
+        ("tests/test_field.py::test_strong_pseudoprime_to_bases_up_to_37_is_composite",),
+    ),
+    Mutant(
+        "parity-columns-one-byte-short",
+        "coding.py",
+        "lane_bytes(q, len(avail))",
+        "lane_bytes(q, len(avail)) - 1",
+        ("tests/test_ecc_decoder.py::test_packed_decoder_at_the_carry_boundary",),
+    ),
+    Mutant(
+        "conflict-at-last-differing-coordinate",
+        "protocol.py",
+        "for coord, (x, y) in enumerate(zip(first, other)):",
+        "for coord, (x, y) in reversed(list(enumerate(zip(first, other)))):",
+        ("tests/test_protocol.py::test_detect_conflict_first_coordinate",),
     ),
 )
 

@@ -62,7 +62,7 @@ def test_rng_is_seeded_on_first_use():
     ctx = build_code_context(6, 2, 2, 101)
     a_mat = make_cyclic(6, 6, 4)
     g = make_gradients(ctx, 6, 3, seed=2)
-    for strategy in (AdversaryStrategy(), SymmetrizationStrategy(seed=5)):
+    for strategy in (AdversaryStrategy(), SymmetrizationStrategy()):
         run_protocol(ctx, a_mat, g, strategy)
         assert "rng" not in vars(strategy)
     # A drawing policy draws what an rng seeded at construction would.
@@ -309,7 +309,7 @@ def test_symmetrization_strategy_never_corrupts_output():
         a_mat = make_cyclic(n, p, s + u)
         for seed in range(5):
             g = make_gradients(ctx, p, 1, seed=seed)
-            strat = SymmetrizationStrategy(seed=seed)
+            strat = SymmetrizationStrategy()
             res = run_protocol(ctx, a_mat, g, strat)
             assert res.gradient == full_sum(ctx, g)
             assert set(res.eliminated) <= set(strat.controlled)
@@ -319,7 +319,7 @@ def test_symmetrization_hides_from_targeted_groups_round_one():
     ctx = build_code_context(5, 2, 1, 101)
     a_mat = make_cyclic(5, 6, 3)
     g = make_gradients(ctx, 6, 1, seed=7)
-    strat = SymmetrizationStrategy(seed=7)
+    strat = SymmetrizationStrategy()
     res = run_protocol(ctx, a_mat, g, strat)
     decode = next(ev for ev in res.transcript.events if ev["event"] == "decode")
     values = decode["values"]

@@ -307,6 +307,13 @@ def test_text_rejects_a_bad_header(header):
     assert str(info.value) == f"bad assignment header: {header!r}"
 
 
+def test_text_rejects_an_irregular_matrix():
+    # Every row is busy, but sample 3 is held twice under rho = 1.
+    with pytest.raises(InvalidParamsError) as info:
+        assignment_from_text("2 3 1\n101\n011\n")
+    assert str(info.value) == "assignment is not regular with replication 1"
+
+
 def test_text_rejects_malformed():
     with pytest.raises(InvalidParamsError):
         assignment_from_text("")

@@ -1,9 +1,4 @@
-from byzgrad.checks import (
-    CHECKS,
-    CheckResult,
-    check_encoding_matrix,
-    check_fewer_groups_attackable,
-)
+from byzgrad.checks import CHECKS, CheckResult, check_fewer_groups_attackable
 
 
 def test_registry_exposes_expected_tokens():
@@ -28,14 +23,8 @@ def test_report_formatting():
     assert "counterexample: x=1" in bad.report()
 
 
-def test_encoding_check_runs_clean():
-    res = check_encoding_matrix(trials=15, seed=1)
-    assert res.passed
-    assert res.cases > 0
-
-
 def test_optimality_check_reports_randomized_grouping_rate():
-    res = check_fewer_groups_attackable(shuffled_trials=10)
+    res = check_fewer_groups_attackable()
     assert res.passed
     assert res.notes
     assert all("randomized groupings" in note for note in res.notes)

@@ -89,6 +89,16 @@ def test_config_validation_errors():
                 cfg(adversary=adversary, lie_plan=plan).validate()
 
 
+def test_config_errors_no_other_check_reaches():
+    with pytest.raises(InvalidParamsError) as info:
+        SimulationConfig(n=4, s=0, u=1, p=4).validate()
+    assert str(info.value) == "need s >= 1, got s=0"
+    # make_adversary guards a config that skipped validate().
+    with pytest.raises(InvalidParamsError) as info:
+        harness.make_adversary(cfg(adversary="nope"))
+    assert str(info.value) == "unknown adversary 'nope'"
+
+
 def test_controlled_set_rules():
     from byzgrad.harness import resolve_controlled
 
@@ -174,7 +184,10 @@ def test_assignment_file_kind(tmp_path):
             assignment_to_text(make_cyclic(5, 6, 2), 2),
             "assignment file disagrees with config dimensions",
         ),
-        ("5 6 3\n" + "111000\n" * 3 + "000111\n" * 2, "assignment file is not regular"),
+        (
+            "5 6 3\n" + "111000\n" * 3 + "000111\n" * 2,
+            "assignment is not regular with replication 3",
+        ),
     ],
     ids=["samples", "replication", "irregular"],
 )
@@ -396,8 +409,10 @@ def test_replay_rejects_an_assignment_with_an_idle_worker(tmp_path):
     events[0]["assignment"] = harness.assignment_to_text(moved, rho)
     path = tmp_path / "idle.jsonl"
     path.write_text(_jsonl(events))
-    with pytest.raises(TranscriptReplayError, match="assignment is not regular"):
+    with pytest.raises(TranscriptReplayError) as info:
         replay_transcript(str(path))
+    message = "transcript does not replay: assignment is not regular with replication 3"
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -805,6 +820,30 @@ def test_cli_simulate_config_file_with_overrides(tmp_path):
         "--seed", "3", "--out", str(tmp_path),
     ])
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"c": 9}, "bound violation: local computations 9 > 2"),
+        ({"correct": False}, "gradient mismatch against ground truth"),
+    ],
+    ids=["bound", "mismatch"],
+)
+def test_cli_simulate_reports_a_failed_run(tmp_path, capsys, monkeypatch, change, message):
+    from byzgrad import cli
+
+    def doctored(config):
+        out = run_simulation(config)
+        return dataclasses.replace(out, metrics=dataclasses.replace(out.metrics, **change))
+
+    monkeypatch.setattr(cli, "run_simulation", doctored)
+    rc = cli_main([
+        "simulate", "--n", "5", "--s", "2", "--u", "1", "--p", "6", "--q", "101",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_cli_simulate_invalid_config_errors(capsys):

@@ -198,6 +198,12 @@ def test_cauchy_det_nonzero_randomized():
         assert cauchy_like_det(10007, elems[:k], elems[k:]) != 0
 
 
+def test_cauchy_det_needs_one_more_delta_than_zetas():
+    with pytest.raises(DimensionError) as info:
+        cauchy_like_det(11, [1], [2])
+    assert str(info.value) == "need exactly one more delta than zetas"
+
+
 def test_cauchy_det_coincidence_raises():
     with pytest.raises(DegenerateInputError):
         cauchy_like_det(7, [3], [3, 5])

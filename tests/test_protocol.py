@@ -40,6 +40,7 @@ from byzgrad.harness import (
     write_transcript,
 )
 from byzgrad.protocol import (
+    START_FIELDS,
     ProtocolRun,
     Query,
     SimulatedResponder,
@@ -368,6 +369,12 @@ def test_meta_labels_follow_the_start_fields_and_may_not_reuse_them():
     for name in ("event", "n", "grouping"):
         with pytest.raises(ValueError, match="may not reuse"):
             run_protocol(ctx, a_mat, [[2, 3, 4]], AdversaryStrategy(), meta={name: 1})
+
+
+def test_start_fields_name_the_fields_the_engine_writes():
+    ctx = build_code_context(3, 1, 1, 7)
+    res = run_protocol(ctx, make_cyclic(3, 3, 2), [[2, 3, 4]], AdversaryStrategy())
+    assert tuple(res.transcript.events[0]) == START_FIELDS
 
 
 @pytest.mark.parametrize(
