@@ -59,6 +59,7 @@ MUTANTS = (
         "tuple(v for v in sample_row(ctx, column))",
         (
             "tests/test_coding.py::test_closed_form_encoder_matches_solve_oracle",
+            "tests/test_checks.py::test_encoding_check_runs_clean",
             "tests/test_harness.py::test_cli_verify_subcommand",
         ),
     ),

@@ -1,4 +1,9 @@
-from byzgrad.checks import CHECKS, CheckResult, check_fewer_groups_attackable
+from byzgrad.checks import (
+    CHECKS,
+    CheckResult,
+    check_encoding_matrix,
+    check_fewer_groups_attackable,
+)
 
 
 def test_registry_exposes_expected_tokens():
@@ -21,6 +26,13 @@ def test_report_formatting():
     assert not bad.passed
     assert "[FAIL]" in bad.report()
     assert "counterexample: x=1" in bad.report()
+
+
+def test_encoding_check_runs_clean():
+    res = check_encoding_matrix()
+    assert res.passed
+    assert res.cases == 56
+    assert res.report() == "[PASS] encoding matrix zero pattern and span: 56 cases, 0 failures"
 
 
 def test_optimality_check_reports_randomized_grouping_rate():
