@@ -8,7 +8,8 @@ polynomial of degree r that vanishes at the workers not holding sample i,
 which in closed form is W[i][j] = prod_{m in Z_i} (x_j - x_m). Row i thus
 depends only on Z_i, so a regular assignment has few distinct rows, and
 the honest responses G @ W are computed per class of equal rows from the
-sum of that class's gradient columns. The match's 0/1 interval queries
+sum of that class's gradient columns; a class of one sample needs no sum,
+so all such classes are gathered in one call. The match's 0/1 interval queries
 are answered from prefix sums over this W, so no other query's W is
 built here.
 Dense products over F_q run on lanes: pack puts field elements side by side
@@ -29,13 +30,15 @@ and group. So each coordinate of the all-one responses evaluates a
 polynomial of degree at most r whose coefficient of x^r is the gradient.
 Once few enough liars remain, the errors-and-erasures decoder erases the
 identified workers and reads every coordinate's syndromes and gradient off
-one cached table of parity checks over the N available points, whose
-weights come from the same closed form. The table is packed too: one column
-per available point, its lanes the point's parity-check entries, so a
-coordinate's symbols, which must be elements of [0, q), take one dot
-product with the columns and one unpack. It corrects at most
+one table of parity checks over the N available points, cached per erased
+set, whose weights come from the same closed form. The table is packed too
+and full width: one column per worker, 0 for an erased one, its lanes an
+available point's parity-check entries, so a coordinate's n symbols, which
+must be elements of [0, q) at the available workers, take one dot product
+with the columns and one unpack. It corrects at most
 tau = min(u-1, (N-(r+1))//2) errors, pooled across coordinates, with
-Berlekamp-Massey and never interpolates.
+Berlekamp-Massey and never interpolates; the first errors located seed the
+pool with Berlekamp-Massey's own locator.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ from .field import DEFAULT_MODULUS
 
 # Not used here: perfbench/tracing.py wraps solve_linear at its coding name.
 from .linalg import solve_linear  # noqa: F401
+
+# A C-level picker of some entries of a row, returned as a sequence.
+Gatherer = Callable[[Sequence[int]], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -147,22 +153,37 @@ class EncodingMatrix:
         return width, tuple(rows)
 
     @cached_property
-    def class_gatherers(self) -> tuple[Callable[[Sequence[int]], Sequence[int]], ...]:
-        """Per class, a C-level gatherer of its samples' entries from a row of p values.
+    def class_layout(self) -> tuple[Gatherer | None, tuple[Gatherer, ...], tuple[int, ...]]:
+        """(singles, gatherers, rows): the row classes laid out for response_matrix.
 
-        A class whose samples step evenly, as every cyclic and fractional
-        class does, is gathered as a slice, any other by its indices. Either
-        way a gatherer returns a sequence: a lone sample is a slice of one,
-        since itemgetter of a single index returns the bare value.
+        A class of one sample needs no sum: its class sum is that sample's
+        value. singles is one C-level gatherer of every one-sample class's
+        sample from a row of p values, None when there is no such class;
+        gatherers holds one per class of two or more samples. rows is each
+        class's packed row (sample_lanes), the one-sample classes first in
+        singles' order, then the others in gatherers' order.
         """
-        out = []
-        for c in self.row_classes:
-            step = c[1] - c[0] if len(c) > 1 else 1
-            if c == tuple(range(c[0], c[-1] + 1, step)):
-                out.append(itemgetter(slice(c[0], c[-1] + 1, step)))
-            else:
-                out.append(itemgetter(*c))
-        return tuple(out)
+        classes = self.row_classes
+        ones = [c[0] for c in classes if len(c) == 1]
+        many = [c for c in classes if len(c) > 1]
+        packed = self.sample_lanes[1]
+        rows = tuple(packed[i] for i in ones + [c[0] for c in many])
+        singles = _gatherer(tuple(ones)) if ones else None
+        return singles, tuple(map(_gatherer, many)), rows
+
+
+def _gatherer(samples: tuple[int, ...]) -> Gatherer:
+    """A C-level gatherer of the entries at samples, increasing, from a row.
+
+    Samples that step evenly, as every cyclic and fractional class does, are
+    gathered as a slice, any others by their indices. Either way it returns
+    a sequence: a lone sample is a slice of one, since itemgetter of a
+    single index returns the bare value.
+    """
+    step = samples[1] - samples[0] if len(samples) > 1 else 1
+    if samples == tuple(range(samples[0], samples[-1] + 1, step)):
+        return itemgetter(slice(samples[0], samples[-1] + 1, step))
+    return itemgetter(*samples)
 
 
 def lane_bytes(q: int, terms: int) -> int:
@@ -335,54 +356,60 @@ def response_matrix(
 
     Equal rows of W form one class (EncodingMatrix.row_classes), so
     Z[t][j] = sum over classes c of S[t][c] * W[c][j], where S[t][c] is the
-    sum of G[t][i] over the samples i in c, reduced mod q, which c's
-    gatherer (EncodingMatrix.class_gatherers) picks out. Class c's row is
-    its samples' packed int (EncodingMatrix.sample_lanes), with lanes for p
-    terms, at least one per class; so per coordinate the class sums take one
-    dot product with the class rows, and its n lanes mod q are the responses.
+    sum of G[t][i] over the samples i in c, reduced mod q. Per coordinate,
+    one gather takes the sums of every one-sample class, its sample's value,
+    and one gatherer per larger class its samples (EncodingMatrix.class_layout).
+    Class c's row is its samples' packed int (EncodingMatrix.sample_lanes),
+    with lanes for p terms, at least one per class; so the class sums take
+    one dot product with the class rows, and its n lanes mod q are the
+    responses.
     """
     if any(len(row) != len(enc.w) for row in gradients):
         raise DimensionError("gradient matrix width must equal sample count")
     q, n = ctx.q, len(enc.w[0])
-    gatherers = enc.class_gatherers
-    width, rows = enc.sample_lanes
-    packed = [rows[c[0]] for c in enc.row_classes]
+    singles, gatherers, rows = enc.class_layout
+    width = enc.sample_lanes[0]
     out = []
     for row in gradients:
-        sums = [sum(gather(row)) % q for gather in gatherers]
-        out.append(unpack(sum(map(mul, sums, packed)), width, n, q))
+        sums = [v % q for v in singles(row)] if singles else []
+        sums += [sum(gather(row)) % q for gather in gatherers]
+        out.append(unpack(sum(map(mul, sums, rows)), width, n, q))
     return out
 
 
 @lru_cache(maxsize=16)
 def _syndrome_table(
-    eval_points: tuple[int, ...], avail: tuple[int, ...], q: int, k: int
-) -> tuple[int, int, tuple[int, ...]]:
-    """(width, count, columns): one packed column per available point x_j.
+    eval_points: tuple[int, ...], erased: frozenset[int], q: int, k: int
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(width, count, columns, avail, xs): the decode table of an erased set.
 
-    Column j holds v_j * x_j**m mod q for m = 0..N-k, count = N-k+1 lanes
-    of width = lane_bytes(q, N) bytes, m = 0 on top, where
-    v_j = 1 / prod_{i != j} (x_j - x_i) over the N available points, from
-    the code's weights (_member_weights). A word of N elements of [0, q)
-    dotted with the columns sums N products per lane without a carry, and
-    lane m is the coefficient of x^(N-1) in the interpolant of x^m times the
-    word. On a codeword f of degree below k it is 0 for m < N-k, so those
-    lanes are parity checks, and f's coefficient of x^(k-1) for m = N-k.
-    Built in one pass, with no rows; ints and a tuple, so the cache hands
-    every caller the same immutable table.
+    avail lists the N workers not erased, in order, and xs their points.
+    columns holds one packed int per worker, full width: 0 for an erased
+    worker, and for an available one, at point x_j, v_j * x_j**m mod q for
+    m = 0..N-k, count = N-k+1 lanes of width = lane_bytes(q, N) bytes,
+    m = 0 on top, where v_j = 1 / prod_{i != j} (x_j - x_i) over the N
+    available points, from the code's weights (_member_weights). A word of
+    n symbols, elements of [0, q) at the available workers, dotted with the
+    columns sums N products per lane without a carry, and lane m is the
+    coefficient of x^(N-1) in the interpolant of x^m times the available
+    symbols. On a codeword f of degree below k it is 0 for m < N-k, so
+    those lanes are parity checks, and f's coefficient of x^(k-1) for
+    m = N-k. Built in one pass, with no rows; ints and tuples, so the cache
+    hands every caller the same immutable table.
     """
+    avail = tuple(j for j in range(len(eval_points)) if j not in erased)
     count, width = len(avail) - k + 1, lane_bytes(q, len(avail))
     shift = 8 * width
     weights = _member_weights(q, eval_points, avail)
-    columns = []
+    columns = [0] * len(eval_points)
     for j in avail:
         x = eval_points[j]
         acc = v = weights[j]
         for _ in range(count - 1):
             v = v * x % q
             acc = acc << shift | v
-        columns.append(acc)
-    return width, count, tuple(columns)
+        columns[j] = acc
+    return width, count, tuple(columns), avail, tuple(eval_points[j] for j in avail)
 
 
 def _berlekamp_massey(syndromes: Sequence[int], q: int) -> list[int]:
@@ -438,8 +465,8 @@ def _pattern_share(rev: Sequence[int], syndromes: Sequence[int], q: int) -> int 
 
 def _located_pattern(
     avail: Sequence[int], xs: Sequence[int], syndromes: Sequence[int], q: int
-) -> tuple[dict[int, int], int] | None:
-    """Error workers with their points, and the pattern's share, by Berlekamp-Massey.
+) -> tuple[dict[int, int], int, list[int]] | None:
+    """Error workers with their points, the pattern's share and its locator, by Berlekamp-Massey.
 
     The locator's degree L must be at most len(S)/2, with L roots among the
     available points; None otherwise. Every error value is then nonzero:
@@ -453,13 +480,17 @@ def _located_pattern(
     size = len(locator) - 1
     if 2 * size > len(syndromes):
         return None
-    values = [1] * len(xs)
-    for coef in locator[1:]:  # x^L * locator(1/x), zero at the error points
-        values = [(v * x + coef) % q for v, x in zip(values, xs)]
-    roots = {j: x for j, x, v in zip(avail, xs, values) if not v}
+    tail = locator[1:]
+    roots = {}
+    for j, x in zip(avail, xs):
+        v = 1
+        for coef in tail:  # x^L * locator(1/x), zero at the error points
+            v = (v * x + coef) % q
+        if not v:
+            roots[j] = x
     if len(roots) != size:
         return None
-    return roots, -sum(map(mul, locator[1:], syndromes[: -size - 1 : -1])) % q
+    return roots, -sum(map(mul, tail, syndromes[: -size - 1 : -1])) % q, locator
 
 
 def ecc_decode(
@@ -467,37 +498,41 @@ def ecc_decode(
 ) -> list[int]:
     """Recover the full gradient from the all-one responses z, d rows of n.
 
-    Every symbol must be an element of [0, q), as group_response requires:
-    the packed table's lanes are sized for reduced symbols. Identified
-    workers are erased. Among the N available ones, k = r+1 symbols fix a
-    codeword, so at most tau = min(u-1, (N-k)//2) errors are corrected: u-1
-    is the protocol's residual budget and (N-k)//2 the unique-decoding
-    radius of the punctured code. Each coordinate takes one dot product with
-    the cached packed columns, whose lanes are N-k parity checks, all zero
+    A row of any other width raises DimensionError. Every available
+    worker's symbol must be an element of [0, q), as group_response
+    requires: the packed table's lanes are sized for reduced symbols.
+    Identified workers are erased, their columns 0. Among the N available
+    ones, k = r+1 symbols fix a codeword, so at most
+    tau = min(u-1, (N-k)//2) errors are corrected: u-1 is the protocol's
+    residual budget and (N-k)//2 the unique-decoding radius of the punctured
+    code. Each coordinate's row of n symbols takes one dot product with the
+    cached packed columns, whose lanes are N-k parity checks, all zero
     exactly on a codeword, and its coefficient of x^r, the gradient. A
     nonzero syndrome fails when tau = 0. Else error values are solved for on
-    the workers pooled in error at earlier coordinates, whose locator is
-    built when the pool grows, if at most (N-k)/2, or else Berlekamp-Massey
-    locates the errors. The pattern must reproduce every syndrome, so the
-    codeword is the unique one within (N-k)//2, and the gradient is the last
-    lane less the pattern's share; with no such pattern the coordinate
-    fails. More than tau pooled workers is a failure too.
+    the workers pooled in error at earlier coordinates, if at most (N-k)/2,
+    or else Berlekamp-Massey locates the errors. The pool's locator is
+    Berlekamp-Massey's own, reversed, for the first errors located, and is
+    built from the pooled points whenever the pool grows later. The pattern
+    must reproduce every syndrome, so the codeword is the unique one within
+    (N-k)//2, and the gradient is the last lane less the pattern's share;
+    with no such pattern the coordinate fails. More than tau pooled workers
+    is a failure too.
     """
-    erased = set(identified)
-    avail = [j for j in range(ctx.n) if j not in erased]
+    if any(len(row) != ctx.n for row in z):
+        raise DimensionError(f"every response row must hold n={ctx.n} symbols")
     k = ctx.r + 1
+    q = ctx.q
+    width, count, columns, avail, xs = _syndrome_table(
+        ctx.eval_points, frozenset(identified), q, k
+    )
     tau = min(ctx.u - 1, (len(avail) - k) // 2)
     if tau < 0:
         raise DecodeFailureError(f"{len(avail)} available workers cannot fix {k} symbols")
-    q = ctx.q
-    xs = tuple(ctx.eval_points[j] for j in avail)
-    width, count, columns = _syndrome_table(ctx.eval_points, tuple(avail), q, k)
     errors: dict[int, int] = {}  # pooled worker -> its evaluation point
     pooled = [1]  # _pool_locator of the pooled points
     gradient = []
     for t, row in enumerate(z):
-        packed = sum(map(mul, [row[j] for j in avail], columns))
-        *syndromes, moment = unpack(packed, width, count, q)
+        *syndromes, moment = unpack(sum(map(mul, row, columns)), width, count, q)
         if any(syndromes):
             share = None
             # Berlekamp-Massey alone finds the same share but cut ecc_cliff runs/s by ~20 %.
@@ -505,8 +540,10 @@ def ecc_decode(
                 share = _pattern_share(pooled, syndromes, q)
             located = tau and share is None and _located_pattern(avail, xs, syndromes, q)
             if located:
-                roots, share = located
-                if not roots.keys() <= errors.keys():
+                roots, share, locator = located
+                if not errors:  # prod_j (1 - x_j x) reversed is the roots' _pool_locator
+                    errors, pooled = roots, locator[::-1]
+                elif not roots.keys() <= errors.keys():
                     errors.update(roots)
                     pooled = _pool_locator(errors.values(), q)
             if share is None:

@@ -4,7 +4,9 @@ Each entry names a module of src/byzgrad, a source snippet that occurs in
 it exactly once, the snippet's replacement, and the tests that fail once
 the replacement is made. tests/test_mutants.py checks in tier-1 that every
 snippet still occurs exactly once, so a refactor that rewrites a guarded
-line has to update its entry here.
+line has to update its entry here. EQUIVALENT lists mutants that no test
+can kill, each with the reason its program behaves the same; they are
+checked for their snippets too, and never run.
 
     python tests/mutants.py [name ...]
 
@@ -123,11 +125,79 @@ MUTANTS = (
         ("tests/test_ecc_decoder.py::test_packed_decoder_at_the_carry_boundary",),
     ),
     Mutant(
+        "layout-rows-in-class-order",
+        "coding.py",
+        "rows = tuple(packed[i] for i in ones + [c[0] for c in many])",
+        "rows = tuple(packed[c[0]] for c in classes)",
+        (
+            "tests/test_coding.py::test_row_classes_and_gatherers_equal_the_oracles",
+            "tests/test_coding.py::test_response_matrix_matches_dense_product",
+        ),
+    ),
+    Mutant(
+        "erased-columns-nonzero",
+        "coding.py",
+        "columns = [0] * len(eval_points)",
+        "columns = [1] * len(eval_points)",
+        (
+            "tests/test_coding.py::test_cached_syndrome_table_is_immutable",
+            "tests/test_ecc_decoder.py::test_packed_decoder_matches_row_table_oracle",
+        ),
+    ),
+    Mutant(
+        "pool-from-unreversed-locator",
+        "coding.py",
+        "errors, pooled = roots, locator[::-1]",
+        "errors, pooled = roots, locator",
+        (
+            "tests/test_ecc_decoder.py::test_syndrome_decoder_matches_gao_oracle",
+            "tests/test_ecc_decoder.py::test_packed_decoder_matches_row_table_oracle",
+        ),
+    ),
+    Mutant(
         "conflict-at-last-differing-coordinate",
         "protocol.py",
         "for coord, (x, y) in enumerate(zip(first, other)):",
         "for coord, (x, y) in reversed(list(enumerate(zip(first, other)))):",
         ("tests/test_protocol.py::test_detect_conflict_first_coordinate",),
+    ),
+)
+
+
+@dataclass(frozen=True)
+class Equivalent:
+    """A mutant that no test can kill: the program it makes behaves the same."""
+
+    name: str
+    module: str
+    snippet: str
+    replacement: str
+    reason: str
+
+
+# Invariant checks of the match engine that no input reaches. Each stays as a
+# guard; removing it changes no run, for the one-line reason given.
+EQUIVALENT = (
+    Equivalent(
+        "match-children-agree-unchecked",
+        "protocol.py",
+        "if rc1 == rc2:",
+        "if False:",
+        "label1 != label2 holds at every level: with lc1 == lc2, rc1 - rc2 = label1 - label2",
+    ),
+    Equivalent(
+        "leaf-zero-coefficient-unchecked",
+        "protocol.py",
+        "if column[j] and wij == 0:",
+        "if False:",
+        "a holder's entry prod (x_j - x_m) over the non-holders is nonzero: the points are distinct",
+    ),
+    Equivalent(
+        "leaf-without-liar-unchecked",
+        "protocol.py",
+        "if not malicious:",
+        "if False:",
+        "commitments all truth * w_j give both labels truth, as sum_j b_j w_j = 1 for a monic w",
     ),
 )
 

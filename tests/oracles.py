@@ -263,7 +263,7 @@ def row_table_ecc_decode(
                 share = points_pattern_share(list(errors.values()), syndromes, q)
             located = tau and share is None and _located_pattern(avail, xs, syndromes, q)
             if located:
-                roots, share = located
+                roots, share, _ = located
                 errors.update(roots)
             if share is None:
                 raise DecodeFailureError(

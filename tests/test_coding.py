@@ -38,6 +38,7 @@ from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.linalg import determinant, solve_linear
 
 from oracles import (
+    _row_syndrome_table,
     columns,
     row_classes_of_w,
     dense_response_matrix,
@@ -374,30 +375,33 @@ def test_cached_combining_vector_cannot_be_poisoned():
 
 def test_cached_syndrome_table_is_immutable():
     points, q, k = (1, 2, 3, 5, 8, 13, 21), 101, 2
-    avail = (0, 2, 3, 4, 6)  # workers 2 and 6 erased
-    xs = [points[j] for j in avail]
-    table = _syndrome_table(points, avail, q, k)
-    width, count, cols = table
-    assert isinstance(cols, tuple) and all(isinstance(col, int) for col in cols)
+    erased = frozenset({1, 5})
+    table = _syndrome_table(points, erased, q, k)
+    width, count, cols, avail, xs = table
+    assert all(type(part) is tuple for part in (cols, avail, xs))
+    assert all(type(col) is int for col in cols)
     with pytest.raises(TypeError):
         cols[0] = 1
-    assert table == _syndrome_table.__wrapped__(points, avail, q, k)
-    assert (width, count, len(cols)) == (lane_bytes(q, len(xs)), len(xs) - k + 1, len(xs))
-    # Lane m of column j is w_j * x_j**m with the barycentric weight w_j over the available points.
-    for xj, col in zip(xs, cols):
-        w = 1
-        for xm in xs:
-            if xm != xj:
-                w = w * (xj - xm) % q
-        w = pow(w, -1, q)
-        assert unpack(col, width, count, q) == [w * pow(xj, m, q) % q for m in range(count)]
+    assert _syndrome_table(points, frozenset([5, 1, 5]), q, k) is table  # keyed by the set
+    assert table == _syndrome_table.__wrapped__(points, erased, q, k)
+    assert avail == (0, 2, 3, 4, 6) and xs == tuple(points[j] for j in avail)
+    assert (width, count, len(cols)) == (lane_bytes(q, len(xs)), len(xs) - k + 1, len(points))
+    # Full width: an erased worker's column is 0, and an available worker's
+    # lanes are its column of the row table, w_j * x_j**m for m = 0..N-k.
+    assert [cols[j] for j in sorted(erased)] == [0, 0]
+    rows = _row_syndrome_table(points, avail, q, k)
+    for col, want in zip([cols[j] for j in avail], zip(*rows)):
+        assert unpack(col, width, count, q) == list(want)
         assert col < 1 << 8 * width * count  # no bits above the top lane
     # On any polynomial of degree below k the first len(xs)-k lanes of a
-    # word's dot product vanish and the last reads off its coefficient of x^(k-1).
+    # word's dot product vanish and the last reads off its coefficient of
+    # x^(k-1), whatever the erased workers' symbols.
     rng = random.Random(3)
     for _ in range(20):
         f = [rng.randrange(q) for _ in range(k)]
-        word = [sum(c * pow(x, i, q) for i, c in enumerate(f)) % q for x in xs]
+        word = [sum(c * pow(x, i, q) for i, c in enumerate(f)) % q for x in points]
+        for j in erased:
+            word[j] = rng.randrange(-q, 5 * q)
         dots = unpack(sum(map(mul, word, cols)), width, count, q)
         assert dots == [0] * (len(xs) - k) + [f[k - 1]]
 
@@ -409,12 +413,11 @@ def test_syndrome_weights_from_code_weights_match_fresh_inverse():
         for _ in range(30):
             n = rng.randrange(2, min(q - 1, 18) + 1)
             points = tuple(rng.sample(range(1, min(q, 10**6)), n))
-            avail = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
-            k = rng.randrange(1, len(avail) + 1)
-            xs = [points[j] for j in avail]
-            fresh = vandermonde_inverse_last_column(q, xs)
-            width, count, cols = _syndrome_table(points, avail, q, k)
-            assert [unpack(col, width, count, q)[0] for col in cols] == fresh
+            erased = frozenset(rng.sample(range(n), rng.randrange(n)))
+            k = rng.randrange(1, n - len(erased) + 1)
+            width, count, cols, avail, xs = _syndrome_table(points, erased, q, k)
+            fresh = vandermonde_inverse_last_column(q, list(xs))
+            assert [unpack(cols[j], width, count, q)[0] for j in avail] == fresh
 
 
 # decoding matrix --------------------------------------------------------------
@@ -490,37 +493,60 @@ def _check_row_classes(enc):
 FILE_ASSIGNMENT = "4 6 2\n110110\n110100\n001001\n001011\n"
 
 
+def _layout_sums(enc, row):
+    """{packed class row: class sum} read off enc.class_layout for a row of p values."""
+    singles, gatherers, rows = enc.class_layout
+    sums = list(singles(row)) if singles else []
+    sums += [sum(gather(row)) for gather in gatherers]
+    assert len(sums) == len(rows) == len(enc.row_classes)
+    return dict(zip(rows, sums))
+
+
+def _oracle_sums(enc, row):
+    """{packed class row: class sum} over row_classes_of_w's classes."""
+    width = enc.sample_lanes[0]
+    return {pack(enc.w[c[0]], width): sum(row[i] for i in c) for c in row_classes_of_w(enc.w)}
+
+
 def test_row_classes_and_gatherers_equal_the_oracles():
     # The classes of an encoding, the all-one one build_encoding_matrix
-    # makes or a general query's, must be W's equal rows, and each class's
-    # gatherer must pick exactly its samples out of a row of p values, as a
-    # list or a tuple.
+    # makes or a general query's, must be W's equal rows. The layout's
+    # one-sample gatherer and per-class gatherers, read in layout order
+    # against its packed rows, must give each class's sum, from a list or
+    # a tuple.
     rng = random.Random(5)
     file_mat, _ = assignment_from_text(FILE_ASSIGNMENT)
     instances = [
         ("cyclic", build_code_context(8, 2, 1), make_cyclic(8, 16, 3)),
         ("cyclic", build_code_context(24, 6, 1), make_cyclic(24, 256, 7)),
+        ("cyclic", build_code_context(8, 2, 1), make_cyclic(8, 6, 3)),
         ("fractional", build_code_context(8, 2, 2), make_fractional(8, 16, 4)),
         ("fractional", build_code_context(9, 2, 1), make_fractional(9, 20, 3)),
         ("random", build_code_context(8, 2, 1), make_random_regular(8, 16, 3, seed=4)),
         ("random", build_code_context(5, 1, 1), make_random_regular(5, 40, 2, seed=9)),
+        ("random", build_code_context(12, 3, 4), make_random_regular(12, 12, 7, seed=5)),
         ("file", build_code_context(4, 1, 1, 101), file_mat),
     ]
-    forms = set()
+    forms, kinds = set(), set()
     for kind, ctx, a_mat in instances:
         p = a_mat.p
         a = [rng.choice((0, 1, 1, -1, 5)) for _ in range(p)]
         general = EncodingMatrix(_query_rows(ctx, a_mat, a), ctx.q)
         for enc in (build_encoding_matrix(ctx, a_mat), general):
-            assert enc.row_classes == row_classes_of_w(enc.w), (kind, a)
-            assert len(enc.class_gatherers) == len(enc.row_classes)
+            classes = enc.row_classes
+            assert classes == row_classes_of_w(enc.w), (kind, a)
+            singles, gatherers, rows = enc.class_layout
+            ones = sum(len(c) == 1 for c in classes)
+            assert (singles is None) == (ones == 0) and len(gatherers) == len(classes) - ones
+            assert enc.class_layout is enc.class_layout  # laid out once
+            kinds.add("none" if not ones else "all" if ones == len(classes) else "mixed")
             row = [rng.randrange(ctx.q) for _ in range(p)]
-            for c, gather in zip(enc.row_classes, enc.class_gatherers):
-                want = [row[i] for i in c]
-                assert list(gather(row)) == want and list(gather(tuple(row))) == want
-                forms.add(type(gather(row)))
+            for form in (row, tuple(row)):
+                assert _layout_sums(enc, form) == _oracle_sums(enc, row), (kind, a)
+            forms.update(type(g(row)) for g in (*gatherers, singles) if g)
     classes = build_encoding_matrix(instances[-1][1], file_mat).row_classes
-    assert classes == ((0, 1, 3), (2, 5), (4,))
+    assert classes == ((0, 1, 3), (2, 5), (4,))  # a one-sample class after the others
+    assert kinds == {"none", "all", "mixed"}
     assert forms == {list, tuple}  # slices, and the indices of a class that no slice gathers
 
 
@@ -529,8 +555,8 @@ def test_response_matrix_matches_dense_product():
     rng = random.Random(77)
     seen = dict.fromkeys(
         ("cyclic", "fractional", "random", "p<n", "p=n", "p>>n", "p=1", "d=1",
-         "zero", "minus", "scaled", "oracle", "restricted", "empty", "singletons",
-         "unreduced", "negative"),
+         "zero", "minus", "scaled", "oracle", "restricted", "empty", "unreduced", "negative",
+         "no one-sample", "one one-sample", "all one-sample", "mixed"),
         0,
     )
     for q in (7, 101, DEFAULT_MODULUS, 2**61 - 1, 2**64 + 13):
@@ -586,9 +612,32 @@ def test_response_matrix_matches_dense_product():
             seen["oracle"] += style == "oracle"
             seen["restricted"] += style == "restricted"
             seen[entries] = seen.get(entries, 0) + 1
-            samples = enc.row_classes
-            seen["singletons"] += bool(samples) and all(len(c) == 1 for c in samples)
+            seen[_partition_kind(enc)] += 1
+    # Partitions the random shapes above rarely give: every sample alone in
+    # its class, at p = 1, for cyclic p < n and at random n=24, p=256; and
+    # exactly one one-sample class beside others.
+    file_mat, _ = assignment_from_text(FILE_ASSIGNMENT)
+    for ctx, a_mat, kind in (
+        (build_code_context(3, 1, 2, 101), make_cyclic(3, 1, 3), "all one-sample"),
+        (build_code_context(8, 2, 1), make_cyclic(8, 6, 3), "all one-sample"),
+        (build_code_context(24, 6, 1), make_random_regular(24, 256, 7, seed=1), "all one-sample"),
+        (build_code_context(4, 1, 1, 101), file_mat, "one one-sample"),
+        (build_code_context(8, 2, 1), make_cyclic(8, 16, 3), "no one-sample"),
+    ):
+        enc = build_encoding_matrix(ctx, a_mat)
+        assert _partition_kind(enc) == kind
+        g = [[rng.randrange(-ctx.q, 5 * ctx.q) for _ in range(a_mat.p)] for _ in range(3)]
+        assert response_matrix(ctx, g, enc) == dense_response_matrix(ctx, g, enc)
+        seen[kind] += 1
     assert all(seen.values()), seen
+
+
+def _partition_kind(enc):
+    """How many of enc's row classes hold one sample: none, one, all of them, or some."""
+    ones = sum(len(c) == 1 for c in enc.row_classes)
+    if ones == len(enc.row_classes):
+        return "all one-sample"
+    return {0: "no one-sample", 1: "one one-sample"}.get(ones, "mixed")
 
 
 def test_response_matrix_lanes_at_the_carry_boundary():

@@ -15,7 +15,7 @@ from byzgrad.coding import (
     ecc_decode,
     response_matrix,
 )
-from byzgrad.errors import DecodeFailureError
+from byzgrad.errors import DecodeFailureError, DimensionError
 from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import SimulationConfig, replay_transcript, run_simulation, write_transcript
 
@@ -122,21 +122,30 @@ def random_case(rng, moduli=(11, 13, 101, DEFAULT_MODULUS)):
 
 
 def test_syndrome_decoder_matches_gao_oracle(monkeypatch):
-    # The decoder's steps are wrapped to record which regime each decode took.
+    # The decoder's steps are wrapped to record which regime each decode
+    # took, and to check the pool every share is tried on.
     log = []
+    pool = {}  # worker -> point, over the roots located so far in this decode
     located = coding._located_pattern
     share = coding._pattern_share
 
-    def log_located(*args):
+    def log_located(avail, xs, syndromes, q):
         log.append("located")
-        out = located(*args)
+        out = located(avail, xs, syndromes, q)
+        if out is not None:
+            roots, _, locator = out
+            # A first pool is Berlekamp-Massey's locator reversed: the roots' own.
+            assert locator[::-1] == coding._pool_locator(roots.values(), q)
+            pool.update(roots)
         log.append("berlekamp_massey" if out is not None else "located_none")
         return out
 
-    def log_share(*args):
-        out = share(*args)
-        # Outside a Berlekamp-Massey step, the points are the pooled positions.
-        if out is not None and (not log or log[-1] != "located"):
+    def log_share(rev, syndromes, q):
+        assert rev == coding._pool_locator(pool.values(), q)
+        if log.count("berlekamp_massey") == 1:  # the pool Berlekamp-Massey seeded
+            log.append("first_pool")
+        out = share(rev, syndromes, q)
+        if out is not None:
             log.append("pooled")
         return out
 
@@ -144,13 +153,14 @@ def test_syndrome_decoder_matches_gao_oracle(monkeypatch):
     monkeypatch.setattr(coding, "_pattern_share", log_share)
     rng = random.Random(80211)
     regimes = dict.fromkeys(
-        ["clean", "pooled", "berlekamp_massey", "tau0_failure", "coordinate_failure"]
-        + ["budget_failure", "odd_redundancy", "even_redundancy"],
+        ["clean", "pooled", "first_pool", "berlekamp_massey", "tau0_failure"]
+        + ["coordinate_failure", "budget_failure", "odd_redundancy", "even_redundancy"],
         0,
     )
     for _ in range(2400):
         ctx, received, identified = random_case(rng)
         log.clear()
+        pool.clear()
         new = decode_or_message(ecc_decode, ctx, received, identified)
         assert new == decode_or_message(gao_ecc_decode, ctx, received, identified)
         redundancy = ctx.n - len(identified) - ctx.r - 1
@@ -159,6 +169,7 @@ def test_syndrome_decoder_matches_gao_oracle(monkeypatch):
         if isinstance(new, list):
             regimes["clean"] += not log
             regimes["pooled"] += "pooled" in log
+            regimes["first_pool"] += "first_pool" in log
             regimes["berlekamp_massey"] += "berlekamp_massey" in log
         elif "exceed the budget" in new:
             regimes["budget_failure"] += 1
@@ -228,8 +239,7 @@ def test_one_lane_table_matches_the_row_table_oracle():
                         want = row_table_ecc_decode(ctx, z, identified)
                         assert ecc_decode(ctx, z, identified) == want
                     assert coding._syndrome_table(
-                        ctx.eval_points, tuple(j for j in range(n) if j not in identified), q,
-                        ctx.r + 1,
+                        ctx.eval_points, frozenset(identified), q, ctx.r + 1
                     )[1] == 1
                     cases += 1
     assert cases > 100
@@ -317,6 +327,14 @@ def test_too_few_available_workers_fail():
     received = [[0] * 5]
     with pytest.raises(DecodeFailureError):
         ecc_decode(ctx, received, [0, 1, 2])
+
+
+def test_response_rows_must_hold_one_symbol_per_worker():
+    # The full-width table would read a short row's missing workers as 0.
+    ctx = build_code_context(5, 1, 2, 11)
+    for bad in ([[0] * 4], [[0] * 5, [0] * 6]):
+        with pytest.raises(DimensionError, match="n=5 symbols"):
+            ecc_decode(ctx, bad, [4])
 
 
 def test_scale_probes_decode_exactly():
@@ -411,9 +429,9 @@ def test_located_patterns_lie_within_the_radius_with_nonzero_values():
                     if found is None:
                         continue
                     located += 1
-                    roots, share = found
+                    roots, share, locator = found
                     points = list(roots.values())
-                    locator = coding._berlekamp_massey(syndromes, q)
+                    assert locator == coding._berlekamp_massey(syndromes, q)
                     assert len(locator) - 1 == len(roots) and 2 * len(roots) <= length
                     assert all(x == xs[avail.index(j)] for j, x in roots.items())
                     for x in points:  # x^L * locator(1/x)
@@ -463,7 +481,7 @@ def test_pooled_share_is_the_located_share():
             if share is None:
                 continue
             seen[kind] += 1
-            roots, located = coding._located_pattern(avail, xs, syndromes, q)
+            roots, located, _ = coding._located_pattern(avail, xs, syndromes, q)
             assert located == share, (q, xs, points, syndromes)
             assert set(roots.values()) <= set(points), (q, xs, points, syndromes)
     assert seen == {"in pool": 2019, "anywhere": 468, "random": 71}

@@ -25,8 +25,10 @@ from byzgrad.errors import InvalidParamsError, TranscriptReplayError
 from byzgrad.field import draw_below
 from byzgrad.harness import (
     METRICS_HEADER,
+    RunMetrics,
     SimulationConfig,
     SkippedRow,
+    SweepReport,
     grid_configs,
     read_events,
     replay_transcript,
@@ -260,6 +262,39 @@ def test_small_sweep_all_correct():
     assert report.rows
     assert report.violations() == []
     assert "violations: 0" in report.summary()
+
+
+def test_bound_violations_name_each_exceeded_bound():
+    # n=8, s=2, u=1, p=16: a budget of s+1-u = 2 local computations and
+    # rounds, and an overhead bound of (n-rho+2) * 2 * ceil(log2 p) = 56.
+    config = cfg(n=8, s=2, u=1, p=16)
+
+    def row(c=2, c_oh=56, rounds=2, correct=True):
+        return RunMetrics(config, correct, c, c_oh, rounds, 4, ())
+
+    within, incorrect = row(), row(correct=False)
+    over = [row(c=3), row(c_oh=57), row(rounds=3), row(c=4, c_oh=99, rounds=5)]
+    assert within.bound_violations() == incorrect.bound_violations() == []
+    assert [m.bound_violations() for m in over] == [
+        ["local computations 3 > 2"],
+        ["communication overhead 57 > 56"],
+        ["rounds 3 > 2"],
+        ["local computations 4 > 2", "communication overhead 99 > 56", "rounds 5 > 2"],
+    ]
+    wrong_and_over = row(rounds=3, correct=False)
+    report = SweepReport([within, *over, incorrect, wrong_and_over], [SkippedRow({}, "why")])
+    assert [(report.rows.index(m), v) for m, v in report.violations()] == [
+        (1, "local computations 3 > 2"),
+        (2, "communication overhead 57 > 56"),
+        (3, "rounds 3 > 2"),
+        (4, "local computations 4 > 2"),
+        (4, "communication overhead 99 > 56"),
+        (4, "rounds 5 > 2"),
+        (5, "incorrect gradient"),
+        (6, "rounds 3 > 2"),
+        (6, "incorrect gradient"),
+    ]
+    assert report.summary().splitlines()[0] == "runs: 7  skipped: 1  violations: 9  incorrect: 2"
 
 
 def test_sweep_parallel_matches_sequential():

@@ -2,11 +2,11 @@
 
 import re
 
-from mutants import MUTANTS, PACKAGE, ROOT
+from mutants import EQUIVALENT, MUTANTS, PACKAGE, ROOT
 
 
 def test_every_snippet_occurs_once_in_its_module():
-    for m in MUTANTS:
+    for m in MUTANTS + EQUIVALENT:
         source = (ROOT / PACKAGE / m.module).read_text(encoding="utf-8")
         assert source.count(m.snippet) == 1, m.name
         assert m.replacement != m.snippet, m.name
@@ -20,3 +20,10 @@ def test_every_killer_names_a_test():
             path, name = node.split("::")
             source = (ROOT / path).read_text(encoding="utf-8")
             assert re.search(rf"^def {name}\(", source, re.M), node
+
+
+def test_every_equivalent_mutant_gives_its_reason():
+    names = [m.name for m in MUTANTS + EQUIVALENT]
+    assert len(set(names)) == len(names)
+    for m in EQUIVALENT:
+        assert m.reason.strip() and "\n" not in m.reason, m.name

@@ -626,6 +626,27 @@ def test_single_sample_match_needs_no_communication():
     assert tr.local_computations == 1
 
 
+def test_match_without_a_dispute_raises():
+    # Honest workers make every group claim the true gradient; a match
+    # started on two agreeing groups is refused before any query.
+    ctx = build_code_context(6, 2, 1, 101)
+    a_mat = make_cyclic(6, 8, 3)
+    g = make_gradients(ctx, 8, 2, seed=4)
+    responder = SimulatedResponder(g, AdversaryStrategy())
+    run = ProtocolRun(ctx, a_mat, responder)
+    responder.bind(ctx, a_mat)
+    initial = responder.initial()
+    groups = form_groups(list(range(6)), ctx.r, ctx.s)
+    vectors = [combining_vector(ctx, grp) for grp in groups]
+    packed = pack_responses(ctx, initial)
+    claims = [group_response(ctx, packed, b, 2) for b in vectors]
+    assert claims[0] == claims[1] == full_sum(ctx, g)
+    events = list(run.transcript.events)
+    with pytest.raises(ProtocolInvariantViolation, match="match started without a dispute"):
+        run.run_match(1, groups, (1, 0), initial, claims, vectors)
+    assert run.transcript.events == events and run.transcript.comm_overhead == 0
+
+
 def test_consistent_liar_forces_full_depth():
     # worker 0 holds sample 0, whose leaf sits at maximum depth
     ctx = build_code_context(4, 1, 1, 101)
@@ -799,7 +820,7 @@ def test_leaf_row_cache_equals_sample_row():
 
 def test_a_run_packs_each_class_of_w_once(monkeypatch):
     # The initial responses and the match answers read one packing of W:
-    # response_matrix takes each class row from the per-sample lanes.
+    # the class layout takes each class row from the per-sample lanes.
     calls = []
     pack = coding.pack
 
