@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import GenerationFailedError, InvalidParamsError
+from .errors import InvalidParamsError
 from .field import draw_samples
 
 
@@ -83,15 +83,6 @@ def _require_feasible(kind: str, n: int, p: int, rho: int) -> None:
         raise InvalidParamsError(reason)
 
 
-def _finish(n: int, p: int, rho: int, bits: list[list[int]], kind: str) -> AssignmentMatrix:
-    a = AssignmentMatrix(n, p, tuple(map(bytes, bits)))
-    if not validate_regular(a, rho):
-        raise InvalidParamsError(
-            f"{kind} layout with n={n}, p={p}, rho={rho} leaves some worker idle"
-        )
-    return a
-
-
 def make_cyclic(n: int, p: int, rho: int) -> AssignmentMatrix:
     """Cyclic repetition: worker j holds the samples i with (i - j) mod n < rho.
 
@@ -99,8 +90,8 @@ def make_cyclic(n: int, p: int, rho: int) -> AssignmentMatrix:
     the all-one matrix.
     """
     _require_feasible("cyclic", n, p, rho)
-    bits = [[1 if (i - j) % n < rho else 0 for i in range(p)] for j in range(n)]
-    return _finish(n, p, rho, bits, "cyclic")
+    rows = tuple(bytes([(i - j) % n < rho for i in range(p)]) for j in range(n))
+    return AssignmentMatrix(n, p, rows)
 
 
 def make_fractional(n: int, p: int, rho: int) -> AssignmentMatrix:
@@ -112,49 +103,36 @@ def make_fractional(n: int, p: int, rho: int) -> AssignmentMatrix:
     _require_feasible("fractional", n, p, rho)
     groups = n // rho
     base, extra = divmod(p, groups)
-    bits = [[0] * p for _ in range(n)]
-    start = 0
+    rows = []
     for g in range(groups):
-        size = base + (1 if g < extra else 0)
-        for j in range(g * rho, (g + 1) * rho):
-            for i in range(start, start + size):
-                bits[j][i] = 1
-        start += size
-    return _finish(n, p, rho, bits, "fractional")
+        start, size = g * base + min(g, extra), base + (g < extra)
+        rows += [bytes(start) + b"\x01" * size + bytes(p - start - size)] * rho
+    return AssignmentMatrix(n, p, tuple(rows))
 
 
 def make_random_regular(n: int, p: int, rho: int, seed: int) -> AssignmentMatrix:
     """Seeded random member of the regular family.
 
-    Columns are sampled independently (rho workers each); empty rows are then
-    repaired by moving a sample away from a worker that holds at least two.
+    Columns are sampled independently (rho workers each). Each row idle after
+    the draw, lowest first, then takes one sample from a worker holding at
+    least two: rho*p >= n ones in at most n-1 rows leave such a worker, and
+    the move never idles it.
     """
     _require_feasible("random", n, p, rho)
     rng = random.Random(seed)
-    bits = [[0] * p for _ in range(n)]
+    bits = [bytearray(p) for _ in range(n)]
     for i, holders in enumerate(draw_samples(rng, n, rho, p)):  # rng.sample per column
         for j in holders:
             bits[j][i] = 1
-    for _ in range(1000):
-        empty = [j for j in range(n) if not any(bits[j])]
-        if not empty:
-            break
-        j = empty[0]
+    for j in [j for j, row in enumerate(bits) if not any(row)]:
         candidates = [
-            (jj, i)
-            for jj in range(n)
-            if sum(bits[jj]) >= 2
-            for i in range(p)
-            if bits[jj][i] and not bits[j][i]
+            (jj, i) for jj, row in enumerate(bits) if sum(row) >= 2
+            for i in compress(range(p), row)
         ]
-        if not candidates:
-            raise GenerationFailedError("no repair move available")
         jj, i = rng.choice(candidates)
         bits[jj][i] = 0
         bits[j][i] = 1
-    else:
-        raise GenerationFailedError("row repair did not converge within 1000 passes")
-    return _finish(n, p, rho, bits, "random-regular")
+    return AssignmentMatrix(n, p, tuple(map(bytes, bits)))
 
 
 # Maps the characters "0" and "1" to the bytes 0 and 1 and back, so a row is one C-level pass.

@@ -17,10 +17,6 @@ class InvalidParamsError(ValueError):
     """Parameter combination outside the supported regime."""
 
 
-class GenerationFailedError(RuntimeError):
-    """Randomized generation did not produce a valid object within the retry budget."""
-
-
 class AssignmentMismatchError(ValueError):
     """Assignment matrix is inconsistent with the code parameters."""
 

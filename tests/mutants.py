@@ -11,9 +11,11 @@ checked for their snippets too, and never run.
     python tests/mutants.py [name ...]
 
 copies the repository to a temporary directory, checks that the named
-tests pass there, then applies each mutant in turn, runs its tests with
-pytest -x -q and reports it killed or survived. With no names it runs every
-mutant. The exit status is nonzero if a mutant survives.
+tests pass there, then applies each mutant in turn and runs each of its
+killers on its own with pytest. A mutant is killed only when every one of
+its killers fails; otherwise it survived, and each killer that did not fail
+is named. With no names it runs every mutant. The exit status is nonzero if
+a mutant survives.
 """
 
 from __future__ import annotations
@@ -40,6 +42,34 @@ class Mutant:
 
 
 MUTANTS = (
+    Mutant(
+        "cyclic-window-one-too-wide",
+        "assignment.py",
+        "bytes([(i - j) % n < rho",
+        "bytes([(i - j) % n <= rho",
+        (
+            "tests/test_assignment.py::test_cyclic_three_workers_two_replicas",
+            "tests/test_assignment.py::test_cyclic_column_and_row_sums",
+            "tests/test_assignment.py::test_generators_equal_the_per_bit_oracles",
+        ),
+    ),
+    Mutant(
+        "fractional-group-starts-late",
+        "assignment.py",
+        "min(g, extra)",
+        "min(g + 1, extra)",
+        (
+            "tests/test_assignment.py::test_fractional_pad_rule",
+            "tests/test_assignment.py::test_generators_equal_the_per_bit_oracles",
+        ),
+    ),
+    Mutant(
+        "repair-takes-first-candidate",
+        "assignment.py",
+        "rng.choice(candidates)",
+        "candidates[0]",
+        ("tests/test_assignment.py::test_random_regular_equals_a_sample_per_column",),
+    ),
     Mutant(
         "cyclic-rule-one-short",
         "assignment.py",
@@ -208,6 +238,22 @@ def _pytest(tree: Path, node_ids) -> int:
     return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
 
 
+def missed_killers(tree: Path, m: Mutant) -> list[tuple[str, int]]:
+    """Each killer of m that does not fail on tree with m applied, with its pytest exit status.
+
+    Each killer runs on its own, so an empty list means every one of them
+    kills the mutant. The mutated module is restored afterwards.
+    """
+    path = tree / PACKAGE / m.module
+    source = path.read_text(encoding="utf-8")
+    path.write_text(source.replace(m.snippet, m.replacement), encoding="utf-8")
+    try:
+        codes = [(k, _pytest(tree, [k])) for k in m.killers]
+    finally:
+        path.write_text(source, encoding="utf-8")
+    return [(k, code) for k, code in codes if code != 1]
+
+
 def main(argv: list[str]) -> int:
     chosen = [m for m in MUTANTS if not argv or m.name in argv]
     unknown = set(argv) - {m.name for m in MUTANTS}
@@ -224,14 +270,13 @@ def main(argv: list[str]) -> int:
             return 2
         survived = 0
         for m in chosen:
-            path = tree / PACKAGE / m.module
-            source = path.read_text(encoding="utf-8")
-            path.write_text(source.replace(m.snippet, m.replacement), encoding="utf-8")
-            code = _pytest(tree, m.killers)
-            path.write_text(source, encoding="utf-8")
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
-            survived += code != 1
-            print(f"{m.name}: {verdict}")
+            missed = missed_killers(tree, m)
+            survived += bool(missed)
+            if not missed:
+                print(f"{m.name}: killed")
+            for k, code in missed:
+                how = "passed" if code == 0 else f"pytest exit {code}"
+                print(f"{m.name}: SURVIVED {k} ({how})")
     return 1 if survived else 0
 
 

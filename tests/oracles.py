@@ -548,6 +548,31 @@ def stdlib_samples(rng, n: int, k: int, count: int) -> list[list[int]]:
     return [rng.sample(range(n), k) for _ in range(count)]
 
 
+def per_bit_cyclic(n: int, p: int, rho: int) -> AssignmentMatrix:
+    """The cyclic layout bit by bit: worker j holds sample i iff (i - j) mod n < rho."""
+    bits = [[1 if (i - j) % n < rho else 0 for i in range(p)] for j in range(n)]
+    return AssignmentMatrix(n, p, tuple(map(bytes, bits)))
+
+
+def nested_loop_fractional(n: int, p: int, rho: int) -> AssignmentMatrix:
+    """The fractional layout filled bit by bit: group g's rho workers hold its slice.
+
+    Slices are p // (n / rho) samples long, the first p mod (n / rho) groups
+    one longer, laid end to end from sample 0.
+    """
+    groups = n // rho
+    base, extra = divmod(p, groups)
+    bits = [[0] * p for _ in range(n)]
+    start = 0
+    for g in range(groups):
+        size = base + (1 if g < extra else 0)
+        for j in range(g * rho, (g + 1) * rho):
+            for i in range(start, start + size):
+                bits[j][i] = 1
+        start += size
+    return AssignmentMatrix(n, p, tuple(map(bytes, bits)))
+
+
 def sample_per_column_random_regular(n: int, p: int, rho: int, seed: int) -> AssignmentMatrix:
     """A copy of make_random_regular that draws each column with its own rng.sample call."""
     rng = random.Random(seed)

@@ -48,14 +48,25 @@ def full_sum(ctx, g):
 
 
 def test_honest_strategy_is_transparent():
+    # A subclass that overrides nothing controls worker 1: the base class's
+    # initial_response runs for it and passes its honest values through.
+    class Passive(AdversaryStrategy):
+        pass
+
     ctx = build_code_context(4, 1, 1, 101)
     a_mat = make_cyclic(4, 4, 2)
     g = make_gradients(ctx, 4, 1, seed=0)
-    res = run_protocol(ctx, a_mat, g, AdversaryStrategy())
-    tr = res.transcript
-    assert (tr.local_computations, tr.comm_overhead) == (0, 0)
-    assert res.eliminated == ()
-    assert res.gradient == full_sum(ctx, g)
+    z = response_matrix(ctx, g, build_encoding_matrix(ctx, a_mat))
+    honest = [list(col) for col in zip(*z)]
+    for strategy in (AdversaryStrategy(), Passive([1])):
+        res = run_protocol(ctx, a_mat, g, strategy)
+        tr = res.transcript
+        assert (tr.local_computations, tr.comm_overhead) == (0, 0)
+        assert res.eliminated == ()
+        assert res.outcome == "agreement"
+        assert res.gradient == full_sum(ctx, g)
+        initial = next(e for e in tr.events if e["event"] == "response_set")
+        assert initial["kind"] == "initial" and initial["values"] == honest
 
 
 def test_rng_is_seeded_on_first_use():

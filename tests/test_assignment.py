@@ -17,6 +17,8 @@ from byzgrad.assignment import (
 from byzgrad.errors import InvalidParamsError
 from oracles import (
     column_sum,
+    nested_loop_fractional,
+    per_bit_cyclic,
     row_sum,
     sample_per_column_random_regular,
     samples_by_bit_scan,
@@ -111,6 +113,22 @@ def test_feasibility_rule_equals_the_generators():
             else:
                 with pytest.raises(InvalidParamsError, match=f"^{re.escape(reason)}$"):
                     make(*args)
+
+
+def test_generators_equal_the_per_bit_oracles():
+    # Every feasible shape with n <= 12 and p <= 24: the cyclic rows against
+    # the rule applied bit by bit, the fractional rows against the slices
+    # filled bit by bit, uneven slices (p not a multiple of n/rho) included.
+    cyclic = fractional = uneven = 0
+    for n, p, rho in product(range(1, 13), range(1, 25), range(1, 13)):
+        if assignment_feasible("cyclic", n, p, rho)[0]:
+            assert make_cyclic(n, p, rho) == per_bit_cyclic(n, p, rho), (n, p, rho)
+            cyclic += 1
+        if assignment_feasible("fractional", n, p, rho)[0]:
+            assert make_fractional(n, p, rho) == nested_loop_fractional(n, p, rho), (n, p, rho)
+            fractional += 1
+            uneven += p % (n // rho) != 0
+    assert (cyclic, fractional, uneven) == (1586, 748, 308)
 
 
 def test_validate_regular_cases():
@@ -261,11 +279,13 @@ def test_random_regular_equals_a_sample_per_column():
     ]
     for shape in shapes:
         assert make_random_regular(*shape) == sample_per_column_random_regular(*shape), shape
-    idle = sum(
-        len({j for column in stdlib_samples(random.Random(seed), n, rho, p) for j in column}) < n
+    # Shapes with two or more idle workers exercise the repair's lowest-first order.
+    idle = [
+        n - len({j for column in stdlib_samples(random.Random(seed), n, rho, p) for j in column})
         for n, p, rho, seed in shapes
-    )
-    assert len(shapes) > 800 and idle > 50, (len(shapes), idle)
+    ]
+    one, two = sum(k >= 1 for k in idle), sum(k >= 2 for k in idle)
+    assert len(shapes) > 800 and one > 50 and two >= 20, (len(shapes), one, two)
 
 
 def test_zero_set_size_is_n_minus_rho():
