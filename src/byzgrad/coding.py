@@ -6,12 +6,13 @@ Worker j's coefficients for the all-one query, the sum of every sample's
 gradient, are column j of W = (Q | 1) F: row i evaluates the monic
 polynomial of degree r that vanishes at the workers not holding sample i,
 which in closed form is W[i][j] = prod_{m in Z_i} (x_j - x_m). Row i thus
-depends only on Z_i, so a regular assignment has few distinct rows, and
-the honest responses G @ W are computed per class of equal rows from the
-sum of that class's gradient columns; a class of one sample needs no sum,
-so all such classes are gathered in one call. The match's 0/1 interval queries
-are answered from prefix sums over this W, so no other query's W is
-built here.
+depends only on Z_i, so a regular assignment has few distinct rows: the
+builder records each class of equal rows as it groups the assignment's
+columns, one row per distinct column. The honest responses G @ W are
+computed per class from the sum of that class's gradient columns; a class
+of one sample needs no sum, so all such classes are gathered in one call.
+The match's 0/1 interval queries are answered from prefix sums over this
+W, so no other query's W is built here.
 Dense products over F_q run on lanes: pack puts field elements side by side
 in one Python int, lane_bytes(q, terms) bytes each, so that a sum of terms
 products of two elements of [0, q) fits its lane without carrying into the
@@ -114,26 +115,14 @@ class EncodingMatrix:
     """The all-one query's worker coefficient matrix W (p x n) over F_q.
 
     W is a tuple of p row tuples; samples with equal rows share one tuple.
+    row_classes groups the samples by equal rows, each class increasing and
+    the classes ordered by first sample: n for cyclic, n/rho for fractional.
+    build_encoding_matrix records them as it groups the assignment's columns.
     """
 
     w: tuple[tuple[int, ...], ...]
     q: int
-
-    @cached_property
-    def row_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Samples grouped by equal rows of W.
-
-        Class c holds, in increasing order, the samples whose rows equal that
-        of its first sample; classes are ordered by first sample. Row i
-        depends only on the zero set Z_i, so a regular encoding has few
-        classes: n for cyclic, n/rho for fractional. Derived from W itself,
-        so it holds for any W; tuples, because every caller shares the
-        cached value.
-        """
-        index: dict[tuple[int, ...], list[int]] = {}
-        for i, row in enumerate(self.w):
-            index.setdefault(row, []).append(i)
-        return tuple(map(tuple, index.values()))
+    row_classes: tuple[tuple[int, ...], ...]
 
     @cached_property
     def sample_lanes(self) -> tuple[int, tuple[int, ...]]:
@@ -259,27 +248,31 @@ def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix) -> Encoding
     Row i of W = (Q | 1) F evaluates a monic polynomial of degree at most r
     at every worker's point; vanishing on the r workers Z_i that do not hold
     sample i pins it to the polynomial with those roots. One row
-    (sample_row) is built per distinct zero pattern. Requires each sample
-    to be missing from exactly r workers, which is what a regular
+    (sample_row) is built per distinct zero pattern, and the samples that
+    share it form one row class (EncodingMatrix.row_classes). Requires each
+    sample to be missing from exactly r workers, which is what a regular
     assignment with replication s+u guarantees.
     """
     n, r = ctx.n, ctx.r
     if a_mat.n != n:
         raise AssignmentMismatchError(f"assignment has {a_mat.n} workers, code has {n}")
-    by_column: dict[tuple[int, ...], tuple[int, ...]] = {}
+    by_column: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
     rows: list[tuple[int, ...]] = []
-    # Samples with equal assignment columns share a zero set and a row.
+    # Samples with equal assignment columns share a zero set and a row, and
+    # no other sample shares that row: its zeros are the column's.
     for i, column in enumerate(zip(*a_mat.bits)):
-        row = by_column.get(column)
-        if row is None:
+        entry = by_column.get(column)
+        if entry is None:
             missing = column.count(0)
             if missing != r:
                 raise AssignmentMismatchError(
                     f"sample {i + 1} is missing from {missing} workers, expected r={r}"
                 )
-            row = by_column[column] = sample_row(ctx, column)
-        rows.append(row)
-    return EncodingMatrix(tuple(rows), ctx.q)
+            entry = by_column[column] = (sample_row(ctx, column), [])
+        entry[1].append(i)
+        rows.append(entry[0])
+    classes = tuple(tuple(samples) for _, samples in by_column.values())
+    return EncodingMatrix(tuple(rows), ctx.q, classes)
 
 
 def combining_vector(ctx: CodeContext, group: Sequence[int]) -> list[int]:
@@ -366,7 +359,7 @@ def response_matrix(
     """
     if any(len(row) != len(enc.w) for row in gradients):
         raise DimensionError("gradient matrix width must equal sample count")
-    q, n = ctx.q, len(enc.w[0])
+    q, n = ctx.q, ctx.n
     singles, gatherers, rows = enc.class_layout
     width = enc.sample_lanes[0]
     out = []

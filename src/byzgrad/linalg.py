@@ -116,11 +116,9 @@ def determinant(rows: Sequence[Sequence[int]], q: int) -> int:
     return _eliminate(_reduced(rows, q), len(rows), q)[1]
 
 
-def vandermonde(points: Sequence[int], q: int, ncols: int | None = None) -> list[list[int]]:
-    """One row per evaluation point x, holding x**0 .. x**(ncols-1) mod q."""
-    if ncols is None:
-        ncols = len(points)
-    return [[pow(x, e, q) for e in range(ncols)] for x in points]
+def vandermonde(points: Sequence[int], q: int) -> list[list[int]]:
+    """One row per evaluation point x, holding x**0 .. x**(len(points)-1) mod q."""
+    return [[pow(x, e, q) for e in range(len(points))] for x in points]
 
 
 def cauchy_like_det(q: int, zetas: Sequence[int], deltas: Sequence[int]) -> int:

@@ -106,6 +106,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "class-samples-newest-first",
+        "coding.py",
+        "entry[1].append(i)",
+        "entry[1].insert(0, i)",
+        (
+            "tests/test_coding.py::test_recorded_row_classes_equal_the_classes_of_w",
+            "tests/test_coding.py::test_row_classes_and_gatherers_equal_the_oracles",
+        ),
+    ),
+    Mutant(
+        "classes-by-last-sample",
+        "coding.py",
+        "classes = tuple(tuple(samples) for _, samples in by_column.values())",
+        "classes = tuple(sorted((tuple(samples) for _, samples in by_column.values()),"
+        " key=lambda c: c[-1]))",
+        (
+            "tests/test_coding.py::test_recorded_row_classes_equal_the_classes_of_w",
+            "tests/test_coding.py::test_row_classes_and_gatherers_equal_the_oracles",
+        ),
+    ),
+    Mutant(
         "sample-row-drops-a-root",
         "coding.py",
         "roots = [x for x, held in zip(pts, column) if not held]",
@@ -182,6 +203,51 @@ MUTANTS = (
         (
             "tests/test_ecc_decoder.py::test_syndrome_decoder_matches_gao_oracle",
             "tests/test_ecc_decoder.py::test_packed_decoder_matches_row_table_oracle",
+        ),
+    ),
+    Mutant(
+        "form-groups-any-order",
+        "protocol.py",
+        "if len(set(pool)) != len(pool) or not set(pool) <= set(active):",
+        "if False:",
+        ("tests/test_protocol.py::test_form_groups_rejects_bad_order",),
+    ),
+    Mutant(
+        "group-response-unchecked-lengths",
+        "protocol.py",
+        "if len(b) != n or len(packed) != n:",
+        "if False:",
+        ("tests/test_protocol.py::test_group_response_rejects_wrong_lengths",),
+    ),
+    Mutant(
+        "match-prefix-from-unreduced-gradients",
+        "protocol.py",
+        "grow = [g % q for g in self.gradients[c]]",
+        "grow = list(self.gradients[c])",
+        ("tests/test_protocol.py::test_prefix_match_answers_fill_the_lane_at_every_q_minus_one",),
+    ),
+    Mutant(
+        "every-empty-matrix-regular",
+        "assignment.py",
+        "return a.p == 0 or rho == 0",
+        "return True",
+        ("tests/test_assignment.py::test_validate_regular_equals_the_column_oracle",),
+    ),
+    Mutant(
+        "pool-locator-from-newest-roots",
+        "coding.py",
+        "pooled = _pool_locator(errors.values(), q)",
+        "pooled = _pool_locator(roots.values(), q)",
+        ("tests/test_ecc_decoder.py::test_pool_locator_covers_every_pooled_worker",),
+    ),
+    Mutant(
+        "ecc-decode-without-pool-budget",
+        "coding.py",
+        "if len(errors) > tau:",
+        "if False:",
+        (
+            "tests/test_ecc_decoder.py::test_shared_locator_pools_errors_across_coordinates",
+            "tests/test_ecc_decoder.py::test_syndrome_decoder_matches_gao_oracle",
         ),
     ),
     Mutant(

@@ -17,7 +17,7 @@ from byzgrad.errors import (
     ProtocolInvariantViolation,
     SingularMatrixError,
 )
-from byzgrad.linalg import solve_linear, vandermonde
+from byzgrad.linalg import solve_linear
 
 
 def transpose(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -89,7 +89,7 @@ def validate_regular_by_columns(a: AssignmentMatrix, rho: int) -> bool:
 
 def generator_matrix(ctx: CodeContext) -> list[list[int]]:
     """The (r+1) x n generator F as rows, entry [k][j] = eval_points[j]**k."""
-    return transpose(vandermonde(ctx.eval_points, ctx.q, ctx.r + 1))
+    return [[pow(x, k, ctx.q) for x in ctx.eval_points] for k in range(ctx.r + 1)]
 
 
 def solve_encoding_matrix(
@@ -146,7 +146,8 @@ def solve_encoding_matrix(
                 acc += qi[k] * f_rows[k][j]
             row.append(acc % q)
         w_rows.append(row)
-    return EncodingMatrix(tuple(map(tuple, w_rows)), q)
+    w = tuple(map(tuple, w_rows))
+    return EncodingMatrix(w, q, row_classes_of_w(w))
 
 
 def exhaustive_ecc_decode(
@@ -603,8 +604,9 @@ def sample_per_column_random_regular(n: int, p: int, rho: int, seed: int) -> Ass
 def row_classes_of_w(w: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Samples grouped by equal rows of W, ordered by first sample, read off W.
 
-    The derivation EncodingMatrix.row_classes makes, kept apart here so that
-    a faster derivation there is checked against this one.
+    The oracle for the classes build_encoding_matrix records from the
+    assignment's columns (EncodingMatrix.row_classes), and the classes a
+    test passes with an encoding it builds by hand.
     """
     index: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(w):

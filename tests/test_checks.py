@@ -8,6 +8,8 @@ from byzgrad.checks import (
     check_fewer_groups_attackable,
 )
 
+from oracles import row_classes_of_w
+
 
 def test_registry_exposes_expected_tokens():
     assert set(CHECKS) == {
@@ -63,7 +65,8 @@ def _ecc_off_by_one(ctx, z, identified):
 
 
 def _zero_encoding(ctx, a_mat):
-    return coding.EncodingMatrix(((0,) * ctx.n,) * a_mat.p, ctx.q)
+    w = ((0,) * ctx.n,) * a_mat.p
+    return coding.EncodingMatrix(w, ctx.q, row_classes_of_w(w))
 
 
 # The certificate, the name in checks that gets a wrong version, the version,

@@ -8,6 +8,7 @@ import pytest
 from byzgrad import coding
 from byzgrad.assignment import (
     AssignmentMatrix,
+    assignment_feasible,
     assignment_from_text,
     make_cyclic,
     make_fractional,
@@ -458,8 +459,20 @@ def test_decoding_identity_random_groupings():
 def test_worker_response_zero_column():
     ctx = small_context()
     a_mat = make_cyclic(3, 3, 2)
-    enc = EncodingMatrix(_query_rows(ctx, a_mat, [0, 0, 0]), 7)
+    w = _query_rows(ctx, a_mat, [0, 0, 0])
+    enc = EncodingMatrix(w, 7, row_classes_of_w(w))
     assert worker_response(ctx, [[1, 2, 3]], enc, 0) == [0]
+
+
+def test_responses_of_an_encoding_with_no_samples():
+    # With p = 0, W has no row to read n off: each gradient row of no
+    # samples gets n zero responses, the code's n.
+    ctx = build_code_context(4, 1, 1, 101)
+    enc = build_encoding_matrix(ctx, AssignmentMatrix(4, 0, (b"",) * 4))
+    assert enc.w == () and enc.row_classes == ()
+    g = [[], []]
+    assert response_matrix(ctx, g, enc) == [[0] * 4] * 2
+    assert [worker_response(ctx, g, enc, j) for j in range(4)] == [[0, 0]] * 4
 
 
 def test_worker_response_matches_matrix_product():
@@ -531,7 +544,8 @@ def test_row_classes_and_gatherers_equal_the_oracles():
     for kind, ctx, a_mat in instances:
         p = a_mat.p
         a = [rng.choice((0, 1, 1, -1, 5)) for _ in range(p)]
-        general = EncodingMatrix(_query_rows(ctx, a_mat, a), ctx.q)
+        w = _query_rows(ctx, a_mat, a)
+        general = EncodingMatrix(w, ctx.q, row_classes_of_w(w))
         for enc in (build_encoding_matrix(ctx, a_mat), general):
             classes = enc.row_classes
             assert classes == row_classes_of_w(enc.w), (kind, a)
@@ -548,6 +562,29 @@ def test_row_classes_and_gatherers_equal_the_oracles():
     assert classes == ((0, 1, 3), (2, 5), (4,))  # a one-sample class after the others
     assert kinds == {"none", "all", "mixed"}
     assert forms == {list, tuple}  # slices, and the indices of a class that no slice gathers
+
+
+def test_recorded_row_classes_equal_the_classes_of_w():
+    # build_encoding_matrix records the classes from the assignment's
+    # columns; they must be W's classes of equal rows, read off W, on every
+    # feasible generated shape with n <= 12 and p <= 24 (random at two
+    # seeds) and on a file assignment whose classes no slice gathers.
+    file_mat, _ = assignment_from_text(FILE_ASSIGNMENT)
+    cases = [(build_code_context(4, 1, 1, 101), file_mat)]
+    for n in range(1, 13):
+        for rho in range(1, n + 1):
+            ctx = build_code_context(n, rho - 1, 1)
+            for p in range(1, 25):
+                if assignment_feasible("cyclic", n, p, rho)[0]:
+                    cases.append((ctx, make_cyclic(n, p, rho)))
+                if assignment_feasible("fractional", n, p, rho)[0]:
+                    cases.append((ctx, make_fractional(n, p, rho)))
+                if assignment_feasible("random", n, p, rho)[0]:
+                    cases += [(ctx, make_random_regular(n, p, rho, seed)) for seed in (1, 2)]
+    for ctx, a_mat in cases:
+        enc = build_encoding_matrix(ctx, a_mat)
+        assert enc.row_classes == row_classes_of_w(enc.w), (ctx.n, a_mat)
+    assert len(cases) == 5767
 
 
 def test_response_matrix_matches_dense_product():
@@ -584,7 +621,8 @@ def test_response_matrix_matches_dense_product():
             elif style in ("mixed", "oracle"):
                 a = [rng.choice((0, 1, -1, rng.randrange(q))) for _ in range(p)]
                 if style == "mixed":
-                    enc = EncodingMatrix(_query_rows(ctx, a_mat, a), q)
+                    w = _query_rows(ctx, a_mat, a)
+                    enc = EncodingMatrix(w, q, row_classes_of_w(w))
                 else:
                     enc = solve_encoding_matrix(ctx, a_mat, a)
                 a = [v % q for v in a]
@@ -594,7 +632,8 @@ def test_response_matrix_matches_dense_product():
             else:
                 full = build_encoding_matrix(ctx, a_mat).w
                 mask = [i for i in range(p) if rng.random() < 0.5]
-                enc = EncodingMatrix(restrict(full, mask), q)
+                w = restrict(full, mask)
+                enc = EncodingMatrix(w, q, row_classes_of_w(w))
                 seen["empty"] += not mask
             d = rng.randrange(1, 5)
             entries = rng.choice(("field", "unreduced", "negative"))
@@ -648,7 +687,7 @@ def test_response_matrix_lanes_at_the_carry_boundary():
             ctx = build_code_context(n, 1, 1, q)
             # Distinct rows, each q-1 everywhere but in the last worker.
             w = tuple((q - 1,) * (n - 1) + (c + 1,) for c in range(classes))
-            enc = EncodingMatrix(w, q)
+            enc = EncodingMatrix(w, q, row_classes_of_w(w))
             assert len(enc.row_classes) == classes
             for g in ([[q - 1] * classes], [[-1] * classes, [2 * q - 1] * classes]):
                 z = response_matrix(ctx, g, enc)
@@ -726,7 +765,6 @@ def test_row_classes_are_immutable_and_leave_the_fields_alone():
     enc = build_encoding_matrix(ctx, a_mat)
     twin = build_encoding_matrix(ctx, a_mat)
     samples = enc.row_classes
-    assert enc.row_classes is samples  # computed once per encoding
     for part in (samples, *samples):
         assert type(part) is tuple
     with pytest.raises(TypeError):
@@ -734,7 +772,7 @@ def test_row_classes_are_immutable_and_leave_the_fields_alone():
     width, packed = enc.sample_lanes
     assert type(packed) is tuple and enc.sample_lanes[1] is packed  # packed once
     assert width == lane_bytes(101, len(enc.w))
-    assert [f.name for f in dataclasses.fields(enc)] == ["w", "q"]
+    assert [f.name for f in dataclasses.fields(enc)] == ["w", "q", "row_classes"]
     assert enc == twin and hash(enc) == hash(twin)
 
 

@@ -149,7 +149,7 @@ def test_determinant_against_leibniz_oracle():
 
 
 def test_vandermonde_layout():
-    assert vandermonde([1, 2, 3], 7, 2) == [[1, 1], [1, 2], [1, 3]]
+    assert vandermonde([1, 2, 3], 7) == [[1, 1, 1], [1, 2, 4], [1, 3, 2]]
 
 
 def test_vandermonde_inverse_last_column_trivial():

@@ -58,6 +58,7 @@ from oracles import (
     leaf_depth_walk,
     match_answer_slice,
     pairwise_contradiction,
+    row_classes_of_w,
 )
 
 # SHA-256 over the transcripts and metrics rows of test_match_golden_digest,
@@ -502,7 +503,8 @@ def test_prefix_match_answers_fill_the_lane_at_every_q_minus_one(q, monkeypatch)
     n = 4
     ctx = build_code_context(n, 1, 1, q)
     for p in (7, 8, 255, 256, 257, 300):
-        enc = EncodingMatrix(((q - 1,) * n,) * p, q)
+        w = ((q - 1,) * n,) * p
+        enc = EncodingMatrix(w, q, row_classes_of_w(w))
         width, _ = enc.sample_lanes
         if width > 1:
             assert p * (q - 1) ** 2 >= 1 << 8 * (width - 1)
