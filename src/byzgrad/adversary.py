@@ -14,7 +14,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .assignment import AssignmentMatrix
-from .coding import CodeContext, EncodingMatrix, combining_vector
+from .coding import CodeContext, combining_vector, sample_row
 from .errors import InvalidParamsError, ProtocolInvariantViolation
 from .field import draw_below
 from .protocol import Query, form_groups, leaf_depths
@@ -36,8 +36,8 @@ class AdversaryStrategy:
         """Seeded on first use, so a policy that draws nothing hashes no seed string."""
         return random.Random(f"{self.seed}:adversary")
 
-    def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix, enc: EncodingMatrix) -> None:
-        """Called once before the initial responses; the code and W are public."""
+    def bind(self, ctx: CodeContext, a_mat: AssignmentMatrix) -> None:
+        """Called before each run's initial responses; the code and the assignment are public."""
         self.ctx = ctx
 
     def initial_response(self, j: int, honest: Sequence[int]) -> list[int]:
@@ -129,16 +129,18 @@ class TournamentLiar(AdversaryStrategy):
 
     def __init__(self, controlled: Iterable[int], *, seed: int = 0):
         super().__init__(controlled, seed)
-        self._offsets: dict[int, list[int]] = {}
         self._targets: dict[int, int] = {}
         self._coefficients: dict[int, int] = {}  # worker j's W entry at its target
 
-    def bind(self, ctx, a_mat, enc):
-        super().bind(ctx, a_mat, enc)
+    def bind(self, ctx, a_mat):
+        """A new story per run: offsets are drawn afresh, from an rng that runs on."""
+        super().bind(ctx, a_mat)
+        self._offsets: dict[int, list[int]] = {}
         depth = leaf_depths(a_mat.p)
         for j in sorted(self.controlled):
             target = self._targets[j] = max(a_mat.samples_of(j), key=depth.__getitem__)
-            self._coefficients[j] = enc.w[target][j]
+            column = tuple([row[target] for row in a_mat.bits])
+            self._coefficients[j] = sample_row(ctx, column)[j]
 
     def initial_response(self, j, honest):
         # Offsets are drawn lazily once the gradient dimension is known.
@@ -196,8 +198,8 @@ class SymmetrizationStrategy(AdversaryStrategy):
         super().__init__()
         self.error: Optional[list[int]] = None
 
-    def bind(self, ctx, a_mat, enc):
-        super().bind(ctx, a_mat, enc)
+    def bind(self, ctx, a_mat):
+        super().bind(ctx, a_mat)
         q = ctx.q
         groups = form_groups(range(ctx.n), ctx.r, ctx.s)
         support = pick_attack_support(groups[: ctx.s])

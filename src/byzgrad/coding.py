@@ -8,11 +8,12 @@ polynomial of degree r that vanishes at the workers not holding sample i,
 which in closed form is W[i][j] = prod_{m in Z_i} (x_j - x_m). Row i thus
 depends only on Z_i, so a regular assignment has few distinct rows: the
 builder records each class of equal rows as it groups the assignment's
-columns, one row per distinct column. The honest responses G @ W are
-computed per class from the sum of that class's gradient columns; a class
-of one sample needs no sum, so all such classes are gathered in one call.
-The match's 0/1 interval queries are answered from prefix sums over this
-W, so no other query's W is built here.
+columns, one row per distinct column. sample_row computes each row once per
+code and column, for the encoder, the leaf check and the adversary alike.
+The honest responses G @ W are computed per class from the sum of that
+class's gradient columns; a class of one sample needs no sum, so all such
+classes are gathered in one call. The match's 0/1 interval queries are
+answered from prefix sums over this W, so no other query's W is built here.
 Dense products over F_q run on lanes: pack puts field elements side by side
 in one Python int, lane_bytes(q, terms) bytes each, so that a sum of terms
 products of two elements of [0, q) fits its lane without carrying into the
@@ -223,11 +224,13 @@ def _unpack_bytes(x: int, width: int, count: int, q: int) -> list[int]:
     return [from_bytes(view[k : k + width], "big") % q for k in range(0, width * count, width)]
 
 
-def sample_row(ctx: CodeContext, column: Sequence[int]) -> tuple[int, ...]:
+@lru_cache(maxsize=1024)
+def sample_row(ctx: CodeContext, column: tuple[int, ...]) -> tuple[int, ...]:
     """A sample's row of the all-one W from its assignment column, in closed form.
 
     Entry j is prod_{m not holding the sample} (x_j - x_m) mod q at each
     holder j, which is nonzero, the points being distinct, and 0 elsewhere.
+    Cached per code and column, the pair that fixes the row.
     """
     q, pts = ctx.q, ctx.eval_points
     roots = [x for x, held in zip(pts, column) if not held]

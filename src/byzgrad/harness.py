@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
-from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
 
 from . import adversary as adv
@@ -408,6 +407,7 @@ def run_sweep(
         else:
             configs.append(item)
     if jobs and jobs > 1 and len(configs) > 1:
+        from multiprocessing import Pool  # only here: a single run needs no pool
         with Pool(jobs) as pool:
             rows = pool.map(_run_one, configs, chunksize=64)
     else:

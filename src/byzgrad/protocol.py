@@ -213,7 +213,7 @@ class SimulatedResponder:
     d·(p+1) packed ints, in practice only those of the disputed
     coordinates. The workers' encoding W is the responder's alone: the
     all-one encoding of the code and assignment it is bound to, built once
-    per pair.
+    per pair. An adversary reads the rows it needs from coding.sample_row.
     """
 
     def __init__(self, gradients: Sequence[Sequence[int]], adversary):
@@ -226,7 +226,7 @@ class SimulatedResponder:
             raise InfeasibleStateError("assignment and gradients disagree on shape")
         self.ctx, self.q, self.enc = ctx, ctx.q, _all_one_encoding(ctx, a_mat)
         self._prefix: dict[int, list[int]] = {}
-        self.adversary.bind(ctx, a_mat, self.enc)
+        self.adversary.bind(ctx, a_mat)
 
     def initial(self) -> list[list[int]]:
         """Every worker's coded d-vector, as one list per worker."""
@@ -275,12 +275,6 @@ class SimulatedResponder:
     def truth(self, i: int) -> list[int]:
         q = self.q
         return [row[i] % q for row in self.gradients]
-
-
-@lru_cache(maxsize=1024)
-def _leaf_row(ctx: CodeContext, column: tuple[int, ...]) -> tuple[int, ...]:
-    """sample_row of a leaf's assignment column, computed once per code and column."""
-    return sample_row(ctx, column)
 
 
 def local_compute(responder, i: int) -> list[int]:
@@ -445,7 +439,7 @@ class ProtocolRun:
         events.append({"event": "local_compute", "t": t, "sample": leaf + 1, "value": truth_vec})
         truth = truth_vec[coord]
         column = tuple([row[leaf] for row in self.a_mat.bits])
-        w_leaf = _leaf_row(self.ctx, column)
+        w_leaf = sample_row(self.ctx, column)
         malicious = []
         for j, committed in zip(union, commit):
             wij = w_leaf[j]

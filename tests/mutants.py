@@ -251,6 +251,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "liar-keeps-offsets-across-binds",
+        "adversary.py",
+        "self._offsets: dict[int, list[int]] = {}",
+        'self._offsets = getattr(self, "_offsets", {})',
+        ("tests/test_adversary.py::test_a_rebound_liar_tells_a_new_story_at_the_new_dimension",),
+    ),
+    Mutant(
+        "liar-coefficient-from-previous-sample",
+        "adversary.py",
+        "column = tuple([row[target] for row in a_mat.bits])",
+        "column = tuple([row[target - 1] for row in a_mat.bits])",
+        ("tests/test_adversary.py::test_liar_coefficients_equal_the_encoding_entries",),
+    ),
+    Mutant(
         "conflict-at-last-differing-coordinate",
         "protocol.py",
         "for coord, (x, y) in enumerate(zip(first, other)):",

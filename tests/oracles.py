@@ -8,8 +8,20 @@ from itertools import combinations, zip_longest
 from operator import mul
 from typing import Iterable, Sequence
 
-from byzgrad.assignment import AssignmentMatrix
-from byzgrad.coding import CodeContext, EncodingMatrix, _located_pattern, _member_weights
+from byzgrad.assignment import (
+    AssignmentMatrix,
+    assignment_feasible,
+    make_cyclic,
+    make_fractional,
+    make_random_regular,
+)
+from byzgrad.coding import (
+    CodeContext,
+    EncodingMatrix,
+    _located_pattern,
+    _member_weights,
+    build_code_context,
+)
 from byzgrad.errors import (
     AssignmentMismatchError,
     DecodeFailureError,
@@ -612,6 +624,26 @@ def row_classes_of_w(w: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     for i, row in enumerate(w):
         index.setdefault(tuple(row), []).append(i)
     return tuple(map(tuple, index.values()))
+
+
+def small_instances() -> list[tuple[CodeContext, AssignmentMatrix]]:
+    """Every feasible generated (code, assignment) with n <= 12 and p <= 24.
+
+    One code per (n, rho), with s = rho - 1 and u = 1 over the default field;
+    cyclic and fractional where feasible, random at seeds 1 and 2.
+    """
+    cases = []
+    for n in range(1, 13):
+        for rho in range(1, n + 1):
+            ctx = build_code_context(n, rho - 1, 1)
+            for p in range(1, 25):
+                if assignment_feasible("cyclic", n, p, rho)[0]:
+                    cases.append((ctx, make_cyclic(n, p, rho)))
+                if assignment_feasible("fractional", n, p, rho)[0]:
+                    cases.append((ctx, make_fractional(n, p, rho)))
+                if assignment_feasible("random", n, p, rho)[0]:
+                    cases += [(ctx, make_random_regular(n, p, rho, seed)) for seed in (1, 2)]
+    return cases
 
 
 def set_is_int_list(value, length: int | None = None, q: int | None = None) -> bool:

@@ -32,7 +32,7 @@ from byzgrad.protocol import (
     run_protocol,
 )
 
-from oracles import leaf_depth_walk
+from oracles import leaf_depth_walk, small_instances
 
 
 def make_gradients(ctx, p, d, seed):
@@ -79,7 +79,7 @@ def test_rng_is_seeded_on_first_use():
     # A drawing policy draws what an rng seeded at construction would.
     strategy = RandomCorruption([2], seed=9)
     assert "rng" not in vars(strategy)
-    strategy.bind(ctx, a_mat, build_encoding_matrix(ctx, a_mat))
+    strategy.bind(ctx, a_mat)
     expected = random.Random("9:adversary")
     errors = [expected.randrange(101) for _ in range(3)]
     assert any(errors)
@@ -185,6 +185,35 @@ def test_liar_plans_other_than_the_story_are_random_corruption():
         TournamentLiar([0], "inconsistent")
 
 
+def test_a_rebound_liar_tells_a_new_story_at_the_new_dimension():
+    # bind starts a run: one liar reused for d = 2, 4 and 1 draws offsets of
+    # each run's dimension, its rng running on from the run before.
+    ctx = build_code_context(6, 2, 1, 101)
+    a_mat = make_cyclic(6, 8, 3)
+    liar = TournamentLiar([0, 3], seed=5)
+    for d in (2, 4, 1):
+        g = make_gradients(ctx, 8, d, seed=d)
+        res = run_protocol(ctx, a_mat, g, liar)
+        assert res.gradient == full_sum(ctx, g)
+        assert res.eliminated and set(res.eliminated) <= {0, 3}
+        assert [len(offsets) for offsets in liar._offsets.values()] == [d, d]
+
+
+def test_liar_coefficients_equal_the_encoding_entries():
+    # bind reads each controlled worker's entry at its target from the closed
+    # form of the target's column; it must be that entry of the workers' W, on
+    # every feasible generated shape with n <= 12 and p <= 24.
+    instances = small_instances()
+    for ctx, a_mat in instances:
+        w = build_encoding_matrix(ctx, a_mat).w
+        liar = TournamentLiar(range(ctx.n))
+        liar.bind(ctx, a_mat)
+        for j, target in liar._targets.items():
+            assert a_mat.bits[j][target] == 1
+            assert liar._coefficients[j] == w[target][j], (ctx.n, a_mat, j)
+    assert len(instances) == 5766
+
+
 # Every adversary name under every kind of lie plan, transcripts and metrics
 # rows alike: the plans other than "consistent" run random corruption.
 CATALOGUE_DIGEST = "154a6aadea2760198264a7f0a6eddbc937b47c8b6e1fe623795d5566782ec6d7"
@@ -274,7 +303,7 @@ def test_symmetrization_closed_form_matches_the_solved_attack():
                         assert res.gradient == full_sum(ctx, g)
                         assert strat.error == [0] * n
                     else:
-                        strat.bind(ctx, None, None)  # the attack reads only the code
+                        strat.bind(ctx, None)  # the attack reads only the code
                     groups = form_groups(range(n), ctx.r, s)
                     support = pick_attack_support(groups[:s])
                     assert sorted(strat.controlled) == support
@@ -302,7 +331,7 @@ def test_symmetrization_bind_rejects_an_attackable_full_grouping(monkeypatch):
     # The last group reads the first one's vector, so b_last . e = 1.
     _patched_vectors(monkeypatch, {groups[-1]: combining_vector(ctx, groups[0])})
     with pytest.raises(ProtocolInvariantViolation, match="full grouping admits"):
-        SymmetrizationStrategy().bind(ctx, None, None)
+        SymmetrizationStrategy().bind(ctx, None)
 
 
 def test_symmetrization_bind_rejects_a_group_with_two_support_workers(monkeypatch):
@@ -311,7 +340,7 @@ def test_symmetrization_bind_rejects_a_group_with_two_support_workers(monkeypatc
     # An all-one vector reaches both satellites: the system is no longer diagonal.
     _patched_vectors(monkeypatch, {groups[1]: [1] * ctx.n})
     with pytest.raises(ProtocolInvariantViolation, match="attack against one fewer group"):
-        SymmetrizationStrategy().bind(ctx, None, None)
+        SymmetrizationStrategy().bind(ctx, None)
 
 
 def test_symmetrization_strategy_never_corrupts_output():

@@ -8,7 +8,6 @@ import pytest
 from byzgrad import coding
 from byzgrad.assignment import (
     AssignmentMatrix,
-    assignment_feasible,
     assignment_from_text,
     make_cyclic,
     make_fractional,
@@ -47,6 +46,7 @@ from oracles import (
     loop_pack,
     loop_unpack,
     mat_mul,
+    small_instances,
     solve_encoding_matrix,
     vandermonde_inverse_last_column,
     zero_set,
@@ -570,17 +570,7 @@ def test_recorded_row_classes_equal_the_classes_of_w():
     # feasible generated shape with n <= 12 and p <= 24 (random at two
     # seeds) and on a file assignment whose classes no slice gathers.
     file_mat, _ = assignment_from_text(FILE_ASSIGNMENT)
-    cases = [(build_code_context(4, 1, 1, 101), file_mat)]
-    for n in range(1, 13):
-        for rho in range(1, n + 1):
-            ctx = build_code_context(n, rho - 1, 1)
-            for p in range(1, 25):
-                if assignment_feasible("cyclic", n, p, rho)[0]:
-                    cases.append((ctx, make_cyclic(n, p, rho)))
-                if assignment_feasible("fractional", n, p, rho)[0]:
-                    cases.append((ctx, make_fractional(n, p, rho)))
-                if assignment_feasible("random", n, p, rho)[0]:
-                    cases += [(ctx, make_random_regular(n, p, rho, seed)) for seed in (1, 2)]
+    cases = [(build_code_context(4, 1, 1, 101), file_mat), *small_instances()]
     for ctx, a_mat in cases:
         enc = build_encoding_matrix(ctx, a_mat)
         assert enc.row_classes == row_classes_of_w(enc.w), (ctx.n, a_mat)

@@ -90,13 +90,24 @@ def test_run_path_takes_no_matrices_from_linalg():
         assert set(linalg_imports(source)) <= names, stem
 
 
-def test_importing_the_package_leaves_the_checks_unloaded():
-    # The certificates load when asked for, not with every run.
+def printed_after_import(expr: str) -> list[str]:
+    """The words a fresh interpreter prints for expr after importing byzgrad from src/."""
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import byzgrad; "
-        "print(byzgrad.__file__, 'byzgrad.checks' in sys.modules)"
+        f"print({expr})"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    path, loaded = out.stdout.split()
+    return out.stdout.split()
+
+
+def test_importing_the_package_leaves_the_checks_unloaded():
+    # The certificates load when asked for, not with every run.
+    path, loaded = printed_after_import("byzgrad.__file__, 'byzgrad.checks' in sys.modules")
     assert Path(path).resolve() == (ROOT / "src" / "byzgrad" / "__init__.py").resolve()
     assert loaded == "False"
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # A sweep with jobs > 1 imports multiprocessing, which brings socket and
+    # pickle with it; a single run never needs them.
+    assert printed_after_import("'multiprocessing' in sys.modules") == ["False"]

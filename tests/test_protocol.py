@@ -22,7 +22,6 @@ from byzgrad.coding import (
     build_code_context,
     build_encoding_matrix,
     combining_vector,
-    sample_row,
 )
 from byzgrad.errors import (
     AdversaryBudgetExceededError,
@@ -808,16 +807,6 @@ def test_an_assignment_and_its_text_round_trip_share_one_encoding():
         b, _ = assignment_from_text(assignment_to_text(a, 3))
         assert b == a and b is not a and hash(b) == hash(a)
         assert protocol._all_one_encoding(ctx, b) is protocol._all_one_encoding(ctx, a)
-
-
-def test_leaf_row_cache_equals_sample_row():
-    # The main node's leaf rows come from a cache keyed on the code and the
-    # leaf's column; two fields give two rows for one column.
-    for q in (101, DEFAULT_MODULUS):
-        ctx = build_code_context(6, 2, 1, q)
-        for a in (make_cyclic(6, 9, 3), make_fractional(6, 9, 3), make_random_regular(6, 9, 3, 5)):
-            for column in zip(*a.bits):
-                assert protocol._leaf_row(ctx, column) == sample_row(ctx, column)
 
 
 def test_a_run_packs_each_class_of_w_once(monkeypatch):
