@@ -85,7 +85,7 @@ def _add_instance_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--u", type=int, help="redundancy parameter, 1 <= u <= s+1")
     sp.add_argument("--p", type=int, help="number of samples")
     sp.add_argument("--d", type=int, help="gradient dimension")
-    sp.add_argument("--q", type=int, help="prime field modulus")
+    sp.add_argument("--q", type=int, help="prime modulus, greater than n")
     sp.add_argument("--assignment", help=" | ".join(ASSIGNMENT_KINDS))
     sp.add_argument("--assignment-path", help="assignment text file when --assignment file")
     sp.add_argument("--adversary", help=" | ".join(ADVERSARY_NAMES))
@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         help="comma list of strategies",
     )
     sp.add_argument("--seeds", type=int, default=20, help="seeds 0..N-1 per combo")
-    sp.add_argument("--q", type=int, default=DEFAULT_MODULUS)
+    sp.add_argument("--q", type=int, default=DEFAULT_MODULUS, help="prime modulus, greater than n")
     sp.add_argument("--grouping", help="lowest | shuffled")
     sp.add_argument("--jobs", type=int, default=os.cpu_count(), help="parallel processes")
     sp.add_argument("--out", help="output directory (default .)")

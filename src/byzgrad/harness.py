@@ -40,11 +40,12 @@ from .errors import (
     ProtocolInvariantViolation,
     TranscriptReplayError,
 )
-from .field import DEFAULT_MODULUS, draw_below, is_prime
+from .field import DEFAULT_MODULUS, draw_below
 from .protocol import START_FIELDS, ProtocolResult, ProtocolRun, run_protocol
 
 # Not used here: perfbench/tracing.py wraps these at their harness names.
 from .coding import build_encoding_matrix, combining_vector, ecc_decode  # noqa: F401
+from .field import is_prime  # noqa: F401
 from .protocol import detect_contradiction, group_response  # noqa: F401
 
 METRICS_HEADER = "n,s,u,p,d,q,assignment,adversary,seed,correct,c,C_oh,rounds,downlink_bits,eliminated"
@@ -114,16 +115,9 @@ class SimulationConfig:
                 raise InvalidParamsError(f"{name} must be a string, got {value!r}")
         if self.s < 1:
             raise InvalidParamsError(f"need s >= 1, got s={self.s}")
-        if not (1 <= self.u <= self.s + 1):
-            raise InvalidParamsError(f"need 1 <= u <= s+1, got s={self.s}, u={self.u}")
-        if self.n < self.rho:
-            raise InvalidParamsError(f"need n >= s+u, got n={self.n}, s+u={self.rho}")
+        build_code_context(self.n, self.s, self.u, self.q)  # raises on a bad u, n or q
         if self.p < 1 or self.d < 1:
             raise InvalidParamsError("need p >= 1 and d >= 1")
-        if not is_prime(self.q):
-            raise InvalidParamsError(f"q must be prime, got {self.q}")
-        if self.q <= max(self.n, self.p):
-            raise InvalidParamsError(f"need q > max(n, p), got q={self.q}")
         if self.assignment not in ASSIGNMENT_KINDS:
             raise InvalidParamsError(f"unknown assignment kind {self.assignment!r}")
         if self.assignment == "file" and not self.assignment_path:

@@ -271,6 +271,32 @@ MUTANTS = (
         "for coord, (x, y) in reversed(list(enumerate(zip(first, other)))):",
         ("tests/test_protocol.py::test_detect_conflict_first_coordinate",),
     ),
+    Mutant(
+        "validate-keeps-q-above-the-sample-count",
+        "harness.py",
+        "build_code_context(self.n, self.s, self.u, self.q)",
+        "build_code_context(self.n, self.s, self.u, self.q)\n"
+        "        if self.q <= max(self.n, self.p):\n"
+        '            raise InvalidParamsError(f"need q > max(n, p), got q={self.q}")',
+        (
+            "tests/test_harness.py::test_a_field_no_larger_than_the_sample_count_runs_and_replays",
+            "tests/test_acceptance.py::test_criterion_2_small_fields_with_q_at_most_p",
+        ),
+    ),
+    Mutant(
+        "code-accepts-q-equal-to-n",
+        "coding.py",
+        "if q <= n:",
+        "if q < n:",
+        ("tests/test_harness.py::test_config_validation_errors",),
+    ),
+    Mutant(
+        "contradiction-by-order",
+        "protocol.py",
+        "if x != y:",
+        "if x > y:",
+        ("tests/test_protocol.py::test_the_main_node_path_depends_only_on_the_deviations",),
+    ),
 )
 
 

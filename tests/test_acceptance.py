@@ -17,7 +17,14 @@ from byzgrad.checks import (
     check_vandermonde_closed_form,
 )
 from byzgrad.coding import build_code_context
-from byzgrad.harness import ceil_log2, grid_configs, run_simulation, run_sweep, SimulationConfig
+from byzgrad.harness import (
+    SimulationConfig,
+    ceil_log2,
+    grid_configs,
+    resolve_controlled,
+    run_simulation,
+    run_sweep,
+)
 from byzgrad.protocol import Query, run_protocol
 
 
@@ -112,6 +119,56 @@ def test_criterion_2_bound_suite_full_grid():
         f"incorrect={incorrect}, bound violations={len(violations)}, "
         f"{len(peaks)} shapes: c and rounds budget reached in {c_tight}, C_oh bound in "
         f"{oh_tight}, unattained={unattained}, {elapsed:.1f}s (<120s)",
+    )
+
+
+def test_criterion_2_small_fields_with_q_at_most_p():
+    # The code needs only q > n, so p may reach q. At q = 7-13 a nonzero
+    # deviation cancels in a group's claim with probability about 1/q, so a
+    # group holding a corrupted worker can still decode the true gradient;
+    # at the default q that path is practically never taken.
+    t0 = time.monotonic()
+    runs, incorrect, violations, masked = 0, 0, 0, 0
+    outcomes: dict[str, int] = {}
+    for q in (7, 11, 13):
+        for item in grid_configs(
+            ns=[n for n in range(4, 9) if n < q],
+            ss=[1, 2, 3],
+            us="auto",
+            ps=[q, q + 1],
+            ds=[1, 3],
+            assignments=["cyclic", "fractional", "random"],
+            adversaries=["honest", "random-always", "random-initial-only", "tournament-liar"],
+            seeds=1,
+            q=q,
+        ):
+            if not isinstance(item, SimulationConfig):
+                continue
+            out = run_simulation(item)
+            m = out.metrics
+            runs += 1
+            incorrect += not m.correct
+            violations += len(m.bound_violations())
+            outcome = out.result.outcome
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+            if item.adversary == "honest":
+                continue
+            # Each of the other three corrupts every controlled worker's initial response.
+            controlled = {j + 1 for j in resolve_controlled(item)}
+            masked += any(
+                controlled.intersection(group) and claim == out.truth
+                for ev in out.result.transcript.events
+                if ev["event"] == "decode"
+                for group, claim in zip(ev["groups"], ev["values"])
+            )
+    elapsed = time.monotonic() - t0
+    ok = runs == 3632 and incorrect == 0 and violations == 0 and masked > 0
+    _report(
+        2,
+        ok,
+        f"small fields: {runs} runs with n < q <= p, incorrect={incorrect}, "
+        f"bound violations={violations}, outcomes {sorted(outcomes.items())}, "
+        f"{masked} with a corrupted group decoding the truth, {elapsed:.1f}s",
     )
 
 

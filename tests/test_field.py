@@ -49,7 +49,7 @@ def test_strong_pseudoprime_to_bases_up_to_37_is_composite():
     assert 399_165_290_221 * 798_330_580_441 == PSI_12
     assert not is_prime(PSI_12)
     config = SimulationConfig(n=4, s=1, u=1, p=4, q=PSI_12, adversary="tournament-liar")
-    with pytest.raises(InvalidParamsError, match="q must be prime"):
+    with pytest.raises(InvalidParamsError, match="modulus must be prime"):
         config.validate()
     assert is_prime(2**61 - 1)
     assert is_prime(2**64 + 13)

@@ -87,7 +87,7 @@ def test_chaos_adversary_never_corrupts_output(tmp_path):
             continue
         runs += 1
         seed = rng.randrange(10**9)
-        q = 11 if (max(n, p) < 11 and rng.random() < 0.5) else 101
+        q = 11 if (n < 11 and rng.random() < 0.5) else 101
         ctx = build_code_context(n, s, u, q)
         if kind == "cyclic":
             a_mat = make_cyclic(n, p, rho)

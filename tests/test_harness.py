@@ -59,14 +59,16 @@ def cfg(**kw):
 
 
 def test_config_validation_errors():
-    with pytest.raises(InvalidParamsError):
-        cfg(u=4).validate()  # u > s+1
-    with pytest.raises(InvalidParamsError):
-        cfg(n=2).validate()  # n < s+u
-    with pytest.raises(InvalidParamsError):
-        cfg(q=100).validate()  # composite
-    with pytest.raises(InvalidParamsError):
-        cfg(q=5).validate()  # q <= max(n, p)
+    # The code's rules, reported with build_code_context's messages.
+    for bad, message in (
+        ({"u": 4}, "need 1 <= u <= s+1, got s=2, u=4"),  # u > s+1
+        ({"n": 2}, "need n >= s+u, got n=2, s=2, u=1"),  # n < s+u
+        ({"q": 100}, "modulus must be prime, got 100"),  # composite
+        ({"q": 5}, "modulus must exceed worker count, got q=5, n=5"),  # q <= n
+    ):
+        with pytest.raises(InvalidParamsError) as info:
+            cfg(**bad).validate()
+        assert str(info.value) == message
     with pytest.raises(InvalidParamsError):
         cfg(adversary="nonsense").validate()
     with pytest.raises(InvalidParamsError):
@@ -99,6 +101,18 @@ def test_config_errors_no_other_check_reaches():
     with pytest.raises(InvalidParamsError) as info:
         harness.make_adversary(cfg(adversary="nope"))
     assert str(info.value) == "unknown adversary 'nope'"
+
+
+def test_a_field_no_larger_than_the_sample_count_runs_and_replays(tmp_path):
+    # The code needs n distinct nonzero points, so q > n; p does not bound q.
+    config = cfg(n=5, s=2, u=1, p=9, q=7, adversary="tournament-liar")
+    config.validate()
+    out = run_simulation(config)
+    assert out.metrics.correct and out.metrics.bound_violations() == []
+    assert out.metrics.eliminated == (4, 5)
+    path = tmp_path / "t.jsonl"
+    write_transcript(out.result, str(path))
+    assert replay_transcript(str(path)) == out.result.gradient == out.truth
 
 
 def test_controlled_set_rules():
@@ -1000,7 +1014,7 @@ def test_cli_reports_unwritable_output(tmp_path, capsys, monkeypatch, argv):
     [
         (["--adversaries", "honest,nonsens"], "unknown adversary 'nonsens'"),
         (["--d", "1,0"], "need p >= 1 and d >= 1"),
-        (["--q", "4"], "q must be prime, got 4"),
+        (["--q", "4"], "modulus must be prime, got 4"),
         (["--grouping", "bogus"], "unknown grouping mode 'bogus'"),
         (["--assignments", "cyclic,file"], "assignment 'file' needs assignment_path"),
         (["--n", "8-4"], "bad integer list '8-4': descending range 8-4"),

@@ -7,7 +7,13 @@ from itertools import product
 import pytest
 
 from byzgrad import coding, protocol
-from byzgrad.adversary import AdversaryStrategy, RandomCorruption, tournament_liar
+from byzgrad.adversary import (
+    AdversaryStrategy,
+    RandomCorruption,
+    SymmetrizationStrategy,
+    TournamentLiar,
+    tournament_liar,
+)
 from byzgrad.assignment import (
     AssignmentMatrix,
     assignment_feasible,
@@ -703,6 +709,72 @@ def test_shuffled_grouping_still_sound():
         )
         assert res.gradient == full_sum(ctx, g)
         assert set(res.eliminated) <= {1, 4}
+
+
+# Every event field that carries a gradient-dependent value.
+VALUE_FIELDS = ("values", "left_claims", "right_claims", "value", "claims", "truth_coordinate",
+                "gradient")
+
+
+def _metamorphic_strategy(name, controlled, seed):
+    if name == "liar":
+        return TournamentLiar(controlled, seed=seed)
+    if name == "symmetrization":
+        return SymmetrizationStrategy()
+    return RandomCorruption(controlled, seed, name)
+
+
+def test_the_main_node_path_depends_only_on_the_deviations():
+    # Honest answers are linear in the gradient and every group decodes the
+    # same true value, so each comparison the main node makes depends only on
+    # the deviations from honest answers, which none of these adversaries
+    # draws from the honest value. A run at gradient g and one at gradient 0
+    # with the same adversary seed must take the same path; only the values
+    # shift, and the outputs are truth(g) and 0.
+    names = ("always", "initial_only", "per_query_coin", "lie,honest", "honest,lie,lie",
+             "liar", "symmetrization")
+    rng = random.Random(17)
+    pairs, eliminated = 0, 0
+    outcomes = Counter()
+    while pairs < 1500:
+        q = rng.choice([7, 13, 101])
+        n = rng.randrange(3, min(q, 10))
+        s = rng.randrange(1, n)
+        u = rng.randrange(1, min(s + 1, n - s) + 1)
+        p = rng.choice([1, 2, 3, 5, 8, 13])
+        d = rng.choice([1, 2])
+        kind = rng.choice(["cyclic", "fractional", "random"])
+        rho = s + u
+        if not assignment_feasible(kind, n, p, rho)[0]:
+            continue
+        seed = rng.randrange(10**9)
+        ctx = build_code_context(n, s, u, q)
+        if kind == "cyclic":
+            a_mat = make_cyclic(n, p, rho)
+        elif kind == "fractional":
+            a_mat = make_fractional(n, p, rho)
+        else:
+            a_mat = make_random_regular(n, p, rho, seed)
+        g = make_gradients(ctx, p, d, seed)
+        controlled = rng.sample(range(n), rng.randrange(1, s + 1))
+        name = rng.choice(names)
+        runs = [
+            run_protocol(ctx, a_mat, gradients, _metamorphic_strategy(name, controlled, seed))
+            for gradients in (g, [[0] * p for _ in range(d)])
+        ]
+        shapes = [
+            [{k: v for k, v in ev.items() if k not in VALUE_FIELDS} for ev in res.transcript.events]
+            for res in runs
+        ]
+        case = (q, n, s, u, p, d, kind, name, seed)
+        assert shapes[0] == shapes[1], case
+        assert [res.gradient for res in runs] == [full_sum(ctx, g), [0] * d], case
+        pairs += 1
+        eliminated += bool(runs[0].eliminated)
+        outcomes[runs[0].outcome] += 1
+    # Both outcome paths and the match descent are exercised.
+    assert outcomes["agreement"] > 0 and outcomes["ecc"] > 0
+    assert eliminated > 0
 
 
 def test_budget_exceeded_detected():
