@@ -87,11 +87,12 @@ def make_cyclic(n: int, p: int, rho: int) -> AssignmentMatrix:
     """Cyclic repetition: worker j holds the samples i with (i - j) mod n < rho.
 
     Reproduces the usual staircase layout; with n = p = rho it degenerates to
-    the all-one matrix.
+    the all-one matrix. Byte k of the tiled period is 1 iff k mod n < rho,
+    so worker j's row is the slice of p bytes from n - j.
     """
     _require_feasible("cyclic", n, p, rho)
-    rows = tuple(bytes([(i - j) % n < rho for i in range(p)]) for j in range(n))
-    return AssignmentMatrix(n, p, rows)
+    tiled = (b"\x01" * rho + bytes(n - rho)) * (p // n + 2)
+    return AssignmentMatrix(n, p, tuple(tiled[n - j : n - j + p] for j in range(n)))
 
 
 def make_fractional(n: int, p: int, rho: int) -> AssignmentMatrix:

@@ -104,7 +104,8 @@ class SimulationConfig:
     def rho(self) -> int:
         return self.s + self.u
 
-    def validate(self) -> None:
+    def validate(self) -> CodeContext:
+        """Raise InvalidParamsError on a bad config; return the code it describes."""
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -115,7 +116,7 @@ class SimulationConfig:
                 raise InvalidParamsError(f"{name} must be a string, got {value!r}")
         if self.s < 1:
             raise InvalidParamsError(f"need s >= 1, got s={self.s}")
-        build_code_context(self.n, self.s, self.u, self.q)  # raises on a bad u, n or q
+        ctx = build_code_context(self.n, self.s, self.u, self.q)  # raises on a bad u, n or q
         if self.p < 1 or self.d < 1:
             raise InvalidParamsError("need p >= 1 and d >= 1")
         if self.assignment not in ASSIGNMENT_KINDS:
@@ -129,6 +130,7 @@ class SimulationConfig:
         if self.controlled not in _CONTROLLED_RULES:
             _explicit_controlled(self)
         adv.lie_plan_persistence(self.lie_plan)  # raises on a malformed plan
+        return ctx
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
@@ -137,15 +139,6 @@ class SimulationConfig:
         if unknown:
             raise InvalidParamsError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
-
-
-def _make_assignment(kind: str, n: int, p: int, rho: int, seed: int) -> AssignmentMatrix:
-    """The cyclic, fractional or (seeded) random regular assignment."""
-    if kind == "cyclic":
-        return make_cyclic(n, p, rho)
-    if kind == "fractional":
-        return make_fractional(n, p, rho)
-    return make_random_regular(n, p, rho, seed)
 
 
 def build_assignment(config: SimulationConfig) -> AssignmentMatrix:
@@ -195,13 +188,17 @@ def make_adversary(config: SimulationConfig):
 
 
 @lru_cache(maxsize=256)
-def _cached_instance(
-    n: int, s: int, u: int, q: int, p: int, kind: str, seed: int
-) -> tuple[CodeContext, AssignmentMatrix, str]:
-    """Code, assignment and the assignment's text."""
-    ctx = build_code_context(n, s, u, q)
-    a_mat = _make_assignment(kind, n, p, s + u, seed)
-    return ctx, a_mat, assignment_to_text(a_mat, s + u)
+def _cached_assignment(
+    kind: str, n: int, p: int, rho: int, seed: int
+) -> tuple[AssignmentMatrix, str]:
+    """The cyclic, fractional or (seeded) random regular assignment, and its text."""
+    if kind == "cyclic":
+        a_mat = make_cyclic(n, p, rho)
+    elif kind == "fractional":
+        a_mat = make_fractional(n, p, rho)
+    else:
+        a_mat = make_random_regular(n, p, rho, seed)
+    return a_mat, assignment_to_text(a_mat, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +252,13 @@ class SimulationOutput:
 
 def run_simulation(config: SimulationConfig) -> SimulationOutput:
     """Build the instance from the config, run the protocol, collect metrics."""
-    config.validate()
+    ctx = config.validate()
     if config.assignment == "file":
-        ctx = build_code_context(config.n, config.s, config.u, config.q)
         a_mat = build_assignment(config)
         text = assignment_to_text(a_mat, config.rho)
     else:
         aseed = config.seed if config.assignment == "random" else 0
-        ctx, a_mat, text = _cached_instance(
-            config.n, config.s, config.u, config.q, config.p, config.assignment, aseed
-        )
+        a_mat, text = _cached_assignment(config.assignment, config.n, config.p, config.rho, aseed)
     grad_rng = random.Random(f"{config.seed}:gradients")
     # One draw of all d·p values, row after row, equals d draws of a row each.
     flat = draw_below(grad_rng, config.q, config.d * config.p)

@@ -45,8 +45,8 @@ MUTANTS = (
     Mutant(
         "cyclic-window-one-too-wide",
         "assignment.py",
-        "bytes([(i - j) % n < rho",
-        "bytes([(i - j) % n <= rho",
+        '(b"\\x01" * rho + bytes(n - rho))',
+        '(b"\\x01" * (rho + 1) + bytes(n - rho))[:n]',
         (
             "tests/test_assignment.py::test_cyclic_three_workers_two_replicas",
             "tests/test_assignment.py::test_cyclic_column_and_row_sums",
@@ -281,6 +281,40 @@ MUTANTS = (
         (
             "tests/test_harness.py::test_a_field_no_larger_than_the_sample_count_runs_and_replays",
             "tests/test_acceptance.py::test_criterion_2_small_fields_with_q_at_most_p",
+        ),
+    ),
+    Mutant(
+        "run-rebuilds-its-code",
+        "harness.py",
+        "ctx = config.validate()",
+        "config.validate()\n    ctx = build_code_context(config.n, config.s, config.u, config.q)",
+        ("tests/test_trace_points.py::test_every_run_builds_its_code_once",),
+    ),
+    Mutant(
+        "random-assignment-ignores-seed",
+        "harness.py",
+        'aseed = config.seed if config.assignment == "random" else 0',
+        "aseed = 0",
+        (
+            "tests/test_protocol.py::test_match_golden_digest",
+            "tests/test_protocol.py::test_wide_run_golden_digest",
+        ),
+    ),
+    Mutant(
+        "sweep-validated-after-the-csv-is-opened",
+        "cli.py",
+        "item.validate()",
+        "pass",
+        ("tests/test_harness.py::test_cli_sweep_rejects_bad_grid_before_writing",),
+    ),
+    Mutant(
+        "match-of-groups-one-and-k",
+        "protocol.py",
+        "union = sorted(set(groups[0]) | set(groups[k]))",
+        "union = sorted(set(groups[1]) | set(groups[k]))",
+        (
+            "tests/test_protocol.py::test_consistent_liar_forces_full_depth",
+            "tests/test_protocol.py::test_match_golden_digest",
         ),
     ),
     Mutant(

@@ -5,6 +5,7 @@ a refactor that moves or renames one silently drops its span from traced
 runs, so every name is checked here against the current package.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -77,3 +78,37 @@ def test_every_replay_builds_and_checks_its_instance(tmp_path):
     finally:
         tracer.uninstall()
     assert counts == [[1, 1, 1], [1, 1, 1]]
+
+
+def test_every_run_builds_its_code_once(tmp_path):
+    # validate builds the run's code and the run uses it, on every path. The
+    # assignment cache is keyed on what fixes an assignment, its replication
+    # rho = s + u, so a split of rho into s and u builds no second one.
+    tracing = load_tracing()
+    mods = package_modules(tracing)
+    harness = mods["harness"]
+    path = tmp_path / "a.txt"
+    path.write_text(harness.assignment_to_text(harness.make_random_regular(6, 4, 3, 7), 3))
+    cyclic = harness.SimulationConfig(n=6, s=1, u=2, p=4, adversary="tournament-liar", seed=1)
+    configs = [
+        cyclic,
+        cyclic,
+        dataclasses.replace(cyclic, s=2, u=1),
+        dataclasses.replace(cyclic, assignment="random"),
+        dataclasses.replace(cyclic, assignment="file", assignment_path=str(path)),
+    ]
+    layers = ("coding.build_code_context", "assignment.make")
+    counts = []
+    harness._cached_assignment.cache_clear()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(mods)
+        for config in configs:
+            start = len(tracer.spans)
+            out = harness.run_simulation(config)
+            assert out.result.gradient == out.truth
+            spans = [span[3] for span in tracer.spans[start:]]
+            counts.append([spans.count(layer) for layer in layers])
+    finally:
+        tracer.uninstall()
+    assert counts == [[1, 1], [1, 0], [1, 0], [1, 1], [1, 0]]
