@@ -5,11 +5,15 @@ evaluation points, so every r+1 columns form an invertible block (MDS).
 Worker j's coefficients for the all-one query, the sum of every sample's
 gradient, are column j of W = (Q | 1) F: row i evaluates the monic
 polynomial of degree r that vanishes at the workers not holding sample i,
-which in closed form is W[i][j] = prod_{m in Z_i} (x_j - x_m). Row i thus
-depends only on Z_i, so a regular assignment has few distinct rows: the
-builder records each class of equal rows as it groups the assignment's
-columns, one row per distinct column. sample_row computes each row once per
-code and column, for the encoder, the leaf check and the adversary alike.
+which in closed form is W[i][j] = prod_{m in Z_i} (x_j - x_m). Every
+coefficient the code uses is such a product over a set's complement, and
+_vanishing_products, start_j * prod_{m not in S} (x_j - x_m) at each member
+j of a set S, is the module's one loop for it. Row i is its product over
+the holders of sample i, so it depends only on Z_i, and a regular
+assignment has few distinct rows: the builder records each class of equal
+rows as it groups the assignment's columns, one row per distinct column.
+sample_row computes each row once per code and column, for the encoder,
+the leaf check and the adversary alike.
 The honest responses G @ W are computed per class from the sum of that
 class's gradient columns; a class of one sample needs no sum, so all such
 classes are gathered in one call. The match's 0/1 interval queries are
@@ -25,29 +29,31 @@ lanes wide enough for all p samples. A running sum of G[c][i] times those
 rows holds every worker's prefix sum, and a coordinate's n responses are
 one dot product of its class sums with the class rows.
 Any r+1 workers suffice to recover the sum via a closed-form
-combining vector: member j's entry is w_j times the product of x_j - x_m
-over the non-members m, with the weights w_j = 1 / prod_{m != j} (x_j - x_m)
-over all n points computed once per code, and each vector cached per code
-and group. So each coordinate of the all-one responses evaluates a
+combining vector, the Lagrange weights 1 / prod_{m in S, m != j} (x_j - x_m)
+of the group S: member j's entry is w_j times the product of x_j - x_m
+over the non-members m, the group's products started at the weights
+w_j = 1 / prod_{m != j} (x_j - x_m) over all n points, each the inverse of
+a one-point set's product, computed once per code, and each vector cached
+per code and group. So each coordinate of the all-one responses evaluates a
 polynomial of degree at most r whose coefficient of x^r is the gradient.
 Once few enough liars remain, the errors-and-erasures decoder erases the
 identified workers and reads every coordinate's syndromes and gradient off
 one table of parity checks over the N available points, cached per erased
-set, whose weights come from the same closed form. The table is packed too
-and full width: one column per worker, 0 for an erased one, its lanes an
-available point's parity-check entries, so a coordinate's n symbols, which
-must be elements of [0, q) at the available workers, take one dot product
-with the columns and one unpack. It corrects at most
-tau = min(u-1, (N-(r+1))//2) errors, pooled across coordinates, with
-Berlekamp-Massey and never interpolates; the first errors located seed the
-pool with Berlekamp-Massey's own locator.
+set, whose weights are the available set's Lagrange weights, from the same
+products. The table is packed too and full width: one column per worker, 0
+for an erased one, its lanes an available point's parity-check entries, so
+a coordinate's n symbols, which must be elements of [0, q) at the available
+workers, take one dot product with the columns and one unpack. It corrects
+at most tau = min(u-1, (N-(r+1))//2) errors, pooled across coordinates,
+with Berlekamp-Massey and never interpolates; the first errors located seed
+the pool with Berlekamp-Massey's own locator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
@@ -224,6 +230,26 @@ def _unpack_bytes(x: int, width: int, count: int, q: int) -> list[int]:
     return [from_bytes(view[k : k + width], "big") % q for k in range(0, width * count, width)]
 
 
+def _vanishing_products(
+    q: int, eval_points: Sequence[int], members: Sequence[int], start: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """Length n: start_j * prod_{m not in members} (x_j - x_m) mod q at each member j, else 0.
+
+    start holds one factor per point, 1 at every point when None. The one
+    product loop of the code: W's rows, the point weights and, started at
+    those weights, every Lagrange weight 1 / prod_{m in members, m != j} (x_j - x_m).
+    """
+    inside = set(members)
+    others = [x for m, x in enumerate(eval_points) if m not in inside]
+    out = [0] * len(eval_points)
+    for j in members:
+        xj, acc = eval_points[j], start[j] if start else 1
+        for xm in others:
+            acc *= xj - xm
+        out[j] = acc % q
+    return tuple(out)
+
+
 @lru_cache(maxsize=1024)
 def sample_row(ctx: CodeContext, column: tuple[int, ...]) -> tuple[int, ...]:
     """A sample's row of the all-one W from its assignment column, in closed form.
@@ -232,17 +258,7 @@ def sample_row(ctx: CodeContext, column: tuple[int, ...]) -> tuple[int, ...]:
     holder j, which is nonzero, the points being distinct, and 0 elsewhere.
     Cached per code and column, the pair that fixes the row.
     """
-    q, pts = ctx.q, ctx.eval_points
-    roots = [x for x, held in zip(pts, column) if not held]
-    row = []
-    for xj, held in zip(pts, column):
-        acc = 0
-        if held:
-            acc = 1
-            for xm in roots:
-                acc *= xj - xm
-        row.append(acc % q)
-    return tuple(row)
+    return _vanishing_products(ctx.q, ctx.eval_points, list(compress(range(ctx.n), column)))
 
 
 def build_encoding_matrix(ctx: CodeContext, a_mat: AssignmentMatrix) -> EncodingMatrix:
@@ -293,14 +309,9 @@ def combining_vector(ctx: CodeContext, group: Sequence[int]) -> list[int]:
 @lru_cache(maxsize=16)
 def _point_weights(q: int, eval_points: tuple[int, ...]) -> tuple[int, ...]:
     """w_j = 1 / prod_{m != j} (x_j - x_m) over all of the code's points."""
-    weights = []
-    for j, xj in enumerate(eval_points):
-        acc = 1
-        for m, xm in enumerate(eval_points):
-            if m != j:
-                acc = acc * (xj - xm) % q
-        weights.append(pow(acc, -1, q))
-    return tuple(weights)
+    return tuple(
+        pow(_vanishing_products(q, eval_points, (j,))[j], -1, q) for j in range(len(eval_points))
+    )
 
 
 @lru_cache(maxsize=256)
@@ -312,27 +323,7 @@ def _combining_vector(
         raise InvalidParamsError(f"group must contain r+1 = {r + 1} distinct workers")
     if not all(0 <= j < n for j in members):
         raise InvalidParamsError(f"group members must be workers 0..{n - 1}")
-    return _member_weights(q, eval_points, members)
-
-
-def _member_weights(
-    q: int, eval_points: tuple[int, ...], members: Sequence[int]
-) -> tuple[int, ...]:
-    """Length n: 1 / prod_{m in members, m != j} (x_j - x_m) at each member j, else 0.
-
-    The code's weight w_j has the product over all other points in its
-    denominator, so member j's entry is w_j * prod_{m not in members} (x_j - x_m).
-    """
-    weights = _point_weights(q, eval_points)
-    inside = set(members)
-    others = [x for m, x in enumerate(eval_points) if m not in inside]
-    b = [0] * len(eval_points)
-    for j in members:
-        xj, acc = eval_points[j], weights[j]
-        for xm in others:
-            acc *= xj - xm
-        b[j] = acc % q
-    return tuple(b)
+    return _vanishing_products(q, eval_points, members, _point_weights(q, eval_points))
 
 
 def worker_response(
@@ -384,19 +375,21 @@ def _syndrome_table(
     worker, and for an available one, at point x_j, v_j * x_j**m mod q for
     m = 0..N-k, count = N-k+1 lanes of width = lane_bytes(q, N) bytes,
     m = 0 on top, where v_j = 1 / prod_{i != j} (x_j - x_i) over the N
-    available points, from the code's weights (_member_weights). A word of
-    n symbols, elements of [0, q) at the available workers, dotted with the
-    columns sums N products per lane without a carry, and lane m is the
-    coefficient of x^(N-1) in the interpolant of x^m times the available
-    symbols. On a codeword f of degree below k it is 0 for m < N-k, so
-    those lanes are parity checks, and f's coefficient of x^(k-1) for
-    m = N-k. Built in one pass, with no rows; ints and tuples, so the cache
-    hands every caller the same immutable table.
+    available points: w_j times the erased points' differences, the
+    available points' _vanishing_products started at the code's weights
+    (_point_weights). A word of n symbols, elements of [0, q) at the
+    available workers, dotted with the columns sums N products per lane
+    without a carry, and lane m is the coefficient of x^(N-1) in the
+    interpolant of x^m times the available symbols. On a codeword f of
+    degree below k it is 0 for m < N-k, so those lanes are parity checks,
+    and f's coefficient of x^(k-1) for m = N-k. Built in one pass, with no
+    rows; ints and tuples, so the cache hands every caller the same
+    immutable table.
     """
     avail = tuple(j for j in range(len(eval_points)) if j not in erased)
     count, width = len(avail) - k + 1, lane_bytes(q, len(avail))
     shift = 8 * width
-    weights = _member_weights(q, eval_points, avail)
+    weights = _vanishing_products(q, eval_points, avail, _point_weights(q, eval_points))
     columns = [0] * len(eval_points)
     for j in avail:
         x = eval_points[j]

@@ -129,9 +129,44 @@ MUTANTS = (
     Mutant(
         "sample-row-drops-a-root",
         "coding.py",
-        "roots = [x for x, held in zip(pts, column) if not held]",
-        "roots = [x for x, held in zip(pts, column) if not held][1:]",
-        ("tests/test_acceptance.py::test_criterion_8_mask_restriction_matches_rebuild",),
+        "others = [x for m, x in enumerate(eval_points) if m not in inside]",
+        "others = [x for m, x in enumerate(eval_points) if m not in inside][1:]",
+        (
+            "tests/test_acceptance.py::test_criterion_8_mask_restriction_matches_rebuild",
+            "tests/test_coding.py::test_closed_form_combining_vector_matches_group_inverse",
+        ),
+    ),
+    Mutant(
+        "vanishing-product-of-reversed-differences",
+        "coding.py",
+        "acc *= xj - xm",
+        "acc *= xm - xj",
+        (
+            "tests/test_coding.py::test_sample_row_equals_the_encoding_rows",
+            "tests/test_coding.py::test_closed_form_combining_vector_matches_group_inverse",
+        ),
+    ),
+    Mutant(
+        "point-weights-uninverted",
+        "coding.py",
+        "pow(_vanishing_products(q, eval_points, (j,))[j], -1, q)",
+        "_vanishing_products(q, eval_points, (j,))[j]",
+        (
+            "tests/test_acceptance.py::test_criterion_5_vandermonde_closed_form_exact",
+            "tests/test_coding.py::test_syndrome_weights_from_code_weights_match_fresh_inverse",
+            "tests/test_coding.py::test_closed_form_combining_vector_matches_group_inverse",
+        ),
+    ),
+    Mutant(
+        "member-weight-scaled-by-w0",
+        "coding.py",
+        "start[j] if start else 1",
+        "start[0] if start else 1",
+        (
+            "tests/test_coding.py::test_closed_form_combining_vector_matches_group_inverse",
+            "tests/test_coding.py::test_syndrome_weights_from_code_weights_match_fresh_inverse",
+            "tests/test_ecc_decoder.py::test_packed_decoder_matches_row_table_oracle",
+        ),
     ),
     Mutant(
         "parser-skips-regularity",
@@ -232,6 +267,20 @@ MUTANTS = (
         "return a.p == 0 or rho == 0",
         "return True",
         ("tests/test_assignment.py::test_validate_regular_equals_the_column_oracle",),
+    ),
+    Mutant(
+        "ecc-pool-path-disabled",
+        "coding.py",
+        "if tau and errors and 2 * len(errors) <= len(syndromes):",
+        "if False:",
+        ("tests/test_ecc_decoder.py::test_scale_probes_decode_exactly",),
+    ),
+    Mutant(
+        "match-prefix-rebuilt-at-every-level",
+        "protocol.py",
+        "sums = self._prefix.get(c)",
+        "sums = None",
+        ("tests/test_ecc_decoder.py::test_scale_probes_full_depth_matches",),
     ),
     Mutant(
         "pool-locator-from-newest-roots",

@@ -19,7 +19,6 @@ from byzgrad.coding import (
     CodeContext,
     EncodingMatrix,
     _located_pattern,
-    _member_weights,
     build_code_context,
 )
 from byzgrad.errors import (
@@ -205,16 +204,15 @@ def _row_syndrome_table(
 ) -> tuple[tuple[int, ...], ...]:
     """Rows m = 0..N-k of v_j * x_j**m over the N available points x_j.
 
-    v_j = 1 / prod_{i != j} (x_j - x_i) over the available points, from the
-    code's weights (_member_weights). Row m dotted with a word is the
+    v_j = 1 / prod_{i != j} (x_j - x_i) over the available points, computed
+    here from the points alone. Row m dotted with a word is the
     coefficient of x^(N-1) in the interpolant of x^m times the word. On a
     codeword f of degree below k it is 0 for m < N-k, so those rows are
     parity checks, and f's coefficient of x^(k-1) for m = N-k. Tuples,
     because the cache hands them to every caller.
     """
     xs = [eval_points[j] for j in avail]
-    weights = _member_weights(q, eval_points, avail)
-    rows = [tuple(weights[j] for j in avail)]
+    rows = [tuple(vandermonde_inverse_last_column(q, xs))]
     for _ in range(len(xs) - k):
         rows.append(tuple(w * x % q for w, x in zip(rows[-1], xs)))
     return tuple(rows)

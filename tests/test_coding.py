@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from itertools import combinations
 from operator import mul
@@ -319,8 +320,41 @@ def test_closed_form_combining_vector_matches_group_inverse():
     """Per-code weights times the non-members' differences equal the group's own inverse.
 
     The oracle inverts the Vandermonde over the members' points alone and
-    places its last column at the member indices.
+    places its last column at the member indices. Over F_7 the one product
+    loop is checked on every member set S of every code with n <= 6 and every
+    set of n points: the products vanish exactly off S, equal the
+    zero-constraint solve's row of W when S is a sample's s+u holders, and
+    scaled by the code's weights w, or started at them, equal
+    1 / prod_{m in S, m != j} (x_j - x_m) computed directly, the combining
+    vector when |S| = r+1.
     """
+    q = 7
+    for n in range(1, 7):
+        member_sets = [c for size in range(n + 1) for c in combinations(range(n), size)]
+        for points in combinations(range(1, q), n):
+            weights = coding._point_weights(q, points)
+            for members in member_sets:
+                products = coding._vanishing_products(q, points, members)
+                assert [j for j in range(n) if products[j]] == list(members), (points, members)
+                lagrange = [0] * n
+                for j in members:
+                    lagrange[j] = pow(
+                        math.prod(points[j] - points[m] for m in members if m != j), -1, q
+                    )
+                assert [w * v % q for w, v in zip(weights, products)] == lagrange
+                assert coding._vanishing_products(q, points, members, weights) == tuple(lagrange)
+            for s in range(n):
+                for u in range(1, min(s + 1, n - s) + 1):
+                    ctx = build_code_context(n, s, u, q, points)
+                    held = [c for c in member_sets if len(c) == s + u]
+                    bits = tuple(bytes(j in c for c in held) for j in range(n))
+                    a_mat = AssignmentMatrix(n, len(held), bits)
+                    solved = solve_encoding_matrix(ctx, a_mat, [1] * len(held)).w
+                    for members, row in zip(held, solved):
+                        assert coding._vanishing_products(q, points, members) == tuple(row)
+                    for group in combinations(range(n), ctx.r + 1):
+                        expected = coding._vanishing_products(q, points, group, weights)
+                        assert combining_vector(ctx, group) == list(expected)
     rng = random.Random(909)
     seen = {"singleton": 0, "everyone": 0, "custom": 0}
     for q in (7, 11, 101, DEFAULT_MODULUS):

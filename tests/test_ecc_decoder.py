@@ -2,12 +2,11 @@
 
 import inspect
 import random
-import time
 from itertools import combinations, product
 
 import pytest
 
-from byzgrad import adversary, coding, linalg
+from byzgrad import adversary, coding, linalg, protocol
 from byzgrad.assignment import make_random_regular
 from byzgrad.coding import (
     build_code_context,
@@ -55,6 +54,17 @@ def corrupt_instance(rng, ctx, p, d, identified_count, corrupt_count):
         for t in coords:
             received[t][j] = (received[t][j] + rng.randrange(1, q)) % q
     return received, identified, corrupted, truth
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    """Wrap owner.name so that each call adds one to counts[name]."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
 
 
 def decode_or_message(decoder, ctx, received, identified):
@@ -296,16 +306,10 @@ def test_pool_locator_covers_every_pooled_worker(monkeypatch):
     received = response_matrix(ctx, g, enc)
     for t, j in ((0, 2), (1, 6), (2, 2)):
         received[t][j] = (received[t][j] + 5) % 101
-    located = []
-    real = coding._located_pattern
-
-    def count_located(*args):
-        located.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(coding, "_located_pattern", count_located)
+    counts = {}
+    _count_calls(monkeypatch, coding, "_located_pattern", counts)
     assert ecc_decode(ctx, received, []) == [sum(row) % 101 for row in g]
-    assert len(located) == 2
+    assert counts == {"_located_pattern": 2}
 
 
 def test_pooled_errors_capped_by_unique_radius():
@@ -337,12 +341,16 @@ def test_response_rows_must_hold_one_symbol_per_worker():
             ecc_decode(ctx, bad, [4])
 
 
-def test_scale_probes_decode_exactly():
+def test_scale_probes_decode_exactly(monkeypatch):
     # s = u-1 with the last s workers lying on every query: one decode that
     # corrects s errors, which the exhaustive search made cost C(n, <= s)
-    # solves (24.8 s at n=20).
-    start = time.perf_counter()
+    # solves (24.8 s at n=20). Berlekamp-Massey locates the liars once, at
+    # the first coordinate, and each later coordinate solves on that pool.
     for n, s, u in ((20, 6, 7), (32, 10, 11), (64, 21, 22)):
+        counts = {}
+        for owner, name in ((protocol, "ecc_decode"), (coding, "_located_pattern"),
+                            (coding, "_pattern_share")):
+            _count_calls(monkeypatch, owner, name, counts)
         cfg = SimulationConfig(
             n=n, s=s, u=u, p=n, d=4, adversary="random-always", controlled="last", seed=1
         )
@@ -351,14 +359,19 @@ def test_scale_probes_decode_exactly():
         assert out.metrics.correct
         assert out.metrics.bound_violations() == []
         assert out.result.outcome == "ecc"
-    assert time.perf_counter() - start < 5.0
+        assert counts == {"ecc_decode": 1, "_located_pattern": 1, "_pattern_share": 3}, (n, counts)
+        monkeypatch.undo()
 
 
-def test_scale_probes_full_depth_matches():
+def test_scale_probes_full_depth_matches(monkeypatch):
     # One consistent liar per round drags each of the s matches down to a
     # leaf of a 1024- or 2048-sample tree before the final erasure decode.
-    start = time.perf_counter()
+    # Every level is one responder answer read off the one prefix the run
+    # builds for its disputed coordinate.
     for n, s, p, d in ((64, 21, 1024, 8), (128, 42, 2048, 4)):
+        counts = {}
+        _count_calls(monkeypatch, protocol, "accumulate", counts)
+        _count_calls(monkeypatch, protocol.SimulatedResponder, "match", counts)
         cfg = SimulationConfig(n=n, s=s, u=1, p=p, d=d, adversary="tournament-liar", seed=1)
         out = run_simulation(cfg)
         assert out.result.gradient == out.truth
@@ -366,7 +379,8 @@ def test_scale_probes_full_depth_matches():
         assert out.metrics.bound_violations() == []
         assert out.result.transcript.rounds == s
         assert out.result.outcome == "ecc"
-    assert time.perf_counter() - start < 5.0
+        assert counts == {"accumulate": 1, "match": s * (p.bit_length() - 1)}, (n, counts)
+        monkeypatch.undo()
 
 
 def test_protocol_path_does_no_linear_solve(tmp_path, monkeypatch):
