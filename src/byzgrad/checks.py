@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
 from .adversary import pick_attack_support
@@ -222,48 +222,60 @@ def symmetrization_attack(
     return err
 
 
-# The (n, s, u) codes over F_101 that both grouping certificates run on.
-_GROUPING_INSTANCES = ((5, 2, 1), (6, 2, 2))
+def _small_groupings(extra: int):
+    """(code, groups) for every r-worker root and s + extra satellites of every small code.
+
+    The codes have n <= 6, over F_101 on the points 1..n and over F_7 on
+    every point set, which covers the codes of later rounds too.
+    """
+    for s, n in combinations(range(1, 7), 2):
+        fields = [(101, range(1, n + 1))] + [(7, c) for c in combinations(range(1, 7), n)]
+        for (q, points), u in product(fields, range(1, min(s + 1, n - s) + 1)):
+            ctx = build_code_context(n, s, u, q, points)
+            for root in combinations(range(n), ctx.r):
+                for sats in combinations([j for j in range(n) if j not in root], s + extra):
+                    yield ctx, form_groups(range(n), ctx.r, s + extra - 1, root + sats)
 
 
 def check_grouping_agreement_sound() -> CheckResult:
     """With one more group than unidentified malicious workers, unanimity is honest.
 
-    For every candidate malicious set of that size, the system asking all
-    groups to shift by a common nonzero offset must be inconsistent: the
-    symmetrization attack finds no error.
+    For every small code, root and s+1 satellites (_small_groupings) and
+    every malicious set of size s, the system asking all groups to shift by
+    a common nonzero offset must be inconsistent: no attack.
     """
     res = CheckResult("unanimous groups cannot all be corrupted")
-    for n, s, u in _GROUPING_INSTANCES:
-        ctx = build_code_context(n, s, u, 101)
-        groups = form_groups(range(n), ctx.r, s)
-        for bad in combinations(range(n), s):
+    for ctx, groups in _small_groupings(1):
+        for bad in combinations(range(ctx.n), ctx.s):
             res.cases += 1
             if symmetrization_attack(ctx, groups, bad) is not None:
-                res.failures.append(f"n={n} s={s} u={u} malicious={bad}")
+                res.failures.append(f"{ctx} groups={groups} malicious={bad}")
     return res
 
 
 def check_fewer_groups_attackable() -> CheckResult:
     """With only s_t groups, one corruption can make them unanimous and wrong.
 
-    Builds the attack, then recomputes every group's decoded response on the
-    corrupted transmissions and asserts they are identical and differ from
-    the true gradient. Also reports how often the same attack lands when the
-    grouping order is randomized, where no guarantee is claimed.
+    The attack must shift every group's decoded value by one common nonzero
+    offset, for every small code, root and s satellites (_small_groupings).
+    On two codes it recomputes every group's decoded response on the
+    corrupted transmissions, asserts they are identical and wrong, and
+    reports how often the attack fools randomized groupings (no guarantee).
     """
     res = CheckResult("one fewer group admits a unanimous lie")
+    for ctx, groups in _small_groupings(0):
+        res.cases += 1
+        err = symmetrization_attack(ctx, groups, pick_attack_support(groups)) or [0] * ctx.n
+        shifts = {sum(b * e for b, e in zip(combining_vector(ctx, g), err)) % ctx.q for g in groups}
+        if len(shifts) != 1 or 0 in shifts:
+            res.failures.append(f"{ctx} groups={groups}: shifts {sorted(shifts)}")
     rng = random.Random(0)
     q, d, shuffled_trials = 101, 2, 50
-    for n, s, u in _GROUPING_INSTANCES:
+    for n, s, u in ((5, 2, 1), (6, 2, 2)):
         ctx = build_code_context(n, s, u, q)
         groups = form_groups(range(n), ctx.r, s)[:s]
-        support = pick_attack_support(groups)
         res.cases += 1
-        err = symmetrization_attack(ctx, groups, support)
-        if err is None:
-            res.failures.append(f"n={n} s={s} u={u}: attack infeasible")
-            continue
+        err = symmetrization_attack(ctx, groups, pick_attack_support(groups)) or [0] * n
         rho = s + u
         a_mat = make_random_regular(n, max(n // rho + 1, 2), rho, 0)
         enc = build_encoding_matrix(ctx, a_mat)

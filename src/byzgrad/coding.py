@@ -153,9 +153,9 @@ class EncodingMatrix:
         """(singles, gatherers, rows): the row classes laid out for response_matrix.
 
         A class of one sample needs no sum: its class sum is that sample's
-        value. singles is one C-level gatherer of every one-sample class's
-        sample from a row of p values, None when there is no such class;
-        gatherers holds one per class of two or more samples. rows is each
+        value. singles is one _gatherer of every one-sample class's sample
+        from a row of p values, None when there is no such class; gatherers
+        holds one per class of two or more samples. rows is each
         class's packed row (sample_lanes), the one-sample classes first in
         singles' order, then the others in gatherers' order.
         """
@@ -169,16 +169,13 @@ class EncodingMatrix:
 
 
 def _gatherer(samples: tuple[int, ...]) -> Gatherer:
-    """A C-level gatherer of the entries at samples, increasing, from a row.
+    """A C-level gatherer of the entries at samples from a row, as a sequence.
 
-    Samples that step evenly, as every cyclic and fractional class does, are
-    gathered as a slice, any others by their indices. Either way it returns
-    a sequence: a lone sample is a slice of one, since itemgetter of a
-    single index returns the bare value.
+    A lone sample is a slice of one, since itemgetter of a single index
+    returns the bare value.
     """
-    step = samples[1] - samples[0] if len(samples) > 1 else 1
-    if samples == tuple(range(samples[0], samples[-1] + 1, step)):
-        return itemgetter(slice(samples[0], samples[-1] + 1, step))
+    if len(samples) == 1:
+        return itemgetter(slice(samples[0], samples[0] + 1))
     return itemgetter(*samples)
 
 

@@ -369,15 +369,17 @@ class ProtocolRun:
         conflict is detect_contradiction's (k, coordinate). Every level
         halves the current interval [lo, hi) and queries its first half; the
         unqueried half's per-worker commitment follows by subtracting from
-        the parent commitment. At the leaf each worker's committed symbol is
-        checked against truth times its known coefficient, which is a proof
-        of deviation whenever it fails. Returns the workers proven to lie.
-        Commitments and both groups' combining vectors (vectors, the
-        round's) are lists over the union of the two groups, a vector being
-        0 at the other group's satellite, so a level's two claims are two
-        dot products. Each level is one query: every competing worker sends
-        one field symbol, in the order of union, and the transcript records
-        their 1-based ids.
+        the parent commitment. Commitments and both groups' combining
+        vectors (vectors, the round's) are lists over the union of the two
+        groups, a vector being 0 at the other group's satellite, so a
+        level's two claims are two dot products, and they sum to the node's
+        claims: the descent always keeps a dispute. Each level is one query:
+        every competing worker sends one field symbol, in the order of
+        union, and the transcript records their 1-based ids. At the leaf a
+        committed symbol other than truth times the worker's W[leaf][j]
+        proves a lie, and as b . W[leaf] = 1 for both vectors, some worker
+        is proven lying; the no-liar raise keeps a broken engine from
+        looping in run(). Returns the workers proven to lie.
         """
         q = self.ctx.q
         tr, match = self.transcript, self.responder.match
@@ -419,10 +421,6 @@ class ProtocolRun:
                 label1, label2 = lc1, lc2
                 nxt = lo, mid
             else:
-                if rc1 == rc2:
-                    raise ProtocolInvariantViolation(
-                        "groups agree on both children of a disputed node"
-                    )
                 descend = "right"
                 commit = [(c - v) % q for c, v in zip(commit, resp)]
                 label1, label2 = rc1, rc2
@@ -438,17 +436,8 @@ class ProtocolRun:
         tr.local_computations += 1
         events.append({"event": "local_compute", "t": t, "sample": leaf + 1, "value": truth_vec})
         truth = truth_vec[coord]
-        column = tuple([row[leaf] for row in self.a_mat.bits])
-        w_leaf = sample_row(self.ctx, column)
-        malicious = []
-        for j, committed in zip(union, commit):
-            wij = w_leaf[j]
-            if column[j] and wij == 0:
-                raise ProtocolInvariantViolation(
-                    f"assigned worker {j + 1} has zero coefficient for sample {leaf + 1}"
-                )
-            if committed != truth * wij % q:
-                malicious.append(j)
+        w_leaf = sample_row(self.ctx, tuple([row[leaf] for row in self.a_mat.bits]))
+        malicious = [j for j, v in zip(union, commit) if v != truth * w_leaf[j] % q]
         if not malicious:
             raise ProtocolInvariantViolation("match reached a leaf but found no liar")
         events.append({

@@ -380,6 +380,75 @@ MUTANTS = (
         "if x > y:",
         ("tests/test_protocol.py::test_the_main_node_path_depends_only_on_the_deviations",),
     ),
+    Mutant(
+        "leaf-without-liar-unchecked",
+        "protocol.py",
+        "if not malicious:",
+        "if False:",
+        ("tests/test_protocol.py::test_a_leaf_without_a_liar_raises",),
+    ),
+    Mutant(
+        "replay-without-event-comparison",
+        "harness.py",
+        "if regenerated != events:",
+        "if False:",
+        (
+            "tests/test_harness.py::test_replay_detects_tampering",
+            "tests/test_harness.py::test_replay_mutation_fuzz",
+        ),
+    ),
+    Mutant(
+        "sample-lane-one-byte-short",
+        "coding.py",
+        "width = lane_bytes(self.q, len(w))",
+        "width = lane_bytes(self.q, len(w)) - 1",
+        (
+            "tests/test_protocol.py::test_prefix_match_answers_fill_the_lane_at_every_q_minus_one",
+            "tests/test_coding.py::test_response_matrix_matches_dense_product",
+        ),
+    ),
+    Mutant(
+        "lanes-read-in-reverse-worker-order",
+        "protocol.py",
+        "list(range(shift * (self.ctx.n - 1), -1, -shift))",
+        "list(range(0, shift * self.ctx.n, shift))",
+        ("tests/test_protocol.py::test_prefix_match_answers_equal_strided_slice",),
+    ),
+    Mutant(
+        "prefix-table-kept-across-bind",
+        "protocol.py",
+        "self._prefix: dict[int, list[int]] = {}",
+        'self._prefix = getattr(self, "_prefix", {})',
+        (
+            "tests/test_protocol.py::test_prefix_match_answers_equal_strided_slice",
+            "tests/test_protocol.py::test_a_rebound_responder_reads_the_lanes_of_its_new_code",
+        ),
+    ),
+    Mutant(
+        "eliminate-without-swap-sign",
+        "linalg.py",
+        "det = -det",
+        "det = det",
+        ("tests/test_linalg.py::test_determinant_against_leibniz_oracle",),
+    ),
+    Mutant(
+        "solve-unique-below-full-rank",
+        "linalg.py",
+        'kind = "unique" if rank == k else "underdetermined"',
+        'kind = "unique"',
+        ("tests/test_linalg.py::test_solve_underdetermined_returns_particular",),
+    ),
+    Mutant(
+        "located-pattern-without-root-count",
+        "coding.py",
+        "if len(roots) != size:",
+        "if False:",
+        (
+            "tests/test_ecc_decoder.py::test_syndrome_decoder_matches_gao_oracle",
+            "tests/test_ecc_decoder.py::test_located_patterns_lie_within_the_radius_with_nonzero_values",
+            "tests/test_protocol.py::test_an_over_budget_decode_raises_budget_exceeded",
+        ),
+    ),
 )
 
 
@@ -394,29 +463,20 @@ class Equivalent:
     reason: str
 
 
-# Invariant checks of the match engine that no input reaches. Each stays as a
-# guard; removing it changes no run, for the one-line reason given.
 EQUIVALENT = (
     Equivalent(
-        "match-children-agree-unchecked",
+        "conflict-scan-against-the-previous-group",
         "protocol.py",
-        "if rc1 == rc2:",
-        "if False:",
-        "label1 != label2 holds at every level: with lc1 == lc2, rc1 - rc2 = label1 - label2",
+        "for coord, (x, y) in enumerate(zip(first, other)):",
+        "for coord, (x, y) in enumerate(zip(responses[k - 1], other)):",
+        "the first group unlike group 0 follows groups equal to it, so its predecessor is group 0",
     ),
     Equivalent(
-        "leaf-zero-coefficient-unchecked",
+        "agreement-value-from-the-last-group",
         "protocol.py",
-        "if column[j] and wij == 0:",
-        "if False:",
-        "a holder's entry prod (x_j - x_m) over the non-holders is nonzero: the points are distinct",
-    ),
-    Equivalent(
-        "leaf-without-liar-unchecked",
-        "protocol.py",
-        "if not malicious:",
-        "if False:",
-        "commitments all truth * w_j give both labels truth, as sum_j b_j w_j = 1 for a monic w",
+        '"value": list(claims[0])}',
+        '"value": list(claims[-1])}',
+        "agreement is recorded only when detect_contradiction found every claim equal",
     ),
 )
 

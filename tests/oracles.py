@@ -11,6 +11,7 @@ from typing import Iterable, Sequence
 from byzgrad.assignment import (
     AssignmentMatrix,
     assignment_feasible,
+    assignment_from_text,
     make_cyclic,
     make_fractional,
     make_random_regular,
@@ -516,6 +517,56 @@ def pairwise_contradiction(
                 if x != y:
                     return k1, k2, coord
     return None
+
+
+def check_descent(events: Sequence[dict]) -> tuple[int, int]:
+    """Assert every match of a transcript keeps its dispute down to a proven liar.
+
+    Reads the events alone. A match's first node claims are its two groups'
+    decoded values at the conflict coordinate; at every level the right
+    claims are the node claims less the left ones, mod q; the match descends
+    left exactly when the left claims differ, and the descended child's
+    claims, which differ, are the next node's. Each elimination names
+    exactly the workers of the two groups whose committed symbol is not
+    truth_coordinate times their entry of W's leaf row, solved by
+    solve_encoding_matrix from the recorded assignment, and names at least
+    one. Returns (levels, eliminations) checked.
+    """
+    start = events[0]
+    q, p = start["q"], start["p"]
+    ctx = build_code_context(start["n"], start["s"], start["u"], q, start["eval_points"])
+    a_mat = assignment_from_text(start["assignment"])[0]
+    levels = eliminations = 0
+    node = decode = union = truth = None
+    for ev in events:
+        kind = ev["event"]
+        if kind == "decode":
+            decode = ev
+        elif kind == "conflict":
+            k, c = ev["second"] - 1, ev["coordinate"] - 1
+            node = [decode["values"][0][c], decode["values"][k][c]]
+            union = sorted(set(decode["groups"][0]) | set(decode["groups"][k]))
+            assert ev["first"] == 1 and node[0] != node[1], ev
+        elif kind == "match_level":
+            left, right = ev["left_claims"], ev["right_claims"]
+            assert right == [(x - y) % q for x, y in zip(node, left)], ev
+            assert ev["descend"] == ("left" if left[0] != left[1] else "right"), ev
+            node = left if ev["descend"] == "left" else right
+            assert node[0] != node[1], ev
+            levels += 1
+        elif kind == "local_compute":
+            truth = ev["value"]
+        elif kind == "elimination":
+            leaf = ev["leaf"] - 1
+            assert ev["truth_coordinate"] == truth[c], ev
+            query = [int(i == leaf) for i in range(p)]
+            w_leaf = solve_encoding_matrix(ctx, a_mat, query).w[leaf]
+            assert [j for j, _ in ev["claims"]] == union, ev
+            liars = [j for j, v in ev["claims"] if v != ev["truth_coordinate"] * w_leaf[j - 1] % q]
+            assert liars and ev["workers"] == liars, ev
+            eliminations += 1
+            node = None
+    return levels, eliminations
 
 
 def loop_draw_below(rng, q: int, count: int) -> list[int]:

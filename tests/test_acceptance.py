@@ -174,20 +174,23 @@ def test_criterion_2_small_fields_with_q_at_most_p():
 
 def test_criterion_3_unanimity_soundness_exhaustive():
     res = check_grouping_agreement_sound()
-    # 10 + 15 cases: all malicious sets of size 2 for n=5 and n=6.
-    ok = res.report() == "[PASS] unanimous groups cannot all be corrupted: 25 cases, 0 failures"
+    # Every code with n <= 6, root, satellite set and malicious set: 4,788 cases
+    # over F_101 on the points 1..n and 10,476 over F_7 on every point set.
+    ok = res.report() == "[PASS] unanimous groups cannot all be corrupted: 15264 cases, 0 failures"
     _report(
         3,
         ok,
-        f"{res.cases} malicious sets certified inconsistent by the pivot flag, "
+        f"{res.cases} (code, root, satellites, malicious set) cases admit no attack, "
         f"{len(res.failures)} counterexamples",
     )
 
 
 def test_criterion_4_fewer_groups_always_attackable():
     res = check_fewer_groups_attackable()
+    # Every code with n <= 6, root and satellite set: 706 cases over F_101 and
+    # 2,381 over F_7, plus the two whose decoded responses are recomputed.
     ok = res.report() == (
-        "[PASS] one fewer group admits a unanimous lie: 2 cases, 0 failures\n"
+        "[PASS] one fewer group admits a unanimous lie: 3089 cases, 0 failures\n"
         "    note: n=5 s=2 u=1: fixed-support attack fooled 9/50 randomized groupings\n"
         "    note: n=6 s=2 u=2: fixed-support attack fooled 3/50 randomized groupings"
     )

@@ -96,16 +96,16 @@ _WRONG = [
     ),
     pytest.param(
         "lemma3", "symmetrization_attack", _last_group_moves,
-        "[FAIL] unanimous groups cannot all be corrupted: 25 cases, 25 failures", id="lemma3",
+        "[FAIL] unanimous groups cannot all be corrupted: 15264 cases, 15264 failures", id="lemma3",
     ),
     pytest.param(
         "theorem-optimality", "symmetrization_attack", _last_group_moves,
-        "[FAIL] one fewer group admits a unanimous lie: 2 cases, 4 failures",
+        "[FAIL] one fewer group admits a unanimous lie: 3089 cases, 1956 failures",
         id="optimality-wrong-error",
     ),
     pytest.param(
         "theorem-optimality", "symmetrization_attack", lambda ctx, groups, controlled: None,
-        "[FAIL] one fewer group admits a unanimous lie: 2 cases, 2 failures",
+        "[FAIL] one fewer group admits a unanimous lie: 3089 cases, 3089 failures",
         id="optimality-no-attack",
     ),
     pytest.param(

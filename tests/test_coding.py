@@ -536,7 +536,7 @@ def _check_row_classes(enc):
 
 
 # Worker rows of a 4-worker file assignment with rho = 2: samples 0, 1 and 3
-# share a column, which no slice gathers, and so do samples 2 and 5.
+# share a column, unevenly spaced, and so do samples 2 and 5.
 FILE_ASSIGNMENT = "4 6 2\n110110\n110100\n001001\n001011\n"
 
 
@@ -595,14 +595,14 @@ def test_row_classes_and_gatherers_equal_the_oracles():
     classes = build_encoding_matrix(instances[-1][1], file_mat).row_classes
     assert classes == ((0, 1, 3), (2, 5), (4,))  # a one-sample class after the others
     assert kinds == {"none", "all", "mixed"}
-    assert forms == {list, tuple}  # slices, and the indices of a class that no slice gathers
+    assert forms == {list, tuple}  # a lone sample's slice of a list, and itemgetter's tuples
 
 
 def test_recorded_row_classes_equal_the_classes_of_w():
     # build_encoding_matrix records the classes from the assignment's
     # columns; they must be W's classes of equal rows, read off W, on every
     # feasible generated shape with n <= 12 and p <= 24 (random at two
-    # seeds) and on a file assignment whose classes no slice gathers.
+    # seeds) and on a file assignment whose classes are unevenly spaced.
     file_mat, _ = assignment_from_text(FILE_ASSIGNMENT)
     cases = [(build_code_context(4, 1, 1, 101), file_mat), *small_instances()]
     for ctx, a_mat in cases:

@@ -39,6 +39,7 @@ from byzgrad.errors import (
 )
 from byzgrad.field import DEFAULT_MODULUS
 from byzgrad.harness import (
+    ADVERSARY_NAMES,
     SimulationConfig,
     replay_transcript,
     run_simulation,
@@ -59,6 +60,7 @@ from byzgrad.protocol import (
 )
 
 from oracles import (
+    check_descent,
     dense_group_response,
     leaf_depth_walk,
     match_answer_slice,
@@ -652,6 +654,77 @@ def test_match_without_a_dispute_raises():
     with pytest.raises(ProtocolInvariantViolation, match="match started without a dispute"):
         run.run_match(1, groups, (1, 0), initial, claims, vectors)
     assert run.transcript.events == events and run.transcript.comm_overhead == 0
+
+
+class _ZeroAnswers:
+    """A responder whose match answers are all 0 and whose every local computation is 1."""
+
+    d = 1
+
+    def match(self, query, workers):
+        return [0] * len(workers)
+
+    def truth(self, i):
+        return [1]
+
+
+def test_a_leaf_without_a_liar_raises(monkeypatch):
+    # Answers of 0 agree on every left child, so the match descends right at
+    # every level and each worker's commitment stays its initial symbol. A
+    # leaf row equal to those symbols, with truth 1, clears every worker: the
+    # engine must refuse the leaf, since eliminating nobody would loop run()
+    # forever. run_match is called directly, so a missing guard fails here
+    # instead of hanging run().
+    ctx = build_code_context(4, 1, 1, 101)
+    a_mat = make_cyclic(4, 8, 2)
+    groups = form_groups(range(4), ctx.r, ctx.s)
+    vectors = [combining_vector(ctx, grp) for grp in groups]
+    initial = [[j + 2] for j in range(4)]
+    monkeypatch.setattr(protocol, "sample_row", lambda ctx, column: [j + 2 for j in range(4)])
+    run = ProtocolRun(ctx, a_mat, _ZeroAnswers())
+    with pytest.raises(ProtocolInvariantViolation, match="match reached a leaf but found no liar"):
+        run.run_match(1, groups, (1, 0), initial, [[1], [2]], vectors)
+    levels = [ev for ev in run.transcript.events if ev["event"] == "match_level"]
+    assert [ev["descend"] for ev in levels] == ["right"] * 3
+    assert all(ev["event"] != "elimination" for ev in run.transcript.events)
+
+
+def test_every_match_keeps_its_dispute_down_to_a_proven_liar(tmp_path):
+    # The match's invariant, checked by tests/oracles.py::check_descent from
+    # the events alone, over every adversary, lie plan, assignment kind and
+    # grouping: each level's claims add up, the descent keeps a dispute, and
+    # each leaf eliminates exactly the workers its W row proves lying.
+    plans = ("consistent", "inconsistent", "", "lie,honest")
+    levels = eliminations = runs = 0
+    descents = set()
+    for (n, s, u, p, q), kind, adversary, grouping, seed in product(
+        ((6, 2, 1, 9, 11), (8, 3, 1, 16, 17), (12, 3, 2, 64, 67)),
+        ("cyclic", "fractional", "random", "file"),
+        ADVERSARY_NAMES,
+        ("lowest", "shuffled"),
+        range(2),
+    ):
+        if not assignment_feasible("random" if kind == "file" else kind, n, p, s + u)[0]:
+            continue
+        path = None
+        if kind == "file":
+            path = tmp_path / f"{n}-{seed}.txt"
+            a_mat = make_random_regular(n, p, s + u, seed=seed + 7)
+            path.write_text(assignment_to_text(a_mat, s + u), encoding="ascii")
+        for plan in plans if adversary == "tournament-liar" else plans[:1]:
+            out = run_simulation(SimulationConfig(
+                n=n, s=s, u=u, p=p, d=2, q=q, assignment=kind, adversary=adversary,
+                lie_plan=plan, seed=seed, grouping=grouping,
+                controlled=("random", "first")[seed],
+                assignment_path=None if path is None else str(path),
+            ))
+            events = out.result.transcript.events
+            assert out.result.gradient == out.truth
+            got = check_descent(events)
+            levels, eliminations, runs = levels + got[0], eliminations + got[1], runs + 1
+            descents.update(ev["descend"] for ev in events if ev["event"] == "match_level")
+    assert runs == 396 and descents == {"left", "right"}
+    assert (levels, eliminations) == (2318, 544)
 
 
 def test_consistent_liar_forces_full_depth():
